@@ -10,7 +10,7 @@ prefactor yields the Gamma-product constant.
 
 from fractions import Fraction as F
 
-from hypergamma import Precision, derive_main, rational_str, rf_eval
+from hypergamma import Precision, derive_main, rational_str
 
 trace = derive_main(Precision.of(150))
 

@@ -10,7 +10,7 @@ proof chains.  The canary catalog perturbs a closed form by one part in
 from hypergamma import CANARY_CATALOG, DEFAULT_CATALOG, run_all
 
 print("default catalog at each record's pinned precision:")
-report = run_all(DEFAULT_CATALOG, digits=100, jobs=2)
+report = run_all(DEFAULT_CATALOG, digits=100)
 print(report.to_text())
 print(f"exit code: {report.exit_code}")
 

@@ -2,31 +2,18 @@
 parameters, exact 2F1 transformation chains, and numeric verification of
 Gamma-product closed forms against an identity catalog."""
 
-from .exact import (
-    Poly,
-    RatFunc,
-    Rational,
-    poly_eval,
-    rational,
-    rational_arith,
-    rational_str,
-    rf_compose,
-    rf_eval,
-)
+from .exact import Poly, RatFunc, Rational, rational, rational_str
 from .gammaexpr import (
     GammaExpr,
     Verdict,
     achieved_digits,
     ge_eval,
-    ge_mul,
-    ge_num_equal,
     ge_reflect,
     num_equal,
 )
 from .hyper import (
     HypParams,
     PochRatio,
-    agm_K,
     f21_eval,
     f21_integral,
     f21_series,
@@ -37,10 +24,8 @@ from .mpreal import (
     BigReal,
     Precision,
     beta,
-    elementary,
     gamma,
     pi_value,
-    real_arith,
     tanh_sinh_integrate,
 )
 from .transforms import (
@@ -75,4 +60,22 @@ from .catalog import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # exact
+    "Poly", "RatFunc", "Rational", "rational", "rational_str",
+    # gammaexpr
+    "GammaExpr", "Verdict", "achieved_digits", "ge_eval", "ge_reflect", "num_equal",
+    # hyper
+    "HypParams", "PochRatio", "f21_eval", "f21_integral", "f21_series",
+    "f21_terminating", "pochhammer",
+    # mpreal
+    "BigReal", "Precision", "beta", "gamma", "pi_value", "tanh_sinh_integrate",
+    # transforms
+    "CUBIC", "EULER", "MAIN_ARGUMENT", "MAIN_PARAMS", "MAIN_RHS", "QUADRATIC_C_2B",
+    "QUADRATIC_MEAN", "RULES", "DerivationTrace", "HypTerm", "TransformRule",
+    "apply_rule", "derive_main", "gosper_rhs", "twelfth_degree_map",
+    "verify_conclusion", "verify_gosper_proof", "verify_zj_split",
+    # catalog
+    "CANARY_CATALOG", "DEFAULT_CATALOG", "IdentityRecord", "VerificationReport",
+    "catalog_load", "run_all", "verify_identity",
+]

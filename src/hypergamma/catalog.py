@@ -14,8 +14,10 @@ record's `kind` selects exactly one verification strategy:
 * ``proof-chain``: the derivation chain of the headline evaluation, or the
   per-step proof verification of the 2F1(1/4) closed form.
 
-Template expressions ("5/2-2*b", "b/(a+b)", ...) are parsed over exact
-rationals; only +, -, *, / and named variables are allowed.
+Template expressions ("5/2-2*b", "b/(a+b)", ...) are exact rational
+expressions; only +, -, *, / and named variables are allowed.  Loading a
+catalog compiles each one once into a closure over the sample's variables,
+and that compilation is the validation of the record's templates.
 
 Verdicts per record are pass / fail / inconclusive / skipped; an
 inconclusive comparison is retried once at doubled precision.  A fail entry
@@ -28,15 +30,16 @@ from __future__ import annotations
 
 import ast
 import json
+import operator
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import rational, rational_str
+from .exact import RatFunc, rational, rational_str
 from .gammaexpr import (
     GammaExpr,
     GammaExprError,
@@ -63,7 +66,6 @@ from .transforms import (
     verify_gosper_proof,
     verify_zj_split,
 )
-from .exact import RatFunc
 
 SCHEMA_VERSION = 1
 DEFAULT_DIGITS = 100
@@ -73,6 +75,13 @@ CANARY_CATALOG = Path(__file__).parent / "data" / "canary.json"
 KINDS = ("point-evaluation", "parametric-family", "transform-rule", "proof-chain")
 
 EXIT_PASS, EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_USAGE = 0, 1, 2, 3
+
+# the exit code of a run whose worst verdict is the key
+EXIT_CODE = {
+    Verdict.EQUAL: EXIT_PASS,
+    Verdict.DISTINCT: EXIT_FAIL,
+    Verdict.INCONCLUSIVE: EXIT_INCONCLUSIVE,
+}
 
 
 class CatalogError(ValueError):
@@ -86,73 +95,201 @@ class UnverifiableRecord(Exception):
 # ---------------------------------------------------------------------------
 # exact expression templates
 
+Env = dict[str, Fraction]
+Template = Callable[[Env], Fraction]
 
-def expr_eval(text: str, env: dict[str, Fraction] | None = None) -> Fraction:
-    """Evaluate an exact rational expression with +, -, *, / and variables."""
-    env = env or {}
+_BINARY = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _compile_expr(text) -> tuple[Template, frozenset[str]]:
+    """Parse an exact rational expression (+, -, *, /, integer literals and
+    variables) once into a closure over its variables, together with the
+    variable names it reads."""
+    text = str(text)
     try:
-        node = ast.parse(str(text), mode="eval").body
+        tree = ast.parse(text, mode="eval").body
     except SyntaxError as e:
         raise CatalogError(f"bad expression {text!r}: {e}") from None
+    names: set[str] = set()
 
-    def ev(n: ast.AST) -> Fraction:
-        if isinstance(n, ast.BinOp):
-            lhs, rhs = ev(n.left), ev(n.right)
-            if isinstance(n.op, ast.Add):
-                return lhs + rhs
-            if isinstance(n.op, ast.Sub):
-                return lhs - rhs
-            if isinstance(n.op, ast.Mult):
-                return lhs * rhs
-            if isinstance(n.op, ast.Div):
-                if rhs == 0:
-                    raise CatalogError(f"division by zero in {text!r}")
-                return lhs / rhs
-            raise CatalogError(f"operator not allowed in {text!r}")
-        if isinstance(n, ast.UnaryOp):
-            if isinstance(n.op, ast.USub):
-                return -ev(n.operand)
-            if isinstance(n.op, ast.UAdd):
-                return ev(n.operand)
-            raise CatalogError(f"operator not allowed in {text!r}")
-        if isinstance(n, ast.Constant):
-            if isinstance(n.value, int):
-                return Fraction(n.value)
-            raise CatalogError(f"non-integer literal in {text!r}")
+    def build(n: ast.AST) -> Template:
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINARY:
+            op, left, right = _BINARY[type(n.op)], build(n.left), build(n.right)
+            return lambda env: op(left(env), right(env))
+        if isinstance(n, ast.UnaryOp) and type(n.op) in _UNARY:
+            op, inner = _UNARY[type(n.op)], build(n.operand)
+            return lambda env: op(inner(env))
+        if isinstance(n, ast.Constant) and type(n.value) is int:
+            value = Fraction(n.value)
+            return lambda env: value
         if isinstance(n, ast.Name):
-            if n.id in env:
-                return env[n.id]
-            raise CatalogError(f"unknown variable {n.id!r} in {text!r}")
-        raise CatalogError(f"syntax not allowed in {text!r}")
+            names.add(n.id)
+            return operator.itemgetter(n.id)
+        raise CatalogError(f"{ast.unparse(n)!r} is not allowed in {text!r}")
 
-    return ev(node)
+    fn = build(tree)
+
+    def evaluate(env: Env) -> Fraction:
+        try:
+            return fn(env)
+        except KeyError as e:
+            raise CatalogError(f"unknown variable {e.args[0]!r} in {text!r}") from None
+        except ZeroDivisionError:
+            raise CatalogError(f"division by zero in {text!r}") from None
+
+    return evaluate, frozenset(names)
 
 
-def expr_names(text: str) -> set[str]:
+def expr_eval(text: str, env: Env | None = None) -> Fraction:
+    """Evaluate an exact rational expression with +, -, *, / and variables."""
+    return _compile_expr(text)[0](env or {})
+
+
+def _template(text, variables: set[str], where: str) -> Template:
     try:
-        node = ast.parse(str(text), mode="eval")
-    except SyntaxError as e:
-        raise CatalogError(f"bad expression {text!r}: {e}") from None
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        fn, names = _compile_expr(text)
+    except CatalogError as e:
+        raise CatalogError(f"{where}: {e}") from None
+    bad = names - variables
+    if bad:
+        raise CatalogError(f"{where}: unknown names {sorted(bad)} in {text!r}")
+    return fn
 
 
-def _gamma_expr_template(data: dict, env: dict[str, Fraction]) -> GammaExpr:
+def _compile_lhs(
+    lhs, variables: set[str], where: str
+) -> Callable[[Env], tuple[HypParams, Fraction]]:
+    if not isinstance(lhs, dict) or set(lhs) != {"a", "b", "c", "z"}:
+        raise CatalogError(f"{where}: lhs must define a, b, c, z")
+    a, b, c, z = (_template(lhs[k], variables, f"{where} lhs.{k}") for k in "abcz")
+    return lambda env: (HypParams(a(env), b(env), c(env)), z(env))
+
+
+def _compile_gamma_expr(
+    data: dict, variables: set[str], where: str
+) -> Callable[[Env], GammaExpr]:
     unknown = set(data) - {"rat", "pi", "gamma", "surd"}
     if unknown:
-        raise CatalogError(f"unknown gamma_expr fields {sorted(unknown)}")
-    return GammaExpr(
-        rational_factors=tuple(
-            (expr_eval(b, env), expr_eval(e, env)) for b, e in data.get("rat", ())
-        ),
-        pi_exponent=expr_eval(data.get("pi", "0"), env),
-        gamma_factors=tuple(
-            (expr_eval(a, env), int(e)) for a, e in data.get("gamma", ())
-        ),
-        surd_factors=tuple(
-            (expr_eval(p, env), expr_eval(q, env), expr_eval(d, env), int(e))
-            for p, q, d, e in data.get("surd", ())
-        ),
-    )
+        raise CatalogError(f"{where}: unknown gamma_expr fields {sorted(unknown)}")
+
+    def t(text) -> Template:
+        return _template(text, variables, where)
+
+    rats = [(t(b), t(e)) for b, e in data.get("rat", ())]
+    pi = t(data.get("pi", "0"))
+    gammas = [(t(a), int(e)) for a, e in data.get("gamma", ())]
+    surds = [(t(p), t(q), t(d), int(e)) for p, q, d, e in data.get("surd", ())]
+
+    def instantiate(env: Env) -> GammaExpr:
+        return GammaExpr(
+            rational_factors=tuple((b(env), e(env)) for b, e in rats),
+            pi_exponent=pi(env),
+            gamma_factors=tuple((a(env), e) for a, e in gammas),
+            surd_factors=tuple((p(env), q(env), d(env), e) for p, q, d, e in surds),
+        )
+
+    if variables:
+        return instantiate
+    # concrete expression: instantiating now rejects Gamma poles and
+    # nonpositive bases at load time
+    try:
+        expr = instantiate({})
+    except GammaExprError as e:
+        raise CatalogError(f"{where}: {e}") from None
+    return lambda env: expr
+
+
+def _compile_exact_product(value: dict, variables: set[str], where: str) -> Template:
+    unknown = set(value) - {"pow_base", "pow_exp", "poch_ratio"}
+    if unknown:
+        raise CatalogError(f"{where}: unknown exact_product fields {sorted(unknown)}")
+    base = _template(value.get("pow_base", "1"), variables, where)
+    expo = _template(value.get("pow_exp", "0"), variables, where)
+    pr = value.get("poch_ratio")
+    if pr is not None:
+        ratio = PochRatio(
+            upper=tuple(rational(u) for u in pr["upper"]),
+            lower=tuple(rational(l) for l in pr["lower"]),
+        )
+        index = _template(pr["n"], variables, where)
+
+    def exact(env: Env) -> Fraction:
+        e = expo(env)
+        if e.denominator != 1:
+            raise CatalogError("exact_product exponent must be an integer")
+        out = base(env) ** int(e)
+        if pr is not None:
+            n = index(env)
+            if n.denominator != 1 or n < 0:
+                raise CatalogError("poch_ratio index must be a nonnegative integer")
+            out *= ratio.value(int(n))
+        return out
+
+    return exact
+
+
+_RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
+
+
+@dataclass(frozen=True)
+class CompiledRecord:
+    """The lhs and rhs templates of a point or family record as closures
+    over one sample's variables; exactly one of `rhs` (an enclosure at a
+    precision) and `exact_rhs` (an exact rational) is set."""
+
+    lhs: Callable[[Env], tuple[HypParams, Fraction]]
+    rhs: Callable[[Env, Precision], BigReal] | None = None
+    exact_rhs: Template | None = None
+
+
+def _compile_record(record: IdentityRecord) -> CompiledRecord | None:
+    if record.kind not in ("point-evaluation", "parametric-family"):
+        return None
+    where = f"record {record.id!r}"
+    variables = set((record.parameters or {}).get("vars", ()))
+    lhs = _compile_lhs(record.lhs, variables, where)
+    rhs = record.rhs
+    if not isinstance(rhs, dict) or len(rhs) != 1:
+        raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
+    (key, value), = rhs.items()
+    if key == "gamma_expr":
+        expr = _compile_gamma_expr(value, variables, where)
+        return CompiledRecord(lhs, rhs=lambda env, prec: ge_eval(expr(env), prec))
+    if key == "gamma_expr_sum":
+        terms = []
+        for i, term in enumerate(value):
+            if set(term) != {"sign", "expr"}:
+                raise CatalogError(f"{where}: sum term {i} needs sign and expr")
+            if term["sign"] not in (1, -1):
+                raise CatalogError(f"{where}: sum term sign must be 1 or -1")
+            terms.append(
+                (term["sign"], _compile_gamma_expr(term["expr"], variables, f"{where} term {i}"))
+            )
+
+        def signed_sum(env: Env, prec: Precision) -> BigReal:
+            total = BigReal.from_int(0, prec.work_bits)
+            for sign, expr in terms:
+                piece = ge_eval(expr(env), prec)
+                total = total + (piece if sign > 0 else -piece)
+            return total
+
+        return CompiledRecord(lhs, rhs=signed_sum)
+    if key == "rational":
+        q = _template(value, variables, where)
+        return CompiledRecord(
+            lhs, rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits)
+        )
+    if key == "exact_product":
+        return CompiledRecord(
+            lhs, exact_rhs=_compile_exact_product(value, variables, where)
+        )
+    raise CatalogError(f"{where}: unknown rhs kind {key!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +312,13 @@ class IdentityRecord:
     chain: str | None = None
     b_values: tuple[Fraction, ...] | None = None
 
+    @cached_property
+    def compiled(self) -> CompiledRecord | None:
+        """The lhs and rhs templates, compiled on first use (None for rule
+        and chain records).  Compiling validates them, so `catalog_load`
+        compiles every record it returns."""
+        return _compile_record(self)
+
 
 _COMMON_FIELDS = {"id", "kind", "source", "digits"}
 _KIND_FIELDS = {
@@ -183,69 +327,6 @@ _KIND_FIELDS = {
     "transform-rule": {"rule", "samples", "seed", "points"},
     "proof-chain": {"chain", "b"},
 }
-_RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
-
-
-def _check_names(text, variables: set[str], where: str) -> None:
-    bad = expr_names(text) - variables
-    if bad:
-        raise CatalogError(f"{where}: unknown names {sorted(bad)} in {text!r}")
-
-
-def _validate_gamma_expr_template(data: dict, variables: set[str], where: str) -> None:
-    unknown = set(data) - {"rat", "pi", "gamma", "surd"}
-    if unknown:
-        raise CatalogError(f"{where}: unknown gamma_expr fields {sorted(unknown)}")
-    for b, e in data.get("rat", ()):
-        _check_names(b, variables, where)
-        _check_names(e, variables, where)
-    _check_names(data.get("pi", "0"), variables, where)
-    for a, e in data.get("gamma", ()):
-        _check_names(a, variables, where)
-        int(e)
-    for p, q, d, e in data.get("surd", ()):
-        for part in (p, q, d):
-            _check_names(part, variables, where)
-        int(e)
-    if not variables:
-        # concrete expression: instantiating now rejects Gamma poles and
-        # nonpositive bases at load time
-        try:
-            _gamma_expr_template(data, {})
-        except GammaExprError as e:
-            raise CatalogError(f"{where}: {e}") from None
-
-
-def _validate_rhs(rhs: dict, variables: set[str], where: str) -> None:
-    if not isinstance(rhs, dict) or len(rhs) != 1:
-        raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
-    (key, value), = rhs.items()
-    if key not in _RHS_KINDS:
-        raise CatalogError(f"{where}: unknown rhs kind {key!r}")
-    if key == "gamma_expr":
-        _validate_gamma_expr_template(value, variables, where)
-    elif key == "gamma_expr_sum":
-        for i, term in enumerate(value):
-            if set(term) != {"sign", "expr"}:
-                raise CatalogError(f"{where}: sum term {i} needs sign and expr")
-            if term["sign"] not in (1, -1):
-                raise CatalogError(f"{where}: sum term sign must be 1 or -1")
-            _validate_gamma_expr_template(term["expr"], variables, f"{where} term {i}")
-    elif key == "rational":
-        _check_names(value, variables, where)
-    elif key == "exact_product":
-        unknown = set(value) - {"pow_base", "pow_exp", "poch_ratio"}
-        if unknown:
-            raise CatalogError(f"{where}: unknown exact_product fields {sorted(unknown)}")
-        _check_names(value.get("pow_base", "1"), variables, where)
-        _check_names(value.get("pow_exp", "0"), variables, where)
-        pr = value.get("poch_ratio")
-        if pr is not None:
-            PochRatio(
-                upper=tuple(rational(u) for u in pr["upper"]),
-                lower=tuple(rational(l) for l in pr["lower"]),
-            )
-            _check_names(pr["n"], variables, where)
 
 
 def _parse_record(data: dict, index: int) -> IdentityRecord:
@@ -267,47 +348,30 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
     if digits is not None and (not isinstance(digits, int) or digits < 1):
         raise CatalogError(f"{where}: digits must be a positive integer")
 
-    lhs = data.get("lhs")
-    rhs = data.get("rhs")
     parameters = data.get("parameters")
-    variables: set[str] = set()
-
-    if kind in ("point-evaluation", "parametric-family"):
-        if not isinstance(lhs, dict) or set(lhs) != {"a", "b", "c", "z"}:
-            raise CatalogError(f"{where}: lhs must define a, b, c, z")
-        if kind == "parametric-family":
-            if not isinstance(parameters, dict):
-                raise CatalogError(f"{where}: parametric-family needs parameters")
-            unknown = set(parameters) - {"vars", "sampler", "count", "seed", "grid"}
-            if unknown:
-                raise CatalogError(f"{where}: unknown parameters fields {sorted(unknown)}")
-            variables = set(parameters.get("vars", ()))
-            if not variables:
-                raise CatalogError(f"{where}: parameters.vars must be nonempty")
-            if ("grid" in parameters) == ("sampler" in parameters):
-                raise CatalogError(f"{where}: need exactly one of grid or sampler")
-            if "grid" in parameters:
-                grid = parameters["grid"]
-                if set(grid) != variables:
-                    raise CatalogError(f"{where}: grid keys must match vars")
-                for var, spec in grid.items():
-                    if isinstance(spec, dict):
-                        if set(spec) != {"from", "to"}:
-                            raise CatalogError(f"{where}: grid range needs from/to")
-                    elif not isinstance(spec, list) or not spec:
-                        raise CatalogError(f"{where}: grid for {var} must be a list")
-            else:
-                if parameters["sampler"] not in SAMPLERS:
-                    raise CatalogError(
-                        f"{where}: unknown sampler {parameters['sampler']!r}"
-                    )
-        for key in ("a", "b", "c", "z"):
-            bad = expr_names(lhs[key]) - variables
-            if bad:
-                raise CatalogError(f"{where}: lhs.{key} uses unknown names {sorted(bad)}")
-        if rhs is None:
-            raise CatalogError(f"{where}: missing rhs")
-        _validate_rhs(rhs, variables, where)
+    if kind == "parametric-family":
+        if not isinstance(parameters, dict):
+            raise CatalogError(f"{where}: parametric-family needs parameters")
+        unknown = set(parameters) - {"vars", "sampler", "count", "seed", "grid"}
+        if unknown:
+            raise CatalogError(f"{where}: unknown parameters fields {sorted(unknown)}")
+        variables = set(parameters.get("vars", ()))
+        if not variables:
+            raise CatalogError(f"{where}: parameters.vars must be nonempty")
+        if ("grid" in parameters) == ("sampler" in parameters):
+            raise CatalogError(f"{where}: need exactly one of grid or sampler")
+        if "grid" in parameters:
+            grid = parameters["grid"]
+            if set(grid) != variables:
+                raise CatalogError(f"{where}: grid keys must match vars")
+            for var, spec in grid.items():
+                if isinstance(spec, dict):
+                    if set(spec) != {"from", "to"}:
+                        raise CatalogError(f"{where}: grid range needs from/to")
+                elif not isinstance(spec, list) or not spec:
+                    raise CatalogError(f"{where}: grid for {var} must be a list")
+        elif parameters["sampler"] not in SAMPLERS:
+            raise CatalogError(f"{where}: unknown sampler {parameters['sampler']!r}")
 
     points = None
     if kind == "transform-rule":
@@ -328,13 +392,13 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         if data.get("b") is not None:
             b_values = tuple(rational(x) for x in data["b"])
 
-    return IdentityRecord(
+    record = IdentityRecord(
         id=rid,
         kind=kind,
         source=data.get("source", ""),
         digits=digits,
-        lhs=lhs,
-        rhs=rhs,
+        lhs=data.get("lhs"),
+        rhs=data.get("rhs"),
         parameters=parameters,
         rule=data.get("rule"),
         samples=data.get("samples"),
@@ -343,6 +407,8 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         chain=data.get("chain"),
         b_values=b_values,
     )
+    record.compiled  # compiling validates the lhs and rhs templates
+    return record
 
 
 def catalog_load(path: str | Path) -> list[IdentityRecord]:
@@ -465,6 +531,12 @@ def _family_envs(record: IdentityRecord) -> list[dict[str, Fraction]]:
 # ---------------------------------------------------------------------------
 # verification
 
+_ENTRY_VERDICT = {
+    Verdict.EQUAL: "pass",
+    Verdict.DISTINCT: "fail",
+    Verdict.INCONCLUSIVE: "inconclusive",
+}
+
 
 @dataclass(frozen=True)
 class ReportEntry:
@@ -506,12 +578,11 @@ class VerificationReport:
 
     @property
     def exit_code(self) -> int:
-        c = self.counts
-        if c["fail"]:
-            return EXIT_FAIL
-        if c["inconclusive"]:
-            return EXIT_INCONCLUSIVE
-        return EXIT_PASS
+        # a skipped record does not count against the run
+        verdict_of = {name: v for v, name in _ENTRY_VERDICT.items()}
+        return EXIT_CODE[
+            Verdict.worst(verdict_of.get(e.verdict, Verdict.EQUAL) for e in self.entries)
+        ]
 
     def to_text(self) -> str:
         lines = []
@@ -539,92 +610,56 @@ class VerificationReport:
         }
 
 
-def _interval_text(x: BigReal) -> str:
-    return x.to_decimal()
+# One comparison made while verifying a record: its verdict, the digits to
+# which the two sides provably agree (None: exact, or not measured), the
+# detail to report if it is distinct, and the two enclosures (None when the
+# comparison yields only a verdict).
+Check = tuple[Verdict, "int | None", str, "BigReal | None", "BigReal | None"]
 
 
-def _eval_rhs(rhs: dict, env: dict[str, Fraction], prec: Precision) -> BigReal:
-    (key, value), = rhs.items()
-    if key == "gamma_expr":
-        return ge_eval(_gamma_expr_template(value, env), prec)
-    if key == "gamma_expr_sum":
-        total = BigReal.from_int(0, prec.work_bits)
-        for term in value:
-            piece = ge_eval(_gamma_expr_template(term["expr"], env), prec)
-            total = total + (piece if term["sign"] > 0 else -piece)
-        return total
-    if key == "rational":
-        return BigReal.from_fraction(expr_eval(value, env), prec.work_bits)
-    raise UnverifiableRecord(f"rhs kind {key!r} is not numeric")
-
-
-def _exact_rhs_value(rhs: dict, env: dict[str, Fraction]) -> Fraction:
-    value = rhs["exact_product"]
-    base = expr_eval(value.get("pow_base", "1"), env)
-    expo = expr_eval(value.get("pow_exp", "0"), env)
-    if expo.denominator != 1:
-        raise CatalogError("exact_product exponent must be an integer")
-    out = base ** int(expo)
-    pr = value.get("poch_ratio")
-    if pr is not None:
-        n = expr_eval(pr["n"], env)
-        if n.denominator != 1 or n < 0:
-            raise CatalogError("poch_ratio index must be a nonnegative integer")
-        ratio = PochRatio(
-            upper=tuple(rational(u) for u in pr["upper"]),
-            lower=tuple(rational(l) for l in pr["lower"]),
-        )
-        out *= ratio.value(int(n))
-    return out
-
-
-def _lhs_instance(lhs: dict, env: dict[str, Fraction]) -> tuple[HypParams, Fraction]:
-    p = HypParams(
-        expr_eval(lhs["a"], env), expr_eval(lhs["b"], env), expr_eval(lhs["c"], env)
-    )
-    return p, expr_eval(lhs["z"], env)
-
-
-def _verify_numeric_samples(
-    record: IdentityRecord, envs: Sequence[dict[str, Fraction]], prec: Precision
-) -> tuple[Verdict, int | None, str, str, str]:
-    worst: Verdict = Verdict.EQUAL
-    min_digits: int | None = None
-    for env in envs:
-        p, z = _lhs_instance(record.lhs, env)
-        lhs_val = f21_eval(p, z, prec)
-        rhs_val = _eval_rhs(record.rhs, env, prec)
-        verdict = num_equal(lhs_val, rhs_val, prec)
-        d = achieved_digits(lhs_val, rhs_val)
+def _fold(checks: Iterable[Check]) -> Check:
+    """The verdict of a record: the first distinct check ends the record and
+    is reported; otherwise the worst verdict.  Digits are the fewest any
+    check agreed to."""
+    verdicts: list[Verdict] = []
+    digits: list[int] = []
+    for verdict, d, detail, lhs, rhs in checks:
         if d is not None:
-            min_digits = d if min_digits is None else min(min_digits, d)
+            digits.append(d)
         if verdict is Verdict.DISTINCT:
-            at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
-            return (
-                Verdict.DISTINCT,
-                min_digits,
-                f"distinct at {at}" if at else "intervals disjoint",
-                _interval_text(lhs_val),
-                _interval_text(rhs_val),
-            )
-        if verdict is Verdict.INCONCLUSIVE:
-            worst = Verdict.INCONCLUSIVE
-    return worst, min_digits, "", "", ""
+            return verdict, min(digits, default=None), detail, lhs, rhs
+        verdicts.append(verdict)
+    return Verdict.worst(verdicts), min(digits, default=None), "", None, None
 
 
-def _verify_exact_family(
-    record: IdentityRecord, envs: Sequence[dict[str, Fraction]]
-) -> tuple[Verdict, str]:
+def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
+    compiled = record.compiled
+    if record.kind == "point-evaluation":
+        if compiled.exact_rhs is not None:
+            raise UnverifiableRecord("rhs kind 'exact_product' is not numeric")
+        envs: Sequence[Env] = [{}]
+    else:
+        envs = _family_envs(record)
     for env in envs:
-        p, z = _lhs_instance(record.lhs, env)
-        got = f21_terminating(p, z)
-        want = _exact_rhs_value(record.rhs, env)
-        if got != want:
-            at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
-            return Verdict.DISTINCT, (
-                f"exact mismatch at {at}: {rational_str(got)} != {rational_str(want)}"
-            )
-    return Verdict.EQUAL, ""
+        at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
+        p, z = compiled.lhs(env)
+        if compiled.exact_rhs is not None:
+            got, want = f21_terminating(p, z), compiled.exact_rhs(env)
+            if got == want:
+                yield Verdict.EQUAL, None, "", None, None
+            else:
+                detail = f"exact mismatch at {at}: {rational_str(got)} != {rational_str(want)}"
+                yield Verdict.DISTINCT, None, detail, None, None
+            continue
+        lhs_val = f21_eval(p, z, prec)
+        rhs_val = compiled.rhs(env, prec)
+        yield (
+            num_equal(lhs_val, rhs_val, prec),
+            achieved_digits(lhs_val, rhs_val),
+            f"distinct at {at}" if at else "intervals disjoint",
+            lhs_val,
+            rhs_val,
+        )
 
 
 def _rule_sample_params(rule_name: str, rng: random.Random) -> HypParams:
@@ -647,103 +682,65 @@ def _rule_sample_params(rule_name: str, rng: random.Random) -> HypParams:
     raise UnverifiableRecord(f"no parameter sampler for rule {rule_name!r}")
 
 
-def _verify_rule_record(
-    record: IdentityRecord, prec: Precision
-) -> tuple[Verdict, int | None, str, str, str]:
+def _rule_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
     if record.rule == "zj-split":
-        worst = Verdict.EQUAL
         for pt in record.points or ():
             verdict = verify_zj_split(
                 rational(pt["a"]), rational(pt["b"]), rational(pt["z"]), prec
             )
-            if verdict is Verdict.DISTINCT:
-                return verdict, None, f"split distinct at {pt}", "", ""
-            if verdict is Verdict.INCONCLUSIVE:
-                worst = Verdict.INCONCLUSIVE
-        return worst, None, "", "", ""
+            yield verdict, None, f"split distinct at {pt}", None, None
+        return
     if record.rule not in RULES:
         raise UnverifiableRecord(f"unknown transform rule {record.rule!r}")
     rule = RULES[record.rule]
     rng = random.Random(record.seed or 0)
     lo, hi = rule.sample_region
-    worst = Verdict.EQUAL
-    min_digits: int | None = None
     for _ in range(record.samples or 20):
         w = lo + (hi - lo) * Fraction(rng.randint(1, 79), 80)
         if w == 0:
             continue
         p = _rule_sample_params(record.rule, rng)
-        term = HypTerm((), p, RatFunc.x())
-        out = apply_rule(rule, term)
+        out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
         lhs_val = f21_eval(p, w, prec, cross_check=False)
         rhs_val = out.evaluate(w, prec)
-        verdict = num_equal(lhs_val, rhs_val, prec)
-        d = achieved_digits(lhs_val, rhs_val)
-        if d is not None:
-            min_digits = d if min_digits is None else min(min_digits, d)
-        if verdict is Verdict.DISTINCT:
-            return (
-                verdict,
-                min_digits,
-                f"rule {record.rule} unsound at params "
-                f"({rational_str(p.a)},{rational_str(p.b)};{rational_str(p.c)}), "
-                f"w={rational_str(w)}",
-                _interval_text(lhs_val),
-                _interval_text(rhs_val),
-            )
-        if verdict is Verdict.INCONCLUSIVE:
-            worst = Verdict.INCONCLUSIVE
-    return worst, min_digits, "", "", ""
+        yield (
+            num_equal(lhs_val, rhs_val, prec),
+            achieved_digits(lhs_val, rhs_val),
+            f"rule {record.rule} unsound at params "
+            f"({rational_str(p.a)},{rational_str(p.b)};{rational_str(p.c)}), "
+            f"w={rational_str(w)}",
+            lhs_val,
+            rhs_val,
+        )
 
 
-def _verify_chain_record(
-    record: IdentityRecord, prec: Precision
-) -> tuple[Verdict, int | None, str]:
+def _chain_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
     if record.chain == "main-derivation":
         trace = derive_main(prec)
-        return trace.verdict, trace.agreement_digits, ""
-    if record.chain == "gosper-proof":
-        worst = Verdict.EQUAL
+        yield trace.verdict, trace.agreement_digits, "", None, None
+    elif record.chain == "gosper-proof":
         for b in record.b_values or (Fraction(5, 8),):
-            verdicts = verify_gosper_proof(b, prec)
-            for step, verdict in verdicts.items():
-                if verdict is Verdict.DISTINCT:
-                    return verdict, None, f"step {step} distinct at b={rational_str(b)}"
-                if verdict is Verdict.INCONCLUSIVE:
-                    worst = Verdict.INCONCLUSIVE
-        return worst, None, ""
-    raise UnverifiableRecord(f"unknown proof chain {record.chain!r}")
+            for step, verdict in verify_gosper_proof(b, prec).items():
+                detail = f"step {step} distinct at b={rational_str(b)}"
+                yield verdict, None, detail, None, None
+    else:
+        raise UnverifiableRecord(f"unknown proof chain {record.chain!r}")
+
+
+_CHECKS: dict[str, Callable[[IdentityRecord, Precision], Iterator[Check]]] = {
+    "point-evaluation": _sample_checks,
+    "parametric-family": _sample_checks,
+    "transform-rule": _rule_checks,
+    "proof-chain": _chain_checks,
+}
 
 
 def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
     start = time.perf_counter()
-    verdict_map = {
-        Verdict.EQUAL: "pass",
-        Verdict.DISTINCT: "fail",
-        Verdict.INCONCLUSIVE: "inconclusive",
-    }
-    digits: int | str | None = None
-    detail = lhs_text = rhs_text = ""
     try:
-        if record.kind == "point-evaluation":
-            v, digits, detail, lhs_text, rhs_text = _verify_numeric_samples(
-                record, [{}], prec
-            )
-        elif record.kind == "parametric-family":
-            envs = _family_envs(record)
-            if next(iter(record.rhs)) == "exact_product":
-                v, detail = _verify_exact_family(record, envs)
-                digits = "exact"
-            else:
-                v, digits, detail, lhs_text, rhs_text = _verify_numeric_samples(
-                    record, envs, prec
-                )
-        elif record.kind == "transform-rule":
-            v, digits, detail, lhs_text, rhs_text = _verify_rule_record(record, prec)
-        elif record.kind == "proof-chain":
-            v, digits, detail = _verify_chain_record(record, prec)
-        else:  # pragma: no cover - load() rejects unknown kinds
+        if record.kind not in _CHECKS:  # catalog_load rejects unknown kinds
             raise UnverifiableRecord(record.kind)
+        verdict, digits, detail, lhs, rhs = _fold(_CHECKS[record.kind](record, prec))
     except UnverifiableRecord as e:
         return ReportEntry(
             record.id, "skipped", None, time.perf_counter() - start,
@@ -754,15 +751,17 @@ def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
             record.id, "fail", None, time.perf_counter() - start,
             prec.target_digits, detail=f"{type(e).__name__}: {e}",
         )
+    if record.compiled is not None and record.compiled.exact_rhs is not None:
+        digits = "exact"
     return ReportEntry(
         record.id,
-        verdict_map[v],
+        _ENTRY_VERDICT[verdict],
         digits,
         time.perf_counter() - start,
         prec.target_digits,
         detail=detail,
-        interval_lhs=lhs_text,
-        interval_rhs=rhs_text,
+        interval_lhs=lhs.to_decimal() if lhs is not None else "",
+        interval_rhs=rhs.to_decimal() if rhs is not None else "",
     )
 
 
@@ -790,7 +789,6 @@ def record_precision(record: IdentityRecord, default_digits: int) -> Precision:
 def run_all(
     catalog: str | Path | Sequence[IdentityRecord],
     digits: int = DEFAULT_DIGITS,
-    jobs: int = 1,
     only: str | None = None,
 ) -> VerificationReport:
     """Verify a catalog and return a deterministic, id-ordered report."""
@@ -802,14 +800,8 @@ def run_all(
         records = [r for r in records if r.id == only]
         if not records:
             raise CatalogError(f"no record with id {only!r}")
-
-    def job(record: IdentityRecord) -> ReportEntry:
-        return verify_identity(record, record_precision(record, digits))
-
-    if jobs > 1 and len(records) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            entries = list(pool.map(job, records))
-    else:
-        entries = [job(r) for r in records]
-    entries.sort(key=lambda e: e.id)
+    entries = sorted(
+        (verify_identity(r, record_precision(r, digits)) for r in records),
+        key=lambda e: e.id,
+    )
     return VerificationReport(tuple(entries))

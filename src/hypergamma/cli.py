@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .catalog import (
     DEFAULT_CATALOG,
+    EXIT_CODE,
     EXIT_FAIL,
-    EXIT_INCONCLUSIVE,
     EXIT_PASS,
     EXIT_USAGE,
     CatalogError,
@@ -52,6 +52,16 @@ def _fraction(text: str) -> Fraction:
         return rational(text)
     except (ValueError, ZeroDivisionError) as e:
         raise _UsageError(f"bad rational {text!r}: {e}") from None
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _emit(report_format: str, payload: dict, text: str) -> None:
@@ -83,9 +93,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    report = run_all(
-        args.catalog, digits=args.digits, jobs=args.jobs, only=args.only
-    )
+    report = run_all(args.catalog, digits=args.digits, only=args.only)
     _emit(args.report, report.to_json(), report.to_text())
     return report.exit_code
 
@@ -110,11 +118,7 @@ def _cmd_derive_chain(args) -> int:
     payload = trace.to_json()
     payload["command"] = "derive-chain"
     _emit(args.report, payload, "\n".join(lines))
-    if trace.verdict is Verdict.EQUAL:
-        return EXIT_PASS
-    if trace.verdict is Verdict.DISTINCT:
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return EXIT_CODE[trace.verdict]
 
 
 def _cmd_proof_check(args) -> int:
@@ -131,20 +135,15 @@ def _cmd_proof_check(args) -> int:
         },
         "\n".join(rows),
     )
-    values = list(verdicts.values())
-    if any(v is Verdict.DISTINCT for v in values):
-        return EXIT_FAIL
-    if any(v is Verdict.INCONCLUSIVE for v in values):
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return EXIT_CODE[Verdict.worst(verdicts.values())]
 
 
 def _cmd_quadcheck(args) -> int:
     prec = Precision.of(args.digits)
     rng = random.Random(args.seed)
     rows = []
-    worst = Verdict.EQUAL
-    for index in range(args.samples):
+    verdicts = []
+    for _ in range(args.samples):
         if args.expr == "beta":
             x = Fraction(rng.randint(1, 40), rng.randint(8, 24))
             y = Fraction(rng.randint(1, 40), rng.randint(8, 24))
@@ -172,10 +171,7 @@ def _cmd_quadcheck(args) -> int:
         rows.append(
             {"case": label, "verdict": verdict.value, "agreement_digits": digits}
         )
-        if verdict is Verdict.DISTINCT:
-            worst = Verdict.DISTINCT
-        elif verdict is Verdict.INCONCLUSIVE and worst is not Verdict.DISTINCT:
-            worst = Verdict.INCONCLUSIVE
+        verdicts.append(verdict)
     text = "\n".join(
         f"{r['verdict']:22s} {r['case']}"
         + (f" ({r['agreement_digits']} digits)" if r["agreement_digits"] else "")
@@ -186,11 +182,7 @@ def _cmd_quadcheck(args) -> int:
         {"command": "quadcheck", "expr": args.expr, "cases": rows},
         text,
     )
-    if worst is Verdict.DISTINCT:
-        return EXIT_FAIL
-    if worst is Verdict.INCONCLUSIVE:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    return EXIT_CODE[Verdict.worst(verdicts)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,35 +194,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--digits", type=int, default=50)
+    p.add_argument("--digits", type=_positive_int, default=50)
     p.add_argument("--strategy", choices=("auto", "series", "integral"), default="auto")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="verify an identity catalog")
     p.add_argument("--catalog", default=str(DEFAULT_CATALOG))
-    p.add_argument("--digits", type=int, default=100)
+    p.add_argument("--digits", type=_positive_int, default=100)
     p.add_argument("--only", default=None, help="verify a single record id")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("derive-chain", help="rebuild the degree-12 chain evaluation")
-    p.add_argument("--digits", type=int, default=150)
+    p.add_argument("--digits", type=_positive_int, default=150)
     p.add_argument("--trace", default=None, help="write the derivation trace JSON here")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_derive_chain)
 
     p = sub.add_parser("proof-check", help="verify the 2F1(1/4) formula proof steps")
     p.add_argument("--b", required=True)
-    p.add_argument("--digits", type=int, default=60)
+    p.add_argument("--digits", type=_positive_int, default=60)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_proof_check)
 
     p = sub.add_parser("quadcheck", help="quadrature cross-checks")
     p.add_argument("--expr", choices=("beta", "euler"), required=True)
-    p.add_argument("--samples", type=int, default=10)
-    p.add_argument("--digits", type=int, default=30)
+    p.add_argument("--samples", type=_positive_int, default=10)
+    p.add_argument("--digits", type=_positive_int, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_quadcheck)

@@ -51,22 +51,6 @@ def rational_str(q: Rational) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def rational_arith(x: RationalLike, y: RationalLike, op: str) -> Rational:
-    """Exact field operation on rationals; op is one of add/sub/mul/div."""
-    a, b = rational(x), rational(y)
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b == 0:
-            raise PoleError("division of rationals by zero")
-        return a / b
-    raise ExactError(f"unknown rational operation {op!r}")
-
-
 def is_nonpositive_integer(q: Rational) -> bool:
     return q.denominator == 1 and q.numerator <= 0
 
@@ -260,11 +244,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     return a.monic()
 
 
-def poly_eval(p: Poly, x: RationalLike) -> Rational:
-    """Exact evaluation of p at the rational point x."""
-    return p(x)
-
-
 class RatFunc:
     """Reduced rational function num/den over the rationals.
 
@@ -301,10 +280,6 @@ class RatFunc:
     @classmethod
     def constant(cls, c: RationalLike) -> "RatFunc":
         return cls(Poly.constant(c))
-
-    @classmethod
-    def from_fraction(cls, num: Poly, den: Poly) -> "RatFunc":
-        return cls(num, den)
 
     @property
     def is_zero(self) -> bool:
@@ -363,13 +338,3 @@ class RatFunc:
     @classmethod
     def from_json(cls, data: dict) -> "RatFunc":
         return cls(Poly.from_json(data["num"]), Poly.from_json(data["den"]))
-
-
-def rf_compose(outer: RatFunc, inner: RatFunc) -> RatFunc:
-    """Composition outer(inner(z)) as a reduced rational function."""
-    return outer.compose(inner)
-
-
-def rf_eval(f: RatFunc, x: RationalLike) -> Rational:
-    """Exact value of f at x; raises PoleError at a pole."""
-    return f(x)

@@ -2,7 +2,7 @@
 integer powers of Gamma at rational arguments, and quadratic surds.
 
 These expressions are the closed-form side of every identity in the catalog.
-Equality is decided numerically at a requested precision via `ge_num_equal`
+Equality is decided numerically at a requested precision via `num_equal`
 (equal-within-bounds / distinct / inconclusive); no symbolic normalization
 of Gamma products is attempted beyond factor merging, and `ge_reflect`
 rewrites a reflection pair only when sin(pi x) has an exact surd value.
@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_sub
 
@@ -27,6 +28,14 @@ class Verdict(str, enum.Enum):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
+
+    @classmethod
+    def worst(cls, verdicts: Iterable["Verdict"]) -> "Verdict":
+        """DISTINCT over INCONCLUSIVE over EQUAL; no verdicts at all is EQUAL."""
+        return max(verdicts, key=_SEVERITY.__getitem__, default=cls.EQUAL)
+
+
+_SEVERITY = {Verdict.EQUAL: 0, Verdict.INCONCLUSIVE: 1, Verdict.DISTINCT: 2}
 
 
 class GammaExprError(ValueError):
@@ -196,11 +205,6 @@ class GammaExpr:
         )
 
 
-def ge_mul(x: GammaExpr, y: GammaExpr) -> GammaExpr:
-    """Merged canonical product of two expressions."""
-    return x * y
-
-
 def ge_eval(e: GammaExpr, prec: Precision) -> BigReal:
     """Numeric value with propagated error bounds."""
     bits = prec.work_bits
@@ -301,11 +305,6 @@ def num_equal(x: BigReal, y: BigReal, prec: Precision) -> Verdict:
     if mpf_cmp(tot, cap) <= 0:
         return Verdict.EQUAL
     return Verdict.INCONCLUSIVE
-
-
-def ge_num_equal(x: GammaExpr, y: GammaExpr, prec: Precision) -> Verdict:
-    """Numeric equality verdict for two expressions at the given precision."""
-    return num_equal(ge_eval(x, prec), ge_eval(y, prec), prec)
 
 
 def achieved_digits(x: BigReal, y: BigReal) -> int | None:

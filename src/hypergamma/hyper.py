@@ -10,10 +10,6 @@ Three evaluation routes, selected by `f21_eval`:
   weighted integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1), for
   arguments too close to 1 for the series (and for z <= -1, where the
   integrand is smooth).
-
-`agm_K` provides the complete elliptic integral K via the quadratically
-convergent arithmetic-geometric mean, used as an independent oracle for the
-series engine.
 """
 
 from __future__ import annotations
@@ -29,10 +25,8 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_cmp,
-    mpf_div,
     mpf_mul,
     mpf_shift,
-    mpf_sub,
 )
 
 from .exact import is_nonpositive_integer, rational_str
@@ -43,8 +37,6 @@ from .mpreal import (
     MPRealError,
     Precision,
     gamma,
-    pi_value,
-    sqrt,
     tanh_sinh_integrate,
 )
 
@@ -351,37 +343,3 @@ def f21_eval(
         return out
     return _integral_with_swap(p, z, prec)
 
-
-def agm_K(k: RealArg, prec: Precision) -> BigReal:
-    """Complete elliptic integral K(k) = (pi/2) / AGM(1, sqrt(1-k^2)).
-
-    The modulus convention: K(k) integrates (1 - k^2 sin^2 t)^(-1/2).
-    """
-    wb = prec.work_bits + 16
-    kB = BigReal.lift(k, wb)
-    if kB.definitely_negative():
-        raise HyperError("agm_K requires 0 <= k < 1")
-    one_minus = 1 - kB * kB
-    if not one_minus.definitely_positive():
-        raise HyperError("agm_K requires k < 1")
-    a = BigReal.from_int(1, wb)
-    g = sqrt(one_minus)
-    last_gap = None
-    for _ in range(256):
-        gap = a - g
-        gap_val = mpf_abs(gap.val)
-        if mpf_cmp(gap_val, mpf_shift(mpf_abs(a.val), -wb + 8)) <= 0:
-            last_gap = mpf_add(gap_val, gap.err, ERR_BITS, RU)
-            break
-        a, g = (a + g) / 2, sqrt(a * g)
-    if last_gap is None:
-        raise MPRealError("AGM iteration failed to converge")
-    out = pi_value(Precision(prec.target_digits, wb)) / (a + a)
-    # |a - g| bounds the distance of a from the enclosed AGM limit, so the
-    # induced K error is at most |K| * gap / a_low
-    k_hi = mpf_add(mpf_abs(out.val), out.err, ERR_BITS, RU)
-    a_lo = mpf_sub(mpf_abs(a.val), a.err, ERR_BITS, "d")
-    if mpf_cmp(a_lo, fzero) <= 0:
-        raise MPRealError("AGM lower bound collapsed")
-    resid = mpf_div(mpf_mul(k_hi, last_gap, ERR_BITS, RU), a_lo, ERR_BITS, RU)
-    return BigReal(out.val, mpf_add(out.err, resid, ERR_BITS, RU), prec.work_bits)

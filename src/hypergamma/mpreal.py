@@ -39,7 +39,6 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_asin,
-    mpf_atan,
     mpf_bernoulli,
     mpf_cmp,
     mpf_cosh_sinh,
@@ -192,12 +191,6 @@ class BigReal:
     def is_exact(self) -> bool:
         return self.err == fzero
 
-    def upper(self):
-        return mpf_add(self.val, self.err, ERR_BITS + self.bits, "c")
-
-    def lower(self):
-        return mpf_sub(self.val, self.err, ERR_BITS + self.bits, "f")
-
     def definitely_positive(self) -> bool:
         return mpf_cmp(self.val, self.err) > 0
 
@@ -341,23 +334,6 @@ class BigReal:
         return f"BigReal({self.to_decimal(min(20, max(6, self.bits // 4)))})"
 
 
-def real_arith(x: Real, y, op: str, prec: Precision | None = None) -> BigReal:
-    """Spec surface for {add,sub,mul,div,pow_rational} on BigReals."""
-    bits = prec.work_bits if prec else (x.bits if isinstance(x, BigReal) else 256)
-    a = BigReal.lift(x, bits)
-    if op == "add":
-        return a + y
-    if op == "sub":
-        return a - y
-    if op == "mul":
-        return a * y
-    if op == "div":
-        return a / y
-    if op == "pow_rational":
-        return a.pow_rational(y)
-    raise ValueError(f"unknown real operation {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # elementary functions
 
@@ -406,14 +382,6 @@ def log(x: Real, prec: Precision | None = None) -> BigReal:
         mpf_div(x.err, lo, ERR_BITS, RU),
         _emul(_eadd(mpf_abs(val), fone), _pow2(-bits + 2)),
     )
-    return BigReal(val, err, bits)
-
-
-def atan(x: Real, prec: Precision | None = None) -> BigReal:
-    bits = prec.work_bits if prec else x.bits
-    x = BigReal.lift(x, bits)
-    val = mpf_atan(x.val, bits, RN)
-    err = _eadd(x.err, _emul(_eadd(mpf_abs(val), fone), _pow2(-bits + 2)))
     return BigReal(val, err, bits)
 
 
@@ -472,24 +440,6 @@ def cos_pi_times(x: Real, prec: Precision) -> BigReal:
         return sin_pi_times(Fraction(x) + Fraction(1, 2), prec)
     half = BigReal(from_man_exp(1, -1), fzero, x.bits)
     return sin_pi_times(x + half, prec)
-
-
-def elementary(x: Real, fn: str, prec: Precision) -> BigReal:
-    """Spec surface: dispatch {sqrt,exp,log,sin_pi_times,cos_pi_times,asin,atan}."""
-    table = {
-        "sqrt": sqrt,
-        "exp": exp,
-        "log": log,
-        "asin": asin,
-        "atan": atan,
-        "sin_pi_times": sin_pi_times,
-        "cos_pi_times": cos_pi_times,
-    }
-    if fn not in table:
-        raise ValueError(f"unknown elementary function {fn!r}")
-    if fn in ("sin_pi_times", "cos_pi_times"):
-        return table[fn](x, prec)
-    return table[fn](BigReal.lift(x, prec.work_bits), prec)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +528,7 @@ def _gamma_positive_rational(x: Fraction, bits: int) -> BigReal:
     return big / BigReal.from_fraction(shift, bits)
 
 
-def gamma(x: Union[Fraction, int, BigReal], prec: Precision) -> BigReal:
+def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
     """Gamma(x); x must not be zero or a negative integer.
 
     Rational arguments are shifted with exact rational arithmetic before the
@@ -586,25 +536,6 @@ def gamma(x: Union[Fraction, int, BigReal], prec: Precision) -> BigReal:
     satisfies err <= 2^(-work_bits+8) * |Gamma(x)|.
     """
     wb = prec.work_bits + 32
-    if isinstance(x, BigReal):
-        if not x.definitely_positive():
-            raise GammaPoleError("BigReal gamma requires a certainly positive argument")
-        z0 = _min_stirling_z(wb)
-        xv = BigReal(x.val, x.err, wb)
-        shift = None
-        m = max(0, z0 - int(to_float(x.val)) + 1)
-        for k in range(m):
-            shift = xv + k if shift is None else shift * (xv + k)
-        w = xv + m if m else xv
-        ln_val, ln_err = _lngamma_stirling(w.val, wb)
-        L1 = _eadd(mpf_abs(mpf_log(w.val, ERR_BITS, RU)), fone)
-        ln_err = _eadd(ln_err, _emul(_eadd(w.err, _ulp(w.val, wb, 1)), L1))
-        g = mpf_exp(ln_val, wb, RN)
-        out = BigReal(g, _eadd(_emul(mpf_abs(g), ln_err), _ulp(g, wb, 3)), wb)
-        if shift is not None:
-            out = out / shift
-        return BigReal(out.val, out.err, prec.work_bits)
-
     x = Fraction(x)
     if x.denominator == 1 and x <= 0:
         raise GammaPoleError(f"gamma pole at {x}")

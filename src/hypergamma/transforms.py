@@ -14,20 +14,11 @@ only in the verification routines.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
-from .exact import (
-    Poly,
-    RatFunc,
-    poly_from_pairs,
-    rational_str,
-    rf_compose,
-    rf_eval,
-)
-from .gammaexpr import GammaExpr, Verdict, ge_eval, ge_mul, ge_num_equal, num_equal
+from .exact import Poly, RatFunc, poly_from_pairs, rational_str
+from .gammaexpr import GammaExpr, Verdict, achieved_digits, ge_eval, num_equal
 from .hyper import HypParams, f21_eval, f21_series
 from .mpreal import (
     BigReal,
@@ -83,13 +74,13 @@ class HypTerm:
                     f"prefactor base {base!r} is {rational_str(v)} <= 0 at "
                     f"z = {rational_str(z)}"
                 )
-            out = ge_mul(out, GammaExpr.from_rational(v, expo))
+            out = out * GammaExpr.from_rational(v, expo)
         return out
 
     def evaluate(self, z: Fraction, prec: Precision) -> BigReal:
         """Numeric value prefactor(z) * 2F1(params; argument(z))."""
         z = Fraction(z)
-        arg = rf_eval(self.argument, z)
+        arg = self.argument(z)
         series = f21_eval(self.params, arg, prec, cross_check=False)
         return ge_eval(self.prefactor_value(z), prec) * series
 
@@ -142,13 +133,13 @@ def apply_rule(rule: TransformRule, term: HypTerm) -> HypTerm:
             f"({rational_str(term.params.a)}, {rational_str(term.params.b)}; "
             f"{rational_str(term.params.c)})"
         )
-    new_arg = rf_compose(rule.arg_map, term.argument)
+    new_arg = rule.arg_map.compose(term.argument)
     prefactor = list(term.prefactor)
     for base, exp_row in rule.prefactor_map:
         expo = _affine(exp_row, term.params)
         if expo == 0:
             continue
-        composed = rf_compose(RatFunc(base), term.argument)
+        composed = RatFunc(base).compose(term.argument)
         if composed.num.is_zero:
             raise TransformError(
                 f"rule {rule.name} prefactor base {base!r} vanishes identically "
@@ -434,7 +425,7 @@ class DerivationTrace:
         }
 
 
-def derive_main(prec: Precision, check_consistency: bool = True) -> DerivationTrace:
+def derive_main(prec: Precision) -> DerivationTrace:
     """Re-derive the headline evaluation by the quadratic-quadratic-cubic
     chain seeded with Gosper's formula at b = 5/8, and verify it.
 
@@ -461,35 +452,32 @@ def derive_main(prec: Precision, check_consistency: bool = True) -> DerivationTr
         raise DerivationError(f"chain produced parameters {term.params}")
     if term.argument != twelfth_degree_map():
         raise DerivationError("chain argument map differs from the degree-12 form")
-    arg_val = rf_eval(term.argument, z)
+    arg_val = term.argument(z)
     if arg_val != MAIN_ARGUMENT:
         raise DerivationError(
             f"argument at z=1/4 is {rational_str(arg_val)}, "
             f"expected {rational_str(MAIN_ARGUMENT)}"
         )
 
-    if check_consistency:
-        base_val = seed.evaluate(z, prec)
-        for name, step_term in steps:
-            step_val = step_term.evaluate(z, prec)
-            if num_equal(base_val, step_val, prec) is Verdict.DISTINCT:
-                raise DerivationError(f"chain inconsistent after rule {name}")
+    base_val = seed.evaluate(z, prec)
+    for name, step_term in steps:
+        step_val = step_term.evaluate(z, prec)
+        if num_equal(base_val, step_val, prec) is Verdict.DISTINCT:
+            raise DerivationError(f"chain inconsistent after rule {name}")
 
     # 2F1(main; A(1/4)) = gosper_rhs(5/8) / prefactor(1/4)
-    constant = ge_mul(gosper_rhs(Fraction(5, 8)), term.prefactor_value(z).inverse())
+    constant = gosper_rhs(Fraction(5, 8)) * term.prefactor_value(z).inverse()
     constant_value = ge_eval(constant, prec)
     series_value = f21_series(MAIN_PARAMS, MAIN_ARGUMENT, prec)
     printed_value = ge_eval(MAIN_RHS, prec)
 
-    v1 = num_equal(constant_value, series_value, prec)
-    v2 = num_equal(constant_value, printed_value, prec)
-    v3 = num_equal(series_value, printed_value, prec)
-    worst = [v for v in (v1, v2, v3)]
-    if Verdict.DISTINCT in worst:
+    verdict = Verdict.worst((
+        num_equal(constant_value, series_value, prec),
+        num_equal(constant_value, printed_value, prec),
+        num_equal(series_value, printed_value, prec),
+    ))
+    if verdict is Verdict.DISTINCT:
         raise DerivationError("derived constant distinct from a reference value")
-    verdict = Verdict.EQUAL if all(v is Verdict.EQUAL for v in worst) else Verdict.INCONCLUSIVE
-
-    from .gammaexpr import achieved_digits
 
     return DerivationTrace(
         seed="gosper-quarter at b=5/8: 2F1(1/2,5/8;5/4;1/4)",

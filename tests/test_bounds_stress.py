@@ -118,10 +118,11 @@ def _build(rng: random.Random, depth: int):
     if op == "gamma":
         if ox < mpmath.mpf("0.05") or ox > 80:
             return None
-        try:
-            return gamma(x, PREC), mp.gamma(ox)
-        except MPRealError:
-            return None
+        # Gamma takes exact rational arguments: the nearest rational with a
+        # small denominator stands in for x (no draw from rng, so the rest of
+        # the sweep is unchanged)
+        q = F(float(x)).limit_denominator(64)
+        return gamma(q, PREC), mp.gamma(mpf_of_fraction(q))
     return None  # pragma: no cover
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import json
 from fractions import Fraction as F
 
@@ -10,8 +11,11 @@ import pytest
 from hypergamma.catalog import (
     CANARY_CATALOG,
     DEFAULT_CATALOG,
+    EXIT_CODE,
     CatalogError,
     IdentityRecord,
+    ReportEntry,
+    VerificationReport,
     catalog_load,
     expr_eval,
     record_precision,
@@ -19,6 +23,7 @@ from hypergamma.catalog import (
     verify_identity,
     _family_envs,
 )
+from hypergamma.gammaexpr import Verdict
 from hypergamma.mpreal import Precision
 
 
@@ -156,6 +161,22 @@ class TestVerify:
         assert entry.interval_lhs and entry.interval_rhs
         assert "±" in entry.interval_lhs
 
+    def test_hand_built_record_verifies(self):
+        record = IdentityRecord(
+            id="cl", kind="point-evaluation",
+            lhs=POINT_RECORD["lhs"], rhs=POINT_RECORD["rhs"],
+        )
+        assert verify_identity(record, Precision.of(30)).verdict == "pass"
+
+    def test_hand_built_bad_template_fails(self):
+        record = IdentityRecord(
+            id="x", kind="point-evaluation",
+            lhs=dict(POINT_RECORD["lhs"], z="q"), rhs=POINT_RECORD["rhs"],
+        )
+        entry = verify_identity(record, Precision.of(30))
+        assert entry.verdict == "fail"
+        assert "unknown names" in entry.detail
+
     def test_unregistered_chain_is_skipped(self):
         record = IdentityRecord(id="x", kind="proof-chain", chain="warp-drive")
         entry = verify_identity(record, Precision.of(30))
@@ -200,15 +221,26 @@ class TestRunAll:
         assert verdicts == {"cl": "pass", "odd": "skipped"}
         assert report.exit_code == 0
 
-    def test_parallel_matches_serial_and_sorted(self, tmp_path):
+    def test_entries_sorted_by_id(self):
         records = catalog_load(DEFAULT_CATALOG)
         subset = [r for r in records if r.id.startswith(("zucker", "campbell"))]
-        serial = run_all(subset, digits=40)
-        parallel = run_all(subset, digits=40, jobs=4)
-        assert [e.id for e in serial.entries] == sorted(e.id for e in serial.entries)
-        assert [(e.id, e.verdict, e.digits) for e in serial.entries] == [
-            (e.id, e.verdict, e.digits) for e in parallel.entries
-        ]
+        report = run_all(subset[::-1], digits=40)
+        assert [e.id for e in report.entries] == sorted(r.id for r in subset)
+        assert all(e.verdict == "pass" for e in report.entries)
+
+    def test_loaded_catalog_is_not_parsed_again(self, monkeypatch):
+        # every template is compiled by catalog_load; verifying only calls
+        # the compiled closures
+        wanted = ("apagodu-zeilberger-family", "campbell-levrie", "conclusion-identity")
+        records = [r for r in catalog_load(DEFAULT_CATALOG) if r.id in wanted]
+        assert len(records) == 3
+
+        def no_parse(*args, **kwargs):
+            raise AssertionError("ast.parse called after catalog_load")
+
+        monkeypatch.setattr(ast, "parse", no_parse)
+        report = run_all(records, digits=30)
+        assert report.counts["pass"] == 3
 
     def test_fail_sets_exit_code(self):
         report = run_all(CANARY_CATALOG, digits=60)
@@ -222,3 +254,30 @@ class TestRunAll:
         assert data["counts"]["pass"] == 1
         assert data["entries"][0]["id"] == "cl"
         assert "exit_code" in data
+
+
+@pytest.mark.parametrize(
+    "verdict, code",
+    [(Verdict.EQUAL, 0), (Verdict.DISTINCT, 1), (Verdict.INCONCLUSIVE, 2)],
+)
+def test_exit_code_map(verdict, code):
+    assert EXIT_CODE[verdict] == code
+
+
+@pytest.mark.parametrize(
+    "verdicts, code",
+    [
+        ((), 0),
+        (("skipped",), 0),
+        (("pass", "skipped"), 0),
+        (("pass", "inconclusive"), 2),
+        (("inconclusive", "skipped"), 2),
+        (("fail", "pass"), 1),
+        (("inconclusive", "fail", "skipped"), 1),
+    ],
+)
+def test_report_exit_code(verdicts, code):
+    entries = tuple(
+        ReportEntry(str(i), verdict, None, 0.0, 30) for i, verdict in enumerate(verdicts)
+    )
+    assert VerificationReport(entries).exit_code == code

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from hypergamma.catalog import CANARY_CATALOG
 from hypergamma.cli import main
 
@@ -50,6 +52,20 @@ class TestEval:
         assert code == 0
         assert out.startswith("1.047197551196597746"[:12])
 
+    def test_negative_rational_equals_form(self, capsys):
+        code, out, _ = run(
+            capsys, "eval", "--a", "1/2", "--b", "1/2", "--c=-3/2", "--z", "1/4",
+            "--digits", "20", "--report", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["params"]["c"] == "-3/2"
+        # without "=", argparse reads "-3/2" as an option, not a value
+        code, _, err = run(
+            capsys, "eval", "--a", "1/2", "--b", "1/2", "--c", "-3/2", "--z", "1/4"
+        )
+        assert code == 3
+        assert "usage error" in err
+
     def test_bad_rational_is_usage_error(self, capsys):
         code, _, err = run(
             capsys, "eval", "--a", "x/y", "--b", "1", "--c", "1", "--z", "0"
@@ -88,7 +104,7 @@ class TestVerify:
     def test_json_report(self, capsys):
         code, out, _ = run(
             capsys, "verify", "--only", "zucker-joyce-25-27", "--digits", "40",
-            "--report", "json", "--jobs", "2",
+            "--report", "json",
         )
         assert code == 0
         data = json.loads(out)
@@ -158,3 +174,22 @@ class TestQuadcheck:
         data = json.loads(out)
         assert len(data["cases"]) == 3
         assert all(c["verdict"] == "equal-within-bounds" for c in data["cases"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "--a", "1/2", "--b", "1/2", "--c", "1", "--z", "1/4", "--digits", "0"),
+        ("verify", "--digits", "-5"),
+        ("derive-chain", "--digits", "0"),
+        ("proof-check", "--b", "5/8", "--digits", "-1"),
+        ("quadcheck", "--expr", "beta", "--digits", "0"),
+        ("quadcheck", "--expr", "beta", "--samples", "0"),
+        ("quadcheck", "--expr", "euler", "--samples", "two"),
+    ],
+)
+def test_nonpositive_count_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err.startswith("usage error:")
+    assert out == ""

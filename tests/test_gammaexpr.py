@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from mpmath import mp
 
 from helpers import as_mpf, assert_encloses
@@ -17,8 +19,6 @@ from hypergamma.gammaexpr import (
     Verdict,
     achieved_digits,
     ge_eval,
-    ge_mul,
-    ge_num_equal,
     ge_reflect,
     num_equal,
 )
@@ -91,21 +91,21 @@ class TestEval:
 class TestMul:
     def test_identity_element(self):
         e = MAIN_RHS
-        assert ge_mul(e, GammaExpr.one()) == e
+        assert e * GammaExpr.one() == e
 
     def test_gamma_exponent_merge(self):
         x = GammaExpr.from_gamma(F(1, 8), 1)
         y = GammaExpr.from_gamma(F(1, 8), 2)
-        assert ge_mul(x, y) == GammaExpr.from_gamma(F(1, 8), 3)
+        assert x * y == GammaExpr.from_gamma(F(1, 8), 3)
 
     def test_inverse_cancels(self):
-        assert ge_mul(MAIN_RHS, MAIN_RHS.inverse()) == GammaExpr.one()
+        assert MAIN_RHS * MAIN_RHS.inverse() == GammaExpr.one()
 
     def test_eval_homomorphism_sampled(self):
         rng = random.Random(31)
         for _ in range(25):
             x, y = rand_expr(rng), rand_expr(rng)
-            lhs = ge_eval(ge_mul(x, y), P40)
+            lhs = ge_eval(x * y, P40)
             rhs = ge_eval(x, P40) * ge_eval(y, P40)
             d = lhs - rhs
             assert not d.definitely_positive() and not d.definitely_negative()
@@ -147,27 +147,25 @@ class TestReflect:
         rng = random.Random(12)
         for _ in range(20):
             x = F(rng.randint(1, 40), rng.randint(2, 12))
-            lhs = ge_mul(
-                ge_mul(
-                    GammaExpr.from_gamma(x), GammaExpr.from_gamma(x + F(1, 2))
-                ),
-                GammaExpr(
-                    rational_factors=((F(2), 2 * x - 1),), pi_exponent=F(-1, 2)
-                ),
+            lhs = (
+                GammaExpr.from_gamma(x)
+                * GammaExpr.from_gamma(x + F(1, 2))
+                * GammaExpr(rational_factors=((F(2), 2 * x - 1),), pi_exponent=F(-1, 2))
             )
             rhs = GammaExpr.from_gamma(2 * x)
-            assert ge_num_equal(lhs, rhs, P40) is Verdict.EQUAL
+            assert num_equal(ge_eval(lhs, P40), ge_eval(rhs, P40), P40) is Verdict.EQUAL
 
 
 class TestNumEqual:
     def test_equal_case(self):
         x = GammaExpr(gamma_factors=((F(1, 2), 2),))
-        assert ge_num_equal(x, GammaExpr.pi_power(1), P60) is Verdict.EQUAL
+        y = GammaExpr.pi_power(1)
+        assert num_equal(ge_eval(x, P60), ge_eval(y, P60), P60) is Verdict.EQUAL
 
     def test_distinct_case(self):
         x = GammaExpr(rational_factors=((F(2, 3), F(1)), (F(7), F(1, 2))))
         y = GammaExpr(rational_factors=((F(3, 4), F(1)), (F(3), F(1, 2))))
-        assert ge_num_equal(x, y, P60) is Verdict.DISTINCT
+        assert num_equal(ge_eval(x, P60), ge_eval(y, P60), P60) is Verdict.DISTINCT
 
     def test_inconclusive_when_bounds_too_loose(self):
         bits = P60.work_bits
@@ -183,9 +181,7 @@ class TestNumEqual:
 
     def test_tiny_perturbation_detected(self):
         x = ge_eval(MAIN_RHS, P60)
-        y = ge_eval(
-            ge_mul(MAIN_RHS, GammaExpr.from_rational(F(10**20 + 1, 10**20))), P60
-        )
+        y = ge_eval(MAIN_RHS * GammaExpr.from_rational(F(10**20 + 1, 10**20)), P60)
         assert num_equal(x, y, P60) is Verdict.DISTINCT
 
 
@@ -203,3 +199,33 @@ class TestJson:
     def test_unknown_fields_rejected(self):
         with pytest.raises(GammaExprError):
             GammaExpr.from_json({"rat": [], "bogus": 1})
+
+
+verdict_lists = st.lists(st.sampled_from(list(Verdict)))
+
+
+class TestWorst:
+    @given(verdict_lists, st.randoms(use_true_random=False))
+    def test_order_does_not_matter(self, verdicts, rnd):
+        shuffled = list(verdicts)
+        rnd.shuffle(shuffled)
+        assert Verdict.worst(shuffled) is Verdict.worst(verdicts)
+        assert Verdict.worst(iter(verdicts)) is Verdict.worst(verdicts)
+
+    @given(verdict_lists)
+    def test_distinct_dominates(self, verdicts):
+        assert Verdict.worst(verdicts + [Verdict.DISTINCT]) is Verdict.DISTINCT
+
+    @given(verdict_lists)
+    def test_severity_order(self, verdicts):
+        worst = Verdict.worst(verdicts)
+        if Verdict.DISTINCT in verdicts:
+            assert worst is Verdict.DISTINCT
+        elif Verdict.INCONCLUSIVE in verdicts:
+            assert worst is Verdict.INCONCLUSIVE
+        else:
+            assert worst is Verdict.EQUAL
+
+    def test_empty_is_equal(self):
+        assert Verdict.worst([]) is Verdict.EQUAL
+        assert Verdict.worst(iter(())) is Verdict.EQUAL

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
-from helpers import assert_encloses, mpf_of_fraction, overlap
+from helpers import agm_K, assert_encloses, mpf_of_fraction, overlap
 
 from hypergamma.hyper import (
     HypParams,
@@ -17,7 +17,6 @@ from hypergamma.hyper import (
     PochRatio,
     Precision,
     SeriesTermCapError,
-    agm_K,
     f21_eval,
     f21_integral,
     f21_series,

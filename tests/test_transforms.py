@@ -11,7 +11,7 @@ from mpmath import mp
 
 from helpers import assert_encloses, overlap
 
-from hypergamma.exact import Poly, RatFunc, poly_from_pairs, rf_eval
+from hypergamma.exact import Poly, RatFunc, poly_from_pairs
 from hypergamma.gammaexpr import GammaExpr, Verdict, ge_eval, num_equal
 from hypergamma.hyper import HypParams, f21_eval, f21_terminating
 from hypergamma.mpreal import Precision
@@ -126,7 +126,7 @@ class TestChain:
         assert t.argument == twelfth_degree_map()
 
     def test_exact_argument_at_quarter(self):
-        assert rf_eval(twelfth_degree_map(), F(1, 4)) == MAIN_ARGUMENT
+        assert twelfth_degree_map()(F(1, 4)) == MAIN_ARGUMENT
         assert MAIN_ARGUMENT == F(172872, 185039) ** 2
 
     def test_derive_main_small(self):
@@ -142,7 +142,7 @@ class TestChain:
         assert trace.agreement_digits and trace.agreement_digits >= 35
 
     def test_trace_json(self):
-        trace = derive_main(P30, check_consistency=False)
+        trace = derive_main(P30)
         data = trace.to_json()
         assert data["final_argument"] == "29884728384/34239431521"
         assert len(data["steps"]) == 3
