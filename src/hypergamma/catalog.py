@@ -162,6 +162,20 @@ def _template(text, variables: set[str], where: str) -> Template:
     return fn
 
 
+def _rational(value, where: str) -> Fraction:
+    try:
+        return rational(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise CatalogError(f"{where}: {value!r} is not a rational") from None
+
+
+def _integer(value, where: str) -> int:
+    q = _rational(value, where)
+    if q.denominator != 1:
+        raise CatalogError(f"{where}: {value!r} is not an integer")
+    return int(q)
+
+
 def _compile_lhs(
     lhs, variables: set[str], where: str
 ) -> Callable[[Env], tuple[HypParams, Fraction]]:
@@ -183,8 +197,10 @@ def _compile_gamma_expr(
 
     rats = [(t(b), t(e)) for b, e in data.get("rat", ())]
     pi = t(data.get("pi", "0"))
-    gammas = [(t(a), int(e)) for a, e in data.get("gamma", ())]
-    surds = [(t(p), t(q), t(d), int(e)) for p, q, d, e in data.get("surd", ())]
+    gammas = [(t(a), _integer(e, where)) for a, e in data.get("gamma", ())]
+    surds = [
+        (t(p), t(q), t(d), _integer(e, where)) for p, q, d, e in data.get("surd", ())
+    ]
 
     def instantiate(env: Env) -> GammaExpr:
         return GammaExpr(
@@ -213,9 +229,11 @@ def _compile_exact_product(value: dict, variables: set[str], where: str) -> Temp
     expo = _template(value.get("pow_exp", "0"), variables, where)
     pr = value.get("poch_ratio")
     if pr is not None:
+        if not isinstance(pr, dict) or set(pr) != {"upper", "lower", "n"}:
+            raise CatalogError(f"{where}: poch_ratio needs upper, lower, n")
         ratio = PochRatio(
-            upper=tuple(rational(u) for u in pr["upper"]),
-            lower=tuple(rational(l) for l in pr["lower"]),
+            upper=tuple(_rational(u, where) for u in pr["upper"]),
+            lower=tuple(_rational(l, where) for l in pr["lower"]),
         )
         index = _template(pr["n"], variables, where)
 
@@ -240,10 +258,12 @@ _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
 @dataclass(frozen=True)
 class CompiledRecord:
     """The lhs and rhs templates of a point or family record as closures
-    over one sample's variables; exactly one of `rhs` (an enclosure at a
-    precision) and `exact_rhs` (an exact rational) is set."""
+    over one sample's variables, and `samples`, which returns the samples;
+    exactly one of `rhs` (an enclosure at a precision) and `exact_rhs` (an
+    exact rational) is set."""
 
     lhs: Callable[[Env], tuple[HypParams, Fraction]]
+    samples: Callable[[], Sequence[Env]]
     rhs: Callable[[Env, Precision], BigReal] | None = None
     exact_rhs: Template | None = None
 
@@ -254,13 +274,14 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord | None:
     where = f"record {record.id!r}"
     variables = set((record.parameters or {}).get("vars", ()))
     lhs = _compile_lhs(record.lhs, variables, where)
+    samples = _compile_samples(record, where)
     rhs = record.rhs
     if not isinstance(rhs, dict) or len(rhs) != 1:
         raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
     (key, value), = rhs.items()
     if key == "gamma_expr":
         expr = _compile_gamma_expr(value, variables, where)
-        return CompiledRecord(lhs, rhs=lambda env, prec: ge_eval(expr(env), prec))
+        return CompiledRecord(lhs, samples, rhs=lambda env, prec: ge_eval(expr(env), prec))
     if key == "gamma_expr_sum":
         terms = []
         for i, term in enumerate(value):
@@ -279,15 +300,15 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord | None:
                 total = total + (piece if sign > 0 else -piece)
             return total
 
-        return CompiledRecord(lhs, rhs=signed_sum)
+        return CompiledRecord(lhs, samples, rhs=signed_sum)
     if key == "rational":
         q = _template(value, variables, where)
         return CompiledRecord(
-            lhs, rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits)
+            lhs, samples, rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits)
         )
     if key == "exact_product":
         return CompiledRecord(
-            lhs, exact_rhs=_compile_exact_product(value, variables, where)
+            lhs, samples, exact_rhs=_compile_exact_product(value, variables, where)
         )
     raise CatalogError(f"{where}: unknown rhs kind {key!r}")
 
@@ -308,7 +329,7 @@ class IdentityRecord:
     rule: str | None = None
     samples: int | None = None
     seed: int | None = None
-    points: tuple[dict, ...] | None = None
+    points: tuple[tuple[Fraction, Fraction, Fraction], ...] | None = None
     chain: str | None = None
     b_values: tuple[Fraction, ...] | None = None
 
@@ -360,17 +381,7 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
             raise CatalogError(f"{where}: parameters.vars must be nonempty")
         if ("grid" in parameters) == ("sampler" in parameters):
             raise CatalogError(f"{where}: need exactly one of grid or sampler")
-        if "grid" in parameters:
-            grid = parameters["grid"]
-            if set(grid) != variables:
-                raise CatalogError(f"{where}: grid keys must match vars")
-            for var, spec in grid.items():
-                if isinstance(spec, dict):
-                    if set(spec) != {"from", "to"}:
-                        raise CatalogError(f"{where}: grid range needs from/to")
-                elif not isinstance(spec, list) or not spec:
-                    raise CatalogError(f"{where}: grid for {var} must be a list")
-        elif parameters["sampler"] not in SAMPLERS:
+        if "sampler" in parameters and parameters["sampler"] not in SAMPLERS:
             raise CatalogError(f"{where}: unknown sampler {parameters['sampler']!r}")
 
     points = None
@@ -379,10 +390,13 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         if not isinstance(rule, str):
             raise CatalogError(f"{where}: transform-rule needs a rule name")
         if data.get("points") is not None:
-            points = tuple(data["points"])
-            for pt in points:
-                if set(pt) != {"a", "b", "z"}:
+            for pt in data["points"]:
+                if not isinstance(pt, dict) or set(pt) != {"a", "b", "z"}:
                     raise CatalogError(f"{where}: split points need a, b, z")
+            points = tuple(
+                tuple(_rational(pt[k], f"{where} point") for k in "abz")
+                for pt in data["points"]
+            )
 
     b_values = None
     if kind == "proof-chain":
@@ -390,7 +404,7 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         if not isinstance(chain, str):
             raise CatalogError(f"{where}: proof-chain needs a chain name")
         if data.get("b") is not None:
-            b_values = tuple(rational(x) for x in data["b"])
+            b_values = tuple(_rational(x, f"{where} b") for x in data["b"])
 
     record = IdentityRecord(
         id=rid,
@@ -498,34 +512,55 @@ SAMPLERS: dict[str, Callable[[random.Random], dict[str, Fraction]]] = {
 }
 
 
-def _family_envs(record: IdentityRecord) -> list[dict[str, Fraction]]:
+def _grid_values(spec, where: str) -> list[Fraction]:
+    if isinstance(spec, dict):
+        if set(spec) != {"from", "to"}:
+            raise CatalogError(f"{where}: grid range needs from/to")
+        lo, hi = _integer(spec["from"], where), _integer(spec["to"], where)
+        if lo > hi:
+            raise CatalogError(f"{where}: grid range from {lo} to {hi} is empty")
+        return [Fraction(n) for n in range(lo, hi + 1)]
+    if not isinstance(spec, list) or not spec:
+        raise CatalogError(f"{where}: grid values must be a nonempty list")
+    return [_rational(v, where) for v in spec]
+
+
+def _compile_samples(record: IdentityRecord, where: str) -> Callable[[], Sequence[Env]]:
+    """The samples of a record: one empty sample for a point record, the
+    grid's cross product (expanded here, so a bad or empty grid is rejected
+    at load), or the named sampler's draws (made when the record is
+    verified, after the count is checked here)."""
+    if record.kind != "parametric-family":
+        return lambda: ({},)
     params = record.parameters or {}
+    variables = set(params.get("vars", ()))
     if "grid" in params:
-        axes: list[tuple[str, list[Fraction]]] = []
+        grid = params["grid"]
+        if not isinstance(grid, dict) or set(grid) != variables:
+            raise CatalogError(f"{where}: grid keys must match vars")
+        envs: list[Env] = [{}]
         for var in params["vars"]:
-            spec = params["grid"][var]
-            if isinstance(spec, dict):
-                values = [Fraction(n) for n in range(int(spec["from"]), int(spec["to"]) + 1)]
-            else:
-                values = [rational(v) for v in spec]
-            axes.append((var, values))
-        envs: list[dict[str, Fraction]] = [{}]
-        for var, values in axes:
+            values = _grid_values(grid[var], f"{where} grid.{var}")
             envs = [dict(e, **{var: v}) for e in envs for v in values]
-        return envs
+        return lambda: envs
     sampler = SAMPLERS[params["sampler"]]
-    rng = random.Random(params.get("seed", 0))
-    count = int(params.get("count", 20))
-    envs = []
-    guard = 0
-    while len(envs) < count:
-        guard += 1
-        if guard > 100 * count:
-            raise CatalogError(f"sampler for {record.id} failed to produce samples")
-        env = sampler(rng)
-        if set(env) == set(params["vars"]):
-            envs.append(env)
-    return envs
+    seed = params.get("seed", 0)
+    count = _integer(params.get("count", 20), f"{where} count")
+    if count < 1:
+        raise CatalogError(f"{where}: count must be positive")
+
+    def draw() -> list[Env]:
+        rng = random.Random(seed)
+        envs = []
+        for _ in range(100 * count):
+            env = sampler(rng)
+            if set(env) == variables:
+                envs.append(env)
+                if len(envs) == count:
+                    return envs
+        raise CatalogError(f"sampler for {record.id} failed to produce samples")
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -634,13 +669,9 @@ def _fold(checks: Iterable[Check]) -> Check:
 
 def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
     compiled = record.compiled
-    if record.kind == "point-evaluation":
-        if compiled.exact_rhs is not None:
-            raise UnverifiableRecord("rhs kind 'exact_product' is not numeric")
-        envs: Sequence[Env] = [{}]
-    else:
-        envs = _family_envs(record)
-    for env in envs:
+    if record.kind == "point-evaluation" and compiled.exact_rhs is not None:
+        raise UnverifiableRecord("rhs kind 'exact_product' is not numeric")
+    for env in compiled.samples():
         at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
         p, z = compiled.lhs(env)
         if compiled.exact_rhs is not None:
@@ -684,11 +715,9 @@ def _rule_sample_params(rule_name: str, rng: random.Random) -> HypParams:
 
 def _rule_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
     if record.rule == "zj-split":
-        for pt in record.points or ():
-            verdict = verify_zj_split(
-                rational(pt["a"]), rational(pt["b"]), rational(pt["z"]), prec
-            )
-            yield verdict, None, f"split distinct at {pt}", None, None
+        for a, b, z in record.points or ():
+            at = f"a={rational_str(a)}, b={rational_str(b)}, z={rational_str(z)}"
+            yield verify_zj_split(a, b, z, prec), None, f"split distinct at {at}", None, None
         return
     if record.rule not in RULES:
         raise UnverifiableRecord(f"unknown transform rule {record.rule!r}")

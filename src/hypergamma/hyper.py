@@ -4,8 +4,10 @@ Three evaluation routes, selected by `f21_eval`:
 
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
   nonpositive integer;
-* `f21_series` - direct summation for |z| < 1 with a rigorous geometric
-  tail bound folded into the error bound;
+* `f21_series` - direct summation for |z| < 1 in fixed point: Python
+  integers scaled by 2^wb, with an integer ulp bound (at most 1 ulp per
+  floor division, propagated through the term ratio, plus a radius term
+  for a BigReal z) and a rigorous geometric tail bound;
 * `f21_integral` - Gamma-prefactored tanh-sinh quadrature of the classical
   weighted integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1), for
   arguments too close to 1 for the series (and for z <= -1, where the
@@ -19,15 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from mpmath.libmp import (
-    from_rational,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_cmp,
-    mpf_mul,
-    mpf_shift,
-)
+from mpmath.libmp import from_man_exp, mpf_cmp
 
 from .exact import is_nonpositive_integer, rational_str
 from .mpreal import (
@@ -140,10 +134,72 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     return acc
 
 
-def _abs_fraction_bound(z: RealArg) -> Fraction:
-    if isinstance(z, BigReal):
-        return abs(z.abs_upper_fraction())
-    return abs(Fraction(z))
+def _center_radius(z: RealArg) -> tuple[int, int, int]:
+    """Integers (u, v, D) with z in [(u - D)/v, (u + D)/v] and v > 0, exact
+    in both cases: a rational z is u/v with D = 0; a BigReal z has dyadic
+    value and error, written over the common denominator v = 2^k."""
+    if not isinstance(z, BigReal):
+        z = Fraction(z)
+        return z.numerator, z.denominator, 0
+    sign, man, exp, _ = z.val
+    _, eman, eexp, _ = z.err
+    k = max(0, -exp, -eexp)
+    center = man << (exp + k)
+    return -center if sign else center, 1 << k, eman << (eexp + k)
+
+
+def _fixed_point_sum(
+    p: HypParams, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int
+) -> tuple[int, int, int]:
+    """The 2F1 series at z in [(u - D)/v, (u + D)/v] in integers scaled by
+    2^wb: (S, err, top), with |S - 2^wb F| <= err and top the bit length of
+    the largest term."""
+    a, b, c = p.a, p.b, p.c
+    ad, bd, cd = a.denominator, b.denominator, c.denominator
+    # (a+n)(b+n)/((c+n)(n+1)) = A B cd / (C N ad bd), stepped with n
+    A, B, C, N = a.numerator, b.numerator, c.numerator, 1
+    abs_u_D = abs(u) + D
+    # tail ratio bound rho(n) = zb (n+|a|)(n+|b|)/(n(n-|c|)), zb = (|u|+D)/v
+    aa, ba, ca = abs(a.numerator), abs(b.numerator), abs(c.numerator)
+    n0 = 2 * math.ceil(max(abs(a), abs(b), abs(c), 1)) + 8
+
+    T = S = 1 << wb
+    E = E_sum = 0
+    top = wb + 1
+    n = 0
+    while True:
+        Pr = A * B * cd
+        if Pr == 0:
+            return S, E_sum + 1, top  # terminating series: sum is complete
+        Qr = C * N * ad * bd
+        if Qr < 0:
+            Pr, Qr = -Pr, -Qr
+        Q = Qr * v
+        PD = abs(Pr) * D
+        E = -(-(abs(T) * PD + E * (abs(Pr) * abs_u_D)) // Q) + 1
+        T = T * (Pr * u) // Q
+        S += T
+        E_sum += E
+        if T.bit_length() > top:
+            top = T.bit_length()
+        n += 1
+        A += ad
+        B += bd
+        C += cd
+        N += 1
+        if n >= n0 and n % 32 == 0:
+            rn = abs_u_D * (n * ad + aa) * (n * bd + ba) * cd
+            rd = v * n * (n * cd - ca) * ad * bd
+            if rd > rn:
+                tail = -(-(abs(T) + E) * rn // (rd - rn))
+                # below the target, or below the rounding already made
+                if tail << pwb <= abs(S) or tail <= E_sum:
+                    return S, E_sum + 1 + tail, top
+        if n > term_cap:
+            raise SeriesTermCapError(
+                f"series tail bound not reached within {term_cap} terms "
+                f"(argument {rational_str(Fraction(abs_u_D, v))} too close to 1?)"
+            )
 
 
 def f21_series(
@@ -154,18 +210,32 @@ def f21_series(
 ) -> BigReal:
     """Partial sum of the 2F1 series with a geometric tail bound.
 
-    Terminates when the tail bound drops below 2^(-work_bits) of the partial
-    sum (or the series terminates exactly); raises SeriesTermCapError when
-    the cap is hit first, which signals an argument too close to 1.
+    The sum is carried in fixed point, in integers scaled by 2^wb: the terms
+    are T <- floor(T P / Q), with P/Q = (a+n)(b+n)z/((c+n)(n+1)) in integers
+    and Q > 0, and S <- S + T.  Each floor division costs at most 1 ulp, so
+    an integer bound E on the error of T, in ulps, propagates as
+    E <- ceil(E |P| / Q) + 1.  A BigReal z enters as a dyadic center u/v
+    with an integer radius D/v, which adds the radius term:
+    E <- ceil(((|T| + E) D + |u| E) |P'| / (Q' v)) + 1, with P'/Q' the
+    parameter part of the ratio.  The result's error is the sum of the E
+    plus 1 ulp, plus a geometric tail bound on the true terms from
+    (|T| + E).
+
+    The tail is tested every 32 terms once the ratio bound is below 1; the
+    sum stops when the tail bound is below 2^(-work_bits) of the partial
+    sum (or below the rounding bound already accrued), or when the series
+    terminates.  A sum that cancels, with terms larger than itself (and
+    than 1), is summed once more with the lost bits added to wb.  Raises
+    SeriesTermCapError when the cap is hit first, which signals an
+    argument too close to 1.
     """
     p.validate()
-    zb = _abs_fraction_bound(z)
+    u, v, D = _center_radius(z)
+    zb = Fraction(abs(u) + D, v)
     n_term = p.terminating_degree
     if n_term is None and zb >= 1:
         raise HyperError("series argument must satisfy |z| < 1")
-    if isinstance(z, BigReal) and z.val == fzero and z.err == fzero:
-        z = Fraction(0)
-    if not isinstance(z, BigReal) and Fraction(z) == 0:
+    if zb == 0:
         return BigReal.from_int(1, prec.work_bits)
 
     if n_term is not None:
@@ -173,40 +243,15 @@ def f21_series(
     else:
         n_est = int((prec.target_digits + 15) * math.log(10) / -math.log(zb)) + 16
     wb = prec.work_bits + max(16, n_est.bit_length() + 6)
-    zB = BigReal.lift(z, wb) if not isinstance(z, BigReal) else z
-    a, b, c = p.a, p.b, p.c
-
-    total = BigReal.from_int(1, wb)
-    term = BigReal.from_int(1, wb)
-    n0 = 2 * math.ceil(max(abs(a), abs(b), abs(c), 1)) + 8
-    n = 0
-    while True:
-        fnum = (a + n) * (b + n)
-        if fnum == 0:
-            break  # terminating series: sum is complete and exact
-        fden = (c + n) * (1 + n)
-        term = term * BigReal.from_fraction(fnum / fden, wb) * zB
-        total = total + term
-        n += 1
-        if n >= n0:
-            ratio_bound = zb * (1 + abs(a) / n) * (1 + abs(b) / n) / (1 - abs(c) / n)
-            if 0 < ratio_bound < 1:
-                geo = ratio_bound / (1 - ratio_bound)
-                geo_up = from_rational(geo.numerator, geo.denominator, ERR_BITS, RU)
-                t_hi = mpf_add(mpf_abs(term.val), term.err, ERR_BITS, RU)
-                tail = mpf_mul(t_hi, geo_up, ERR_BITS, RU)
-                floor_val = mpf_shift(mpf_abs(total.val), -prec.work_bits)
-                if mpf_cmp(tail, floor_val) <= 0:
-                    total = BigReal(
-                        total.val, mpf_add(total.err, tail, ERR_BITS, RU), wb
-                    )
-                    break
-        if n > term_cap:
-            raise SeriesTermCapError(
-                f"series tail bound not reached within {term_cap} terms "
-                f"(argument {rational_str(Fraction(zb))} too close to 1?)"
-            )
-    return BigReal(total.val, total.err, prec.work_bits)
+    S, err, top = _fixed_point_sum(p, u, v, D, wb, prec.work_bits, term_cap)
+    scale = max(abs(S), 1 << wb)
+    lost = top - scale.bit_length()
+    if lost > 0 and err << prec.work_bits > scale:
+        wb += lost
+        S, err, _ = _fixed_point_sum(p, u, v, D, wb, prec.work_bits, term_cap)
+    return BigReal(
+        from_man_exp(S, -wb), from_man_exp(err, -wb, ERR_BITS, RU), prec.work_bits
+    )
 
 
 def f21_terminating(p: HypParams, z: Fraction) -> Fraction:

@@ -21,7 +21,6 @@ from hypergamma.catalog import (
     record_precision,
     run_all,
     verify_identity,
-    _family_envs,
 )
 from hypergamma.gammaexpr import Verdict
 from hypergamma.mpreal import Precision
@@ -126,13 +125,13 @@ class TestLoad:
 class TestFamilies:
     def test_grid_expansion_counts(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        assert len(_family_envs(records["apagodu-zeilberger-family"])) == 31
-        assert len(_family_envs(records["gosper-strange-series"])) == 25
+        assert len(records["apagodu-zeilberger-family"].compiled.samples()) == 31
+        assert len(records["gosper-strange-series"].compiled.samples()) == 25
 
     def test_samplers_deterministic(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        a = _family_envs(records["gauss-summation"])
-        b = _family_envs(records["gauss-summation"])
+        a = records["gauss-summation"].compiled.samples()
+        b = records["gauss-summation"].compiled.samples()
         assert a == b and len(a) == 30
         for env in a:
             assert env["c"] > env["b"] > 0
@@ -140,7 +139,7 @@ class TestFamilies:
 
     def test_gosper_sampler_range(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        envs = _family_envs(records["gosper-quarter-family"])
+        envs = records["gosper-quarter-family"].compiled.samples()
         assert len(envs) == 25
         assert all(F(-2) < env["b"] < F(5, 6) for env in envs)
         assert all(env["b"].denominator <= 24 for env in envs)
@@ -281,3 +280,53 @@ def test_report_exit_code(verdicts, code):
         ReportEntry(str(i), verdict, None, 0.0, 30) for i, verdict in enumerate(verdicts)
     )
     assert VerificationReport(entries).exit_code == code
+
+
+FAMILY_RECORD = {
+    "id": "f",
+    "kind": "parametric-family",
+    "lhs": {"a": "-n", "b": "1/2", "c": "3/2", "z": "1/4"},
+    "rhs": {"rational": "1"},
+    "parameters": {"vars": ["n"], "grid": {"n": {"from": 0, "to": 2}}},
+}
+SPLIT_RECORD = {
+    "id": "s",
+    "kind": "transform-rule",
+    "rule": "zj-split",
+    "points": [{"a": "1/4", "b": "1/4", "z": "1/4"}],
+}
+BAD_INPUTS = {
+    "empty-grid": dict(
+        FAMILY_RECORD,
+        parameters={"vars": ["n"], "grid": {"n": {"from": 3, "to": 1}}},
+    ),
+    "zero-sample-count": dict(
+        FAMILY_RECORD,
+        lhs={"a": "a", "b": "b", "c": "c", "z": "1"},
+        parameters={"vars": ["a", "b", "c"], "sampler": "gauss", "count": 0},
+    ),
+    "split-point-not-rational": dict(
+        SPLIT_RECORD, points=[{"a": "1/8", "b": "x", "z": "1/4"}]
+    ),
+    "gamma-exponent-not-integer": dict(
+        POINT_RECORD, rhs={"gamma_expr": {"gamma": [["1/8", "x"]]}}
+    ),
+    "surd-exponent-not-integer": dict(
+        POINT_RECORD, rhs={"gamma_expr": {"surd": [["1", "2", "2", "1/2"]]}}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_catalog_input_exits_3(tmp_path, capsys, name):
+    from hypergamma.cli import main
+
+    path = write_catalog(tmp_path, [BAD_INPUTS[name]])
+    assert main(["verify", "--catalog", str(path)]) == 3
+    assert "catalog error:" in capsys.readouterr().err
+
+
+def test_family_and_split_records_compile_at_load(tmp_path):
+    family, split = catalog_load(write_catalog(tmp_path, [FAMILY_RECORD, SPLIT_RECORD]))
+    assert [env["n"] for env in family.compiled.samples()] == [0, 1, 2]
+    assert split.points == ((F(1, 4), F(1, 4), F(1, 4)),)

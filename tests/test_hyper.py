@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from helpers import agm_K, assert_encloses, mpf_of_fraction, overlap
@@ -23,7 +25,10 @@ from hypergamma.hyper import (
     f21_terminating,
     pochhammer,
 )
+from hypergamma.exact import is_nonpositive_integer
+from hypergamma.gammaexpr import achieved_digits, ge_eval
 from hypergamma.mpreal import BigReal, gamma, pi_value, sqrt
+from hypergamma.transforms import MAIN_ARGUMENT, MAIN_PARAMS, MAIN_RHS
 from hypergamma.mpreal import asin as b_asin
 
 P30 = Precision.of(30)
@@ -146,6 +151,58 @@ class TestSeries:
         out = f21_series(p, F(1, 4), P30)
         want = f21_terminating(p, F(1, 4))
         assert_encloses(out, mpf_of_fraction(want), "terminating series")
+
+
+rationals = st.builds(F, st.integers(-40, 40), st.integers(1, 8))
+
+
+class TestSeriesProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=rationals,
+        b=rationals,
+        c=rationals,
+        z=st.builds(F, st.integers(-90, 90), st.just(100)),
+        z_bits=st.sampled_from([None, 0, 512]),
+        digits=st.integers(20, 200),
+    )
+    def test_enclosure_and_radius(self, a, b, c, z, z_bits, digits):
+        """The enclosure contains mpmath's value at +60 digits, and its
+        radius certifies the requested digits.  (A sum of positive terms
+        can sit within 1 % of its radius from the true value, as
+        2F1(1,40;1;sqrt(51/100)) does at 162 digits, so the reference must
+        resolve far inside the radius.)  Upper parameters cover
+        negative non-integers and nonpositive integers (terminating
+        series).  With z_bits set, the argument is the irrational
+        s*sqrt(|z|), a BigReal with a nonzero radius, rounded to z_bits
+        more bits than the work precision: at 0 its radius limits what a
+        cancelling sum can certify, so only the enclosure is checked; 512
+        covers the bits any sum in this parameter range cancels (about 350
+        at a = b = 40, z = -9/10)."""
+        assume(not is_nonpositive_integer(c) and z != 0)
+        p = HypParams(a, b, c)
+        prec = Precision.of(digits)
+        sign = 1 if z > 0 else -1
+        with mp.workdps(digits + 60):
+            if z_bits is None:
+                arg, zz = z, mpf_of_fraction(z)
+            else:
+                root = sqrt(BigReal.from_fraction(abs(z), prec.work_bits + z_bits))
+                assert not root.is_exact
+                arg, zz = sign * root, sign * mp.sqrt(mpf_of_fraction(abs(z)))
+            out = f21_series(p, arg, prec)
+            want = oracle_f21(p, zz)
+            val, err = mp.mpf(out.val), mp.mpf(out.err)
+            assert abs(val - want) <= err, (p, z, z_bits, digits)
+            if z_bits != 0:
+                assert err <= max(1, abs(val)) * mp.mpf(10) ** -digits, (p, z, digits)
+
+    def test_main_argument_digits_pin(self):
+        """At 150 digits the series agrees with the closed form to 170
+        digits; a faster kernel must not widen the bound."""
+        prec = Precision.of(150)
+        series = f21_series(MAIN_PARAMS, MAIN_ARGUMENT, prec)
+        assert achieved_digits(series, ge_eval(MAIN_RHS, prec)) >= 170
 
 
 class TestTerminating:
