@@ -44,7 +44,6 @@ from .transforms import (
     derive_main,
     gosper_rhs,
     twelfth_degree_map,
-    verify_conclusion,
     verify_gosper_proof,
     verify_zj_split,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "CUBIC", "EULER", "MAIN_ARGUMENT", "MAIN_PARAMS", "MAIN_RHS", "QUADRATIC_C_2B",
     "QUADRATIC_MEAN", "RULES", "DerivationTrace", "HypTerm", "TransformRule",
     "apply_rule", "derive_main", "gosper_rhs", "twelfth_degree_map",
-    "verify_conclusion", "verify_gosper_proof", "verify_zj_split",
+    "verify_gosper_proof", "verify_zj_split",
     # catalog
     "CANARY_CATALOG", "DEFAULT_CATALOG", "IdentityRecord", "VerificationReport",
     "catalog_load", "run_all", "verify_identity",

@@ -33,7 +33,7 @@ import json
 import operator
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -188,6 +188,8 @@ def _compile_lhs(
 def _compile_gamma_expr(
     data: dict, variables: set[str], where: str
 ) -> Callable[[Env], GammaExpr]:
+    if not isinstance(data, dict):
+        raise CatalogError(f"{where}: gamma_expr must be an object")
     unknown = set(data) - {"rat", "pi", "gamma", "surd"}
     if unknown:
         raise CatalogError(f"{where}: unknown gamma_expr fields {sorted(unknown)}")
@@ -195,12 +197,18 @@ def _compile_gamma_expr(
     def t(text) -> Template:
         return _template(text, variables, where)
 
-    rats = [(t(b), t(e)) for b, e in data.get("rat", ())]
+    def entries(field: str, width: int) -> list:
+        value = data.get(field, [])
+        if not isinstance(value, list) or not all(
+            isinstance(e, list) and len(e) == width for e in value
+        ):
+            raise CatalogError(f"{where}: {field} must be a list of {width}-element lists")
+        return value
+
+    rats = [(t(b), t(e)) for b, e in entries("rat", 2)]
     pi = t(data.get("pi", "0"))
-    gammas = [(t(a), _integer(e, where)) for a, e in data.get("gamma", ())]
-    surds = [
-        (t(p), t(q), t(d), _integer(e, where)) for p, q, d, e in data.get("surd", ())
-    ]
+    gammas = [(t(a), _integer(e, where)) for a, e in entries("gamma", 2)]
+    surds = [(t(p), t(q), t(d), _integer(e, where)) for p, q, d, e in entries("surd", 4)]
 
     def instantiate(env: Env) -> GammaExpr:
         return GammaExpr(
@@ -283,6 +291,8 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord | None:
         expr = _compile_gamma_expr(value, variables, where)
         return CompiledRecord(lhs, samples, rhs=lambda env, prec: ge_eval(expr(env), prec))
     if key == "gamma_expr_sum":
+        if not isinstance(value, list):
+            raise CatalogError(f"{where}: gamma_expr_sum must be a list of terms")
         terms = []
         for i, term in enumerate(value):
             if set(term) != {"sign", "expr"}:
@@ -384,18 +394,25 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         if "sampler" in parameters and parameters["sampler"] not in SAMPLERS:
             raise CatalogError(f"{where}: unknown sampler {parameters['sampler']!r}")
 
-    points = None
+    points = samples = None
     if kind == "transform-rule":
         rule = data.get("rule")
         if not isinstance(rule, str):
             raise CatalogError(f"{where}: transform-rule needs a rule name")
-        if data.get("points") is not None:
-            for pt in data["points"]:
-                if not isinstance(pt, dict) or set(pt) != {"a", "b", "z"}:
-                    raise CatalogError(f"{where}: split points need a, b, z")
+        if data.get("samples") is not None:
+            samples = _integer(data["samples"], f"{where} samples")
+            if samples < 1:
+                raise CatalogError(f"{where}: samples must be positive")
+        raw = data.get("points")
+        if rule == "zj-split" and not (isinstance(raw, list) and raw):
+            raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
+        if raw is not None:
+            if not isinstance(raw, list) or not all(
+                isinstance(pt, dict) and set(pt) == {"a", "b", "z"} for pt in raw
+            ):
+                raise CatalogError(f"{where}: split points need a, b, z")
             points = tuple(
-                tuple(_rational(pt[k], f"{where} point") for k in "abz")
-                for pt in data["points"]
+                tuple(_rational(pt[k], f"{where} point") for k in "abz") for pt in raw
             )
 
     b_values = None
@@ -404,6 +421,8 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         if not isinstance(chain, str):
             raise CatalogError(f"{where}: proof-chain needs a chain name")
         if data.get("b") is not None:
+            if not isinstance(data["b"], list):
+                raise CatalogError(f"{where}: b must be a list of rationals")
             b_values = tuple(_rational(x, f"{where} b") for x in data["b"])
 
     record = IdentityRecord(
@@ -415,7 +434,7 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         rhs=data.get("rhs"),
         parameters=parameters,
         rule=data.get("rule"),
-        samples=data.get("samples"),
+        samples=samples,
         seed=data.get("seed"),
         points=points,
         chain=data.get("chain"),
@@ -430,9 +449,13 @@ def catalog_load(path: str | Path) -> list[IdentityRecord]:
     offending record named."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CatalogError(f"catalog file not found: {path}") from None
+    except OSError as e:
+        raise CatalogError(f"cannot read catalog {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise CatalogError(f"{path}: not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise CatalogError(f"{path}: invalid JSON at line {e.lineno}: {e.msg}") from None
     if not isinstance(data, dict):
@@ -724,13 +747,13 @@ def _rule_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
     rule = RULES[record.rule]
     rng = random.Random(record.seed or 0)
     lo, hi = rule.sample_region
-    for _ in range(record.samples or 20):
+    for _ in range(20 if record.samples is None else record.samples):
         w = lo + (hi - lo) * Fraction(rng.randint(1, 79), 80)
         if w == 0:
             continue
         p = _rule_sample_params(record.rule, rng)
         out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
-        lhs_val = f21_eval(p, w, prec, cross_check=False)
+        lhs_val = f21_eval(p, w, prec)
         rhs_val = out.evaluate(w, prec)
         yield (
             num_equal(lhs_val, rhs_val, prec),
@@ -796,18 +819,15 @@ def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
 
 def verify_identity(record: IdentityRecord, prec: Precision) -> ReportEntry:
     """Verify one record; an inconclusive result is retried once at doubled
-    precision before being reported."""
+    precision before being reported, with the time of both attempts."""
     entry = _verify_once(record, prec)
-    if entry.verdict == "inconclusive":
-        retry = _verify_once(record, Precision.of(2 * prec.target_digits))
-        if retry.verdict != "inconclusive":
-            return retry
-        return ReportEntry(
-            retry.id, "inconclusive", retry.digits,
-            entry.seconds + retry.seconds, retry.precision_digits,
-            detail=(retry.detail + " (after doubled-precision retry)").strip(),
-        )
-    return entry
+    if entry.verdict != "inconclusive":
+        return entry
+    retry = _verify_once(record, Precision.of(2 * prec.target_digits))
+    detail = retry.detail
+    if retry.verdict == "inconclusive":
+        detail = (detail + " (after doubled-precision retry)").strip()
+    return replace(retry, seconds=entry.seconds + retry.seconds, detail=detail)
 
 
 def record_precision(record: IdentityRecord, default_digits: int) -> Precision:

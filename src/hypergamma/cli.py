@@ -102,8 +102,11 @@ def _cmd_derive_chain(args) -> int:
     prec = Precision.of(args.digits)
     trace = derive_main(prec)
     if args.trace:
-        with open(args.trace, "w") as handle:
-            json.dump(trace.to_json(), handle, indent=2)
+        try:
+            with open(args.trace, "w") as handle:
+                json.dump(trace.to_json(), handle, indent=2)
+        except OSError as e:
+            raise _UsageError(f"cannot write trace {args.trace}: {e.strerror}") from None
     lines = [
         f"final parameters: ({rational_str(trace.steps[-1][1].params.a)}, "
         f"{rational_str(trace.steps[-1][1].params.b)}; "

@@ -1,6 +1,6 @@
 """Evaluation of Gauss 2F1 series with rational parameters.
 
-Three evaluation routes, selected by `f21_eval`:
+Three evaluation routes; `f21_eval` takes exactly one of them per input:
 
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
   nonpositive integer;
@@ -10,8 +10,13 @@ Three evaluation routes, selected by `f21_eval`:
   for a BigReal z) and a rigorous geometric tail bound;
 * `f21_integral` - Gamma-prefactored tanh-sinh quadrature of the classical
   weighted integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1), for
-  arguments too close to 1 for the series (and for z <= -1, where the
-  integrand is smooth).
+  rational arguments too close to 1 for the series (and for z <= -1, where
+  the integrand is smooth).  Its error bound is an estimate (see
+  `tanh_sinh_integrate`), not a proof.
+
+The series and the integral are compared with each other by
+``hypergamma quadcheck --expr euler`` and by the test suite, not at run
+time.
 """
 
 from __future__ import annotations
@@ -21,14 +26,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from mpmath.libmp import from_man_exp, mpf_cmp
+from mpmath.libmp import from_man_exp
 
 from .exact import is_nonpositive_integer, rational_str
 from .mpreal import (
     ERR_BITS,
     RU,
     BigReal,
-    MPRealError,
     Precision,
     gamma,
     tanh_sinh_integrate,
@@ -55,10 +59,6 @@ class SeriesTermCapError(HyperError):
 class NoFeasibleStrategyError(HyperError):
     """No evaluation route applies (z >= 1 non-terminating, or no valid
     Euler-integral parameter ordering near z = 1)."""
-
-
-class InternalInconsistencyError(HyperError):
-    """Two independent evaluation routes disagreed beyond their bounds."""
 
 
 @dataclass(frozen=True)
@@ -278,29 +278,24 @@ def f21_terminating(p: HypParams, z: Fraction) -> Fraction:
     return total
 
 
-def f21_integral(p: HypParams, z: RealArg, prec: Precision) -> BigReal:
+def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     """Euler-integral evaluation: Gamma(c)/(Gamma(b)Gamma(c-b)) times the
     tanh-sinh integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1).
 
-    Requires c > b > 0 and real z < 1; at z = 1 (requires c-a-b > 0) the
-    integrand degenerates to the Beta form t^(b-1) (1-t)^(c-a-b-1), which is
-    still evaluated by quadrature so the Gamma route stays independent.
+    Requires c > b > 0 and rational z <= 1; at z = 1 (requires c-a-b > 0)
+    the integrand degenerates to the Beta form t^(b-1) (1-t)^(c-a-b-1),
+    which is still evaluated by quadrature so the Gamma route stays
+    independent.  The error bound is the quadrature's estimate.
     """
     a, b, c = p.a, p.b, p.c
+    z = Fraction(z)
     if not (c > b > 0):
         raise HyperError("Euler integral requires c > b > 0")
-    at_one = not isinstance(z, BigReal) and Fraction(z) == 1
-    if at_one:
-        if not c - a - b > 0:
-            raise HyperError("z = 1 requires c - a - b > 0")
-    else:
-        zhi = (
-            Fraction(z)
-            if not isinstance(z, BigReal)
-            else z.abs_upper_fraction() * (1 if not z.definitely_negative() else -1)
-        )
-        if not zhi < 1:
-            raise HyperError("Euler integral requires z < 1")
+    if z > 1:
+        raise HyperError("Euler integral requires z <= 1")
+    at_one = z == 1
+    if at_one and not c - a - b > 0:
+        raise HyperError("z = 1 requires c - a - b > 0")
 
     qprec = prec.boosted(16)
     if at_one:
@@ -310,7 +305,7 @@ def f21_integral(p: HypParams, z: RealArg, prec: Precision) -> BigReal:
             return u.pow_rational(exp_left) * v.pow_rational(exp_right)
 
     else:
-        zB = BigReal.lift(z, qprec.work_bits)
+        zB = BigReal.from_fraction(z, qprec.work_bits)
         one_minus_z = 1 - zB
         exp_left, exp_right = b - 1, c - b - 1
 
@@ -326,7 +321,7 @@ def f21_integral(p: HypParams, z: RealArg, prec: Precision) -> BigReal:
     return BigReal(out.val, out.err, prec.work_bits)
 
 
-def _integral_with_swap(p: HypParams, z: RealArg, prec: Precision) -> BigReal:
+def _integral_with_swap(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     for q in (p, p.swapped()):
         if q.c > q.b > 0:
             return f21_integral(q, z, prec)
@@ -340,15 +335,15 @@ def f21_eval(
     z: Fraction,
     prec: Precision,
     strategy: str = "auto",
-    cross_check: bool | None = None,
 ) -> BigReal:
-    """Strategy dispatcher for rational arguments.
+    """Strategy dispatcher for rational arguments; one route per input.
 
-    auto: exact terminating sum when available; direct series for
-    |z| <= 9/10; otherwise the Euler integral (trying both parameter
-    orderings) for z < 1, and the Beta-form integral at z = 1.  When both
-    routes are feasible and the precision budget is modest, the two are
-    cross-checked against each other.
+    auto: the exact terminating sum when an upper parameter is a
+    nonpositive integer; otherwise the direct series for |z| <= 9/10, and
+    the Euler integral (trying both parameter orderings) for the other
+    z < 1, or its Beta form at z = 1.  "series" and "integral" force that
+    route.  No second route is run: the series-versus-integral comparison
+    is ``hypergamma quadcheck --expr euler``.
     """
     p.validate()
     z = Fraction(z)
@@ -362,29 +357,10 @@ def f21_eval(
 
     if p.terminating_degree is not None:
         return BigReal.from_fraction(f21_terminating(p, z), prec.work_bits)
-
-    series_ok = abs(z) <= SERIES_THRESHOLD
+    if abs(z) <= SERIES_THRESHOLD:
+        return f21_series(p, z, prec)
     if z >= 1 and not (z == 1 and p.c - p.a - p.b > 0):
         raise NoFeasibleStrategyError(
             f"z = {rational_str(z)} >= 1 with non-terminating parameters"
         )
-    if series_ok:
-        out = f21_series(p, z, prec)
-        do_check = cross_check
-        if do_check is None:
-            do_check = prec.target_digits <= 60
-        if do_check:
-            try:
-                other = _integral_with_swap(p, z, prec)
-            except (HyperError, MPRealError):
-                return out
-            diff = out - other
-            if diff.definitely_positive() or diff.definitely_negative():
-                raise InternalInconsistencyError(
-                    "series and Euler-integral evaluations disagree: "
-                    f"{out.to_decimal(24)} vs {other.to_decimal(24)}"
-                )
-            return out if mpf_cmp(out.err, other.err) <= 0 else other
-        return out
     return _integral_with_swap(p, z, prec)
-

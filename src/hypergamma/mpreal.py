@@ -197,13 +197,6 @@ class BigReal:
     def definitely_negative(self) -> bool:
         return mpf_cmp(mpf_neg(self.val), self.err) > 0
 
-    def abs_upper_fraction(self) -> Fraction:
-        """Exact rational upper bound on |true value|."""
-        hi = _abs_hi(self.val, self.err)
-        sign, man, exp, _ = hi
-        mag = Fraction(int(man)) * (Fraction(2) ** exp)
-        return -mag if sign else mag
-
     # -- arithmetic ----------------------------------------------------------
 
     def _binbits(self, other: "BigReal") -> int:

@@ -81,7 +81,7 @@ class HypTerm:
         """Numeric value prefactor(z) * 2F1(params; argument(z))."""
         z = Fraction(z)
         arg = self.argument(z)
-        series = f21_eval(self.params, arg, prec, cross_check=False)
+        series = f21_eval(self.params, arg, prec)
         return ge_eval(self.prefactor_value(z), prec) * series
 
     def to_json(self) -> dict:
@@ -494,7 +494,7 @@ def derive_main(prec: Precision) -> DerivationTrace:
 
 
 # ---------------------------------------------------------------------------
-# splitting transform and the concluding identity
+# splitting transform
 
 
 def verify_zj_split(a: Fraction, b: Fraction, z: Fraction, prec: Precision) -> Verdict:
@@ -518,49 +518,4 @@ def verify_zj_split(a: Fraction, b: Fraction, z: Fraction, prec: Precision) -> V
     minus = (1 - root) * half
     plus = (1 + root) * half
     rhs = f21_series(p2, minus, qprec) + f21_series(p2, plus, qprec)
-    return num_equal(lhs, rhs, prec)
-
-
-# 2F1(1/2,3/2;13/6;-1/3) = 7/(2^(2/3) sqrt 3) - 7 G(1/6)^3/(2^(14/3) 3^(3/2) pi^(3/2))
-CONCLUSION_PARAMS = HypParams(Fraction(1, 2), Fraction(3, 2), Fraction(13, 6))
-CONCLUSION_ARGUMENT = Fraction(-1, 3)
-CONCLUSION_RHS_TERMS: tuple[tuple[int, GammaExpr], ...] = (
-    (
-        1,
-        GammaExpr(
-            rational_factors=(
-                (Fraction(7), Fraction(1)),
-                (Fraction(2), Fraction(-2, 3)),
-                (Fraction(3), Fraction(-1, 2)),
-            )
-        ),
-    ),
-    (
-        -1,
-        GammaExpr(
-            rational_factors=(
-                (Fraction(7), Fraction(1)),
-                (Fraction(2), Fraction(-14, 3)),
-                (Fraction(3), Fraction(-3, 2)),
-            ),
-            pi_exponent=Fraction(-3, 2),
-            gamma_factors=((Fraction(1, 6), 3),),
-        ),
-    ),
-)
-
-
-def conclusion_sides(prec: Precision, rhs_terms=CONCLUSION_RHS_TERMS):
-    """LHS (alternating series) and RHS (signed Gamma-expression sum)."""
-    lhs = f21_series(CONCLUSION_PARAMS, CONCLUSION_ARGUMENT, prec)
-    rhs = BigReal.from_int(0, prec.work_bits)
-    for sign, expr in rhs_terms:
-        piece = ge_eval(expr, prec)
-        rhs = rhs + (piece if sign > 0 else -piece)
-    return lhs, rhs
-
-
-def verify_conclusion(prec: Precision) -> Verdict:
-    """Verdict for the concluding elementary-minus-Gamma-cube identity."""
-    lhs, rhs = conclusion_sides(prec)
     return num_equal(lhs, rhs, prec)

@@ -289,6 +289,7 @@ FAMILY_RECORD = {
     "rhs": {"rational": "1"},
     "parameters": {"vars": ["n"], "grid": {"n": {"from": 0, "to": 2}}},
 }
+RULE_RECORD = {"id": "r", "kind": "transform-rule", "rule": "euler", "seed": 1}
 SPLIT_RECORD = {
     "id": "s",
     "kind": "transform-rule",
@@ -314,6 +315,18 @@ BAD_INPUTS = {
     "surd-exponent-not-integer": dict(
         POINT_RECORD, rhs={"gamma_expr": {"surd": [["1", "2", "2", "1/2"]]}}
     ),
+    "rule-samples-negative": dict(RULE_RECORD, samples=-3),
+    "rule-samples-zero": dict(RULE_RECORD, samples=0),
+    "rule-samples-not-integer": dict(RULE_RECORD, samples="x"),
+    "split-points-empty": dict(SPLIT_RECORD, points=[]),
+    "split-points-missing": {k: v for k, v in SPLIT_RECORD.items() if k != "points"},
+    "rat-entry-too-short": dict(POINT_RECORD, rhs={"gamma_expr": {"rat": [["2"]]}}),
+    "gamma-entry-too-long": dict(
+        POINT_RECORD, rhs={"gamma_expr": {"gamma": [["1/8", 1, 1]]}}
+    ),
+    "surd-entry-not-a-list": dict(POINT_RECORD, rhs={"gamma_expr": {"surd": ["1/2"]}}),
+    "gamma-expr-not-an-object": dict(POINT_RECORD, rhs={"gamma_expr": [["2", "1"]]}),
+    "chain-b-not-a-list": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": 5},
 }
 
 
@@ -324,6 +337,35 @@ def test_bad_catalog_input_exits_3(tmp_path, capsys, name):
     path = write_catalog(tmp_path, [BAD_INPUTS[name]])
     assert main(["verify", "--catalog", str(path)]) == 3
     assert "catalog error:" in capsys.readouterr().err
+
+
+def test_unreadable_catalog_exits_3(tmp_path, capsys):
+    from hypergamma.cli import main
+
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"schema_version": 1, "records": [], "x": "Erd\xe9lyi"}')
+    for path in (tmp_path, latin1):
+        assert main(["verify", "--catalog", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("catalog error:") and err.count("\n") == 1
+
+
+def test_retry_reports_the_time_of_both_attempts(monkeypatch):
+    import hypergamma.catalog as catalog
+
+    attempts = []
+
+    def fake_verify_once(record, prec):
+        attempts.append(prec.target_digits)
+        if len(attempts) == 1:
+            return ReportEntry(record.id, "inconclusive", None, 1.5, prec.target_digits)
+        return ReportEntry(record.id, "pass", 45, 2.25, prec.target_digits)
+
+    monkeypatch.setattr(catalog, "_verify_once", fake_verify_once)
+    entry = verify_identity(IdentityRecord(id="x", kind="proof-chain"), Precision.of(30))
+    assert attempts == [30, 60]
+    assert (entry.verdict, entry.digits, entry.precision_digits) == ("pass", 45, 60)
+    assert entry.seconds == 3.75
 
 
 def test_family_and_split_records_compile_at_load(tmp_path):

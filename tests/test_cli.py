@@ -52,6 +52,14 @@ class TestEval:
         assert code == 0
         assert out.startswith("1.047197551196597746"[:12])
 
+    def test_auto_prints_the_series_value(self, capsys):
+        argv = ("eval", "--a", "2/5", "--b", "1/4", "--c", "23/20", "--z=-1/2")
+        code, auto, _ = run(capsys, *argv)
+        assert code == 0
+        code, series, _ = run(capsys, *argv, "--strategy", "series")
+        assert code == 0
+        assert auto == series
+
     def test_negative_rational_equals_form(self, capsys):
         code, out, _ = run(
             capsys, "eval", "--a", "1/2", "--b", "1/2", "--c=-3/2", "--z", "1/4",
@@ -129,6 +137,14 @@ class TestDeriveChain:
         data = json.loads(trace_path.read_text())
         assert data["final_argument"] == "29884728384/34239431521"
         assert len(data["steps"]) == 3
+
+    def test_unwritable_trace_is_usage_error(self, capsys, tmp_path):
+        trace_path = tmp_path / "missing" / "trace.json"
+        code, _, err = run(
+            capsys, "derive-chain", "--digits", "20", "--trace", str(trace_path)
+        )
+        assert code == 3
+        assert err.startswith("usage error: cannot write trace") and err.count("\n") == 1
 
     def test_json_report(self, capsys):
         code, out, _ = run(capsys, "derive-chain", "--digits", "30", "--report", "json")

@@ -205,6 +205,28 @@ class TestSeriesProperties:
         assert achieved_digits(series, ge_eval(MAIN_RHS, prec)) >= 170
 
 
+class TestSeriesAgainstIntegral:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        a=st.builds(F, st.integers(-24, 24), st.integers(1, 8)),
+        b=st.builds(F, st.integers(1, 72), st.integers(1, 24)),
+        gap=st.builds(F, st.integers(1, 72), st.integers(1, 24)),
+        z=st.builds(F, st.integers(-90, 90), st.just(100)),
+        digits=st.integers(30, 60),
+    )
+    def test_enclosures_overlap(self, a, b, gap, z, digits):
+        """The series and the Euler integral, two independent routes,
+        overlap wherever both apply: c > b > 0 and |z| <= 9/10.  Endpoint
+        gaps min(b, c - b) below 1/24 are not drawn; tanh-sinh does not
+        converge there in reasonable time."""
+        assume(min(b, gap) >= F(1, 24))
+        p = HypParams(a, b, b + gap)
+        prec = Precision.of(digits)
+        series = f21_series(p, z, prec)
+        integral = f21_integral(p, z, prec)
+        assert overlap(series, integral), (p, z, digits)
+
+
 class TestTerminating:
     def test_two_term_sum(self):
         got = f21_terminating(HypParams(F(-1), F(-3, 2), F(17, 2)), F(1, 5))
@@ -293,6 +315,21 @@ class TestEval:
         i = f21_eval(p, z, P30, strategy="integral")
         a = f21_eval(p, z, P30)
         assert overlap(s, i) and overlap(a, s)
+
+    def test_inner_argument_takes_the_series_route_only(self, monkeypatch):
+        """For |z| <= 9/10 the auto route is the series alone: the result is
+        the series enclosure itself, and no quadrature runs."""
+        import hypergamma.hyper as hyper
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("tanh_sinh_integrate called on the series route")
+
+        p = HypParams(F(2, 5), F(1, 4), F(23, 20))
+        z = F(-1, 2)
+        series = f21_series(p, z, P50)
+        monkeypatch.setattr(hyper, "tanh_sinh_integrate", no_quadrature)
+        out = f21_eval(p, z, P50)
+        assert (out.val, out.err) == (series.val, series.err)
 
     def test_terminating_dispatch_exact(self):
         out = f21_eval(HypParams(F(-1), F(-3, 2), F(17, 2)), F(1, 5), P30)

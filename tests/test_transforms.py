@@ -11,12 +11,12 @@ from mpmath import mp
 
 from helpers import assert_encloses, overlap
 
+from hypergamma.catalog import DEFAULT_CATALOG, IdentityRecord, catalog_load, verify_identity
 from hypergamma.exact import Poly, RatFunc, poly_from_pairs
-from hypergamma.gammaexpr import GammaExpr, Verdict, ge_eval, num_equal
+from hypergamma.gammaexpr import Verdict, ge_eval, num_equal
 from hypergamma.hyper import HypParams, f21_eval, f21_terminating
 from hypergamma.mpreal import Precision
 from hypergamma.transforms import (
-    CONCLUSION_RHS_TERMS,
     CUBIC,
     EULER,
     MAIN_ARGUMENT,
@@ -30,12 +30,10 @@ from hypergamma.transforms import (
     HypTerm,
     TransformError,
     apply_rule,
-    conclusion_sides,
     derive_main,
     gosper_lhs_params,
     gosper_rhs,
     twelfth_degree_map,
-    verify_conclusion,
     verify_gosper_proof,
     verify_zj_split,
 )
@@ -212,11 +210,27 @@ class TestSplit:
 
 
 class TestConclusion:
+    """The concluding identity 2F1(1/2,3/2;13/6;-1/3) =
+    7/(2^(2/3) sqrt 3) - 7 G(1/6)^3/(2^(14/3) 3^(3/2) pi^(3/2)), as the
+    catalog's conclusion-identity record encodes it."""
+
+    RECORD = next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "conclusion-identity")
+
+    def variant(self, terms) -> IdentityRecord:
+        return IdentityRecord(
+            id="conclusion-variant", kind="point-evaluation",
+            lhs=self.RECORD.lhs, rhs={"gamma_expr_sum": terms},
+        )
+
     def test_identity_holds(self):
-        assert verify_conclusion(P40) is Verdict.EQUAL
+        entry = verify_identity(self.RECORD, P40)
+        assert entry.verdict == "pass"
+        assert entry.digits >= 40
 
     def test_lhs_value(self):
-        lhs, rhs = conclusion_sides(P40)
+        p, z = self.RECORD.compiled.lhs({})
+        assert (p, z) == (HypParams(F(1, 2), F(3, 2), F(13, 6)), F(-1, 3))
+        lhs = f21_eval(p, z, P40)
         assert lhs.to_decimal(20).startswith("0.9031416027010812323")
         assert_encloses(
             lhs,
@@ -225,24 +239,18 @@ class TestConclusion:
         )
 
     def test_first_term_value(self):
-        first = ge_eval(CONCLUSION_RHS_TERMS[0][1], P40)
+        first = self.RECORD.rhs["gamma_expr_sum"][0]
+        assert first["sign"] == 1
+        value = self.variant([first]).compiled.rhs({}, P40)
         # 7/(2^(2/3) sqrt 3); the analogous 6-numerator value is 2.182247271...
-        assert first.to_decimal(12).startswith("2.5459551506")
+        assert value.to_decimal(12).startswith("2.5459551506")
 
     def test_smaller_first_term_variant_is_distinct(self):
         # lowering the leading numerator from 7 to 6 must be detected
-        variant = (
-            (
-                1,
-                GammaExpr(
-                    rational_factors=(
-                        (F(6), F(1)),
-                        (F(2), F(-2, 3)),
-                        (F(3), F(-1, 2)),
-                    )
-                ),
-            ),
-            CONCLUSION_RHS_TERMS[1],
-        )
-        lhs, rhs = conclusion_sides(P40, rhs_terms=variant)
-        assert num_equal(lhs, rhs, P40) is Verdict.DISTINCT
+        first, second = self.RECORD.rhs["gamma_expr_sum"]
+        assert first["expr"]["rat"][0] == ["7", "1"]
+        rat = [["6", "1"]] + first["expr"]["rat"][1:]
+        perturbed = {"sign": 1, "expr": dict(first["expr"], rat=rat)}
+        entry = verify_identity(self.variant([perturbed, second]), P40)
+        assert entry.verdict == "fail"
+        assert entry.interval_lhs and entry.interval_rhs
