@@ -677,8 +677,8 @@ Check = tuple[Verdict, "int | None", str, "BigReal | None", "BigReal | None"]
 
 def _fold(checks: Iterable[Check]) -> Check:
     """The verdict of a record: the first distinct check ends the record and
-    is reported; otherwise the worst verdict.  Digits are the fewest any
-    check agreed to."""
+    is reported; otherwise the worst verdict, and inconclusive if no check
+    ran.  Digits are the fewest any check agreed to."""
     verdicts: list[Verdict] = []
     digits: list[int] = []
     for verdict, d, detail, lhs, rhs in checks:
@@ -687,6 +687,8 @@ def _fold(checks: Iterable[Check]) -> Check:
         if verdict is Verdict.DISTINCT:
             return verdict, min(digits, default=None), detail, lhs, rhs
         verdicts.append(verdict)
+    if not verdicts:
+        return Verdict.INCONCLUSIVE, None, "no check ran", None, None
     return Verdict.worst(verdicts), min(digits, default=None), "", None, None
 
 

@@ -17,6 +17,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
@@ -100,13 +101,15 @@ def _cmd_verify(args) -> int:
 
 def _cmd_derive_chain(args) -> int:
     prec = Precision.of(args.digits)
-    trace = derive_main(prec)
-    if args.trace:
-        try:
-            with open(args.trace, "w") as handle:
-                json.dump(trace.to_json(), handle, indent=2)
-        except OSError as e:
-            raise _UsageError(f"cannot write trace {args.trace}: {e.strerror}") from None
+    try:
+        # opened before the derivation, so a bad path fails before any work
+        trace_file = open(args.trace, "w") if args.trace else contextlib.nullcontext()
+    except OSError as e:
+        raise _UsageError(f"cannot write trace {args.trace}: {e.strerror}") from None
+    with trace_file:
+        trace = derive_main(prec)
+        if args.trace:
+            json.dump(trace.to_json(), trace_file, indent=2)
     lines = [
         f"final parameters: ({rational_str(trace.steps[-1][1].params.a)}, "
         f"{rational_str(trace.steps[-1][1].params.b)}; "

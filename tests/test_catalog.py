@@ -350,6 +350,23 @@ def test_unreadable_catalog_exits_3(tmp_path, capsys):
         assert err.startswith("catalog error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"rule": "zj-split"},
+        {"rule": "zj-split", "points": ()},
+        {"rule": "euler", "samples": 0},
+        {"rule": "euler", "samples": -3},
+    ],
+)
+def test_record_built_in_code_that_checks_nothing_is_inconclusive(fields):
+    # catalog_load rejects these; a record built in code skips its checks
+    record = IdentityRecord(id="n", kind="transform-rule", **fields)
+    entry = verify_identity(record, Precision.of(20))
+    assert entry.verdict == "inconclusive"
+    assert entry.detail.startswith("no check ran")
+
+
 def test_retry_reports_the_time_of_both_attempts(monkeypatch):
     import hypergamma.catalog as catalog
 

@@ -138,7 +138,11 @@ class TestDeriveChain:
         assert data["final_argument"] == "29884728384/34239431521"
         assert len(data["steps"]) == 3
 
-    def test_unwritable_trace_is_usage_error(self, capsys, tmp_path):
+    def test_unwritable_trace_is_usage_error(self, capsys, tmp_path, monkeypatch):
+        def no_derivation(prec):
+            raise AssertionError("the trace path is checked before the derivation")
+
+        monkeypatch.setattr("hypergamma.cli.derive_main", no_derivation)
         trace_path = tmp_path / "missing" / "trace.json"
         code, _, err = run(
             capsys, "derive-chain", "--digits", "20", "--trace", str(trace_path)

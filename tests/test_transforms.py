@@ -225,6 +225,7 @@ class TestConclusion:
     def test_identity_holds(self):
         entry = verify_identity(self.RECORD, P40)
         assert entry.verdict == "pass"
+        assert entry.precision_digits == 40  # no doubled-precision retry
         assert entry.digits >= 40
 
     def test_lhs_value(self):
@@ -253,4 +254,5 @@ class TestConclusion:
         perturbed = {"sign": 1, "expr": dict(first["expr"], rat=rat)}
         entry = verify_identity(self.variant([perturbed, second]), P40)
         assert entry.verdict == "fail"
+        assert entry.precision_digits == 40  # no doubled-precision retry
         assert entry.interval_lhs and entry.interval_rhs
