@@ -16,11 +16,13 @@ record's `kind` selects exactly one verification strategy:
 
 Template expressions ("5/2-2*b", "b/(a+b)", ...) are exact rational
 expressions; only +, -, *, / and named variables are allowed.  Loading a
-catalog compiles each one once into a closure over the sample's variables,
-and that compilation is the validation of the record's templates.
+catalog compiles each record once into the checks it makes, and that
+compilation is the validation of the record: its templates, its samples,
+and the rule or chain it names.  A record built in code compiles on first
+use, and a record that does not compile fails.
 
-Verdicts per record are pass / fail / inconclusive / skipped; an
-inconclusive comparison is retried once at doubled precision.  A fail entry
+Verdicts per record are pass / fail / inconclusive; an inconclusive
+comparison is retried once at doubled precision.  A fail entry
 records both computed intervals.  Reports order records by id regardless of
 execution order, and the exit-code contract is: 0 all pass, 1 any fail,
 2 any inconclusive, 3 usage/parse errors.
@@ -35,7 +37,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -88,15 +90,21 @@ class CatalogError(ValueError):
     """Catalog parse or validation failure (exit code 3 territory)."""
 
 
-class UnverifiableRecord(Exception):
-    """Structurally valid record whose strategy is not registered here."""
-
-
 # ---------------------------------------------------------------------------
 # exact expression templates
 
 Env = dict[str, Fraction]
 Template = Callable[[Env], Fraction]
+Lhs = Callable[[Env], tuple[HypParams, Fraction]]
+Rhs = Callable[[Env, Precision], BigReal]
+Samples = Callable[[], Sequence[Env]]
+
+# One comparison made while verifying a record: its verdict, the digits to
+# which the two sides provably agree (None: exact, or not measured), the
+# detail to report if it is distinct, and the two enclosures (None when the
+# comparison yields only a verdict).
+Check = tuple[Verdict, "int | None", str, "BigReal | None", "BigReal | None"]
+Checks = Callable[[Precision], Iterator[Check]]
 
 _BINARY = {
     ast.Add: operator.add,
@@ -163,6 +171,8 @@ def _template(text, variables: set[str], where: str) -> Template:
 
 
 def _rational(value, where: str) -> Fraction:
+    if isinstance(value, bool):  # rational(True) would be 1
+        raise CatalogError(f"{where}: {value!r} is not a number")
     try:
         return rational(value)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -176,9 +186,7 @@ def _integer(value, where: str) -> int:
     return int(q)
 
 
-def _compile_lhs(
-    lhs, variables: set[str], where: str
-) -> Callable[[Env], tuple[HypParams, Fraction]]:
+def _compile_lhs(lhs, variables: set[str], where: str) -> Lhs:
     if not isinstance(lhs, dict) or set(lhs) != {"a", "b", "c", "z"}:
         raise CatalogError(f"{where}: lhs must define a, b, c, z")
     a, b, c, z = (_template(lhs[k], variables, f"{where} lhs.{k}") for k in "abcz")
@@ -229,7 +237,9 @@ def _compile_gamma_expr(
     return lambda env: expr
 
 
-def _compile_exact_product(value: dict, variables: set[str], where: str) -> Template:
+def _compile_exact_product(value, variables: set[str], where: str) -> Template:
+    if not isinstance(value, dict):
+        raise CatalogError(f"{where}: exact_product must be an object")
     unknown = set(value) - {"pow_base", "pow_exp", "poch_ratio"}
     if unknown:
         raise CatalogError(f"{where}: unknown exact_product fields {sorted(unknown)}")
@@ -237,8 +247,10 @@ def _compile_exact_product(value: dict, variables: set[str], where: str) -> Temp
     expo = _template(value.get("pow_exp", "0"), variables, where)
     pr = value.get("poch_ratio")
     if pr is not None:
-        if not isinstance(pr, dict) or set(pr) != {"upper", "lower", "n"}:
-            raise CatalogError(f"{where}: poch_ratio needs upper, lower, n")
+        if not isinstance(pr, dict) or set(pr) != {"upper", "lower", "n"} or not all(
+            isinstance(pr[k], list) for k in ("upper", "lower")
+        ):
+            raise CatalogError(f"{where}: poch_ratio needs upper and lower lists and n")
         ratio = PochRatio(
             upper=tuple(_rational(u, where) for u in pr["upper"]),
             lower=tuple(_rational(l, where) for l in pr["lower"]),
@@ -246,18 +258,27 @@ def _compile_exact_product(value: dict, variables: set[str], where: str) -> Temp
         index = _template(pr["n"], variables, where)
 
     def exact(env: Env) -> Fraction:
-        e = expo(env)
+        b, e = base(env), expo(env)
         if e.denominator != 1:
-            raise CatalogError("exact_product exponent must be an integer")
-        out = base(env) ** int(e)
+            raise CatalogError(f"{where}: exact_product exponent must be an integer")
+        if b == 0 and e < 0:
+            raise CatalogError(f"{where}: exact_product divides by zero")
+        out = b ** int(e)
         if pr is not None:
             n = index(env)
             if n.denominator != 1 or n < 0:
-                raise CatalogError("poch_ratio index must be a nonnegative integer")
+                raise CatalogError(f"{where}: poch_ratio index must be a nonnegative integer")
             out *= ratio.value(int(n))
         return out
 
-    return exact
+    if variables:
+        return exact
+    # concrete product: computing it now rejects a bad exponent or index at load
+    try:
+        product = exact({})
+    except HyperError as e:
+        raise CatalogError(f"{where}: {e}") from None
+    return lambda env: product
 
 
 _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
@@ -265,39 +286,50 @@ _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
 
 @dataclass(frozen=True)
 class CompiledRecord:
-    """The lhs and rhs templates of a point or family record as closures
-    over one sample's variables, and `samples`, which returns the samples;
-    exactly one of `rhs` (an enclosure at a precision) and `exact_rhs` (an
-    exact rational) is set."""
+    """A record compiled once: `checks` yields its comparisons at a
+    precision, and `exact` says that they compare exact rationals.  A point
+    or family record also keeps its lhs and rhs templates, as closures over
+    one sample's variables, and `samples`, which returns the samples."""
 
-    lhs: Callable[[Env], tuple[HypParams, Fraction]]
-    samples: Callable[[], Sequence[Env]]
-    rhs: Callable[[Env, Precision], BigReal] | None = None
-    exact_rhs: Template | None = None
+    checks: Checks
+    exact: bool = False
+    lhs: Lhs | None = None
+    samples: Samples | None = None
+    rhs: Rhs | None = None
 
 
-def _compile_record(record: IdentityRecord) -> CompiledRecord | None:
-    if record.kind not in ("point-evaluation", "parametric-family"):
-        return None
+def _compile_record(record: IdentityRecord) -> CompiledRecord:
     where = f"record {record.id!r}"
-    variables = set((record.parameters or {}).get("vars", ()))
+    if record.kind == "transform-rule":
+        return CompiledRecord(_compile_rule(record, where))
+    if record.kind == "proof-chain":
+        return CompiledRecord(_compile_chain(record, where))
+    if record.kind not in KINDS:
+        raise CatalogError(f"{where}: unknown kind {record.kind!r}")
+    variables, samples = _compile_samples(record, where)
     lhs = _compile_lhs(record.lhs, variables, where)
-    samples = _compile_samples(record, where)
+
+    def sampled(rhs=None, exact_rhs=None) -> CompiledRecord:
+        checks = partial(_sample_checks, lhs, samples, rhs, exact_rhs)
+        return CompiledRecord(
+            checks, exact=exact_rhs is not None, lhs=lhs, samples=samples, rhs=rhs
+        )
+
     rhs = record.rhs
     if not isinstance(rhs, dict) or len(rhs) != 1:
         raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
     (key, value), = rhs.items()
     if key == "gamma_expr":
         expr = _compile_gamma_expr(value, variables, where)
-        return CompiledRecord(lhs, samples, rhs=lambda env, prec: ge_eval(expr(env), prec))
+        return sampled(rhs=lambda env, prec: ge_eval(expr(env), prec))
     if key == "gamma_expr_sum":
         if not isinstance(value, list):
             raise CatalogError(f"{where}: gamma_expr_sum must be a list of terms")
         terms = []
         for i, term in enumerate(value):
-            if set(term) != {"sign", "expr"}:
+            if not isinstance(term, dict) or set(term) != {"sign", "expr"}:
                 raise CatalogError(f"{where}: sum term {i} needs sign and expr")
-            if term["sign"] not in (1, -1):
+            if term["sign"] not in (1, -1) or isinstance(term["sign"], bool):
                 raise CatalogError(f"{where}: sum term sign must be 1 or -1")
             terms.append(
                 (term["sign"], _compile_gamma_expr(term["expr"], variables, f"{where} term {i}"))
@@ -310,16 +342,12 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord | None:
                 total = total + (piece if sign > 0 else -piece)
             return total
 
-        return CompiledRecord(lhs, samples, rhs=signed_sum)
+        return sampled(rhs=signed_sum)
     if key == "rational":
         q = _template(value, variables, where)
-        return CompiledRecord(
-            lhs, samples, rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits)
-        )
+        return sampled(rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits))
     if key == "exact_product":
-        return CompiledRecord(
-            lhs, samples, exact_rhs=_compile_exact_product(value, variables, where)
-        )
+        return sampled(exact_rhs=_compile_exact_product(value, variables, where))
     raise CatalogError(f"{where}: unknown rhs kind {key!r}")
 
 
@@ -344,10 +372,9 @@ class IdentityRecord:
     b_values: tuple[Fraction, ...] | None = None
 
     @cached_property
-    def compiled(self) -> CompiledRecord | None:
-        """The lhs and rhs templates, compiled on first use (None for rule
-        and chain records).  Compiling validates them, so `catalog_load`
-        compiles every record it returns."""
+    def compiled(self) -> CompiledRecord:
+        """The record's checks, compiled on first use.  Compiling validates
+        the record, so `catalog_load` compiles every record it returns."""
         return _compile_record(self)
 
 
@@ -376,36 +403,18 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
     if unknown:
         raise CatalogError(f"{where}: unknown fields {sorted(unknown)}")
     digits = data.get("digits")
-    if digits is not None and (not isinstance(digits, int) or digits < 1):
+    if digits is not None and (type(digits) is not int or digits < 1):
         raise CatalogError(f"{where}: digits must be a positive integer")
 
-    parameters = data.get("parameters")
-    if kind == "parametric-family":
-        if not isinstance(parameters, dict):
-            raise CatalogError(f"{where}: parametric-family needs parameters")
-        unknown = set(parameters) - {"vars", "sampler", "count", "seed", "grid"}
-        if unknown:
-            raise CatalogError(f"{where}: unknown parameters fields {sorted(unknown)}")
-        variables = set(parameters.get("vars", ()))
-        if not variables:
-            raise CatalogError(f"{where}: parameters.vars must be nonempty")
-        if ("grid" in parameters) == ("sampler" in parameters):
-            raise CatalogError(f"{where}: need exactly one of grid or sampler")
-        if "sampler" in parameters and parameters["sampler"] not in SAMPLERS:
-            raise CatalogError(f"{where}: unknown sampler {parameters['sampler']!r}")
-
-    points = samples = None
+    points = samples = seed = None
     if kind == "transform-rule":
-        rule = data.get("rule")
-        if not isinstance(rule, str):
+        if not isinstance(data.get("rule"), str):
             raise CatalogError(f"{where}: transform-rule needs a rule name")
         if data.get("samples") is not None:
             samples = _integer(data["samples"], f"{where} samples")
-            if samples < 1:
-                raise CatalogError(f"{where}: samples must be positive")
+        if data.get("seed") is not None:
+            seed = _integer(data["seed"], f"{where} seed")
         raw = data.get("points")
-        if rule == "zj-split" and not (isinstance(raw, list) and raw):
-            raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
         if raw is not None:
             if not isinstance(raw, list) or not all(
                 isinstance(pt, dict) and set(pt) == {"a", "b", "z"} for pt in raw
@@ -417,8 +426,7 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
 
     b_values = None
     if kind == "proof-chain":
-        chain = data.get("chain")
-        if not isinstance(chain, str):
+        if not isinstance(data.get("chain"), str):
             raise CatalogError(f"{where}: proof-chain needs a chain name")
         if data.get("b") is not None:
             if not isinstance(data["b"], list):
@@ -432,15 +440,15 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
         digits=digits,
         lhs=data.get("lhs"),
         rhs=data.get("rhs"),
-        parameters=parameters,
+        parameters=data.get("parameters"),
         rule=data.get("rule"),
         samples=samples,
-        seed=data.get("seed"),
+        seed=seed,
         points=points,
         chain=data.get("chain"),
         b_values=b_values,
     )
-    record.compiled  # compiling validates the lhs and rhs templates
+    record.compiled  # compiling validates the record
     return record
 
 
@@ -548,26 +556,40 @@ def _grid_values(spec, where: str) -> list[Fraction]:
     return [_rational(v, where) for v in spec]
 
 
-def _compile_samples(record: IdentityRecord, where: str) -> Callable[[], Sequence[Env]]:
-    """The samples of a record: one empty sample for a point record, the
-    grid's cross product (expanded here, so a bad or empty grid is rejected
-    at load), or the named sampler's draws (made when the record is
-    verified, after the count is checked here)."""
+def _compile_samples(record: IdentityRecord, where: str) -> tuple[set[str], Samples]:
+    """The variables of a record and a function that returns its samples:
+    one empty sample for a point record, the grid's cross product (expanded
+    here, so a bad or empty grid is rejected at load), or the named
+    sampler's draws (made when the record is verified, after the count is
+    checked here)."""
     if record.kind != "parametric-family":
-        return lambda: ({},)
-    params = record.parameters or {}
-    variables = set(params.get("vars", ()))
+        return set(), lambda: ({},)
+    params = record.parameters
+    if not isinstance(params, dict):
+        raise CatalogError(f"{where}: parametric-family needs parameters")
+    unknown = set(params) - {"vars", "sampler", "count", "seed", "grid"}
+    if unknown:
+        raise CatalogError(f"{where}: unknown parameters fields {sorted(unknown)}")
+    names = params.get("vars")
+    if not (isinstance(names, list) and names and all(isinstance(v, str) for v in names)):
+        raise CatalogError(f"{where}: parameters.vars must be a nonempty list of names")
+    variables = set(names)
+    if ("grid" in params) == ("sampler" in params):
+        raise CatalogError(f"{where}: need exactly one of grid or sampler")
     if "grid" in params:
         grid = params["grid"]
         if not isinstance(grid, dict) or set(grid) != variables:
             raise CatalogError(f"{where}: grid keys must match vars")
         envs: list[Env] = [{}]
-        for var in params["vars"]:
+        for var in names:
             values = _grid_values(grid[var], f"{where} grid.{var}")
             envs = [dict(e, **{var: v}) for e in envs for v in values]
-        return lambda: envs
-    sampler = SAMPLERS[params["sampler"]]
-    seed = params.get("seed", 0)
+        return variables, lambda: envs
+    name = params["sampler"]
+    if not (isinstance(name, str) and name in SAMPLERS):
+        raise CatalogError(f"{where}: unknown sampler {name!r}")
+    sampler = SAMPLERS[name]
+    seed = _integer(params.get("seed", 0), f"{where} seed")
     count = _integer(params.get("count", 20), f"{where} count")
     if count < 1:
         raise CatalogError(f"{where}: count must be positive")
@@ -583,7 +605,7 @@ def _compile_samples(record: IdentityRecord, where: str) -> Callable[[], Sequenc
                     return envs
         raise CatalogError(f"sampler for {record.id} failed to produce samples")
 
-    return draw
+    return variables, draw
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +621,7 @@ _ENTRY_VERDICT = {
 @dataclass(frozen=True)
 class ReportEntry:
     id: str
-    verdict: str  # pass | fail | inconclusive | skipped
+    verdict: str  # pass | fail | inconclusive
     digits: int | str | None
     seconds: float
     precision_digits: int
@@ -629,18 +651,15 @@ class VerificationReport:
 
     @property
     def counts(self) -> dict[str, int]:
-        out = {"pass": 0, "fail": 0, "inconclusive": 0, "skipped": 0}
+        out = {"pass": 0, "fail": 0, "inconclusive": 0}
         for e in self.entries:
             out[e.verdict] += 1
         return out
 
     @property
     def exit_code(self) -> int:
-        # a skipped record does not count against the run
         verdict_of = {name: v for v, name in _ENTRY_VERDICT.items()}
-        return EXIT_CODE[
-            Verdict.worst(verdict_of.get(e.verdict, Verdict.EQUAL) for e in self.entries)
-        ]
+        return EXIT_CODE[Verdict.worst(verdict_of[e.verdict] for e in self.entries)]
 
     def to_text(self) -> str:
         lines = []
@@ -656,7 +675,7 @@ class VerificationReport:
         c = self.counts
         lines.append(
             f"total: {len(self.entries)}  pass: {c['pass']}  fail: {c['fail']}  "
-            f"inconclusive: {c['inconclusive']}  skipped: {c['skipped']}"
+            f"inconclusive: {c['inconclusive']}"
         )
         return "\n".join(lines)
 
@@ -666,13 +685,6 @@ class VerificationReport:
             "counts": self.counts,
             "exit_code": self.exit_code,
         }
-
-
-# One comparison made while verifying a record: its verdict, the digits to
-# which the two sides provably agree (None: exact, or not measured), the
-# detail to report if it is distinct, and the two enclosures (None when the
-# comparison yields only a verdict).
-Check = tuple[Verdict, "int | None", str, "BigReal | None", "BigReal | None"]
 
 
 def _fold(checks: Iterable[Check]) -> Check:
@@ -692,23 +704,23 @@ def _fold(checks: Iterable[Check]) -> Check:
     return Verdict.worst(verdicts), min(digits, default=None), "", None, None
 
 
-def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
-    compiled = record.compiled
-    if record.kind == "point-evaluation" and compiled.exact_rhs is not None:
-        raise UnverifiableRecord("rhs kind 'exact_product' is not numeric")
-    for env in compiled.samples():
+def _sample_checks(
+    lhs: Lhs, samples: Samples, rhs: Rhs | None, exact_rhs: Template | None, prec: Precision
+) -> Iterator[Check]:
+    for env in samples():
         at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
-        p, z = compiled.lhs(env)
-        if compiled.exact_rhs is not None:
-            got, want = f21_terminating(p, z), compiled.exact_rhs(env)
+        p, z = lhs(env)
+        if exact_rhs is not None:
+            got, want = f21_terminating(p, z), exact_rhs(env)
             if got == want:
                 yield Verdict.EQUAL, None, "", None, None
             else:
-                detail = f"exact mismatch at {at}: {rational_str(got)} != {rational_str(want)}"
+                detail = f"exact mismatch at {at}" if at else "exact mismatch"
+                detail += f": {rational_str(got)} != {rational_str(want)}"
                 yield Verdict.DISTINCT, None, detail, None, None
             continue
         lhs_val = f21_eval(p, z, prec)
-        rhs_val = compiled.rhs(env, prec)
+        rhs_val = rhs(env, prec)
         yield (
             num_equal(lhs_val, rhs_val, prec),
             achieved_digits(lhs_val, rhs_val),
@@ -718,49 +730,60 @@ def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
         )
 
 
-def _rule_sample_params(rule_name: str, rng: random.Random) -> HypParams:
-    if rule_name == "euler":
-        return HypParams(
-            Fraction(rng.randint(-8, 8), 4),
-            Fraction(rng.randint(-8, 8), 4),
-            Fraction(rng.randint(1, 12), 4),
-        )
-    if rule_name == "quadratic-c-2b":
-        b = Fraction(rng.randint(1, 12), 8)
-        return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
-    if rule_name == "quadratic-mean":
-        a = Fraction(rng.randint(1, 10), 8)
-        b = Fraction(rng.randint(1, 10), 8)
-        return HypParams(a, b, (a + b + 1) / 2)
-    if rule_name == "cubic":
-        a = Fraction(rng.randint(1, 12), 16)
-        return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
-    raise UnverifiableRecord(f"no parameter sampler for rule {rule_name!r}")
+def _euler_params(rng: random.Random) -> HypParams:
+    a, b = Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4)
+    return HypParams(a, b, Fraction(rng.randint(1, 12), 4))
 
 
-def _rule_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
-    if record.rule == "zj-split":
-        for a, b, z in record.points or ():
-            at = f"a={rational_str(a)}, b={rational_str(b)}, z={rational_str(z)}"
-            yield verify_zj_split(a, b, z, prec), None, f"split distinct at {at}", None, None
-        return
-    if record.rule not in RULES:
-        raise UnverifiableRecord(f"unknown transform rule {record.rule!r}")
-    rule = RULES[record.rule]
-    rng = random.Random(record.seed or 0)
+def _quadratic_c_2b_params(rng: random.Random) -> HypParams:
+    b = Fraction(rng.randint(1, 12), 8)
+    return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
+
+
+def _quadratic_mean_params(rng: random.Random) -> HypParams:
+    a = Fraction(rng.randint(1, 10), 8)
+    b = Fraction(rng.randint(1, 10), 8)
+    return HypParams(a, b, (a + b + 1) / 2)
+
+
+def _cubic_params(rng: random.Random) -> HypParams:
+    a = Fraction(rng.randint(1, 12), 16)
+    return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
+
+
+# the parameters of a soundness sample, for each rule of RULES
+_RULE_PARAMS: dict[str, Callable[[random.Random], HypParams]] = {
+    "euler": _euler_params,
+    "quadratic-c-2b": _quadratic_c_2b_params,
+    "quadratic-mean": _quadratic_mean_params,
+    "cubic": _cubic_params,
+}
+
+
+def _split_checks(
+    points: Sequence[tuple[Fraction, Fraction, Fraction]], prec: Precision
+) -> Iterator[Check]:
+    for a, b, z in points:
+        at = f"a={rational_str(a)}, b={rational_str(b)}, z={rational_str(z)}"
+        yield verify_zj_split(a, b, z, prec), None, f"split distinct at {at}", None, None
+
+
+def _rule_checks(name: str, samples: int, seed: int, prec: Precision) -> Iterator[Check]:
+    rule = RULES[name]
+    rng = random.Random(seed)
     lo, hi = rule.sample_region
-    for _ in range(20 if record.samples is None else record.samples):
+    for _ in range(samples):
         w = lo + (hi - lo) * Fraction(rng.randint(1, 79), 80)
         if w == 0:
             continue
-        p = _rule_sample_params(record.rule, rng)
+        p = _RULE_PARAMS[name](rng)
         out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
         lhs_val = f21_eval(p, w, prec)
         rhs_val = out.evaluate(w, prec)
         yield (
             num_equal(lhs_val, rhs_val, prec),
             achieved_digits(lhs_val, rhs_val),
-            f"rule {record.rule} unsound at params "
+            f"rule {name} unsound at params "
             f"({rational_str(p.a)},{rational_str(p.b)};{rational_str(p.c)}), "
             f"w={rational_str(w)}",
             lhs_val,
@@ -768,44 +791,51 @@ def _rule_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
         )
 
 
-def _chain_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
+def _compile_rule(record: IdentityRecord, where: str) -> Checks:
+    if record.samples is not None and record.samples < 1:
+        raise CatalogError(f"{where}: samples must be positive")
+    if record.rule == "zj-split":
+        if not record.points:
+            raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
+        return partial(_split_checks, record.points)
+    if record.rule not in _RULE_PARAMS:
+        raise CatalogError(f"{where}: unknown transform rule {record.rule!r}")
+    return partial(_rule_checks, record.rule, record.samples or 20, record.seed or 0)
+
+
+def _main_derivation_checks(prec: Precision) -> Iterator[Check]:
+    trace = derive_main(prec)
+    yield trace.verdict, trace.agreement_digits, "", None, None
+
+
+def _gosper_proof_checks(b_values: Sequence[Fraction], prec: Precision) -> Iterator[Check]:
+    for b in b_values:
+        for step, verdict in verify_gosper_proof(b, prec).items():
+            detail = f"step {step} distinct at b={rational_str(b)}"
+            yield verdict, None, detail, None, None
+
+
+def _compile_chain(record: IdentityRecord, where: str) -> Checks:
     if record.chain == "main-derivation":
-        trace = derive_main(prec)
-        yield trace.verdict, trace.agreement_digits, "", None, None
-    elif record.chain == "gosper-proof":
-        for b in record.b_values or (Fraction(5, 8),):
-            for step, verdict in verify_gosper_proof(b, prec).items():
-                detail = f"step {step} distinct at b={rational_str(b)}"
-                yield verdict, None, detail, None, None
-    else:
-        raise UnverifiableRecord(f"unknown proof chain {record.chain!r}")
-
-
-_CHECKS: dict[str, Callable[[IdentityRecord, Precision], Iterator[Check]]] = {
-    "point-evaluation": _sample_checks,
-    "parametric-family": _sample_checks,
-    "transform-rule": _rule_checks,
-    "proof-chain": _chain_checks,
-}
+        return _main_derivation_checks
+    if record.chain == "gosper-proof":
+        if record.b_values is not None and not record.b_values:
+            raise CatalogError(f"{where}: b must be a nonempty list of rationals")
+        return partial(_gosper_proof_checks, record.b_values or (Fraction(5, 8),))
+    raise CatalogError(f"{where}: unknown proof chain {record.chain!r}")
 
 
 def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
     start = time.perf_counter()
     try:
-        if record.kind not in _CHECKS:  # catalog_load rejects unknown kinds
-            raise UnverifiableRecord(record.kind)
-        verdict, digits, detail, lhs, rhs = _fold(_CHECKS[record.kind](record, prec))
-    except UnverifiableRecord as e:
-        return ReportEntry(
-            record.id, "skipped", None, time.perf_counter() - start,
-            prec.target_digits, detail=str(e),
-        )
+        compiled = record.compiled
+        verdict, digits, detail, lhs, rhs = _fold(compiled.checks(prec))
     except (HyperError, MPRealError, TransformError, DerivationError, CatalogError) as e:
         return ReportEntry(
             record.id, "fail", None, time.perf_counter() - start,
             prec.target_digits, detail=f"{type(e).__name__}: {e}",
         )
-    if record.compiled is not None and record.compiled.exact_rhs is not None:
+    if compiled.exact:
         digits = "exact"
     return ReportEntry(
         record.id,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 
@@ -220,10 +220,6 @@ class Poly:
     def to_json(self) -> list[str]:
         return [rational_str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_json(cls, data: Sequence[str]) -> "Poly":
-        return cls(tuple(rational(c) for c in data))
-
 
 def poly_from_pairs(*pairs: tuple[int, RationalLike]) -> Poly:
     """Build a polynomial from (degree, coefficient) pairs."""
@@ -334,7 +330,3 @@ class RatFunc:
 
     def to_json(self) -> dict:
         return {"num": self.num.to_json(), "den": self.den.to_json()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RatFunc":
-        return cls(Poly.from_json(data["num"]), Poly.from_json(data["den"]))

@@ -17,7 +17,7 @@ from typing import Iterable
 
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_sub
 
-from .exact import rational, rational_str
+from .exact import rational_str
 from .mpreal import ERR_BITS, RU, BigReal, Precision, gamma, pi_value, sqrt
 
 
@@ -184,25 +184,6 @@ class GammaExpr:
                 for p, q, d, e in self.surd_factors
             ]
         return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GammaExpr":
-        unknown = set(data) - {"rat", "pi", "gamma", "surd"}
-        if unknown:
-            raise GammaExprError(f"unknown GammaExpr fields {sorted(unknown)}")
-        return cls(
-            rational_factors=tuple(
-                (rational(b), rational(e)) for b, e in data.get("rat", ())
-            ),
-            pi_exponent=rational(data.get("pi", 0)),
-            gamma_factors=tuple(
-                (rational(a), int(e)) for a, e in data.get("gamma", ())
-            ),
-            surd_factors=tuple(
-                (rational(p), rational(q), rational(d), int(e))
-                for p, q, d, e in data.get("surd", ())
-            ),
-        )
 
 
 def ge_eval(e: GammaExpr, prec: Precision) -> BigReal:

@@ -176,17 +176,19 @@ class TestVerify:
         assert entry.verdict == "fail"
         assert "unknown names" in entry.detail
 
-    def test_unregistered_chain_is_skipped(self):
+    def test_unregistered_chain_fails(self):
         record = IdentityRecord(id="x", kind="proof-chain", chain="warp-drive")
         entry = verify_identity(record, Precision.of(30))
-        assert entry.verdict == "skipped"
+        assert entry.verdict == "fail"
+        assert entry.detail == "CatalogError: record 'x': unknown proof chain 'warp-drive'"
 
-    def test_unregistered_rule_is_skipped(self):
+    def test_unregistered_rule_fails(self):
         record = IdentityRecord(
             id="x", kind="transform-rule", rule="landen", samples=3, seed=1
         )
         entry = verify_identity(record, Precision.of(30))
-        assert entry.verdict == "skipped"
+        assert entry.verdict == "fail"
+        assert entry.detail == "CatalogError: record 'x': unknown transform rule 'landen'"
 
     def test_precision_monotonicity(self, tmp_path):
         path = write_catalog(tmp_path, [POINT_RECORD])
@@ -209,16 +211,20 @@ class TestRunAll:
         with pytest.raises(CatalogError):
             run_all(path, digits=30, only="missing")
 
-    def test_skip_does_not_poison_run(self, tmp_path):
+    def test_unknown_chain_rejects_the_catalog(self, tmp_path, capsys):
+        from hypergamma.cli import main
+
         records = [
             POINT_RECORD,
             {"id": "odd", "kind": "proof-chain", "chain": "unknown-chain"},
         ]
         path = write_catalog(tmp_path, records)
-        report = run_all(path, digits=30)
-        verdicts = {e.id: e.verdict for e in report.entries}
-        assert verdicts == {"cl": "pass", "odd": "skipped"}
-        assert report.exit_code == 0
+        with pytest.raises(CatalogError, match="record 'odd': unknown proof chain"):
+            run_all(path, digits=30)
+        assert main(["verify", "--catalog", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "catalog error: record 'odd': unknown proof chain 'unknown-chain'\n"
+        )
 
     def test_entries_sorted_by_id(self):
         records = catalog_load(DEFAULT_CATALOG)
@@ -267,12 +273,12 @@ def test_exit_code_map(verdict, code):
     "verdicts, code",
     [
         ((), 0),
-        (("skipped",), 0),
-        (("pass", "skipped"), 0),
+        (("pass",), 0),
+        (("pass", "pass"), 0),
         (("pass", "inconclusive"), 2),
-        (("inconclusive", "skipped"), 2),
+        (("inconclusive", "pass"), 2),
         (("fail", "pass"), 1),
-        (("inconclusive", "fail", "skipped"), 1),
+        (("inconclusive", "fail", "pass"), 1),
     ],
 )
 def test_report_exit_code(verdicts, code):
@@ -327,6 +333,53 @@ BAD_INPUTS = {
     "surd-entry-not-a-list": dict(POINT_RECORD, rhs={"gamma_expr": {"surd": ["1/2"]}}),
     "gamma-expr-not-an-object": dict(POINT_RECORD, rhs={"gamma_expr": [["2", "1"]]}),
     "chain-b-not-a-list": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": 5},
+    "chain-b-empty": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": []},
+    "rule-unknown": dict(RULE_RECORD, rule="eulr"),
+    "chain-unknown": {"id": "g", "kind": "proof-chain", "chain": "gosper-prof"},
+    "point-exact-exponent-not-integer": dict(
+        POINT_RECORD, rhs={"exact_product": {"pow_base": "2", "pow_exp": "1/2"}}
+    ),
+    "rule-samples-bool": dict(RULE_RECORD, samples=True),
+    "rule-seed-not-integer": dict(RULE_RECORD, seed=[1, 2]),
+    "sampler-count-bool": dict(
+        FAMILY_RECORD,
+        lhs={"a": "a", "b": "b", "c": "c", "z": "1"},
+        parameters={"vars": ["a", "b", "c"], "sampler": "gauss", "count": True},
+    ),
+    "sampler-seed-not-integer": dict(
+        FAMILY_RECORD,
+        lhs={"a": "a", "b": "b", "c": "c", "z": "1"},
+        parameters={"vars": ["a", "b", "c"], "sampler": "gauss", "seed": {"x": 1}},
+    ),
+    "grid-end-bool": dict(
+        FAMILY_RECORD,
+        parameters={"vars": ["n"], "grid": {"n": {"from": 0, "to": True}}},
+    ),
+    "gamma-exponent-bool": dict(POINT_RECORD, rhs={"gamma_expr": {"gamma": [["1/8", True]]}}),
+    "surd-exponent-bool": dict(
+        POINT_RECORD, rhs={"gamma_expr": {"surd": [["1", "2", "2", False]]}}
+    ),
+    "digits-bool": dict(POINT_RECORD, digits=True),
+    "sum-term-sign-bool": dict(
+        POINT_RECORD, rhs={"gamma_expr_sum": [{"sign": True, "expr": {"rat": [["2", "1"]]}}]}
+    ),
+    "sum-term-not-an-object": dict(POINT_RECORD, rhs={"gamma_expr_sum": [5]}),
+    "exact-product-not-an-object": dict(POINT_RECORD, rhs={"exact_product": 5}),
+    "poch-ratio-upper-not-a-list": dict(
+        POINT_RECORD,
+        rhs={"exact_product": {"poch_ratio": {"upper": 5, "lower": [], "n": "1"}}},
+    ),
+    "point-exact-zero-to-negative-power": dict(
+        POINT_RECORD, rhs={"exact_product": {"pow_base": "0", "pow_exp": "-1"}}
+    ),
+    "vars-not-a-list": dict(
+        FAMILY_RECORD, parameters={"vars": 5, "grid": {"n": {"from": 0, "to": 2}}}
+    ),
+    "sampler-not-a-name": dict(
+        FAMILY_RECORD,
+        lhs={"a": "a", "b": "b", "c": "c", "z": "1"},
+        parameters={"vars": ["a", "b", "c"], "sampler": ["gauss"]},
+    ),
 }
 
 
@@ -351,20 +404,22 @@ def test_unreadable_catalog_exits_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "fields",
+    "fields, message",
     [
-        {"rule": "zj-split"},
-        {"rule": "zj-split", "points": ()},
-        {"rule": "euler", "samples": 0},
-        {"rule": "euler", "samples": -3},
+        ({"rule": "zj-split"}, "zj-split needs a nonempty list of points"),
+        ({"rule": "zj-split", "points": ()}, "zj-split needs a nonempty list of points"),
+        ({"rule": "euler", "samples": 0}, "samples must be positive"),
+        ({"rule": "euler", "samples": -3}, "samples must be positive"),
     ],
+    ids=["fields0", "fields1", "fields2", "fields3"],
 )
-def test_record_built_in_code_that_checks_nothing_is_inconclusive(fields):
-    # catalog_load rejects these; a record built in code skips its checks
+def test_record_built_in_code_that_checks_nothing_fails(fields, message):
+    # a record built in code is compiled on first use, with the checks of
+    # catalog_load, and a record that does not compile fails
     record = IdentityRecord(id="n", kind="transform-rule", **fields)
     entry = verify_identity(record, Precision.of(20))
-    assert entry.verdict == "inconclusive"
-    assert entry.detail.startswith("no check ran")
+    assert entry.verdict == "fail"
+    assert entry.detail == f"CatalogError: record 'n': {message}"
 
 
 def test_retry_reports_the_time_of_both_attempts(monkeypatch):
@@ -383,6 +438,27 @@ def test_retry_reports_the_time_of_both_attempts(monkeypatch):
     assert attempts == [30, 60]
     assert (entry.verdict, entry.digits, entry.precision_digits) == ("pass", 45, 60)
     assert entry.seconds == 3.75
+
+
+# Chu-Vandermonde: 2F1(-3, 1/2; 3/2; 1) = (1)_3 / (3/2)_3 = 16/35
+EXACT_POINT_RECORD = {
+    "id": "cv",
+    "kind": "point-evaluation",
+    "lhs": {"a": "-3", "b": "1/2", "c": "3/2", "z": "1"},
+    "rhs": {"exact_product": {"poch_ratio": {"upper": ["1"], "lower": ["3/2"], "n": "3"}}},
+}
+
+
+def test_point_record_with_exact_product_is_verified_exactly(tmp_path):
+    record = catalog_load(write_catalog(tmp_path, [EXACT_POINT_RECORD]))[0]
+    entry = verify_identity(record, Precision.of(30))
+    assert (entry.verdict, entry.digits) == ("pass", "exact")
+
+    doubled = dict(EXACT_POINT_RECORD["rhs"]["exact_product"], pow_base="2", pow_exp="1")
+    path = write_catalog(tmp_path, [dict(EXACT_POINT_RECORD, rhs={"exact_product": doubled})])
+    entry = verify_identity(catalog_load(path)[0], Precision.of(30))
+    assert entry.verdict == "fail"
+    assert entry.detail == "exact mismatch: 16/35 != 32/35"
 
 
 def test_family_and_split_records_compile_at_load(tmp_path):
