@@ -96,7 +96,6 @@ class CatalogError(ValueError):
 Env = dict[str, Fraction]
 Template = Callable[[Env], Fraction]
 Lhs = Callable[[Env], tuple[HypParams, Fraction]]
-Rhs = Callable[[Env, Precision], BigReal]
 Samples = Callable[[], Sequence[Env]]
 
 # One comparison made while verifying a record: its verdict, the digits to
@@ -237,7 +236,9 @@ def _compile_gamma_expr(
     return lambda env: expr
 
 
-def _compile_exact_product(value, variables: set[str], where: str) -> Template:
+def _compile_exact_product(
+    value, variables: set[str], samples: Samples, where: str
+) -> Template:
     if not isinstance(value, dict):
         raise CatalogError(f"{where}: exact_product must be an object")
     unknown = set(value) - {"pow_base", "pow_exp", "poch_ratio"}
@@ -257,28 +258,32 @@ def _compile_exact_product(value, variables: set[str], where: str) -> Template:
         )
         index = _template(pr["n"], variables, where)
 
-    def exact(env: Env) -> Fraction:
+    def checked(env: Env) -> tuple[Fraction, int, int]:
+        """The base, the exponent and the Pochhammer index at a sample."""
         b, e = base(env), expo(env)
         if e.denominator != 1:
             raise CatalogError(f"{where}: exact_product exponent must be an integer")
         if b == 0 and e < 0:
             raise CatalogError(f"{where}: exact_product divides by zero")
-        out = b ** int(e)
-        if pr is not None:
-            n = index(env)
-            if n.denominator != 1 or n < 0:
-                raise CatalogError(f"{where}: poch_ratio index must be a nonnegative integer")
-            out *= ratio.value(int(n))
-        return out
+        if pr is None:
+            return b, int(e), 0
+        n = index(env)
+        if n.denominator != 1 or n < 0:
+            raise CatalogError(f"{where}: poch_ratio index must be a nonnegative integer")
+        try:
+            ratio.check(int(n))
+        except HyperError as err:
+            raise CatalogError(f"{where}: {err}") from None
+        return b, int(e), int(n)
 
-    if variables:
-        return exact
-    # concrete product: computing it now rejects a bad exponent or index at load
-    try:
-        product = exact({})
-    except HyperError as e:
-        raise CatalogError(f"{where}: {e}") from None
-    return lambda env: product
+    for env in samples():  # a fault at any sample is a catalog error
+        checked(env)
+
+    def exact(env: Env) -> Fraction:
+        b, e, n = checked(env)
+        return b**e if pr is None else b**e * ratio.value(n)
+
+    return exact
 
 
 _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
@@ -286,34 +291,35 @@ _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
 
 @dataclass(frozen=True)
 class CompiledRecord:
-    """A record compiled once: `checks` yields its comparisons at a
-    precision, and `exact` says that they compare exact rationals.  A point
-    or family record also keeps its lhs and rhs templates, as closures over
-    one sample's variables, and `samples`, which returns the samples."""
+    """A record compiled once.  A rule or chain record is its `run`, which
+    yields the record's checks at a precision.  A point or family record
+    keeps its lhs template and exactly one of `rhs` (an enclosure at a
+    precision) and `exact_rhs` (an exact rational), as closures over one
+    sample's variables, and `samples`, which returns the samples."""
 
-    checks: Checks
-    exact: bool = False
+    run: Checks | None = None
     lhs: Lhs | None = None
     samples: Samples | None = None
-    rhs: Rhs | None = None
+    rhs: Callable[[Env, Precision], BigReal] | None = None
+    exact_rhs: Template | None = None
+
+    def checks(self, prec: Precision) -> Iterator[Check]:
+        if self.run is not None:
+            return self.run(prec)
+        return _sample_checks(self, prec)
 
 
 def _compile_record(record: IdentityRecord) -> CompiledRecord:
     where = f"record {record.id!r}"
     if record.kind == "transform-rule":
-        return CompiledRecord(_compile_rule(record, where))
+        return CompiledRecord(run=_compile_rule(record, where))
     if record.kind == "proof-chain":
-        return CompiledRecord(_compile_chain(record, where))
+        return CompiledRecord(run=_compile_chain(record, where))
     if record.kind not in KINDS:
         raise CatalogError(f"{where}: unknown kind {record.kind!r}")
     variables, samples = _compile_samples(record, where)
     lhs = _compile_lhs(record.lhs, variables, where)
-
-    def sampled(rhs=None, exact_rhs=None) -> CompiledRecord:
-        checks = partial(_sample_checks, lhs, samples, rhs, exact_rhs)
-        return CompiledRecord(
-            checks, exact=exact_rhs is not None, lhs=lhs, samples=samples, rhs=rhs
-        )
+    sampled = partial(CompiledRecord, lhs=lhs, samples=samples)
 
     rhs = record.rhs
     if not isinstance(rhs, dict) or len(rhs) != 1:
@@ -347,7 +353,7 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord:
         q = _template(value, variables, where)
         return sampled(rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits))
     if key == "exact_product":
-        return sampled(exact_rhs=_compile_exact_product(value, variables, where))
+        return sampled(exact_rhs=_compile_exact_product(value, variables, samples, where))
     raise CatalogError(f"{where}: unknown rhs kind {key!r}")
 
 
@@ -425,13 +431,10 @@ def _parse_record(data: dict, index: int) -> IdentityRecord:
             )
 
     b_values = None
-    if kind == "proof-chain":
-        if not isinstance(data.get("chain"), str):
-            raise CatalogError(f"{where}: proof-chain needs a chain name")
-        if data.get("b") is not None:
-            if not isinstance(data["b"], list):
-                raise CatalogError(f"{where}: b must be a list of rationals")
-            b_values = tuple(_rational(x, f"{where} b") for x in data["b"])
+    if kind == "proof-chain" and data.get("b") is not None:
+        if not isinstance(data["b"], list):
+            raise CatalogError(f"{where}: b must be a list of rationals")
+        b_values = tuple(_rational(x, f"{where} b") for x in data["b"])
 
     record = IdentityRecord(
         id=rid,
@@ -704,14 +707,12 @@ def _fold(checks: Iterable[Check]) -> Check:
     return Verdict.worst(verdicts), min(digits, default=None), "", None, None
 
 
-def _sample_checks(
-    lhs: Lhs, samples: Samples, rhs: Rhs | None, exact_rhs: Template | None, prec: Precision
-) -> Iterator[Check]:
-    for env in samples():
+def _sample_checks(compiled: CompiledRecord, prec: Precision) -> Iterator[Check]:
+    for env in compiled.samples():
         at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
-        p, z = lhs(env)
-        if exact_rhs is not None:
-            got, want = f21_terminating(p, z), exact_rhs(env)
+        p, z = compiled.lhs(env)
+        if compiled.exact_rhs is not None:
+            got, want = f21_terminating(p, z), compiled.exact_rhs(env)
             if got == want:
                 yield Verdict.EQUAL, None, "", None, None
             else:
@@ -720,7 +721,7 @@ def _sample_checks(
                 yield Verdict.DISTINCT, None, detail, None, None
             continue
         lhs_val = f21_eval(p, z, prec)
-        rhs_val = rhs(env, prec)
+        rhs_val = compiled.rhs(env, prec)
         yield (
             num_equal(lhs_val, rhs_val, prec),
             achieved_digits(lhs_val, rhs_val),
@@ -730,34 +731,24 @@ def _sample_checks(
         )
 
 
-def _euler_params(rng: random.Random) -> HypParams:
-    a, b = Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4)
-    return HypParams(a, b, Fraction(rng.randint(1, 12), 4))
-
-
-def _quadratic_c_2b_params(rng: random.Random) -> HypParams:
-    b = Fraction(rng.randint(1, 12), 8)
-    return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
-
-
-def _quadratic_mean_params(rng: random.Random) -> HypParams:
-    a = Fraction(rng.randint(1, 10), 8)
-    b = Fraction(rng.randint(1, 10), 8)
-    return HypParams(a, b, (a + b + 1) / 2)
-
-
-def _cubic_params(rng: random.Random) -> HypParams:
-    a = Fraction(rng.randint(1, 12), 16)
-    return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
-
-
-# the parameters of a soundness sample, for each rule of RULES
-_RULE_PARAMS: dict[str, Callable[[random.Random], HypParams]] = {
-    "euler": _euler_params,
-    "quadratic-c-2b": _quadratic_c_2b_params,
-    "quadratic-mean": _quadratic_mean_params,
-    "cubic": _cubic_params,
-}
+def _rule_sample_params(rule_name: str, rng: random.Random) -> HypParams:
+    if rule_name == "euler":
+        return HypParams(
+            Fraction(rng.randint(-8, 8), 4),
+            Fraction(rng.randint(-8, 8), 4),
+            Fraction(rng.randint(1, 12), 4),
+        )
+    if rule_name == "quadratic-c-2b":
+        b = Fraction(rng.randint(1, 12), 8)
+        return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
+    if rule_name == "quadratic-mean":
+        a = Fraction(rng.randint(1, 10), 8)
+        b = Fraction(rng.randint(1, 10), 8)
+        return HypParams(a, b, (a + b + 1) / 2)
+    if rule_name == "cubic":
+        a = Fraction(rng.randint(1, 12), 16)
+        return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
+    raise CatalogError(f"no parameter sampler for rule {rule_name!r}")
 
 
 def _split_checks(
@@ -776,7 +767,7 @@ def _rule_checks(name: str, samples: int, seed: int, prec: Precision) -> Iterato
         w = lo + (hi - lo) * Fraction(rng.randint(1, 79), 80)
         if w == 0:
             continue
-        p = _RULE_PARAMS[name](rng)
+        p = _rule_sample_params(name, rng)
         out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
         lhs_val = f21_eval(p, w, prec)
         rhs_val = out.evaluate(w, prec)
@@ -798,7 +789,7 @@ def _compile_rule(record: IdentityRecord, where: str) -> Checks:
         if not record.points:
             raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
         return partial(_split_checks, record.points)
-    if record.rule not in _RULE_PARAMS:
+    if record.rule not in RULES:
         raise CatalogError(f"{where}: unknown transform rule {record.rule!r}")
     return partial(_rule_checks, record.rule, record.samples or 20, record.seed or 0)
 
@@ -835,7 +826,7 @@ def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
             record.id, "fail", None, time.perf_counter() - start,
             prec.target_digits, detail=f"{type(e).__name__}: {e}",
         )
-    if compiled.exact:
+    if compiled.exact_rhs is not None:
         digits = "exact"
     return ReportEntry(
         record.id,

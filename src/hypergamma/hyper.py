@@ -108,12 +108,16 @@ class PochRatio:
         object.__setattr__(self, "upper", tuple(Fraction(u) for u in self.upper))
         object.__setattr__(self, "lower", tuple(Fraction(l) for l in self.lower))
 
-    def value(self, n: int) -> Fraction:
+    def check(self, n: int) -> None:
+        """Raise ParamsError if a lower entry hits a pole within (x)_n."""
         for l in self.lower:
             if l.denominator == 1 and -n < l <= 0:
                 raise ParamsError(
                     f"lower entry {rational_str(l)} hits a pole within (x)_{n}"
                 )
+
+    def value(self, n: int) -> Fraction:
+        self.check(n)
         num = Fraction(1)
         for u in self.upper:
             num *= pochhammer(u, n)

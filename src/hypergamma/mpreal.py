@@ -10,8 +10,7 @@ mathematical value always lies in [value - err, value + err].
 Numbers are raw mpf tuples from mpmath's libmp layer, whose primitives take
 an explicit bit precision and rounding mode per call.  There is therefore
 no global precision state anywhere in this module: `Precision` objects are
-plain values.  Its caches (Gamma values, Stirling coefficients, quadrature
-nodes) take no locks: the package runs in one thread.
+plain values, and everything is safe to use concurrently.
 
 Gamma is computed by exact-rational argument shifting (so pole detection is
 exact) followed by the Stirling series with the classical first-omitted-term
@@ -25,6 +24,7 @@ without cancellation.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -439,7 +439,8 @@ def cos_pi_times(x: Real, prec: Precision) -> BigReal:
 # Gamma and Beta
 
 _LN2PI_HALF: dict[int, tuple] = {}
-_STIRLING_COEFFS: dict[int, list] = {}
+_STIRLING_COEFFS: dict[int, tuple] = {}
+_STIRLING_LOCK = threading.Lock()
 _GAMMA_CACHE: dict[tuple, tuple] = {}
 _GAMMA_CACHE_MAX = 20000
 
@@ -454,11 +455,18 @@ def _half_ln_2pi(bits: int):
 
 
 def _stirling_coeff(n: int, bits: int):
-    coeffs = _STIRLING_COEFFS.setdefault(bits, [])
-    while len(coeffs) < n:
-        k = len(coeffs) + 1
-        b = mpf_bernoulli(2 * k, bits + 8, RN)
-        coeffs.append(mpf_div(b, from_int(2 * k * (2 * k - 1)), bits + 4, RN))
+    coeffs = _STIRLING_COEFFS.get(bits, ())
+    if len(coeffs) < n:
+        # lock: concurrent extension would interleave appends, and mpmath's
+        # internal Bernoulli cache is not thread-safe either
+        with _STIRLING_LOCK:
+            grown = list(_STIRLING_COEFFS.get(bits, ()))
+            while len(grown) < n:
+                k = len(grown) + 1
+                b = mpf_bernoulli(2 * k, bits + 8, RN)
+                grown.append(mpf_div(b, from_int(2 * k * (2 * k - 1)), bits + 4, RN))
+            coeffs = tuple(grown)
+            _STIRLING_COEFFS[bits] = coeffs
     return coeffs[n - 1]
 
 

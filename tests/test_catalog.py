@@ -369,6 +369,17 @@ BAD_INPUTS = {
         POINT_RECORD,
         rhs={"exact_product": {"poch_ratio": {"upper": 5, "lower": [], "n": "1"}}},
     ),
+    "grid-exact-exponent-not-integer": dict(
+        FAMILY_RECORD, rhs={"exact_product": {"pow_base": "2", "pow_exp": "n/2"}}
+    ),
+    "grid-exact-poch-index-negative": dict(
+        FAMILY_RECORD,
+        rhs={"exact_product": {"poch_ratio": {"upper": ["1"], "lower": ["3/2"], "n": "n-1"}}},
+    ),
+    "point-exact-poch-pole": dict(
+        POINT_RECORD,
+        rhs={"exact_product": {"poch_ratio": {"upper": ["1"], "lower": ["-1"], "n": "3"}}},
+    ),
     "point-exact-zero-to-negative-power": dict(
         POINT_RECORD, rhs={"exact_product": {"pow_base": "0", "pow_exp": "-1"}}
     ),
