@@ -563,8 +563,8 @@ def _compile_samples(record: IdentityRecord, where: str) -> tuple[set[str], Samp
     """The variables of a record and a function that returns its samples:
     one empty sample for a point record, the grid's cross product (expanded
     here, so a bad or empty grid is rejected at load), or the named
-    sampler's draws (made when the record is verified, after the count is
-    checked here)."""
+    sampler's draws (made each time the function is called, after the count
+    is checked here)."""
     if record.kind != "parametric-family":
         return set(), lambda: ({},)
     params = record.parameters
