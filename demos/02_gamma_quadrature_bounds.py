@@ -12,9 +12,10 @@ from hypergamma import Precision, beta, gamma, num_equal, pi_value, tanh_sinh_in
 
 prec = Precision.of(60)
 
-print("Gamma at rational arguments (argument shifts are exact rationals,")
-print("so poles are detected exactly; the Stirling tail is bounded by the")
-print("first omitted term):")
+print("Gamma at rational arguments (the shift to (0, 1] is an exact rational")
+print("Pochhammer product, so poles are detected exactly; the incomplete-gamma")
+print("series is summed in fixed point and the dropped Gamma(y, N) is bounded")
+print("by N^(y-1) e^(-N)):")
 for x in (F(1, 2), F(1, 8), F(5, 8), F(-5, 2)):
     print(f"  Gamma({str(x):>4s}) = {gamma(x, prec).to_decimal(40)}")
 

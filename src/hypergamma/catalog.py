@@ -172,6 +172,8 @@ def _template(text, variables: set[str], where: str) -> Template:
 def _rational(value, where: str) -> Fraction:
     if isinstance(value, bool):  # rational(True) would be 1
         raise CatalogError(f"{where}: {value!r} is not a number")
+    if isinstance(value, float):  # rational(0.1) would be its binary value
+        raise CatalogError(f"{where}: float {value!r} is not exact; write it as \"p/q\"")
     try:
         return rational(value)
     except (TypeError, ValueError, ZeroDivisionError):
@@ -788,9 +790,13 @@ def _compile_rule(record: IdentityRecord, where: str) -> Checks:
     if record.rule == "zj-split":
         if not record.points:
             raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
+        if record.samples is not None or record.seed is not None:
+            raise CatalogError(f"{where}: zj-split checks its points; samples and seed are unused")
         return partial(_split_checks, record.points)
     if record.rule not in RULES:
         raise CatalogError(f"{where}: unknown transform rule {record.rule!r}")
+    if record.points is not None:
+        raise CatalogError(f"{where}: rule {record.rule!r} is sampled; points are unused")
     return partial(_rule_checks, record.rule, record.samples or 20, record.seed or 0)
 
 
@@ -808,6 +814,8 @@ def _gosper_proof_checks(b_values: Sequence[Fraction], prec: Precision) -> Itera
 
 def _compile_chain(record: IdentityRecord, where: str) -> Checks:
     if record.chain == "main-derivation":
+        if record.b_values is not None:
+            raise CatalogError(f"{where}: main-derivation takes no b")
         return _main_derivation_checks
     if record.chain == "gosper-proof":
         if record.b_values is not None and not record.b_values:

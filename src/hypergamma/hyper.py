@@ -4,7 +4,8 @@ Three evaluation routes; `f21_eval` takes exactly one of them per input:
 
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
   nonpositive integer;
-* `f21_series` - direct summation for |z| < 1 in fixed point: Python
+* `f21_series` - direct summation for |z| < 1 in fixed point by
+  `mpreal.fixed_point_sum`, the series kernel that Gamma also uses: Python
   integers scaled by 2^wb, with an integer ulp bound (at most 1 ulp per
   floor division, propagated through the term ratio, plus a radius term
   for a BigReal z) and a rigorous geometric tail bound;
@@ -34,6 +35,7 @@ from .mpreal import (
     RU,
     BigReal,
     Precision,
+    fixed_point_sum,
     gamma,
     tanh_sinh_integrate,
 )
@@ -152,60 +154,6 @@ def _center_radius(z: RealArg) -> tuple[int, int, int]:
     return -center if sign else center, 1 << k, eman << (eexp + k)
 
 
-def _fixed_point_sum(
-    p: HypParams, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int
-) -> tuple[int, int, int]:
-    """The 2F1 series at z in [(u - D)/v, (u + D)/v] in integers scaled by
-    2^wb: (S, err, top), with |S - 2^wb F| <= err and top the bit length of
-    the largest term."""
-    a, b, c = p.a, p.b, p.c
-    ad, bd, cd = a.denominator, b.denominator, c.denominator
-    # (a+n)(b+n)/((c+n)(n+1)) = A B cd / (C N ad bd), stepped with n
-    A, B, C, N = a.numerator, b.numerator, c.numerator, 1
-    abs_u_D = abs(u) + D
-    # tail ratio bound rho(n) = zb (n+|a|)(n+|b|)/(n(n-|c|)), zb = (|u|+D)/v
-    aa, ba, ca = abs(a.numerator), abs(b.numerator), abs(c.numerator)
-    n0 = 2 * math.ceil(max(abs(a), abs(b), abs(c), 1)) + 8
-
-    T = S = 1 << wb
-    E = E_sum = 0
-    top = wb + 1
-    n = 0
-    while True:
-        Pr = A * B * cd
-        if Pr == 0:
-            return S, E_sum + 1, top  # terminating series: sum is complete
-        Qr = C * N * ad * bd
-        if Qr < 0:
-            Pr, Qr = -Pr, -Qr
-        Q = Qr * v
-        PD = abs(Pr) * D
-        E = -(-(abs(T) * PD + E * (abs(Pr) * abs_u_D)) // Q) + 1
-        T = T * (Pr * u) // Q
-        S += T
-        E_sum += E
-        if T.bit_length() > top:
-            top = T.bit_length()
-        n += 1
-        A += ad
-        B += bd
-        C += cd
-        N += 1
-        if n >= n0 and n % 32 == 0:
-            rn = abs_u_D * (n * ad + aa) * (n * bd + ba) * cd
-            rd = v * n * (n * cd - ca) * ad * bd
-            if rd > rn:
-                tail = -(-(abs(T) + E) * rn // (rd - rn))
-                # below the target, or below the rounding already made
-                if tail << pwb <= abs(S) or tail <= E_sum:
-                    return S, E_sum + 1 + tail, top
-        if n > term_cap:
-            raise SeriesTermCapError(
-                f"series tail bound not reached within {term_cap} terms "
-                f"(argument {rational_str(Fraction(abs_u_D, v))} too close to 1?)"
-            )
-
-
 def f21_series(
     p: HypParams,
     z: RealArg,
@@ -214,24 +162,13 @@ def f21_series(
 ) -> BigReal:
     """Partial sum of the 2F1 series with a geometric tail bound.
 
-    The sum is carried in fixed point, in integers scaled by 2^wb: the terms
-    are T <- floor(T P / Q), with P/Q = (a+n)(b+n)z/((c+n)(n+1)) in integers
-    and Q > 0, and S <- S + T.  Each floor division costs at most 1 ulp, so
-    an integer bound E on the error of T, in ulps, propagates as
-    E <- ceil(E |P| / Q) + 1.  A BigReal z enters as a dyadic center u/v
-    with an integer radius D/v, which adds the radius term:
-    E <- ceil(((|T| + E) D + |u| E) |P'| / (Q' v)) + 1, with P'/Q' the
-    parameter part of the ratio.  The result's error is the sum of the E
-    plus 1 ulp, plus a geometric tail bound on the true terms from
-    (|T| + E).
-
-    The tail is tested every 32 terms once the ratio bound is below 1; the
-    sum stops when the tail bound is below 2^(-work_bits) of the partial
-    sum (or below the rounding bound already accrued), or when the series
-    terminates.  A sum that cancels, with terms larger than itself (and
-    than 1), is summed once more with the lost bits added to wb.  Raises
-    SeriesTermCapError when the cap is hit first, which signals an
-    argument too close to 1.
+    The sum is `fixed_point_sum` over (a, b; c): Python integers scaled by
+    2^wb, with an integer ulp bound, a radius term for a BigReal z and a
+    geometric tail bound, stopping once the tail is below 2^(-work_bits) of
+    the partial sum.  A sum that cancels, with terms larger than itself
+    (and than 1), is summed once more with the lost bits added to wb.
+    Raises SeriesTermCapError when term_cap terms pass first, which
+    signals an argument too close to 1.
     """
     p.validate()
     u, v, D = _center_radius(z)
@@ -247,12 +184,22 @@ def f21_series(
     else:
         n_est = int((prec.target_digits + 15) * math.log(10) / -math.log(zb)) + 16
     wb = prec.work_bits + max(16, n_est.bit_length() + 6)
-    S, err, top = _fixed_point_sum(p, u, v, D, wb, prec.work_bits, term_cap)
+
+    def summed(wb: int) -> tuple[int, int, int]:
+        out = fixed_point_sum((p.a, p.b), (p.c,), u, v, D, wb, prec.work_bits, term_cap)
+        if out is None:
+            raise SeriesTermCapError(
+                f"series tail bound not reached within {term_cap} terms "
+                f"(argument {rational_str(zb)} too close to 1?)"
+            )
+        return out
+
+    S, err, top = summed(wb)
     scale = max(abs(S), 1 << wb)
     lost = top - scale.bit_length()
     if lost > 0 and err << prec.work_bits > scale:
         wb += lost
-        S, err, _ = _fixed_point_sum(p, u, v, D, wb, prec.work_bits, term_cap)
+        S, err, _ = summed(wb)
     return BigReal(
         from_man_exp(S, -wb), from_man_exp(err, -wb, ERR_BITS, RU), prec.work_bits
     )

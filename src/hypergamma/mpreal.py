@@ -1,5 +1,5 @@
-"""Arbitrary-precision reals with tracked error bounds, Gamma/Beta, and
-tanh-sinh quadrature.
+"""Arbitrary-precision reals with tracked error bounds, the fixed-point
+hypergeometric series kernel, Gamma/Beta, and tanh-sinh quadrature.
 
 A `BigReal` carries a floating value at some working bit precision together
 with a bound on its absolute error; every operation propagates the bound
@@ -12,19 +12,21 @@ an explicit bit precision and rounding mode per call.  There is therefore
 no global precision state anywhere in this module: `Precision` objects are
 plain values, and everything is safe to use concurrently.
 
-Gamma is computed by exact-rational argument shifting (so pole detection is
-exact) followed by the Stirling series with the classical first-omitted-term
-remainder bound, valid for real positive arguments; arguments below 1/2 go
-through the reflection formula.  The quadrature is standard tanh-sinh with
-per-level node caching; integrands receive the distances to both endpoints
-at full relative precision so endpoint-singular factors can be evaluated
-without cancellation.
+`fixed_point_sum` is the one series summation loop of the package: a pFq
+series with rational parameters, summed in Python integers scaled by 2^wb
+with an integer ulp bound and a geometric tail bound.  `hyper.f21_series`
+and `gamma` both call it.  Gamma is computed by an exact-rational
+Pochhammer reduction of the argument to (0, 1] (so pole detection is exact)
+followed by the incomplete-gamma series 1F1(1; y+1; N), with a bound on
+the dropped upper incomplete gamma Gamma(y, N).  The quadrature is
+standard tanh-sinh with per-level node caching; integrands receive the
+distances to both endpoints at full relative precision so endpoint-singular
+factors can be evaluated without cancellation.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
@@ -39,7 +41,6 @@ from mpmath.libmp import (
     mpf_abs,
     mpf_add,
     mpf_asin,
-    mpf_bernoulli,
     mpf_cmp,
     mpf_cosh_sinh,
     mpf_div,
@@ -356,10 +357,8 @@ def exp(x: Real, prec: Precision | None = None) -> BigReal:
     bits = prec.work_bits if prec else x.bits
     x = BigReal.lift(x, bits)
     val = mpf_exp(x.val, bits, RN)
-    if x.err == fzero:
-        growth = fzero
-    else:
-        growth = mpf_sub(mpf_exp(x.err, ERR_BITS, RU), fone, ERR_BITS, RU)
+    # e^eps - 1 <= eps e^eps; e^eps - 1 rounded at ERR_BITS would floor at 2^-31
+    growth = _emul(x.err, mpf_exp(x.err, ERR_BITS, RU))
     err = _eadd(_emul(_abs_hi(val, fzero), growth), _ulp(val, bits, 3))
     return BigReal(val, err, bits)
 
@@ -436,118 +435,146 @@ def cos_pi_times(x: Real, prec: Precision) -> BigReal:
 
 
 # ---------------------------------------------------------------------------
+# fixed-point hypergeometric series
+
+
+def _differences(pairs, const: int) -> tuple[int, int, int, int]:
+    """Forward differences at n = 0 of const * prod(num + den n) over the
+    (num, den) pairs, a polynomial of degree at most 3 in n: adding each
+    difference to the one before it steps the polynomial to n + 1."""
+    f = []
+    for n in range(4):
+        value = const
+        for num, den in pairs:
+            value *= num + den * n
+        f.append(value)
+    return f[0], f[1] - f[0], f[2] - 2 * f[1] + f[0], f[3] - 3 * f[2] + 3 * f[1] - f[0]
+
+
+def fixed_point_sum(
+    upper, lower, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int | None = None
+) -> tuple[int, int, int] | None:
+    """The series pFq(upper; lower; z) = sum_n prod (a)_n / prod (b)_n z^n / n!
+    for rational parameters, p <= q + 1 <= 3, at z in [(u - D)/v, (u + D)/v],
+    v > 0, in integers scaled by 2^wb.
+
+    Returns (S, err, top) with |S - 2^wb F| <= err and top the bit length
+    of the largest term, or None if term_cap terms pass before the tail
+    bound is met.  The terms are T <- floor(T P u / (Q v)), with P/Q the
+    parameter part of the term ratio in integers and Q > 0, and S <- S + T.
+    Each floor division costs at most 1 ulp, so an integer bound E on the
+    error of T, in ulps, propagates as E <- ceil(E |P| / Q) + 1; a nonzero
+    radius D adds the term ceil(((|T| + E) D + |u| E) |P| / (Q v)).  The
+    error is the sum of the E plus 1 ulp, plus a geometric tail bound on
+    the true terms from (|T| + E).
+
+    The tail is tested every 32 terms once the ratio bound
+    ((|u| + D)/v) prod(n + |a|) / (n prod(n - |b|)), which decreases in n
+    past max|param|, is below 1; the sum stops when the tail bound is below
+    2^(-pwb) of the partial sum (or below the rounding bound already
+    accrued), or when an upper parameter makes the series terminate.
+    """
+    if not len(upper) <= len(lower) + 1 <= 3:
+        raise ValueError("fixed_point_sum needs p <= q + 1 <= 3 parameters")
+    up = [(a.numerator, a.denominator) for a in upper]
+    lo = [(b.numerator, b.denominator) for b in lower]
+    ad = math.prod(den for _, den in up)
+    bd = math.prod(den for _, den in lo)
+    # term ratio prod(a+n) z / (prod(b+n) (n+1)) = P(n) z / Q(n), stepped
+    # with n by forward differences
+    P, P1, P2, P3 = _differences(up, bd)
+    Q, Q1, Q2, Q3 = _differences(lo + [(1, 1)], ad)
+    abs_u_D = abs(u) + D
+    n0 = 2 * max([-(-abs(num) // den) for num, den in up + lo] + [1]) + 8
+
+    T = S = 1 << wb
+    E = E_sum = 0
+    top = wb + 1
+    n = 0
+    while True:
+        if P == 0:
+            return S, E_sum + 1, top  # terminating series: sum is complete
+        if Q > 0:
+            Pr, Qr = P, Q * v
+        else:
+            Pr, Qr = -P, -Q * v
+        PD = abs(Pr) * D
+        E = -(-(abs(T) * PD + E * (abs(Pr) * abs_u_D)) // Qr) + 1
+        T = T * (Pr * u) // Qr
+        S += T
+        E_sum += E
+        if T.bit_length() > top:
+            top = T.bit_length()
+        n += 1
+        P += P1
+        P1 += P2
+        P2 += P3
+        Q += Q1
+        Q1 += Q2
+        Q2 += Q3
+        if n >= n0 and n % 32 == 0:
+            rn = abs_u_D * bd * math.prod(n * den + abs(num) for num, den in up)
+            rd = v * n * ad * math.prod(n * den - abs(num) for num, den in lo)
+            if rd > rn:
+                tail = -(-(abs(T) + E) * rn // (rd - rn))
+                # below the target, or below the rounding already made
+                if tail << pwb <= abs(S) or tail <= E_sum:
+                    return S, E_sum + 1 + tail, top
+        if n == term_cap:
+            return None
+
+
+# ---------------------------------------------------------------------------
 # Gamma and Beta
 
-_LN2PI_HALF: dict[int, tuple] = {}
-_STIRLING_COEFFS: dict[int, tuple] = {}
-_STIRLING_LOCK = threading.Lock()
-_GAMMA_CACHE: dict[tuple, tuple] = {}
+_GAMMA_CACHE: dict[tuple, BigReal] = {}
 _GAMMA_CACHE_MAX = 20000
 
 
-def _half_ln_2pi(bits: int):
-    v = _LN2PI_HALF.get(bits)
-    if v is None:
-        two_pi = mpf_shift(mpf_pi(bits + 8, RN), 1)
-        v = mpf_shift(mpf_log(two_pi, bits + 4, RN), -1)
-        _LN2PI_HALF[bits] = v
-    return v
-
-
-def _stirling_coeff(n: int, bits: int):
-    coeffs = _STIRLING_COEFFS.get(bits, ())
-    if len(coeffs) < n:
-        # lock: concurrent extension would interleave appends, and mpmath's
-        # internal Bernoulli cache is not thread-safe either
-        with _STIRLING_LOCK:
-            grown = list(_STIRLING_COEFFS.get(bits, ()))
-            while len(grown) < n:
-                k = len(grown) + 1
-                b = mpf_bernoulli(2 * k, bits + 8, RN)
-                grown.append(mpf_div(b, from_int(2 * k * (2 * k - 1)), bits + 4, RN))
-            coeffs = tuple(grown)
-            _STIRLING_COEFFS[bits] = coeffs
-    return coeffs[n - 1]
-
-
-def _min_stirling_z(bits: int) -> int:
-    # e^(-2 pi z) below 2^-(bits+48) makes the smallest Stirling term
-    # clear the stopping threshold before the series turns.
-    return int((bits + 48) * 0.110318) + 4
-
-
-def _lngamma_stirling(w, bits: int):
-    """ln Gamma(w) for an mpf w >= _min_stirling_z(bits); returns (val, err)."""
-    L = mpf_log(w, bits, RN)
-    acc = mpf_mul(mpf_sub(w, from_man_exp(1, -1), bits, RN), L, bits, RN)
-    acc = mpf_sub(acc, w, bits, RN)
-    acc = mpf_add(acc, _half_ln_2pi(bits), bits, RN)
-    inv2 = mpf_div(fone, mpf_mul(w, w, bits, RN), bits, RN)
-    t = mpf_div(fone, w, bits, RN)
-    thresh = mpf_shift(mpf_abs(acc), -(bits + 8))
-    n = 1
-    while True:
-        term = mpf_mul(_stirling_coeff(n, bits), t, bits, RN)
-        acc = mpf_add(acc, term, bits, RN)
-        if mpf_cmp(mpf_abs(term), thresh) <= 0:
-            remainder = mpf_abs(term)
-            break
-        t = mpf_mul(t, inv2, bits, RN)
-        n += 1
-        if n > 8 * _min_stirling_z(bits):
-            raise MPRealError("Stirling series failed to reach threshold")
-    mag = _eadd(mpf_abs(acc), mpf_abs(mpf_mul(w, L, ERR_BITS, RU)))
-    rounding = _emul(_emul(from_int(4 * n + 32), mag), _pow2(-bits))
-    return acc, _eadd(remainder, rounding)
-
-
-def _gamma_positive_rational(x: Fraction, bits: int) -> BigReal:
-    """Gamma at rational x >= 1/2 via exact shift + Stirling."""
-    z0 = _min_stirling_z(bits)
-    m = max(0, math.ceil(z0 - x))
-    w_rat = x + m
-    w = from_rational(w_rat.numerator, w_rat.denominator, bits, RN)
-    ln_val, ln_err = _lngamma_stirling(w, bits)
-    # representation error of w feeds through psi(w) < ln(w) + 1
-    ln_err = _eadd(ln_err, _emul(_ulp(w, bits, 1), _eadd(mpf_abs(mpf_log(w, ERR_BITS, RU)), fone)))
-    g = mpf_exp(ln_val, bits, RN)
-    err = _eadd(_emul(mpf_abs(g), ln_err), _ulp(g, bits, 3))
-    big = BigReal(g, err, bits)
-    if m == 0:
-        return big
-    shift = Fraction(1)
-    for k in range(m):
-        shift *= x + k
-    return big / BigReal.from_fraction(shift, bits)
+def _gamma_unit(y: Fraction, wb: int) -> BigReal:
+    """Gamma(y) for rational 0 < y <= 1 at wb bits, as
+    gamma(y, N) + Gamma(y, N) with N = ceil((wb + 8) / 1.4426), just above
+    (wb + 8) ln 2: gamma(y, N) = N^y e^(-N) / y * 1F1(1; y+1; N)
+    (DLMF 8.7.1) is a series of positive terms, and
+    0 < Gamma(y, N) <= N^(y-1) e^(-N) <= 2^-(wb+8) (DLMF 8.10.1), which
+    enters as [0, 2^-floor(1.4426 N)]."""
+    # e^-N = 2^-(N log2 e) <= 2^-floor(1.4426 N) <= 2^-(wb+8), as log2 e > 1.4426
+    N = -(-(wb + 8) * 10000 // 14426)
+    kwb = wb + N.bit_length() + 8
+    S, err, _ = fixed_point_sum((1,), (y + 1,), N, 1, 0, kwb, wb)
+    series = BigReal(from_man_exp(S, -kwb), from_man_exp(err, -kwb, ERR_BITS, RU), wb)
+    pref = exp(log(BigReal.from_int(N, wb)) * y - N) / y
+    half_tail = _pow2(-(14426 * N // 10000) - 1)
+    return pref * series + BigReal(half_tail, half_tail, wb)
 
 
 def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
     """Gamma(x); x must not be zero or a negative integer.
 
-    Rational arguments are shifted with exact rational arithmetic before the
-    asymptotic series, so poles are detected exactly.  The returned bound
-    satisfies err <= 2^(-work_bits+8) * |Gamma(x)|.
+    x is reduced to y in (0, 1] with exact rational arithmetic, so poles
+    are detected exactly: Gamma(x) = (y)_m Gamma(y) for x > 1 and
+    Gamma(y) / (x)_m for x <= 0, with m = |x - y|.  Gamma(y) is the
+    incomplete-gamma series of `_gamma_unit`, summed by `fixed_point_sum`
+    and cached per (y, bits).  The returned bound satisfies
+    err <= 2^(-work_bits+8) * |Gamma(x)|.
     """
     wb = prec.work_bits + 32
     x = Fraction(x)
     if x.denominator == 1 and x <= 0:
         raise GammaPoleError(f"gamma pole at {x}")
-    key = (x.numerator, x.denominator, wb)
-    hit = _GAMMA_CACHE.get(key)
-    if hit is not None:
-        return BigReal(hit[0], hit[1], prec.work_bits)
-    if x >= Fraction(1, 2):
-        out = _gamma_positive_rational(x, wb)
-    else:
-        # reflection: Gamma(x) = pi / (sin(pi x) * Gamma(1 - x))
-        inner = Precision(prec.target_digits, wb)
-        s = sin_pi_times(x, inner)
-        g1 = _gamma_positive_rational(1 - x, wb)
-        out = pi_value(inner) / (s * g1)
-    if len(_GAMMA_CACHE) > _GAMMA_CACHE_MAX:
-        _GAMMA_CACHE.clear()
-    _GAMMA_CACHE[key] = (out.val, out.err)
-    return BigReal(out.val, out.err, prec.work_bits)
+    m = math.ceil(x) - 1
+    y = x - m
+    key = (y, wb)
+    g = _GAMMA_CACHE.get(key)
+    if g is None:
+        if len(_GAMMA_CACHE) > _GAMMA_CACHE_MAX:
+            _GAMMA_CACHE.clear()
+        g = _GAMMA_CACHE[key] = _gamma_unit(y, wb)
+    if m > 0:
+        g = g * math.prod((y + j for j in range(m)), start=Fraction(1))
+    elif m < 0:
+        g = g / math.prod((x + j for j in range(-m)), start=Fraction(1))
+    return BigReal(g.val, g.err, prec.work_bits)
 
 
 def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:

@@ -391,6 +391,23 @@ BAD_INPUTS = {
         lhs={"a": "a", "b": "b", "c": "c", "z": "1"},
         parameters={"vars": ["a", "b", "c"], "sampler": ["gauss"]},
     ),
+    # a JSON float would be read at its binary value (0.1 = 3602879701896397/2^55)
+    "chain-b-float": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": [0.1]},
+    "grid-value-float": dict(
+        FAMILY_RECORD, parameters={"vars": ["n"], "grid": {"n": [0, 0.5]}}
+    ),
+    "split-point-float": dict(SPLIT_RECORD, points=[{"a": "1/4", "b": 0.25, "z": "1/4"}]),
+    "poch-ratio-entry-float": dict(
+        POINT_RECORD,
+        rhs={"exact_product": {"poch_ratio": {"upper": [0.5], "lower": ["3/2"], "n": "1"}}},
+    ),
+    # fields the record's strategy would ignore
+    "main-derivation-b": {
+        "id": "g", "kind": "proof-chain", "chain": "main-derivation", "b": ["5/8"],
+    },
+    "sampled-rule-points": dict(RULE_RECORD, points=SPLIT_RECORD["points"]),
+    "split-samples": dict(SPLIT_RECORD, samples=5),
+    "split-seed": dict(SPLIT_RECORD, seed=1),
 }
 
 

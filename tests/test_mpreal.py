@@ -6,6 +6,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from helpers import as_mpf, assert_encloses, mpf_of_fraction
@@ -133,6 +135,13 @@ class TestElementary:
         x = BigReal.from_fraction(F(17, 5), P50.work_bits)
         assert_encloses(exp(log(x)), mpf_of_fraction(F(17, 5)), "exp(log(x))")
 
+    def test_exp_of_inexact_argument_keeps_precision(self):
+        # the growth term e^eps - 1 must not floor at the 32-bit error precision
+        for prec in (P50, Precision.of(300)):
+            y = exp(log(BigReal.from_fraction(F(17, 5), prec.work_bits)))
+            rel = as_mpf(y.err) / abs(as_mpf(y.val))
+            assert rel <= mp.mpf(2) ** (-prec.work_bits + 8), (prec, rel)
+
     def test_elementary_dispatch_and_domains(self):
         assert_encloses(sqrt(F(1, 4), P50), mp.mpf(1) / 2, "sqrt")
         with pytest.raises(DomainError):
@@ -190,8 +199,8 @@ class TestGamma:
             assert abs(as_mpf(hi.val) - as_mpf(lo.val)) <= as_mpf(lo.err)
 
     def test_concurrent_use_from_cold_caches(self):
-        # unusual digit count so the Stirling coefficient cache for this
-        # working precision is built under contention
+        # unusual digit count so the Gamma cache for this working precision
+        # starts cold and is filled from 8 threads at once
         from concurrent.futures import ThreadPoolExecutor
 
         prec = Precision.of(73, expected_terms=777)
@@ -203,6 +212,26 @@ class TestGamma:
 
 
 class TestGammaProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        p=st.integers(-400, 400),
+        q=st.integers(1, 64),
+        digits=st.one_of(st.integers(20, 300), st.just(1000)),
+    )
+    def test_enclosure_and_radius_at_rationals(self, p, q, digits):
+        """Gamma(p/q) holds mpmath's value at +50 digits, and its relative
+        radius meets the 2^(-work_bits+8) contract.  A few draws run at 1000
+        digits, where the incomplete-gamma series is longest."""
+        x = F(p, q)
+        assume(not (x.denominator == 1 and x <= 0))
+        prec = Precision.of(digits)
+        with mp.workdps(digits + 50):
+            g = gamma(x, prec)
+            want = mp.gamma(mp.mpf(x.numerator) / x.denominator)
+            val, err = as_mpf(g.val), as_mpf(g.err)
+            assert abs(val - want) <= err, (x, digits)
+            assert err <= abs(val) * mp.mpf(2) ** (-prec.work_bits + 8), (x, digits)
+
     def test_reflection_200_samples(self):
         rng = random.Random(42)
         pi = pi_value(P50)
