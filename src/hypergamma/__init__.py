@@ -8,7 +8,6 @@ from .gammaexpr import (
     Verdict,
     achieved_digits,
     ge_eval,
-    ge_reflect,
     num_equal,
 )
 from .hyper import (
@@ -63,7 +62,7 @@ __all__ = [
     # exact
     "Poly", "RatFunc", "Rational", "rational", "rational_str",
     # gammaexpr
-    "GammaExpr", "Verdict", "achieved_digits", "ge_eval", "ge_reflect", "num_equal",
+    "GammaExpr", "Verdict", "achieved_digits", "ge_eval", "num_equal",
     # hyper
     "HypParams", "PochRatio", "f21_eval", "f21_integral", "f21_series",
     "f21_terminating", "pochhammer",

@@ -481,9 +481,9 @@ def catalog_load(path: str | Path) -> list[IdentityRecord]:
     unknown = set(data) - {"schema_version", "records"}
     if unknown:
         raise CatalogError(f"{path}: unknown top-level fields {sorted(unknown)}")
-    records = [
-        _parse_record(r, i) for i, r in enumerate(data.get("records", []))
-    ]
+    if not isinstance(data.get("records"), list) or not data["records"]:
+        raise CatalogError(f"{path}: records must be a nonempty list")
+    records = [_parse_record(r, i) for i, r in enumerate(data["records"])]
     seen: dict[str, int] = {}
     for i, r in enumerate(records):
         if r.id in seen:

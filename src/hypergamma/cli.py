@@ -6,7 +6,7 @@ Subcommands:
 * ``verify``      run an identity catalog and report per-record verdicts
 * ``derive-chain`` rebuild the degree-12 transform-chain evaluation
 * ``proof-check`` verify the integral proof steps of the 2F1(1/4) formula
-* ``quadcheck``   quadrature-vs-Gamma and series-vs-integral cross-checks
+* ``quadcheck``   quadrature-vs-Beta-series and series-vs-integral cross-checks
 
 All rationals on the command line use "p/q" form.  Every subcommand accepts
 ``--report text|json``.  Exit codes: 0 everything passed, 1 something

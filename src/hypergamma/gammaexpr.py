@@ -4,8 +4,7 @@ integer powers of Gamma at rational arguments, and quadratic surds.
 These expressions are the closed-form side of every identity in the catalog.
 Equality is decided numerically at a requested precision via `num_equal`
 (equal-within-bounds / distinct / inconclusive); no symbolic normalization
-of Gamma products is attempted beyond factor merging, and `ge_reflect`
-rewrites a reflection pair only when sin(pi x) has an exact surd value.
+of Gamma products is attempted beyond factor merging.
 """
 
 from __future__ import annotations
@@ -40,10 +39,6 @@ _SEVERITY = {Verdict.EQUAL: 0, Verdict.INCONCLUSIVE: 1, Verdict.DISTINCT: 2}
 
 class GammaExprError(ValueError):
     """Malformed Gamma-product expression."""
-
-
-class ReflectionNotRepresentable(GammaExprError):
-    """sin(pi x) has no exact surd value in this design; rewrite refused."""
 
 
 def _surd_is_positive(p: Fraction, q: Fraction, d: Fraction) -> bool:
@@ -200,68 +195,6 @@ def ge_eval(e: GammaExpr, prec: Precision) -> BigReal:
         root = sqrt(BigReal.from_fraction(d, bits))
         acc = acc * (BigReal.from_fraction(p, bits) + root * q).pow_int(expo)
     return acc
-
-
-# sin(pi * p/q) for the reduced denominators admitting exact surds:
-# value = coeff * sqrt(radicand), keyed by (q, p mod q restricted to (0, q)).
-_SIN_SURD: dict[int, dict[int, tuple[Fraction, int]]] = {
-    2: {1: (Fraction(1), 1)},
-    3: {1: (Fraction(1, 2), 3), 2: (Fraction(1, 2), 3)},
-    4: {1: (Fraction(1, 2), 2), 3: (Fraction(1, 2), 2)},
-    6: {1: (Fraction(1, 2), 1), 5: (Fraction(1, 2), 1)},
-}
-
-
-def ge_reflect(e: GammaExpr, x) -> GammaExpr:
-    """Rewrite Gamma(x) Gamma(1-x) -> pi / sin(pi x) where sin(pi x) has an
-    exact surd value (x with reduced denominator in {2, 3, 4, 6}).
-
-    Raises ReflectionNotRepresentable when the sine value is outside the
-    surd table (the expression is left unchanged by the caller), and
-    GammaExprError when the pair is not present with compatible exponents.
-    """
-    x = Fraction(x)
-    if x.denominator == 1:
-        raise GammaExprError("reflection argument must not be an integer")
-    if not 0 < x < 1:
-        raise GammaExprError(
-            "reflection pair requires both gamma arguments positive (0 < x < 1)"
-        )
-    gammas = dict(e.gamma_factors)
-    if x == Fraction(1, 2):
-        e2 = gammas.get(x, 0)
-        if abs(e2) < 2:
-            raise GammaExprError("Gamma(1/2)^2 not present for reflection")
-        k = e2 // 2 if e2 > 0 else -((-e2) // 2)
-        gammas[x] = e2 - 2 * k
-    else:
-        ex, ey = gammas.get(x, 0), gammas.get(1 - x, 0)
-        if ex == 0 or ey == 0 or (ex > 0) != (ey > 0):
-            raise GammaExprError(
-                f"Gamma({rational_str(x)}) and Gamma({rational_str(1 - x)}) "
-                "not present with compatible exponents"
-            )
-        k = min(abs(ex), abs(ey)) * (1 if ex > 0 else -1)
-        gammas[x] = ex - k
-        gammas[1 - x] = ey - k
-    table = _SIN_SURD.get(x.denominator)
-    if table is None or x.numerator % x.denominator not in table:
-        raise ReflectionNotRepresentable(
-            f"sin(pi * {rational_str(x)}) has no exact surd value in this design"
-        )
-    coeff, radicand = table[x.numerator % x.denominator]
-    # multiply by (pi / sin(pi x))^k = pi^k * coeff^-k * radicand^(-k/2)
-    rats = list(e.rational_factors)
-    if coeff != 1:
-        rats.append((coeff, Fraction(-k)))
-    if radicand != 1:
-        rats.append((Fraction(radicand), Fraction(-k, 2)))
-    return GammaExpr(
-        tuple(rats),
-        e.pi_exponent + k,
-        tuple(gammas.items()),
-        e.surd_factors,
-    )
 
 
 def num_equal(x: BigReal, y: BigReal, prec: Precision) -> Verdict:

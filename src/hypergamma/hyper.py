@@ -5,15 +5,18 @@ Three evaluation routes; `f21_eval` takes exactly one of them per input:
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
   nonpositive integer;
 * `f21_series` - direct summation for |z| < 1 in fixed point by
-  `mpreal.fixed_point_sum`, the series kernel that Gamma also uses: Python
-  integers scaled by 2^wb, with an integer ulp bound (at most 1 ulp per
-  floor division, propagated through the term ratio, plus a radius term
-  for a BigReal z) and a rigorous geometric tail bound;
-* `f21_integral` - Gamma-prefactored tanh-sinh quadrature of the classical
-  weighted integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1), for
-  rational arguments too close to 1 for the series (and for z <= -1, where
-  the integrand is smooth).  Its error bound is an estimate (see
-  `tanh_sinh_integrate`), not a proof.
+  `mpreal.fixed_point_sum`, the series kernel that Gamma and Beta also
+  use: Python integers scaled by 2^wb, with an integer ulp bound (at most
+  1 ulp per floor division, propagated through the term ratio, plus a
+  radius term for a BigReal z) and a rigorous geometric tail bound;
+* `f21_integral` - the Gamma-prefactored Euler integral of
+  t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1): at z = 1 the Beta series
+  of `mpreal.beta`, and for the other rational z too close to 1 for the
+  series, or below -9, tanh-sinh quadrature, whose error bound is an
+  estimate (see `tanh_sinh_integrate`), not a proof.
+
+For -9 <= z < -9/10, `f21_eval` sums Pfaff's transform
+(1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) by `f21_series`.
 
 The series and the integral are compared with each other by
 ``hypergamma quadcheck --expr euler`` and by the test suite, not at run
@@ -35,6 +38,7 @@ from .mpreal import (
     RU,
     BigReal,
     Precision,
+    beta,
     fixed_point_sum,
     gamma,
     tanh_sinh_integrate,
@@ -59,8 +63,9 @@ class SeriesTermCapError(HyperError):
 
 
 class NoFeasibleStrategyError(HyperError):
-    """No evaluation route applies (z >= 1 non-terminating, or no valid
-    Euler-integral parameter ordering near z = 1)."""
+    """No evaluation route applies to a non-terminating input: z > 1,
+    z = 1 with c - a - b <= 0, or no valid Euler-integral parameter
+    ordering for 9/10 < z <= 1 or z < -9."""
 
 
 @dataclass(frozen=True)
@@ -231,12 +236,13 @@ def f21_terminating(p: HypParams, z: Fraction) -> Fraction:
 
 def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     """Euler-integral evaluation: Gamma(c)/(Gamma(b)Gamma(c-b)) times the
-    tanh-sinh integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1).
+    integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1).
 
-    Requires c > b > 0 and rational z <= 1; at z = 1 (requires c-a-b > 0)
-    the integrand degenerates to the Beta form t^(b-1) (1-t)^(c-a-b-1),
-    which is still evaluated by quadrature so the Gamma route stays
-    independent.  The error bound is the quadrature's estimate.
+    Requires c > b > 0 and rational z <= 1.  For z < 1 the integral is
+    taken by tanh-sinh quadrature, whose error bound is an estimate.  At
+    z = 1 (requires c-a-b > 0) the integral is B(b, c-a-b), summed by the
+    positive-term series of `mpreal.beta`: no Gamma quotient is formed for
+    it, so the Gamma route stays independent of Gauss's theorem.
     """
     a, b, c = p.a, p.b, p.c
     z = Fraction(z)
@@ -244,17 +250,12 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
         raise HyperError("Euler integral requires c > b > 0")
     if z > 1:
         raise HyperError("Euler integral requires z <= 1")
-    at_one = z == 1
-    if at_one and not c - a - b > 0:
+    if z == 1 and not c - a - b > 0:
         raise HyperError("z = 1 requires c - a - b > 0")
 
     qprec = prec.boosted(16)
-    if at_one:
-        exp_left, exp_right = b - 1, c - a - b - 1
-
-        def integrand(u: BigReal, v: BigReal) -> BigReal:
-            return u.pow_rational(exp_left) * v.pow_rational(exp_right)
-
+    if z == 1:
+        integral = beta(b, c - a - b, qprec)
     else:
         zB = BigReal.from_fraction(z, qprec.work_bits)
         one_minus_z = 1 - zB
@@ -266,7 +267,7 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
             out = u.pow_rational(exp_left) * v.pow_rational(exp_right)
             return out * lin.pow_rational(-a)
 
-    integral = tanh_sinh_integrate(integrand, Fraction(0), Fraction(1), qprec)
+        integral = tanh_sinh_integrate(integrand, Fraction(0), Fraction(1), qprec)
     pref = gamma(c, qprec) / (gamma(b, qprec) * gamma(c - b, qprec))
     out = pref * integral
     return BigReal(out.val, out.err, prec.work_bits)
@@ -290,11 +291,13 @@ def f21_eval(
     """Strategy dispatcher for rational arguments; one route per input.
 
     auto: the exact terminating sum when an upper parameter is a
-    nonpositive integer; otherwise the direct series for |z| <= 9/10, and
-    the Euler integral (trying both parameter orderings) for the other
-    z < 1, or its Beta form at z = 1.  "series" and "integral" force that
-    route.  No second route is run: the series-versus-integral comparison
-    is ``hypergamma quadcheck --expr euler``.
+    nonpositive integer; otherwise the direct series for |z| <= 9/10, the
+    series of Pfaff's transform for -9 <= z < -9/10, and `f21_integral`
+    (trying both parameter orderings) at z = 1, where it sums the Beta
+    series, and for 9/10 < z < 1 and z < -9, where it runs tanh-sinh.
+    "series" and "integral" force that route.  No second route is run: the
+    series-versus-integral comparison is ``hypergamma quadcheck --expr
+    euler``.
     """
     p.validate()
     z = Fraction(z)
@@ -310,6 +313,15 @@ def f21_eval(
         return BigReal.from_fraction(f21_terminating(p, z), prec.work_bits)
     if abs(z) <= SERIES_THRESHOLD:
         return f21_series(p, z, prec)
+    if -9 <= z < 0:
+        # DLMF 15.8.1: (1-z)^(-a) 2F1(a, c-b; c; w) with w = z/(z-1) in
+        # (9/19, 9/10], at 16 more bits, as in f21_integral, to absorb the
+        # rounding of the prefactor
+        qprec = prec.boosted(16)
+        series = f21_series(HypParams(p.a, p.c - p.b, p.c), z / (z - 1), qprec)
+        base = BigReal.from_fraction(1 - z, qprec.work_bits)
+        out = base.pow_rational(-p.a) * series
+        return BigReal(out.val, out.err, prec.work_bits)
     if z >= 1 and not (z == 1 and p.c - p.a - p.b > 0):
         raise NoFeasibleStrategyError(
             f"z = {rational_str(z)} >= 1 with non-terminating parameters"

@@ -1,5 +1,6 @@
 """Arbitrary-precision reals with tracked error bounds, the fixed-point
-hypergeometric series kernel, Gamma/Beta, and tanh-sinh quadrature.
+hypergeometric series kernel, Gamma and Beta on it, and tanh-sinh
+quadrature.
 
 A `BigReal` carries a floating value at some working bit precision together
 with a bound on its absolute error; every operation propagates the bound
@@ -14,14 +15,15 @@ plain values, and everything is safe to use concurrently.
 
 `fixed_point_sum` is the one series summation loop of the package: a pFq
 series with rational parameters, summed in Python integers scaled by 2^wb
-with an integer ulp bound and a geometric tail bound.  `hyper.f21_series`
-and `gamma` both call it.  Gamma is computed by an exact-rational
+with an integer ulp bound and a geometric tail bound.  `hyper.f21_series`,
+`gamma` and `beta` call it.  Gamma is computed by an exact-rational
 Pochhammer reduction of the argument to (0, 1] (so pole detection is exact)
 followed by the incomplete-gamma series 1F1(1; y+1; N), with a bound on
-the dropped upper incomplete gamma Gamma(y, N).  The quadrature is
-standard tanh-sinh with per-level node caching; integrands receive the
-distances to both endpoints at full relative precision so endpoint-singular
-factors can be evaluated without cancellation.
+the dropped upper incomplete gamma Gamma(y, N).  Beta is the sum of two
+incomplete-Beta series at 1/2, with positive terms, and no Gamma.  The
+quadrature is standard tanh-sinh with per-level node caching; integrands
+receive the distances to both endpoints at full relative precision so
+endpoint-singular factors can be evaluated without cancellation.
 """
 
 from __future__ import annotations
@@ -98,15 +100,10 @@ class Precision:
     work_bits: int
 
     @classmethod
-    def of(cls, target_digits: int, expected_terms: int = 4096) -> "Precision":
+    def of(cls, target_digits: int) -> "Precision":
         if target_digits < 1:
             raise ValueError("target_digits must be positive")
-        bits = (
-            math.ceil(target_digits * BITS_PER_DIGIT)
-            + 64
-            + math.ceil(math.log2(max(2, expected_terms)))
-        )
-        return cls(target_digits, bits)
+        return cls(target_digits, math.ceil(target_digits * BITS_PER_DIGIT) + 76)
 
     def boosted(self, extra_bits: int) -> "Precision":
         return Precision(self.target_digits, self.work_bits + extra_bits)
@@ -577,13 +574,37 @@ def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
     return BigReal(g.val, g.err, prec.work_bits)
 
 
+def _beta_half(p: Fraction, q: Fraction, wb: int) -> BigReal:
+    """2^(p+q) B_{1/2}(p, q) = 2F1(p+q, 1; p+1; 1/2) / p for p, q > 0
+    (DLMF 8.17.8), a series of positive terms with ratio tending to 1/2."""
+    kwb = wb + wb.bit_length() + 8
+    S, err, _ = fixed_point_sum((p + q, 1), (p + 1,), 1, 2, 0, kwb, wb)
+    series = BigReal(from_man_exp(S, -kwb), from_man_exp(err, -kwb, ERR_BITS, RU), wb)
+    return series / p
+
+
 def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:
-    """Euler Beta via the Gamma relation B(x,y) = G(x)G(y)/G(x+y)."""
+    """Euler Beta B(x, y) = B_{1/2}(x, y) + B_{1/2}(y, x) (DLMF 8.17.4),
+    each half the positive-term series of `_beta_half`; no Gamma is formed.
+
+    A nonpositive x is first shifted up exactly, as in `gamma`:
+    B(x, y) = B(x+m, y) (x+y)_m / (x)_m, and likewise y.  The returned
+    bound satisfies err <= 2^(-work_bits+8) * |B(x, y)| for x, y > 0.
+    """
     x, y = Fraction(x), Fraction(y)
     for arg in (x, y, x + y):
         if arg.denominator == 1 and arg <= 0:
             raise GammaPoleError(f"beta pole: gamma argument {arg}")
-    return gamma(x, prec) * gamma(y, prec) / gamma(x + y, prec)
+    ratio = Fraction(1)
+    for _ in range(2):  # shift x up, then (swapped) y
+        m = max(0, 1 - math.ceil(x))
+        for j in range(m):
+            ratio *= (x + y + j) / (x + j)
+        x, y = y, x + m
+    wb = prec.work_bits + 32
+    halves = _beta_half(x, y, wb) + _beta_half(y, x, wb)
+    out = halves * BigReal.from_int(2, wb).pow_rational(-(x + y)) * ratio
+    return BigReal(out.val, out.err, prec.work_bits)
 
 
 # ---------------------------------------------------------------------------

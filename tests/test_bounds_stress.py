@@ -157,14 +157,14 @@ def test_rational_fraction_conversion_enclosures():
 
 
 def test_spec_beta_pair_quadrature_cross_check():
-    # B(5/6 - 5/8, 2*(5/8) - 1) = B(5/24, 1/4), via Gamma and via quadrature
+    # B(5/6 - 5/8, 2*(5/8) - 1) = B(5/24, 1/4), via its series and via quadrature
     prec = Precision.of(40)
-    via_gamma = beta(F(5, 24), F(1, 4), prec)
+    via_series = beta(F(5, 24), F(1, 4), prec)
 
     def integrand(u, v):
         return u.pow_rational(F(5, 24) - 1) * v.pow_rational(F(1, 4) - 1)
 
     via_quad = tanh_sinh_integrate(integrand, F(0), F(1), prec)
-    diff = via_gamma - via_quad
+    diff = via_series - via_quad
     assert not diff.definitely_positive() and not diff.definitely_negative()
-    assert via_gamma.to_decimal(12).startswith("8.2500727092")
+    assert via_series.to_decimal(12).startswith("8.2500727092")

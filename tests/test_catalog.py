@@ -199,10 +199,10 @@ class TestVerify:
 
 class TestRunAll:
     def test_empty_catalog(self, tmp_path):
+        # a catalog that verifies nothing must not exit 0
         path = write_catalog(tmp_path, [])
-        report = run_all(path, digits=30)
-        assert report.entries == ()
-        assert report.exit_code == 0
+        with pytest.raises(CatalogError, match="records must be a nonempty list"):
+            run_all(path, digits=30)
 
     def test_exit_codes_and_only(self, tmp_path):
         path = write_catalog(tmp_path, [POINT_RECORD])
@@ -429,6 +429,25 @@ def test_unreadable_catalog_exits_3(tmp_path, capsys):
         assert main(["verify", "--catalog", str(path)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("catalog error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"schema_version": 1, "records": []}',
+        '{"schema_version": 1}',
+        '{"schema_version": 1, "records": {}}',
+    ],
+    ids=["empty", "missing", "not-a-list"],
+)
+def test_catalog_without_records_exits_3(tmp_path, capsys, text):
+    from hypergamma.cli import main
+
+    path = tmp_path / "catalog.json"
+    path.write_text(text)
+    assert main(["verify", "--catalog", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"catalog error: {path}: records must be a nonempty list\n"
 
 
 @pytest.mark.parametrize(

@@ -16,11 +16,9 @@ from hypergamma.catalog import CatalogError, _compile_gamma_expr
 from hypergamma.gammaexpr import (
     GammaExpr,
     GammaExprError,
-    ReflectionNotRepresentable,
     Verdict,
     achieved_digits,
     ge_eval,
-    ge_reflect,
     num_equal,
 )
 from hypergamma.mpreal import BigReal, Precision
@@ -113,36 +111,19 @@ class TestMul:
 
 
 class TestReflect:
-    def test_half_pair_gives_pi(self):
-        e = GammaExpr(gamma_factors=((F(1, 2), 2),))
-        out = ge_reflect(e, F(1, 2))
-        assert out == GammaExpr.pi_power(1)
-
-    def test_quarter_pair(self):
-        e = GammaExpr(gamma_factors=((F(1, 4), 1), (F(3, 4), 1)))
-        out = ge_reflect(e, F(1, 4))
-        # pi / sin(pi/4) = pi sqrt(2)
-        assert_encloses(ge_eval(out, P40), mp.pi * mp.sqrt(2), "pi sqrt2")
-        assert not out.gamma_factors
-
-    def test_eighth_pair_refused(self):
-        e = GammaExpr(gamma_factors=((F(1, 8), 1), (F(7, 8), 1)))
-        with pytest.raises(ReflectionNotRepresentable):
-            ge_reflect(e, F(1, 8))
-
-    def test_missing_pair_signaled(self):
-        with pytest.raises(GammaExprError):
-            ge_reflect(GammaExpr.from_gamma(F(1, 3)), F(1, 3))
-
-    def test_preserves_value_when_it_fires(self):
-        for x, extra in ((F(1, 3), 2), (F(3, 4), -1), (F(5, 6), 1)):
-            e = GammaExpr(
-                rational_factors=((F(7), F(1, 2)),),
-                gamma_factors=((x, extra), (1 - x, extra), (F(2, 7), 1)),
+    def test_reflection_pairs_numeric(self):
+        # Gamma(x) Gamma(1-x) = pi / sin(pi x), with sin(pi x) = k sqrt(d)
+        for x, k, d in (
+            (F(1, 2), F(1), 1),
+            (F(1, 3), F(1, 2), 3),
+            (F(1, 4), F(1, 2), 2),
+            (F(5, 6), F(1, 2), 1),
+        ):
+            lhs = GammaExpr(gamma_factors=((x, 1), (1 - x, 1)))
+            rhs = GammaExpr(
+                rational_factors=((k, -1), (F(d), F(-1, 2))), pi_exponent=1
             )
-            out = ge_reflect(e, x)
-            d = ge_eval(out, P40) - ge_eval(e, P40)
-            assert not d.definitely_positive() and not d.definitely_negative()
+            assert num_equal(ge_eval(lhs, P40), ge_eval(rhs, P40), P40) is Verdict.EQUAL
 
     def test_gauss_multiplication_numeric_sweep(self):
         rng = random.Random(12)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -227,6 +227,32 @@ class TestSeriesAgainstIntegral:
         assert overlap(series, integral), (p, z, digits)
 
 
+class TestPfaff:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        a=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        b=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        gap=st.builds(F, st.integers(1, 72), st.integers(1, 12)),
+        ordered=st.booleans(),
+        z=st.builds(F, st.integers(-9000, -901), st.just(1000)),
+        digits=st.integers(20, 120),
+    )
+    # 2F1(1, 1; 1/2; -19/20), which has no Euler ordering
+    @example(a=F(1), b=F(1), gap=F(1, 2), ordered=False, z=F(-19, 20), digits=50)
+    def test_enclosure_below_minus_nine_tenths(self, a, b, gap, ordered, z, digits):
+        """For -9 <= z < -9/10 `auto` sums Pfaff's transform; the enclosure
+        holds mpmath's value at +50 digits whether or not an Euler ordering
+        exists: c = |b| + gap > |b| > 0 has one, c = min(a, b) - gap none."""
+        if ordered:
+            b = abs(b)
+        p = HypParams(a, b, b + gap if ordered else min(a, b) - gap)
+        assume(p.terminating_degree is None and not is_nonpositive_integer(p.c))
+        prec = Precision.of(digits)
+        got = f21_eval(p, z, prec)
+        with mp.workdps(digits + 50):
+            assert_encloses(got, oracle_f21(p, z), f"{p} at {z}")
+
+
 class TestTerminating:
     def test_two_term_sum(self):
         got = f21_terminating(HypParams(F(-1), F(-3, 2), F(17, 2)), F(1, 5))
@@ -331,6 +357,29 @@ class TestEval:
         out = f21_eval(p, z, P50)
         assert (out.val, out.err) == (series.val, series.err)
 
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (F(1, 3), F(2, 5), F(7, 4), F(1)),  # Gauss: the Beta series
+            (F(1, 3), F(1, 5), F(17, 15), F(-1)),  # Kummer: Pfaff
+            (F(1), F(1), F(1, 2), F(-19, 20)),  # no Euler ordering
+            (F(5, 2), F(-7, 3), F(-5, 4), F(-9)),
+        ],
+    )
+    def test_auto_runs_no_quadrature_at_one_and_pfaff_range(
+        self, monkeypatch, a, b, c, z
+    ):
+        """At z = 1 and for -9 <= z < -9/10 the auto route is a series:
+        no tanh-sinh runs, and the enclosure holds mpmath's value."""
+        import hypergamma.hyper as hyper
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("tanh_sinh_integrate called")
+
+        monkeypatch.setattr(hyper, "tanh_sinh_integrate", no_quadrature)
+        p = HypParams(a, b, c)
+        assert_encloses(f21_eval(p, z, P50), oracle_f21(p, z), f"{p} at {z}")
+
     def test_terminating_dispatch_exact(self):
         out = f21_eval(HypParams(F(-1), F(-3, 2), F(17, 2)), F(1, 5), P30)
         assert_encloses(out, mpf_of_fraction(F(88, 85)), "AZ dispatch")
@@ -345,6 +394,7 @@ class TestEval:
             f21_eval(HypParams(F(1, 2), F(2, 3), F(1, 6)), F(99, 100), P30)
 
     def test_kummer_via_integral_path(self):
+        # auto sums Pfaff's transform at z = -1; the check is Kummer's theorem
         rng = random.Random(77)
         for _ in range(5):
             a = F(rng.randint(1, 19), 20)

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
@@ -203,7 +203,7 @@ class TestGamma:
         # starts cold and is filled from 8 threads at once
         from concurrent.futures import ThreadPoolExecutor
 
-        prec = Precision.of(73, expected_terms=777)
+        prec = Precision(73, 317)
         args = [F(k, 48) for k in range(1, 33)]
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda x: gamma(x, prec), args))
@@ -276,6 +276,41 @@ class TestBeta:
     def test_beta_pole(self):
         with pytest.raises(GammaPoleError):
             beta(F(0), F(1, 2), P50)
+
+    def test_calls_no_gamma(self, monkeypatch):
+        import hypergamma.mpreal as mpreal
+
+        def no_gamma(*args, **kwargs):
+            raise AssertionError("beta called gamma")
+
+        monkeypatch.setattr(mpreal, "gamma", no_gamma)
+        beta(F(-7, 3), F(5, 8), P50)
+
+
+@st.composite
+def _beta_argument(draw):
+    den = draw(st.integers(1, 48))
+    return F(draw(st.integers(-8 * den + 1, 20 * den)), den)
+
+
+class TestBetaProperties:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(p=_beta_argument(), q=_beta_argument(), digits=st.integers(20, 300))
+    # tanh-sinh does not converge on t^(-99/100) (1-t)^(-2/3)
+    @example(p=F(1, 100), q=F(1, 3), digits=100)
+    def test_enclosure_and_radius(self, p, q, digits):
+        """B(p, q) holds mpmath's value at +50 digits for p, q in (-8, 20]
+        off the poles, and for p, q > 0, where both series have positive
+        terms, its relative radius meets the 2^(-work_bits+8) contract."""
+        assume(not any(x.denominator == 1 and x <= 0 for x in (p, q, p + q)))
+        prec = Precision.of(digits)
+        got = beta(p, q, prec)
+        with mp.workdps(digits + 50):
+            want = mp.beta(mpf_of_fraction(p), mpf_of_fraction(q))
+            val, err = as_mpf(got.val), as_mpf(got.err)
+            assert abs(val - want) <= err, (p, q, digits)
+            if p > 0 and q > 0:
+                assert err <= abs(val) * mp.mpf(2) ** (-prec.work_bits + 8), (p, q)
 
 
 class TestTanhSinh:

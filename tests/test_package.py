@@ -22,7 +22,7 @@ def test_benchmark_names_are_exported():
 def test_removed_shims_are_gone():
     removed = {
         "real_arith", "elementary", "rational_arith", "poly_eval", "rf_eval",
-        "rf_compose", "ge_mul", "ge_num_equal", "agm_K",
+        "rf_compose", "ge_mul", "ge_num_equal", "agm_K", "ge_reflect",
     }
     assert not removed & set(dir(hypergamma))
     assert not hasattr(hypergamma.RatFunc, "from_fraction")
