@@ -15,11 +15,11 @@ record's `kind` selects exactly one verification strategy:
   per-step proof verification of the 2F1(1/4) closed form.
 
 Template expressions ("5/2-2*b", "b/(a+b)", ...) are exact rational
-expressions; only +, -, *, / and named variables are allowed.  Loading a
-catalog compiles each record once into the checks it makes, and that
-compilation is the validation of the record: its templates, its samples,
-and the rule or chain it names.  A record built in code compiles on first
-use, and a record that does not compile fails.
+expressions; only +, -, *, / and named variables are allowed.  A record
+is compiled when `IdentityRecord.from_json` makes it, for `catalog_load`
+or for other code, and that is its validation: its templates, the rule or
+chain it names, and at every sample, drawn then, once, the domain of its
+lhs and any exact product.  A fault raises the same CatalogError either way.
 
 Verdicts per record are pass / fail / inconclusive; an inconclusive
 comparison is retried once at doubled precision.  A fail entry
@@ -37,7 +37,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -54,6 +54,7 @@ from .hyper import (
     HyperError,
     HypParams,
     PochRatio,
+    check_domain,
     f21_eval,
     f21_terminating,
 )
@@ -96,7 +97,6 @@ class CatalogError(ValueError):
 Env = dict[str, Fraction]
 Template = Callable[[Env], Fraction]
 Lhs = Callable[[Env], tuple[HypParams, Fraction]]
-Samples = Callable[[], Sequence[Env]]
 
 # One comparison made while verifying a record: its verdict, the digits to
 # which the two sides provably agree (None: exact, or not measured), the
@@ -114,41 +114,51 @@ _BINARY = {
 _UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 
 
-def _compile_expr(text) -> tuple[Template, frozenset[str]]:
+def _compile_expr(text, where: str = "") -> tuple[Template, frozenset[str]]:
     """Parse an exact rational expression (+, -, *, /, integer literals and
     variables) once into a closure over its variables, together with the
-    variable names it reads."""
-    text = str(text)
+    variable names it reads.  Its errors, at parse or evaluation, begin
+    with `where`."""
+    text, where = str(text), f"{where}: " if where else ""
     try:
         tree = ast.parse(text, mode="eval").body
     except SyntaxError as e:
-        raise CatalogError(f"bad expression {text!r}: {e}") from None
+        raise CatalogError(f"{where}bad expression {text!r}: {e}") from None
     names: set[str] = set()
 
-    def build(n: ast.AST) -> Template:
-        if isinstance(n, ast.BinOp) and type(n.op) in _BINARY:
-            op, left, right = _BINARY[type(n.op)], build(n.left), build(n.right)
-            return lambda env: op(left(env), right(env))
-        if isinstance(n, ast.UnaryOp) and type(n.op) in _UNARY:
-            op, inner = _UNARY[type(n.op)], build(n.operand)
-            return lambda env: op(inner(env))
+    def build(n: ast.AST) -> tuple[Template, bool]:
+        """The closure of node n, and whether n reads no variable."""
         if isinstance(n, ast.Constant) and type(n.value) is int:
             value = Fraction(n.value)
-            return lambda env: value
+            return (lambda env: value), True
         if isinstance(n, ast.Name):
             names.add(n.id)
-            return operator.itemgetter(n.id)
-        raise CatalogError(f"{ast.unparse(n)!r} is not allowed in {text!r}")
+            return operator.itemgetter(n.id), False
+        if isinstance(n, ast.BinOp) and type(n.op) in _BINARY:
+            op, (left, lc), (right, rc) = _BINARY[type(n.op)], build(n.left), build(n.right)
+            fn, constant = (lambda env: op(left(env), right(env))), lc and rc
+        elif isinstance(n, ast.UnaryOp) and type(n.op) in _UNARY:
+            op, (inner, constant) = _UNARY[type(n.op)], build(n.operand)
+            fn = lambda env: op(inner(env))
+        else:
+            raise CatalogError(f"{where}{ast.unparse(n)!r} is not allowed in {text!r}")
+        if not constant:
+            return fn, False
+        value = fn({})  # a constant subexpression is evaluated once, here
+        return (lambda env: value), True
 
-    fn = build(tree)
+    try:
+        fn, _ = build(tree)
+    except ZeroDivisionError:
+        raise CatalogError(f"{where}division by zero in {text!r}") from None
 
     def evaluate(env: Env) -> Fraction:
         try:
             return fn(env)
         except KeyError as e:
-            raise CatalogError(f"unknown variable {e.args[0]!r} in {text!r}") from None
+            raise CatalogError(f"{where}unknown variable {e.args[0]!r} in {text!r}") from None
         except ZeroDivisionError:
-            raise CatalogError(f"division by zero in {text!r}") from None
+            raise CatalogError(f"{where}division by zero in {text!r}") from None
 
     return evaluate, frozenset(names)
 
@@ -159,10 +169,7 @@ def expr_eval(text: str, env: Env | None = None) -> Fraction:
 
 
 def _template(text, variables: set[str], where: str) -> Template:
-    try:
-        fn, names = _compile_expr(text)
-    except CatalogError as e:
-        raise CatalogError(f"{where}: {e}") from None
+    fn, names = _compile_expr(text, where)
     bad = names - variables
     if bad:
         raise CatalogError(f"{where}: unknown names {sorted(bad)} in {text!r}")
@@ -187,11 +194,31 @@ def _integer(value, where: str) -> int:
     return int(q)
 
 
-def _compile_lhs(lhs, variables: set[str], where: str) -> Lhs:
+def _sample_text(env: Env) -> str:
+    return ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
+
+
+def _check_samples(fn: Callable[[Env], object], samples: Sequence[Env], where: str) -> None:
+    """Call fn at every sample: a HyperError at any sample is a catalog
+    error naming the record and the sample."""
+    for env in samples:
+        try:
+            fn(env)
+        except HyperError as e:
+            at = _sample_text(env)
+            raise CatalogError(f"{where}{' at ' + at if at else ''}: {e}") from None
+
+
+def _compile_lhs(lhs, variables: set[str], samples: Sequence[Env], where: str) -> Lhs:
     if not isinstance(lhs, dict) or set(lhs) != {"a", "b", "c", "z"}:
         raise CatalogError(f"{where}: lhs must define a, b, c, z")
     a, b, c, z = (_template(lhs[k], variables, f"{where} lhs.{k}") for k in "abcz")
-    return lambda env: (HypParams(a(env), b(env), c(env)), z(env))
+
+    def params(env: Env) -> tuple[HypParams, Fraction]:
+        return HypParams(a(env), b(env), c(env)), z(env)
+
+    _check_samples(lambda env: check_domain(*params(env)), samples, f"{where} lhs")
+    return params
 
 
 def _compile_gamma_expr(
@@ -239,7 +266,7 @@ def _compile_gamma_expr(
 
 
 def _compile_exact_product(
-    value, variables: set[str], samples: Samples, where: str
+    value, variables: set[str], samples: Sequence[Env], where: str
 ) -> Template:
     if not isinstance(value, dict):
         raise CatalogError(f"{where}: exact_product must be an object")
@@ -272,14 +299,10 @@ def _compile_exact_product(
         n = index(env)
         if n.denominator != 1 or n < 0:
             raise CatalogError(f"{where}: poch_ratio index must be a nonnegative integer")
-        try:
-            ratio.check(int(n))
-        except HyperError as err:
-            raise CatalogError(f"{where}: {err}") from None
+        ratio.check(int(n))
         return b, int(e), int(n)
 
-    for env in samples():  # a fault at any sample is a catalog error
-        checked(env)
+    _check_samples(checked, samples, where)
 
     def exact(env: Env) -> Fraction:
         b, e, n = checked(env)
@@ -291,45 +314,15 @@ def _compile_exact_product(
 _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
 
 
-@dataclass(frozen=True)
-class CompiledRecord:
-    """A record compiled once.  A rule or chain record is its `run`, which
-    yields the record's checks at a precision.  A point or family record
-    keeps its lhs template and exactly one of `rhs` (an enclosure at a
-    precision) and `exact_rhs` (an exact rational), as closures over one
-    sample's variables, and `samples`, which returns the samples."""
-
-    run: Checks | None = None
-    lhs: Lhs | None = None
-    samples: Samples | None = None
-    rhs: Callable[[Env, Precision], BigReal] | None = None
-    exact_rhs: Template | None = None
-
-    def checks(self, prec: Precision) -> Iterator[Check]:
-        if self.run is not None:
-            return self.run(prec)
-        return _sample_checks(self, prec)
-
-
-def _compile_record(record: IdentityRecord) -> CompiledRecord:
-    where = f"record {record.id!r}"
-    if record.kind == "transform-rule":
-        return CompiledRecord(run=_compile_rule(record, where))
-    if record.kind == "proof-chain":
-        return CompiledRecord(run=_compile_chain(record, where))
-    if record.kind not in KINDS:
-        raise CatalogError(f"{where}: unknown kind {record.kind!r}")
-    variables, samples = _compile_samples(record, where)
-    lhs = _compile_lhs(record.lhs, variables, where)
-    sampled = partial(CompiledRecord, lhs=lhs, samples=samples)
-
-    rhs = record.rhs
+def _compile_rhs(rhs, variables: set[str], samples: Sequence[Env], where: str) -> dict:
+    """Exactly one of `rhs`, an enclosure at a sample and a precision, and
+    `exact_rhs`, an exact rational at a sample, checked at every sample."""
     if not isinstance(rhs, dict) or len(rhs) != 1:
         raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
     (key, value), = rhs.items()
     if key == "gamma_expr":
         expr = _compile_gamma_expr(value, variables, where)
-        return sampled(rhs=lambda env, prec: ge_eval(expr(env), prec))
+        return {"rhs": lambda env, prec: ge_eval(expr(env), prec)}
     if key == "gamma_expr_sum":
         if not isinstance(value, list):
             raise CatalogError(f"{where}: gamma_expr_sum must be a list of terms")
@@ -339,9 +332,8 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord:
                 raise CatalogError(f"{where}: sum term {i} needs sign and expr")
             if term["sign"] not in (1, -1) or isinstance(term["sign"], bool):
                 raise CatalogError(f"{where}: sum term sign must be 1 or -1")
-            terms.append(
-                (term["sign"], _compile_gamma_expr(term["expr"], variables, f"{where} term {i}"))
-            )
+            expr = _compile_gamma_expr(term["expr"], variables, f"{where} term {i}")
+            terms.append((term["sign"], expr))
 
         def signed_sum(env: Env, prec: Precision) -> BigReal:
             total = BigReal.from_int(0, prec.work_bits)
@@ -350,40 +342,17 @@ def _compile_record(record: IdentityRecord) -> CompiledRecord:
                 total = total + (piece if sign > 0 else -piece)
             return total
 
-        return sampled(rhs=signed_sum)
+        return {"rhs": signed_sum}
     if key == "rational":
         q = _template(value, variables, where)
-        return sampled(rhs=lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits))
+        return {"rhs": lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits)}
     if key == "exact_product":
-        return sampled(exact_rhs=_compile_exact_product(value, variables, samples, where))
+        return {"exact_rhs": _compile_exact_product(value, variables, samples, where)}
     raise CatalogError(f"{where}: unknown rhs kind {key!r}")
 
 
 # ---------------------------------------------------------------------------
 # records
-
-
-@dataclass(frozen=True)
-class IdentityRecord:
-    id: str
-    kind: str
-    source: str = ""
-    digits: int | None = None
-    lhs: dict | None = None
-    rhs: dict | None = None
-    parameters: dict | None = None
-    rule: str | None = None
-    samples: int | None = None
-    seed: int | None = None
-    points: tuple[tuple[Fraction, Fraction, Fraction], ...] | None = None
-    chain: str | None = None
-    b_values: tuple[Fraction, ...] | None = None
-
-    @cached_property
-    def compiled(self) -> CompiledRecord:
-        """The record's checks, compiled on first use.  Compiling validates
-        the record, so `catalog_load` compiles every record it returns."""
-        return _compile_record(self)
 
 
 _COMMON_FIELDS = {"id", "kind", "source", "digits"}
@@ -395,66 +364,60 @@ _KIND_FIELDS = {
 }
 
 
-def _parse_record(data: dict, index: int) -> IdentityRecord:
-    where = f"record #{index}"
-    if not isinstance(data, dict):
-        raise CatalogError(f"{where}: not an object")
-    rid = data.get("id")
-    if not isinstance(rid, str) or not rid:
-        raise CatalogError(f"{where}: missing string id")
-    where = f"record {rid!r}"
-    kind = data.get("kind")
-    if kind not in KINDS:
-        raise CatalogError(f"{where}: unknown kind {kind!r}")
-    allowed = _COMMON_FIELDS | _KIND_FIELDS[kind]
-    unknown = set(data) - allowed
-    if unknown:
-        raise CatalogError(f"{where}: unknown fields {sorted(unknown)}")
-    digits = data.get("digits")
-    if digits is not None and (type(digits) is not int or digits < 1):
-        raise CatalogError(f"{where}: digits must be a positive integer")
+@dataclass(frozen=True)
+class IdentityRecord:
+    """A catalog record, compiled when `from_json` makes it.  A rule or chain
+    record is its `run`, which yields its checks at a precision.  A point or
+    family record keeps its `samples`, drawn once, and closures over one
+    sample: `lhs` and exactly one of `rhs` (an enclosure at a precision) and
+    `exact_rhs` (an exact rational)."""
 
-    points = samples = seed = None
-    if kind == "transform-rule":
-        if not isinstance(data.get("rule"), str):
-            raise CatalogError(f"{where}: transform-rule needs a rule name")
-        if data.get("samples") is not None:
-            samples = _integer(data["samples"], f"{where} samples")
-        if data.get("seed") is not None:
-            seed = _integer(data["seed"], f"{where} seed")
-        raw = data.get("points")
-        if raw is not None:
-            if not isinstance(raw, list) or not all(
-                isinstance(pt, dict) and set(pt) == {"a", "b", "z"} for pt in raw
-            ):
-                raise CatalogError(f"{where}: split points need a, b, z")
-            points = tuple(
-                tuple(_rational(pt[k], f"{where} point") for k in "abz") for pt in raw
-            )
+    id: str
+    kind: str
+    source: str = ""
+    digits: int | None = None
+    run: Checks | None = None
+    samples: tuple[Env, ...] = ()
+    lhs: Lhs | None = None
+    rhs: Callable[[Env, Precision], BigReal] | None = None
+    exact_rhs: Template | None = None
 
-    b_values = None
-    if kind == "proof-chain" and data.get("b") is not None:
-        if not isinstance(data["b"], list):
-            raise CatalogError(f"{where}: b must be a list of rationals")
-        b_values = tuple(_rational(x, f"{where} b") for x in data["b"])
+    @classmethod
+    def from_json(cls, data, where: str = "record") -> IdentityRecord:
+        """Compile one record's JSON object; a fault raises CatalogError
+        naming the record by its id, or by `where` if it has none."""
+        if not isinstance(data, dict):
+            raise CatalogError(f"{where}: not an object")
+        rid = data.get("id")
+        if not isinstance(rid, str) or not rid:
+            raise CatalogError(f"{where}: missing string id")
+        where = f"record {rid!r}"
+        kind = data.get("kind")
+        if kind not in KINDS:
+            raise CatalogError(f"{where}: unknown kind {kind!r}")
+        unknown = set(data) - _COMMON_FIELDS - _KIND_FIELDS[kind]
+        if unknown:
+            raise CatalogError(f"{where}: unknown fields {sorted(unknown)}")
+        digits = data.get("digits")
+        if digits is not None and (type(digits) is not int or digits < 1):
+            raise CatalogError(f"{where}: digits must be a positive integer")
 
-    record = IdentityRecord(
-        id=rid,
-        kind=kind,
-        source=data.get("source", ""),
-        digits=digits,
-        lhs=data.get("lhs"),
-        rhs=data.get("rhs"),
-        parameters=data.get("parameters"),
-        rule=data.get("rule"),
-        samples=samples,
-        seed=seed,
-        points=points,
-        chain=data.get("chain"),
-        b_values=b_values,
-    )
-    record.compiled  # compiling validates the record
-    return record
+        record = partial(cls, rid, kind, data.get("source", ""), digits)
+        if kind == "transform-rule":
+            return record(run=_compile_rule(data, where))
+        if kind == "proof-chain":
+            return record(run=_compile_chain(data, where))
+        variables, samples = _compile_samples(data, where)
+        return record(
+            samples=samples,
+            lhs=_compile_lhs(data.get("lhs"), variables, samples, where),
+            **_compile_rhs(data.get("rhs"), variables, samples, where),
+        )
+
+    def checks(self, prec: Precision) -> Iterator[Check]:
+        if self.run is not None:
+            return self.run(prec)
+        return _sample_checks(self, prec)
 
 
 def catalog_load(path: str | Path) -> list[IdentityRecord]:
@@ -483,7 +446,7 @@ def catalog_load(path: str | Path) -> list[IdentityRecord]:
         raise CatalogError(f"{path}: unknown top-level fields {sorted(unknown)}")
     if not isinstance(data.get("records"), list) or not data["records"]:
         raise CatalogError(f"{path}: records must be a nonempty list")
-    records = [_parse_record(r, i) for i, r in enumerate(data["records"])]
+    records = [IdentityRecord.from_json(r, f"record #{i}") for i, r in enumerate(data["records"])]
     seen: dict[str, int] = {}
     for i, r in enumerate(records):
         if r.id in seen:
@@ -498,10 +461,15 @@ def catalog_load(path: str | Path) -> list[IdentityRecord]:
 # deterministic samplers for the random parametric families
 
 
+def _trunc(n: int, d: int) -> int:
+    """int(Fraction(n, d)) for d > 0, without making the Fraction."""
+    return n // d if n >= 0 else -(-n // d)
+
+
 def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction, den_max: int = 24) -> Fraction:
     den = rng.randint(2, den_max)
-    lo_n = int(lo * den) + 1
-    hi_n = int(hi * den) - 1
+    lo_n = _trunc(lo.numerator * den, lo.denominator) + 1
+    hi_n = _trunc(hi.numerator * den, hi.denominator) - 1
     if hi_n < lo_n:
         lo_n = hi_n = int((lo + hi) / 2 * den)
     return Fraction(rng.randint(lo_n, hi_n), den)
@@ -561,15 +529,13 @@ def _grid_values(spec, where: str) -> list[Fraction]:
     return [_rational(v, where) for v in spec]
 
 
-def _compile_samples(record: IdentityRecord, where: str) -> tuple[set[str], Samples]:
-    """The variables of a record and a function that returns its samples:
-    one empty sample for a point record, the grid's cross product (expanded
-    here, so a bad or empty grid is rejected at load), or the named
-    sampler's draws (made each time the function is called, after the count
-    is checked here)."""
-    if record.kind != "parametric-family":
-        return set(), lambda: ({},)
-    params = record.parameters
+def _compile_samples(data: dict, where: str) -> tuple[set[str], tuple[Env, ...]]:
+    """The variables of a point or family record and its samples, all made
+    here: one empty sample for a point record, the grid's cross product, or
+    the named sampler's `count` draws from its `seed`."""
+    if data["kind"] != "parametric-family":
+        return set(), ({},)
+    params = data.get("parameters")
     if not isinstance(params, dict):
         raise CatalogError(f"{where}: parametric-family needs parameters")
     unknown = set(params) - {"vars", "sampler", "count", "seed", "grid"}
@@ -589,28 +555,19 @@ def _compile_samples(record: IdentityRecord, where: str) -> tuple[set[str], Samp
         for var in names:
             values = _grid_values(grid[var], f"{where} grid.{var}")
             envs = [dict(e, **{var: v}) for e in envs for v in values]
-        return variables, lambda: envs
+        return variables, tuple(envs)
     name = params["sampler"]
     if not (isinstance(name, str) and name in SAMPLERS):
         raise CatalogError(f"{where}: unknown sampler {name!r}")
-    sampler = SAMPLERS[name]
     seed = _integer(params.get("seed", 0), f"{where} seed")
     count = _integer(params.get("count", 20), f"{where} count")
     if count < 1:
         raise CatalogError(f"{where}: count must be positive")
-
-    def draw() -> list[Env]:
-        rng = random.Random(seed)
-        envs = []
-        for _ in range(100 * count):
-            env = sampler(rng)
-            if set(env) == variables:
-                envs.append(env)
-                if len(envs) == count:
-                    return envs
-        raise CatalogError(f"sampler for {record.id} failed to produce samples")
-
-    return variables, draw
+    rng = random.Random(seed)
+    envs = [SAMPLERS[name](rng) for _ in range(count)]
+    if set(envs[0]) != variables:
+        raise CatalogError(f"{where}: sampler {name!r} does not draw vars {sorted(variables)}")
+    return variables, tuple(envs)
 
 
 # ---------------------------------------------------------------------------
@@ -709,12 +666,12 @@ def _fold(checks: Iterable[Check]) -> Check:
     return Verdict.worst(verdicts), min(digits, default=None), "", None, None
 
 
-def _sample_checks(compiled: CompiledRecord, prec: Precision) -> Iterator[Check]:
-    for env in compiled.samples():
-        at = ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
-        p, z = compiled.lhs(env)
-        if compiled.exact_rhs is not None:
-            got, want = f21_terminating(p, z), compiled.exact_rhs(env)
+def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
+    for env in record.samples:
+        at = _sample_text(env)
+        p, z = record.lhs(env)
+        if record.exact_rhs is not None:
+            got, want = f21_terminating(p, z), record.exact_rhs(env)
             if got == want:
                 yield Verdict.EQUAL, None, "", None, None
             else:
@@ -723,7 +680,7 @@ def _sample_checks(compiled: CompiledRecord, prec: Precision) -> Iterator[Check]
                 yield Verdict.DISTINCT, None, detail, None, None
             continue
         lhs_val = f21_eval(p, z, prec)
-        rhs_val = compiled.rhs(env, prec)
+        rhs_val = record.rhs(env, prec)
         yield (
             num_equal(lhs_val, rhs_val, prec),
             achieved_digits(lhs_val, rhs_val),
@@ -784,20 +741,31 @@ def _rule_checks(name: str, samples: int, seed: int, prec: Precision) -> Iterato
         )
 
 
-def _compile_rule(record: IdentityRecord, where: str) -> Checks:
-    if record.samples is not None and record.samples < 1:
-        raise CatalogError(f"{where}: samples must be positive")
-    if record.rule == "zj-split":
-        if not record.points:
+def _compile_rule(data: dict, where: str) -> Checks:
+    name, samples, seed, points = (data.get(k) for k in ("rule", "samples", "seed", "points"))
+    if not isinstance(name, str):
+        raise CatalogError(f"{where}: transform-rule needs a rule name")
+    if name == "zj-split":
+        if not points:
             raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
-        if record.samples is not None or record.seed is not None:
+        if samples is not None or seed is not None:
             raise CatalogError(f"{where}: zj-split checks its points; samples and seed are unused")
-        return partial(_split_checks, record.points)
-    if record.rule not in RULES:
-        raise CatalogError(f"{where}: unknown transform rule {record.rule!r}")
-    if record.points is not None:
-        raise CatalogError(f"{where}: rule {record.rule!r} is sampled; points are unused")
-    return partial(_rule_checks, record.rule, record.samples or 20, record.seed or 0)
+        if not isinstance(points, list) or not all(
+            isinstance(pt, dict) and set(pt) == {"a", "b", "z"} for pt in points
+        ):
+            raise CatalogError(f"{where}: split points need a, b, z")
+        return partial(_split_checks, tuple(
+            tuple(_rational(pt[k], f"{where} point") for k in "abz") for pt in points
+        ))
+    if name not in RULES:
+        raise CatalogError(f"{where}: unknown transform rule {name!r}")
+    if points is not None:
+        raise CatalogError(f"{where}: rule {name!r} is sampled; points are unused")
+    samples = 20 if samples is None else _integer(samples, f"{where} samples")
+    if samples < 1:
+        raise CatalogError(f"{where}: samples must be positive")
+    seed = 0 if seed is None else _integer(seed, f"{where} seed")
+    return partial(_rule_checks, name, samples, seed)
 
 
 def _main_derivation_checks(prec: Precision) -> Iterator[Check]:
@@ -812,29 +780,31 @@ def _gosper_proof_checks(b_values: Sequence[Fraction], prec: Precision) -> Itera
             yield verdict, None, detail, None, None
 
 
-def _compile_chain(record: IdentityRecord, where: str) -> Checks:
-    if record.chain == "main-derivation":
-        if record.b_values is not None:
+def _compile_chain(data: dict, where: str) -> Checks:
+    chain, b = data.get("chain"), data.get("b")
+    if chain == "main-derivation":
+        if b is not None:
             raise CatalogError(f"{where}: main-derivation takes no b")
         return _main_derivation_checks
-    if record.chain == "gosper-proof":
-        if record.b_values is not None and not record.b_values:
+    if chain == "gosper-proof":
+        if b is None:
+            return partial(_gosper_proof_checks, (Fraction(5, 8),))
+        if not isinstance(b, list) or not b:
             raise CatalogError(f"{where}: b must be a nonempty list of rationals")
-        return partial(_gosper_proof_checks, record.b_values or (Fraction(5, 8),))
-    raise CatalogError(f"{where}: unknown proof chain {record.chain!r}")
+        return partial(_gosper_proof_checks, tuple(_rational(x, f"{where} b") for x in b))
+    raise CatalogError(f"{where}: unknown proof chain {chain!r}")
 
 
 def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
     start = time.perf_counter()
     try:
-        compiled = record.compiled
-        verdict, digits, detail, lhs, rhs = _fold(compiled.checks(prec))
-    except (HyperError, MPRealError, TransformError, DerivationError, CatalogError) as e:
+        verdict, digits, detail, lhs, rhs = _fold(record.checks(prec))
+    except (HyperError, MPRealError, TransformError, DerivationError) as e:
         return ReportEntry(
             record.id, "fail", None, time.perf_counter() - start,
             prec.target_digits, detail=f"{type(e).__name__}: {e}",
         )
-    if compiled.exact_rhs is not None:
+    if record.exact_rhs is not None:
         digits = "exact"
     return ReportEntry(
         record.id,

@@ -11,7 +11,7 @@ Subcommands:
 All rationals on the command line use "p/q" form.  Every subcommand accepts
 ``--report text|json``.  Exit codes: 0 everything passed, 1 something
 failed or was distinct, 2 something stayed inconclusive, 3 usage or parse
-errors.
+errors and arguments outside the domain.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .catalog import (
 )
 from .exact import rational, rational_str
 from .gammaexpr import Verdict, achieved_digits, num_equal
-from .hyper import HyperError, HypParams, f21_eval, f21_series, f21_integral
+from .hyper import HyperError, HypParams, ParamsError, f21_eval, f21_series, f21_integral
 from .mpreal import MPRealError, Precision, beta, tanh_sinh_integrate
 from .transforms import TransformError, derive_main, verify_gosper_proof
 
@@ -249,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except CatalogError as e:
         print(f"catalog error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except TransformError as e:
+    except (TransformError, ParamsError) as e:  # an input outside the domain
         print(f"argument error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (HyperError, MPRealError) as e:

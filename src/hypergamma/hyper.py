@@ -16,7 +16,8 @@ Three evaluation routes; `f21_eval` takes exactly one of them per input:
   estimate (see `tanh_sinh_integrate`), not a proof.
 
 For -9 <= z < -9/10, `f21_eval` sums Pfaff's transform
-(1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) by `f21_series`.
+(1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) by `f21_series`.  `check_domain`, which
+`f21_eval` calls first, is the one test of whether an input has a value.
 
 The series and the integral are compared with each other by
 ``hypergamma quadcheck --expr euler`` and by the test suite, not at run
@@ -28,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from mpmath.libmp import from_man_exp
@@ -55,7 +57,9 @@ class HyperError(ArithmeticError):
 
 
 class ParamsError(HyperError):
-    """Lower parameter pole not excused by earlier termination."""
+    """An input outside the domain of 2F1 (see `check_domain`): a lower
+    parameter pole not excused by earlier termination, or a non-terminating
+    series at z > 1, or at z = 1 with c - a - b <= 0."""
 
 
 class SeriesTermCapError(HyperError):
@@ -63,9 +67,9 @@ class SeriesTermCapError(HyperError):
 
 
 class NoFeasibleStrategyError(HyperError):
-    """No evaluation route applies to a non-terminating input: z > 1,
-    z = 1 with c - a - b <= 0, or no valid Euler-integral parameter
-    ordering for 9/10 < z <= 1 or z < -9."""
+    """An input in the domain, but no evaluation route for it: no
+    Euler-integral parameter ordering (c > b > 0 in either order) for
+    9/10 < z < 1 or z < -9."""
 
 
 @dataclass(frozen=True)
@@ -77,11 +81,11 @@ class HypParams:
     c: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
-        object.__setattr__(self, "c", Fraction(self.c))
+        for name in ("a", "b", "c"):
+            if type(getattr(self, name)) is not Fraction:
+                object.__setattr__(self, name, Fraction(getattr(self, name)))
 
-    @property
+    @cached_property
     def terminating_degree(self) -> int | None:
         """Smallest n with an upper parameter equal to -n, if any."""
         degrees = [
@@ -102,6 +106,20 @@ class HypParams:
 
     def swapped(self) -> "HypParams":
         return HypParams(self.b, self.a, self.c)
+
+
+def check_domain(p: HypParams, z: Fraction) -> None:
+    """Raise ParamsError unless 2F1(a, b; c; z) has a value at the rational
+    z: a lower-parameter pole must be excused by earlier termination
+    (`HypParams.validate`), and a series that does not terminate needs
+    z < 1, or z = 1 with c - a - b > 0 (Gauss)."""
+    p.validate()
+    if z < 1 or p.terminating_degree is not None:
+        return
+    if z > 1:
+        raise ParamsError(f"z = {rational_str(Fraction(z))} > 1 and the series does not terminate")
+    if p.c - p.a - p.b <= 0:
+        raise ParamsError(f"z = 1 and c - a - b = {rational_str(p.c - p.a - p.b)} <= 0")
 
 
 @dataclass(frozen=True)
@@ -238,20 +256,26 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     """Euler-integral evaluation: Gamma(c)/(Gamma(b)Gamma(c-b)) times the
     integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1).
 
-    Requires c > b > 0 and rational z <= 1.  For z < 1 the integral is
-    taken by tanh-sinh quadrature, whose error bound is an estimate.  At
-    z = 1 (requires c-a-b > 0) the integral is B(b, c-a-b), summed by the
+    For rational z < 1 requires c > b > 0; the integral is taken by
+    tanh-sinh quadrature, whose error bound is an estimate.  At z = 1
+    (requires c-a-b > 0) the integral is B(b, c-a-b), summed by the
     positive-term series of `mpreal.beta`: no Gamma quotient is formed for
-    it, so the Gamma route stays independent of Gauss's theorem.
+    it, so the Gamma route stays independent of Gauss's theorem.  No order
+    c > b > 0 is needed there: the value is 0 if c-a or c-b is a
+    nonpositive integer (DLMF 15.8.1: (1-z)^(c-a-b) times a terminating
+    2F1), and otherwise, with b off the poles, so is every argument.
     """
     a, b, c = p.a, p.b, p.c
     z = Fraction(z)
-    if not (c > b > 0):
-        raise HyperError("Euler integral requires c > b > 0")
     if z > 1:
         raise HyperError("Euler integral requires z <= 1")
-    if z == 1 and not c - a - b > 0:
-        raise HyperError("z = 1 requires c - a - b > 0")
+    if z == 1:
+        if not c - a - b > 0:
+            raise HyperError("z = 1 requires c - a - b > 0")
+        if is_nonpositive_integer(c - a) or is_nonpositive_integer(c - b):
+            return BigReal.from_int(0, prec.work_bits)
+    elif not (c > b > 0):
+        raise HyperError("Euler integral requires c > b > 0")
 
     qprec = prec.boosted(16)
     if z == 1:
@@ -275,7 +299,7 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
 
 def _integral_with_swap(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     for q in (p, p.swapped()):
-        if q.c > q.b > 0:
+        if q.c > q.b > 0 or (z == 1 and not is_nonpositive_integer(q.b)):
             return f21_integral(q, z, prec)
     raise NoFeasibleStrategyError(
         "no Euler-integral parameter ordering with c > b > 0"
@@ -290,16 +314,18 @@ def f21_eval(
 ) -> BigReal:
     """Strategy dispatcher for rational arguments; one route per input.
 
+    `check_domain` runs first: an input with no value raises ParamsError.
     auto: the exact terminating sum when an upper parameter is a
     nonpositive integer; otherwise the direct series for |z| <= 9/10, the
-    series of Pfaff's transform for -9 <= z < -9/10, and `f21_integral`
-    (trying both parameter orderings) at z = 1, where it sums the Beta
-    series, and for 9/10 < z < 1 and z < -9, where it runs tanh-sinh.
+    series of Pfaff's transform for -9 <= z < -9/10, and `f21_integral`:
+    at z = 1 the Beta series, in the given parameter order, and for
+    9/10 < z < 1 and z < -9 tanh-sinh, trying both parameter orderings
+    (NoFeasibleStrategyError when neither has c > b > 0).
     "series" and "integral" force that route.  No second route is run: the
     series-versus-integral comparison is ``hypergamma quadcheck --expr
     euler``.
     """
-    p.validate()
+    check_domain(p, z)
     z = Fraction(z)
     if strategy not in ("auto", "series", "integral"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -322,8 +348,4 @@ def f21_eval(
         base = BigReal.from_fraction(1 - z, qprec.work_bits)
         out = base.pow_rational(-p.a) * series
         return BigReal(out.val, out.err, prec.work_bits)
-    if z >= 1 and not (z == 1 and p.c - p.a - p.b > 0):
-        raise NoFeasibleStrategyError(
-            f"z = {rational_str(z)} >= 1 with non-terminating parameters"
-        )
     return _integral_with_swap(p, z, prec)

@@ -125,21 +125,36 @@ class TestLoad:
 class TestFamilies:
     def test_grid_expansion_counts(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        assert len(records["apagodu-zeilberger-family"].compiled.samples()) == 31
-        assert len(records["gosper-strange-series"].compiled.samples()) == 25
+        assert len(records["apagodu-zeilberger-family"].samples) == 31
+        assert len(records["gosper-strange-series"].samples) == 25
 
     def test_samplers_deterministic(self):
-        records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        a = records["gauss-summation"].compiled.samples()
-        b = records["gauss-summation"].compiled.samples()
+        a, b = (
+            next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "gauss-summation").samples
+            for _ in range(2)
+        )
         assert a == b and len(a) == 30
         for env in a:
             assert env["c"] > env["b"] > 0
             assert env["c"] - env["a"] - env["b"] > F(1, 10)
 
+    def test_every_sample_is_drawn_at_load(self, monkeypatch):
+        # the samples are drawn once, when the record is made: verifying
+        # draws nothing
+        import hypergamma.catalog as catalog
+
+        record = next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "gauss-summation")
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sampler ran at verify time")
+
+        monkeypatch.setattr(catalog.random, "Random", no_draw)
+        entry = verify_identity(record, Precision.of(20))
+        assert entry.verdict == "pass"
+
     def test_gosper_sampler_range(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        envs = records["gosper-quarter-family"].compiled.samples()
+        envs = records["gosper-quarter-family"].samples
         assert len(envs) == 25
         assert all(F(-2) < env["b"] < F(5, 6) for env in envs)
         assert all(env["b"].denominator <= 24 for env in envs)
@@ -161,34 +176,32 @@ class TestVerify:
         assert "±" in entry.interval_lhs
 
     def test_hand_built_record_verifies(self):
-        record = IdentityRecord(
-            id="cl", kind="point-evaluation",
-            lhs=POINT_RECORD["lhs"], rhs=POINT_RECORD["rhs"],
+        record = IdentityRecord.from_json(
+            {"id": "cl", "kind": "point-evaluation",
+             "lhs": POINT_RECORD["lhs"], "rhs": POINT_RECORD["rhs"]}
         )
         assert verify_identity(record, Precision.of(30)).verdict == "pass"
 
     def test_hand_built_bad_template_fails(self):
-        record = IdentityRecord(
-            id="x", kind="point-evaluation",
-            lhs=dict(POINT_RECORD["lhs"], z="q"), rhs=POINT_RECORD["rhs"],
-        )
-        entry = verify_identity(record, Precision.of(30))
-        assert entry.verdict == "fail"
-        assert "unknown names" in entry.detail
+        # a record built in code is checked as catalog_load checks it
+        with pytest.raises(CatalogError) as e:
+            IdentityRecord.from_json(
+                {"id": "x", "kind": "point-evaluation",
+                 "lhs": dict(POINT_RECORD["lhs"], z="q"), "rhs": POINT_RECORD["rhs"]}
+            )
+        assert str(e.value) == "record 'x' lhs.z: unknown names ['q'] in 'q'"
 
     def test_unregistered_chain_fails(self):
-        record = IdentityRecord(id="x", kind="proof-chain", chain="warp-drive")
-        entry = verify_identity(record, Precision.of(30))
-        assert entry.verdict == "fail"
-        assert entry.detail == "CatalogError: record 'x': unknown proof chain 'warp-drive'"
+        with pytest.raises(CatalogError) as e:
+            IdentityRecord.from_json({"id": "x", "kind": "proof-chain", "chain": "warp-drive"})
+        assert str(e.value) == "record 'x': unknown proof chain 'warp-drive'"
 
     def test_unregistered_rule_fails(self):
-        record = IdentityRecord(
-            id="x", kind="transform-rule", rule="landen", samples=3, seed=1
-        )
-        entry = verify_identity(record, Precision.of(30))
-        assert entry.verdict == "fail"
-        assert entry.detail == "CatalogError: record 'x': unknown transform rule 'landen'"
+        with pytest.raises(CatalogError) as e:
+            IdentityRecord.from_json(
+                {"id": "x", "kind": "transform-rule", "rule": "landen", "samples": 3, "seed": 1}
+            )
+        assert str(e.value) == "record 'x': unknown transform rule 'landen'"
 
     def test_precision_monotonicity(self, tmp_path):
         path = write_catalog(tmp_path, [POINT_RECORD])
@@ -408,6 +421,20 @@ BAD_INPUTS = {
     "sampled-rule-points": dict(RULE_RECORD, points=SPLIT_RECORD["points"]),
     "split-samples": dict(SPLIT_RECORD, samples=5),
     "split-seed": dict(SPLIT_RECORD, seed=1),
+    # an lhs with no value at some sample
+    "lhs-lower-pole": dict(POINT_RECORD, lhs={"a": "1/2", "b": "2/3", "c": "-1", "z": "1/4"}),
+    "lhs-z-above-one": dict(POINT_RECORD, lhs={"a": "1/2", "b": "2/3", "c": "1/6", "z": "2"}),
+    "lhs-z-one-divergent": dict(
+        POINT_RECORD, lhs={"a": "1/2", "b": "2/3", "c": "1/6", "z": "1"}
+    ),
+    "grid-lhs-lower-pole": dict(
+        FAMILY_RECORD, lhs={"a": "1/2", "b": "1/2", "c": "1-n", "z": "1/4"}
+    ),
+    "sampler-vars-mismatch": dict(
+        FAMILY_RECORD,
+        lhs={"a": "a", "b": "b", "c": "a+b+1", "z": "1/2"},
+        parameters={"vars": ["a", "b"], "sampler": "gauss"},
+    ),
 }
 
 
@@ -417,7 +444,24 @@ def test_bad_catalog_input_exits_3(tmp_path, capsys, name):
 
     path = write_catalog(tmp_path, [BAD_INPUTS[name]])
     assert main(["verify", "--catalog", str(path)]) == 3
-    assert "catalog error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"catalog error: record {BAD_INPUTS[name]['id']!r}"), err
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+def test_bad_record_built_in_code_raises_the_load_error(tmp_path, name):
+    # one constructor: a record built in code fails as catalog_load fails
+    with pytest.raises(CatalogError) as loaded:
+        catalog_load(write_catalog(tmp_path, [BAD_INPUTS[name]]))
+    with pytest.raises(CatalogError) as built:
+        IdentityRecord.from_json(BAD_INPUTS[name])
+    assert str(built.value) == str(loaded.value)
+
+
+@pytest.mark.parametrize("record", [5, {"kind": "proof-chain"}], ids=["not-an-object", "no-id"])
+def test_record_without_an_id_is_named_by_its_index(tmp_path, record):
+    with pytest.raises(CatalogError, match=r"^record #1: "):
+        catalog_load(write_catalog(tmp_path, [POINT_RECORD, record]))
 
 
 def test_unreadable_catalog_exits_3(tmp_path, capsys):
@@ -454,19 +498,18 @@ def test_catalog_without_records_exits_3(tmp_path, capsys, text):
     "fields, message",
     [
         ({"rule": "zj-split"}, "zj-split needs a nonempty list of points"),
-        ({"rule": "zj-split", "points": ()}, "zj-split needs a nonempty list of points"),
+        ({"rule": "zj-split", "points": []}, "zj-split needs a nonempty list of points"),
         ({"rule": "euler", "samples": 0}, "samples must be positive"),
         ({"rule": "euler", "samples": -3}, "samples must be positive"),
     ],
     ids=["fields0", "fields1", "fields2", "fields3"],
 )
 def test_record_built_in_code_that_checks_nothing_fails(fields, message):
-    # a record built in code is compiled on first use, with the checks of
-    # catalog_load, and a record that does not compile fails
-    record = IdentityRecord(id="n", kind="transform-rule", **fields)
-    entry = verify_identity(record, Precision.of(20))
-    assert entry.verdict == "fail"
-    assert entry.detail == f"CatalogError: record 'n': {message}"
+    # a record built in code is compiled when it is made, with the checks
+    # of catalog_load, and a record that would check nothing is not made
+    with pytest.raises(CatalogError) as e:
+        IdentityRecord.from_json({"id": "n", "kind": "transform-rule", **fields})
+    assert str(e.value) == f"record 'n': {message}"
 
 
 def test_retry_reports_the_time_of_both_attempts(monkeypatch):
@@ -481,7 +524,8 @@ def test_retry_reports_the_time_of_both_attempts(monkeypatch):
         return ReportEntry(record.id, "pass", 45, 2.25, prec.target_digits)
 
     monkeypatch.setattr(catalog, "_verify_once", fake_verify_once)
-    entry = verify_identity(IdentityRecord(id="x", kind="proof-chain"), Precision.of(30))
+    record = IdentityRecord.from_json({"id": "x", "kind": "proof-chain", "chain": "gosper-proof"})
+    entry = verify_identity(record, Precision.of(30))
     assert attempts == [30, 60]
     assert (entry.verdict, entry.digits, entry.precision_digits) == ("pass", 45, 60)
     assert entry.seconds == 3.75
@@ -510,5 +554,5 @@ def test_point_record_with_exact_product_is_verified_exactly(tmp_path):
 
 def test_family_and_split_records_compile_at_load(tmp_path):
     family, split = catalog_load(write_catalog(tmp_path, [FAMILY_RECORD, SPLIT_RECORD]))
-    assert [env["n"] for env in family.compiled.samples()] == [0, 1, 2]
-    assert split.points == ((F(1, 4), F(1, 4), F(1, 4)),)
+    assert [env["n"] for env in family.samples] == [0, 1, 2]
+    assert split.run.args == (((F(1, 4), F(1, 4), F(1, 4)),),)

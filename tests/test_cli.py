@@ -82,12 +82,29 @@ class TestEval:
         assert "usage error" in err
 
     def test_infeasible_evaluation_fails(self, capsys):
+        # in the domain, but no route: z > 9/10 and c < min(a, b), so no
+        # Euler ordering
         code, _, err = run(
-            capsys, "eval", "--a", "1/2", "--b", "2/3", "--c", "1/6",
-            "--z", "3/2", "--digits", "20",
+            capsys, "eval", "--a", "1/2", "--b", "1/2", "--c", "1/3",
+            "--z", "19/20", "--digits", "20",
         )
         assert code == 1
-        assert "evaluation failed" in err
+        assert err.startswith("evaluation failed: no Euler-integral parameter ordering")
+
+    @pytest.mark.parametrize(
+        "a, b, c, z, message",
+        [
+            ("1", "1", "0", "1/2", "lower parameter 0 is a nonpositive integer"),
+            ("1/2", "1/3", "1/4", "2", "z = 2 > 1 and the series does not terminate"),
+            ("1/2", "2/3", "1/6", "3/2", "z = 3/2 > 1 and the series does not terminate"),
+            ("1/2", "2/3", "1/6", "1", "z = 1 and c - a - b = -1 <= 0"),
+        ],
+        ids=["lower-pole", "z-2", "z-3/2", "z-1-divergent"],
+    )
+    def test_input_outside_the_domain_is_argument_error(self, capsys, a, b, c, z, message):
+        code, _, err = run(capsys, "eval", "--a", a, "--b", b, "--c", c, "--z", z)
+        assert code == 3
+        assert err.startswith(f"argument error: {message}"), err
 
     def test_missing_subcommand_is_usage_error(self, capsys):
         code, _, err = run(capsys)

@@ -19,6 +19,7 @@ from hypergamma.hyper import (
     PochRatio,
     Precision,
     SeriesTermCapError,
+    check_domain,
     f21_eval,
     f21_integral,
     f21_series,
@@ -385,7 +386,8 @@ class TestEval:
         assert_encloses(out, mpf_of_fraction(F(88, 85)), "AZ dispatch")
 
     def test_no_strategy_above_one(self):
-        with pytest.raises(NoFeasibleStrategyError):
+        # z > 1 with a series that does not terminate is outside the domain
+        with pytest.raises(ParamsError):
             f21_eval(HypParams(F(1, 2), F(2, 3), F(1, 6)), F(3, 2), P30)
 
     def test_no_strategy_near_one_without_ordering(self):
@@ -415,6 +417,80 @@ class TestEval:
             base = BigReal.from_fraction(a / (a + b), P30.work_bits)
             want = base.pow_rational(a) * (b + 1)
             assert overlap(out, want)
+
+
+class TestDomain:
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (F(1, 2), F(1, 3), F(-1), F(1, 4)),  # lower pole
+            (F(-3), F(1, 3), F(-2), F(1, 4)),  # terminates after the pole
+            (F(1, 2), F(1, 3), F(1, 4), F(2)),  # on the branch cut
+            (F(1, 2), F(2, 3), F(7, 6), F(1)),  # c - a - b = 0
+            (F(1, 2), F(2, 3), F(1, 6), F(1)),  # c - a - b < 0
+        ],
+    )
+    def test_outside(self, a, b, c, z):
+        with pytest.raises(ParamsError):
+            check_domain(HypParams(a, b, c), z)
+        with pytest.raises(ParamsError):
+            f21_eval(HypParams(a, b, c), z, P30)
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (F(-2), F(1, 3), F(-3), F(1, 4)),  # terminates before the pole
+            (F(-2), F(1, 3), F(1, 4), F(5)),  # a polynomial at any z
+            (F(1, 2), F(1, 3), F(1, 4), F(-100)),
+            (F(1, 2), F(1, 3), F(1, 4), F(99, 100)),
+            (F(1, 2), F(1, 3), F(1), F(1)),
+        ],
+    )
+    def test_inside(self, a, b, c, z):
+        check_domain(HypParams(a, b, c), z)
+
+
+class TestGaussAtOne:
+    """At z = 1 a non-terminating series needs only c - a - b > 0: no
+    Euler ordering c > b > 0 is required."""
+
+    @pytest.mark.parametrize(
+        "a, b, c, want",
+        [
+            (F(-1, 2), F(-1, 3), F(-1, 4), "-0.17972618045009428232"),
+            (F(-5, 2), F(1, 3), F(-1, 2), "0.47909436282033158055"),
+            (F(1, 3), F(-7, 4), F(-1, 3), "1.0928203230275509174"),
+        ],
+    )
+    def test_no_euler_ordering(self, a, b, c, want):
+        p = HypParams(a, b, c)
+        got = f21_eval(p, F(1), P30)
+        assert got.to_decimal(20).startswith(want[:21])
+        with mp.workdps(80):
+            assert_encloses(got, oracle_f21(p, F(1)), f"{p} at 1")
+
+    def test_exact_zero(self):
+        # c - b = -1: 1/Gamma(c-b) = 0 in Gauss's sum
+        p = HypParams(F(-3, 2), F(5, 4), F(1, 4))
+        got, zero = f21_eval(p, F(1), P30), BigReal.from_int(0, P30.work_bits)
+        assert (got.val, got.err) == (zero.val, zero.err)
+        assert oracle_f21(p, F(1)) == 0
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        a=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        b=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        gap=st.builds(F, st.integers(1, 72), st.integers(1, 12)),
+        digits=st.integers(20, 80),
+    )
+    def test_enclosure_at_one(self, a, b, gap, digits):
+        """For every non-terminating input with c - a - b > 0 the enclosure
+        at z = 1 holds mpmath's value at +50 digits."""
+        p = HypParams(a, b, a + b + gap)
+        assume(p.terminating_degree is None and not is_nonpositive_integer(p.c))
+        got = f21_eval(p, F(1), Precision.of(digits))
+        with mp.workdps(digits + 50):
+            assert_encloses(got, oracle_f21(p, F(1)), f"{p} at 1")
 
 
 class TestAgmK:

@@ -23,6 +23,9 @@ def test_removed_shims_are_gone():
     removed = {
         "real_arith", "elementary", "rational_arith", "poly_eval", "rf_eval",
         "rf_compose", "ge_mul", "ge_num_equal", "agm_K", "ge_reflect",
+        "CompiledRecord",
     }
     assert not removed & set(dir(hypergamma))
+    assert not removed & set(dir(hypergamma.catalog))
+    assert not hasattr(hypergamma.IdentityRecord, "compiled")
     assert not hasattr(hypergamma.RatFunc, "from_fraction")

@@ -3,6 +3,7 @@ splitting transform, and the concluding identity."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction as F
 
@@ -215,11 +216,15 @@ class TestConclusion:
     catalog's conclusion-identity record encodes it."""
 
     RECORD = next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "conclusion-identity")
+    JSON = next(
+        r for r in json.loads(DEFAULT_CATALOG.read_text())["records"]
+        if r["id"] == "conclusion-identity"
+    )
 
     def variant(self, terms) -> IdentityRecord:
-        return IdentityRecord(
-            id="conclusion-variant", kind="point-evaluation",
-            lhs=self.RECORD.lhs, rhs={"gamma_expr_sum": terms},
+        return IdentityRecord.from_json(
+            {"id": "conclusion-variant", "kind": "point-evaluation",
+             "lhs": self.JSON["lhs"], "rhs": {"gamma_expr_sum": terms}}
         )
 
     def test_identity_holds(self):
@@ -229,7 +234,7 @@ class TestConclusion:
         assert entry.digits >= 40
 
     def test_lhs_value(self):
-        p, z = self.RECORD.compiled.lhs({})
+        p, z = self.RECORD.lhs({})
         assert (p, z) == (HypParams(F(1, 2), F(3, 2), F(13, 6)), F(-1, 3))
         lhs = f21_eval(p, z, P40)
         assert lhs.to_decimal(20).startswith("0.9031416027010812323")
@@ -240,15 +245,15 @@ class TestConclusion:
         )
 
     def test_first_term_value(self):
-        first = self.RECORD.rhs["gamma_expr_sum"][0]
+        first = self.JSON["rhs"]["gamma_expr_sum"][0]
         assert first["sign"] == 1
-        value = self.variant([first]).compiled.rhs({}, P40)
+        value = self.variant([first]).rhs({}, P40)
         # 7/(2^(2/3) sqrt 3); the analogous 6-numerator value is 2.182247271...
         assert value.to_decimal(12).startswith("2.5459551506")
 
     def test_smaller_first_term_variant_is_distinct(self):
         # lowering the leading numerator from 7 to 6 must be detected
-        first, second = self.RECORD.rhs["gamma_expr_sum"]
+        first, second = self.JSON["rhs"]["gamma_expr_sum"]
         assert first["expr"]["rat"][0] == ["7", "1"]
         rat = [["6", "1"]] + first["expr"]["rat"][1:]
         perturbed = {"sign": 1, "expr": dict(first["expr"], rat=rat)}
