@@ -19,7 +19,9 @@ expressions; only +, -, *, / and named variables are allowed.  A record
 is compiled when `IdentityRecord.from_json` makes it, for `catalog_load`
 or for other code, and that is its validation: its templates, the rule or
 chain it names, and at every sample, drawn then, once, the domain of its
-lhs and any exact product.  A fault raises the same CatalogError either way.
+lhs, any exact product (whose lhs must terminate), and the Gamma
+arguments, bases and surds of any Gamma expression, which must be
+positive.  A fault raises the same CatalogError either way.
 
 Verdicts per record are pass / fail / inconclusive; an inconclusive
 comparison is retried once at doubled precision.  A fail entry
@@ -47,6 +49,7 @@ from .gammaexpr import (
     GammaExprError,
     Verdict,
     achieved_digits,
+    check_positive,
     ge_eval,
     num_equal,
 )
@@ -199,17 +202,21 @@ def _sample_text(env: Env) -> str:
 
 
 def _check_samples(fn: Callable[[Env], object], samples: Sequence[Env], where: str) -> None:
-    """Call fn at every sample: a HyperError at any sample is a catalog
-    error naming the record and the sample."""
+    """Call fn at every sample: a HyperError or GammaExprError at any
+    sample is a catalog error naming the record and the sample."""
     for env in samples:
         try:
             fn(env)
-        except HyperError as e:
+        except (HyperError, GammaExprError) as e:
             at = _sample_text(env)
             raise CatalogError(f"{where}{' at ' + at if at else ''}: {e}") from None
 
 
-def _compile_lhs(lhs, variables: set[str], samples: Sequence[Env], where: str) -> Lhs:
+def _compile_lhs(
+    lhs, variables: set[str], samples: Sequence[Env], exact: bool, where: str
+) -> Lhs:
+    """The lhs closure, checked at every sample: the series has a value,
+    and terminates if the rhs is exact."""
     if not isinstance(lhs, dict) or set(lhs) != {"a", "b", "c", "z"}:
         raise CatalogError(f"{where}: lhs must define a, b, c, z")
     a, b, c, z = (_template(lhs[k], variables, f"{where} lhs.{k}") for k in "abcz")
@@ -217,12 +224,18 @@ def _compile_lhs(lhs, variables: set[str], samples: Sequence[Env], where: str) -
     def params(env: Env) -> tuple[HypParams, Fraction]:
         return HypParams(a(env), b(env), c(env)), z(env)
 
-    _check_samples(lambda env: check_domain(*params(env)), samples, f"{where} lhs")
+    def checked(env: Env) -> None:
+        p, z = params(env)
+        check_domain(p, z)
+        if exact and p.terminating_degree is None:
+            raise HyperError("an exact rhs needs a terminating lhs")
+
+    _check_samples(checked, samples, f"{where} lhs")
     return params
 
 
 def _compile_gamma_expr(
-    data: dict, variables: set[str], where: str
+    data: dict, variables: set[str], where: str, samples: Sequence[Env] = ({},)
 ) -> Callable[[Env], GammaExpr]:
     if not isinstance(data, dict):
         raise CatalogError(f"{where}: gamma_expr must be an object")
@@ -254,15 +267,16 @@ def _compile_gamma_expr(
             surd_factors=tuple((p(env), q(env), d(env), e) for p, q, d, e in surds),
         )
 
-    if variables:
-        return instantiate
-    # concrete expression: instantiating now rejects Gamma poles and
-    # nonpositive bases at load time
-    try:
-        expr = instantiate({})
-    except GammaExprError as e:
-        raise CatalogError(f"{where}: {e}") from None
-    return lambda env: expr
+    def positive(env: Env) -> None:
+        """The checks of GammaExpr, on only the templates they read."""
+        check_positive(
+            [(b(env), None) for b, _ in rats],
+            [(a(env), e) for a, e in gammas],
+            [(p(env), q(env), d(env), e) for p, q, d, e in surds],
+        )
+
+    _check_samples(positive, samples, where)
+    return instantiate
 
 
 def _compile_exact_product(
@@ -321,7 +335,7 @@ def _compile_rhs(rhs, variables: set[str], samples: Sequence[Env], where: str) -
         raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
     (key, value), = rhs.items()
     if key == "gamma_expr":
-        expr = _compile_gamma_expr(value, variables, where)
+        expr = _compile_gamma_expr(value, variables, where, samples)
         return {"rhs": lambda env, prec: ge_eval(expr(env), prec)}
     if key == "gamma_expr_sum":
         if not isinstance(value, list):
@@ -332,7 +346,7 @@ def _compile_rhs(rhs, variables: set[str], samples: Sequence[Env], where: str) -
                 raise CatalogError(f"{where}: sum term {i} needs sign and expr")
             if term["sign"] not in (1, -1) or isinstance(term["sign"], bool):
                 raise CatalogError(f"{where}: sum term sign must be 1 or -1")
-            expr = _compile_gamma_expr(term["expr"], variables, f"{where} term {i}")
+            expr = _compile_gamma_expr(term["expr"], variables, f"{where} term {i}", samples)
             terms.append((term["sign"], expr))
 
         def signed_sum(env: Env, prec: Precision) -> BigReal:
@@ -408,11 +422,9 @@ class IdentityRecord:
         if kind == "proof-chain":
             return record(run=_compile_chain(data, where))
         variables, samples = _compile_samples(data, where)
-        return record(
-            samples=samples,
-            lhs=_compile_lhs(data.get("lhs"), variables, samples, where),
-            **_compile_rhs(data.get("rhs"), variables, samples, where),
-        )
+        rhs = _compile_rhs(data.get("rhs"), variables, samples, where)
+        lhs = _compile_lhs(data.get("lhs"), variables, samples, "exact_rhs" in rhs, where)
+        return record(samples=samples, lhs=lhs, **rhs)
 
     def checks(self, prec: Precision) -> Iterator[Check]:
         if self.run is not None:

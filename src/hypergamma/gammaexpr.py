@@ -49,6 +49,24 @@ def _surd_is_positive(p: Fraction, q: Fraction, d: Fraction) -> bool:
     return p > 0 and p * p > q * q * d
 
 
+def check_positive(rational_factors, gamma_factors, surd_factors) -> None:
+    """Raise GammaExprError unless, in factors shaped as GammaExpr holds
+    them (the exponents are not read), every rational base and Gamma
+    argument is positive and every surd p + q sqrt(d) has d > 0 and is
+    positive."""
+    for base, _ in rational_factors:
+        if base <= 0:
+            raise GammaExprError(f"rational base {base} must be positive")
+    for arg, _ in gamma_factors:
+        if arg <= 0:
+            raise GammaExprError(f"gamma argument {arg} must be positive")
+    for p, q, d, _ in surd_factors:
+        if d <= 0:
+            raise GammaExprError(f"surd radicand {d} must be positive")
+        if not _surd_is_positive(p, q, d):
+            raise GammaExprError(f"surd {p} + {q} sqrt({d}) must be positive")
+
+
 @dataclass(frozen=True)
 class GammaExpr:
     """Product of rational^rational, pi^rational, Gamma(rational)^int, and
@@ -60,29 +78,22 @@ class GammaExpr:
     surd_factors: tuple[tuple[Fraction, Fraction, Fraction, int], ...] = ()
 
     def __post_init__(self):
+        check_positive(self.rational_factors, self.gamma_factors, self.surd_factors)
         rats: dict[Fraction, Fraction] = {}
         for base, e in self.rational_factors:
             base, e = Fraction(base), Fraction(e)
-            if base <= 0:
-                raise GammaExprError(f"rational base {base} must be positive")
             if base == 1 or e == 0:
                 continue
             rats[base] = rats.get(base, Fraction(0)) + e
         gammas: dict[Fraction, int] = {}
         for arg, e in self.gamma_factors:
             arg, e = Fraction(arg), int(e)
-            if arg <= 0:
-                raise GammaExprError(f"gamma argument {arg} must be positive")
             if e == 0:
                 continue
             gammas[arg] = gammas.get(arg, 0) + e
         surds: dict[tuple[Fraction, Fraction, Fraction], int] = {}
         for p, q, d, e in self.surd_factors:
             p, q, d, e = Fraction(p), Fraction(q), Fraction(d), int(e)
-            if d <= 0:
-                raise GammaExprError(f"surd radicand {d} must be positive")
-            if not _surd_is_positive(p, q, d):
-                raise GammaExprError(f"surd {p} + {q} sqrt({d}) must be positive")
             if e == 0:
                 continue
             key = (p, q, d)

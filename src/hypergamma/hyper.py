@@ -4,11 +4,10 @@ Three evaluation routes; `f21_eval` takes exactly one of them per input:
 
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
   nonpositive integer;
-* `f21_series` - direct summation for |z| < 1 in fixed point by
-  `mpreal.fixed_point_sum`, the series kernel that Gamma and Beta also
-  use: Python integers scaled by 2^wb, with an integer ulp bound (at most
-  1 ulp per floor division, propagated through the term ratio, plus a
-  radius term for a BigReal z) and a rigorous geometric tail bound;
+* `f21_series` - direct summation for |z| < 1 by `mpreal.fixed_point_sum`,
+  the series kernel that Gamma and Beta also use, which returns the
+  enclosure: a rigorous rounding and tail bound, and the radius of a
+  BigReal z;
 * `f21_integral` - the Gamma-prefactored Euler integral of
   t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1): at z = 1 the Beta series
   of `mpreal.beta`, and for the other rational z too close to 1 for the
@@ -26,18 +25,13 @@ time.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from mpmath.libmp import from_man_exp
-
 from .exact import is_nonpositive_integer, rational_str
 from .mpreal import (
-    ERR_BITS,
-    RU,
     BigReal,
     Precision,
     beta,
@@ -163,69 +157,25 @@ def pochhammer(x: Fraction, n: int) -> Fraction:
     return acc
 
 
-def _center_radius(z: RealArg) -> tuple[int, int, int]:
-    """Integers (u, v, D) with z in [(u - D)/v, (u + D)/v] and v > 0, exact
-    in both cases: a rational z is u/v with D = 0; a BigReal z has dyadic
-    value and error, written over the common denominator v = 2^k."""
-    if not isinstance(z, BigReal):
-        z = Fraction(z)
-        return z.numerator, z.denominator, 0
-    sign, man, exp, _ = z.val
-    _, eman, eexp, _ = z.err
-    k = max(0, -exp, -eexp)
-    center = man << (exp + k)
-    return -center if sign else center, 1 << k, eman << (eexp + k)
-
-
 def f21_series(
     p: HypParams,
     z: RealArg,
     prec: Precision,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> BigReal:
-    """Partial sum of the 2F1 series with a geometric tail bound.
-
-    The sum is `fixed_point_sum` over (a, b; c): Python integers scaled by
-    2^wb, with an integer ulp bound, a radius term for a BigReal z and a
-    geometric tail bound, stopping once the tail is below 2^(-work_bits) of
-    the partial sum.  A sum that cancels, with terms larger than itself
-    (and than 1), is summed once more with the lost bits added to wb.
+    """The 2F1 series at a rational or BigReal z, |z| < 1 unless it
+    terminates, summed by `fixed_point_sum` to a radius of at most
+    2^-work_bits max(1, |value|) (unless the radius of z dominates).
     Raises SeriesTermCapError when term_cap terms pass first, which
     signals an argument too close to 1.
     """
     p.validate()
-    u, v, D = _center_radius(z)
-    zb = Fraction(abs(u) + D, v)
-    n_term = p.terminating_degree
-    if n_term is None and zb >= 1:
-        raise HyperError("series argument must satisfy |z| < 1")
-    if zb == 0:
-        return BigReal.from_int(1, prec.work_bits)
-
-    if n_term is not None:
-        n_est = n_term + 2
-    else:
-        n_est = int((prec.target_digits + 15) * math.log(10) / -math.log(zb)) + 16
-    wb = prec.work_bits + max(16, n_est.bit_length() + 6)
-
-    def summed(wb: int) -> tuple[int, int, int]:
-        out = fixed_point_sum((p.a, p.b), (p.c,), u, v, D, wb, prec.work_bits, term_cap)
-        if out is None:
-            raise SeriesTermCapError(
-                f"series tail bound not reached within {term_cap} terms "
-                f"(argument {rational_str(zb)} too close to 1?)"
-            )
-        return out
-
-    S, err, top = summed(wb)
-    scale = max(abs(S), 1 << wb)
-    lost = top - scale.bit_length()
-    if lost > 0 and err << prec.work_bits > scale:
-        wb += lost
-        S, err, _ = summed(wb)
-    return BigReal(
-        from_man_exp(S, -wb), from_man_exp(err, -wb, ERR_BITS, RU), prec.work_bits
-    )
+    out = fixed_point_sum((p.a, p.b), (p.c,), z, prec.work_bits, term_cap)
+    if out is None:
+        raise SeriesTermCapError(
+            f"series tail bound not reached within {term_cap} terms (argument too close to 1?)"
+        )
+    return out
 
 
 def f21_terminating(p: HypParams, z: Fraction) -> Fraction:

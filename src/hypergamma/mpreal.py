@@ -13,17 +13,18 @@ an explicit bit precision and rounding mode per call.  There is therefore
 no global precision state anywhere in this module: `Precision` objects are
 plain values, and everything is safe to use concurrently.
 
-`fixed_point_sum` is the one series summation loop of the package: a pFq
-series with rational parameters, summed in Python integers scaled by 2^wb
-with an integer ulp bound and a geometric tail bound.  `hyper.f21_series`,
-`gamma` and `beta` call it.  Gamma is computed by an exact-rational
-Pochhammer reduction of the argument to (0, 1] (so pole detection is exact)
-followed by the incomplete-gamma series 1F1(1; y+1; N), with a bound on
-the dropped upper incomplete gamma Gamma(y, N).  Beta is the sum of two
-incomplete-Beta series at 1/2, with positive terms, and no Gamma.  The
-quadrature is standard tanh-sinh with per-level node caching; integrands
-receive the distances to both endpoints at full relative precision so
-endpoint-singular factors can be evaluated without cancellation.
+`fixed_point_sum` is the one series kernel of the package: it sums a pFq
+series with rational parameters in Python integers, with an integer ulp
+bound and a geometric tail bound, and returns the enclosure as a BigReal;
+`hyper.f21_series`, `gamma` and `beta` call it once per series.  Gamma is
+computed by an exact-rational Pochhammer reduction of the argument to
+(0, 1] (so pole detection is exact) followed by the incomplete-gamma series
+1F1(1; y+1; N), with a bound on the dropped upper incomplete gamma
+Gamma(y, N).  Beta is the sum of two incomplete-Beta series at 1/2, with
+positive terms, and no Gamma.  The quadrature is standard tanh-sinh with
+per-level node caching; integrands receive the distances to both endpoints
+at full relative precision so endpoint-singular factors can be evaluated
+without cancellation.
 """
 
 from __future__ import annotations
@@ -448,22 +449,75 @@ def _differences(pairs, const: int) -> tuple[int, int, int, int]:
     return f[0], f[1] - f[0], f[2] - 2 * f[1] + f[0], f[3] - 3 * f[2] + 3 * f[1] - f[0]
 
 
-def fixed_point_sum(
-    upper, lower, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int | None = None
-) -> tuple[int, int, int] | None:
-    """The series pFq(upper; lower; z) = sum_n prod (a)_n / prod (b)_n z^n / n!
-    for rational parameters, p <= q + 1 <= 3, at z in [(u - D)/v, (u + D)/v],
-    v > 0, in integers scaled by 2^wb.
+def _center_radius(z: Real) -> tuple[int, int, int]:
+    """Integers (u, v, D) with z in [(u - D)/v, (u + D)/v] and v > 0, exact
+    in both cases: a rational z is u/v with D = 0; a BigReal z has dyadic
+    value and error, written over the common denominator v = 2^k."""
+    if not isinstance(z, BigReal):
+        z = Fraction(z)
+        return z.numerator, z.denominator, 0
+    sign, man, exp, _ = z.val
+    _, eman, eexp, _ = z.err
+    k = max(0, -exp, -eexp)
+    center = man << (exp + k)
+    return -center if sign else center, 1 << k, eman << (eexp + k)
 
-    Returns (S, err, top) with |S - 2^wb F| <= err and top the bit length
-    of the largest term, or None if term_cap terms pass before the tail
-    bound is met.  The terms are T <- floor(T P u / (Q v)), with P/Q the
-    parameter part of the term ratio in integers and Q > 0, and S <- S + T.
-    Each floor division costs at most 1 ulp, so an integer bound E on the
-    error of T, in ulps, propagates as E <- ceil(E |P| / Q) + 1; a nonzero
-    radius D adds the term ceil(((|T| + E) D + |u| E) |P| / (Q v)).  The
-    error is the sum of the E plus 1 ulp, plus a geometric tail bound on
-    the true terms from (|T| + E).
+
+def fixed_point_sum(
+    upper, lower, z: Real, bits: int, term_cap: int | None = None
+) -> BigReal | None:
+    """The series pFq(upper; lower; z) = sum_n prod (a)_n / prod (b)_n z^n / n!
+    for rational parameters, p <= q + 1 <= 3, at a rational or BigReal z, as
+    a BigReal at `bits` with radius at most 2^-bits max(1, |value|) unless
+    z's radius dominates; None if term_cap terms pass before the tail bound
+    is met.  A non-terminating series with p = q + 1 raises DomainError
+    unless |z| < 1 on all of z's interval.
+
+    `_scaled_sum` sums it at wb = bits + guard, guard = bits.bit_length() + 10
+    bits for the rounding of O(bits) terms.  A sum that misses the radius
+    target (one that cancels, or one of very many terms) is summed once
+    more, wb raised by the missed bits plus the guard, if its rounding
+    dominates: if z's relative radius D/|u| is at most 2^-wb, one rounding
+    of the first term.
+    """
+    if not len(upper) <= len(lower) + 1 <= 3:
+        raise ValueError("fixed_point_sum needs p <= q + 1 <= 3 parameters")
+    u, v, D = _center_radius(z)
+    terminates = any(a.denominator == 1 and a <= 0 for a in upper)
+    if len(upper) == len(lower) + 1 and not terminates and abs(u) + D >= v:
+        raise DomainError("series argument must satisfy |z| < 1")
+    if u == 0 and D == 0:
+        return BigReal.from_int(1, bits)
+    guard = bits.bit_length() + 10
+    wb = bits + guard
+    for attempt in range(2):
+        out = _scaled_sum(upper, lower, u, v, D, wb, bits, term_cap)
+        if out is None:
+            return None
+        S, err = out
+        # how often err exceeds its target 2^-bits max(2^wb, |S| - err), as
+        # |S| - err bounds |2^wb value| from below (S is noise if err > |S|)
+        miss = (err << bits) // max(abs(S) - err, 1 << wb)
+        if attempt or not miss or D << wb > abs(u):
+            break
+        wb += miss.bit_length() + guard
+    return BigReal(from_man_exp(S, -wb), from_man_exp(err, -wb, ERR_BITS, RU), bits)
+
+
+def _scaled_sum(
+    upper, lower, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int | None
+) -> tuple[int, int] | None:
+    """The pFq series at z in [(u - D)/v, (u + D)/v], v > 0, in integers
+    scaled by 2^wb: (S, err) with |S - 2^wb F| <= err, or None if term_cap
+    terms pass before the tail bound is met.
+
+    The terms are T <- floor(T P u / (Q v)), with P/Q the parameter part of
+    the term ratio in integers and Q > 0, and S <- S + T.  Each floor
+    division costs at most 1 ulp, so an integer bound E on the error of T,
+    in ulps, propagates as E <- ceil(E |P| / Q) + 1; a nonzero radius D
+    adds the term ceil(((|T| + E) D + |u| E) |P| / (Q v)).  The error is the
+    sum of the E plus 1 ulp, plus a geometric tail bound on the true terms
+    from (|T| + E).
 
     The tail is tested every 32 terms once the ratio bound
     ((|u| + D)/v) prod(n + |a|) / (n prod(n - |b|)), which decreases in n
@@ -471,8 +525,6 @@ def fixed_point_sum(
     2^(-pwb) of the partial sum (or below the rounding bound already
     accrued), or when an upper parameter makes the series terminate.
     """
-    if not len(upper) <= len(lower) + 1 <= 3:
-        raise ValueError("fixed_point_sum needs p <= q + 1 <= 3 parameters")
     up = [(a.numerator, a.denominator) for a in upper]
     lo = [(b.numerator, b.denominator) for b in lower]
     ad = math.prod(den for _, den in up)
@@ -486,11 +538,10 @@ def fixed_point_sum(
 
     T = S = 1 << wb
     E = E_sum = 0
-    top = wb + 1
     n = 0
     while True:
         if P == 0:
-            return S, E_sum + 1, top  # terminating series: sum is complete
+            return S, E_sum + 1  # terminating series: sum is complete
         if Q > 0:
             Pr, Qr = P, Q * v
         else:
@@ -500,8 +551,6 @@ def fixed_point_sum(
         T = T * (Pr * u) // Qr
         S += T
         E_sum += E
-        if T.bit_length() > top:
-            top = T.bit_length()
         n += 1
         P += P1
         P1 += P2
@@ -516,7 +565,7 @@ def fixed_point_sum(
                 tail = -(-(abs(T) + E) * rn // (rd - rn))
                 # below the target, or below the rounding already made
                 if tail << pwb <= abs(S) or tail <= E_sum:
-                    return S, E_sum + 1 + tail, top
+                    return S, E_sum + 1 + tail
         if n == term_cap:
             return None
 
@@ -537,12 +586,9 @@ def _gamma_unit(y: Fraction, wb: int) -> BigReal:
     enters as [0, 2^-floor(1.4426 N)]."""
     # e^-N = 2^-(N log2 e) <= 2^-floor(1.4426 N) <= 2^-(wb+8), as log2 e > 1.4426
     N = -(-(wb + 8) * 10000 // 14426)
-    kwb = wb + N.bit_length() + 8
-    S, err, _ = fixed_point_sum((1,), (y + 1,), N, 1, 0, kwb, wb)
-    series = BigReal(from_man_exp(S, -kwb), from_man_exp(err, -kwb, ERR_BITS, RU), wb)
     pref = exp(log(BigReal.from_int(N, wb)) * y - N) / y
     half_tail = _pow2(-(14426 * N // 10000) - 1)
-    return pref * series + BigReal(half_tail, half_tail, wb)
+    return pref * fixed_point_sum((1,), (y + 1,), N, wb) + BigReal(half_tail, half_tail, wb)
 
 
 def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
@@ -574,18 +620,10 @@ def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
     return BigReal(g.val, g.err, prec.work_bits)
 
 
-def _beta_half(p: Fraction, q: Fraction, wb: int) -> BigReal:
-    """2^(p+q) B_{1/2}(p, q) = 2F1(p+q, 1; p+1; 1/2) / p for p, q > 0
-    (DLMF 8.17.8), a series of positive terms with ratio tending to 1/2."""
-    kwb = wb + wb.bit_length() + 8
-    S, err, _ = fixed_point_sum((p + q, 1), (p + 1,), 1, 2, 0, kwb, wb)
-    series = BigReal(from_man_exp(S, -kwb), from_man_exp(err, -kwb, ERR_BITS, RU), wb)
-    return series / p
-
-
 def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:
     """Euler Beta B(x, y) = B_{1/2}(x, y) + B_{1/2}(y, x) (DLMF 8.17.4),
-    each half the positive-term series of `_beta_half`; no Gamma is formed.
+    with 2^(p+q) B_{1/2}(p, q) = 2F1(p+q, 1; p+1; 1/2) / p for p, q > 0
+    (DLMF 8.17.8), a series of positive terms; no Gamma is formed.
 
     A nonpositive x is first shifted up exactly, as in `gamma`:
     B(x, y) = B(x+m, y) (x+y)_m / (x)_m, and likewise y.  The returned
@@ -602,7 +640,11 @@ def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:
             ratio *= (x + y + j) / (x + j)
         x, y = y, x + m
     wb = prec.work_bits + 32
-    halves = _beta_half(x, y, wb) + _beta_half(y, x, wb)
+    half = Fraction(1, 2)
+    halves = (
+        fixed_point_sum((x + y, 1), (x + 1,), half, wb) / x
+        + fixed_point_sum((x + y, 1), (y + 1,), half, wb) / y
+    )
     out = halves * BigReal.from_int(2, wb).pow_rational(-(x + y)) * ratio
     return BigReal(out.val, out.err, prec.work_bits)
 

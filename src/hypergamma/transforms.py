@@ -459,16 +459,21 @@ def derive_main(prec: Precision) -> DerivationTrace:
             f"expected {rational_str(MAIN_ARGUMENT)}"
         )
 
+    # the last step's series is the one at MAIN_ARGUMENT: summed once, here
+    series_value = f21_series(MAIN_PARAMS, MAIN_ARGUMENT, prec)
+    prefactor = term.prefactor_value(z)
     base_val = seed.evaluate(z, prec)
     for name, step_term in steps:
-        step_val = step_term.evaluate(z, prec)
+        if step_term is term:
+            step_val = ge_eval(prefactor, prec) * series_value
+        else:
+            step_val = step_term.evaluate(z, prec)
         if num_equal(base_val, step_val, prec) is Verdict.DISTINCT:
             raise DerivationError(f"chain inconsistent after rule {name}")
 
     # 2F1(main; A(1/4)) = gosper_rhs(5/8) / prefactor(1/4)
-    constant = gosper_rhs(Fraction(5, 8)) * term.prefactor_value(z).inverse()
+    constant = gosper_rhs(Fraction(5, 8)) * prefactor.inverse()
     constant_value = ge_eval(constant, prec)
-    series_value = f21_series(MAIN_PARAMS, MAIN_ARGUMENT, prec)
     printed_value = ge_eval(MAIN_RHS, prec)
 
     verdict = Verdict.worst((

@@ -430,6 +430,21 @@ BAD_INPUTS = {
     "grid-lhs-lower-pole": dict(
         FAMILY_RECORD, lhs={"a": "1/2", "b": "1/2", "c": "1-n", "z": "1/4"}
     ),
+    # a family closed form with no value at some sample
+    "grid-gamma-argument-zero": dict(FAMILY_RECORD, rhs={"gamma_expr": {"gamma": [["n", 1]]}}),
+    "grid-rational-base-zero": dict(FAMILY_RECORD, rhs={"gamma_expr": {"rat": [["n", "1"]]}}),
+    "grid-surd-radicand-zero": dict(
+        FAMILY_RECORD, rhs={"gamma_expr": {"surd": [["1", "1", "n", 1]]}}
+    ),
+    "grid-surd-negative": dict(
+        FAMILY_RECORD, rhs={"gamma_expr": {"surd": [["1-n", "-1", "2", 1]]}}
+    ),
+    # an exact rhs needs an lhs that terminates
+    "exact-rhs-lhs-not-terminating": dict(
+        POINT_RECORD,
+        lhs={"a": "1/2", "b": "1/2", "c": "3/2", "z": "1/4"},
+        rhs={"exact_product": {"pow_base": "2"}},
+    ),
     "sampler-vars-mismatch": dict(
         FAMILY_RECORD,
         lhs={"a": "a", "b": "b", "c": "a+b+1", "z": "1/2"},

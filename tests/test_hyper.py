@@ -198,6 +198,25 @@ class TestSeriesProperties:
             if z_bits != 0:
                 assert err <= max(1, abs(val)) * mp.mpf(10) ** -digits, (p, z, digits)
 
+    @pytest.mark.parametrize(
+        "a, b, c, z, digits, certified",
+        [
+            # terms near 2^350 cancel to a value near 4e-12
+            (F(40), F(40), F(1, 8), F(-9, 10), 50, 60),
+            (F(1), F(20), F(1, 2), F(-83, 100), 20, 44),
+        ],
+    )
+    def test_cancelling_sum_is_summed_again(self, a, b, c, z, digits, certified):
+        """A sum that cancels misses its radius target at the first width
+        and is summed once more, wider; the enclosure contains mpmath's
+        value at +80 digits and certifies the pinned digits."""
+        p = HypParams(a, b, c)
+        out = f21_series(p, z, Precision.of(digits))
+        with mp.workdps(digits + 80):
+            val, err = mp.mpf(out.val), mp.mpf(out.err)
+            assert abs(val - oracle_f21(p, z)) <= err
+            assert -mp.log10(err / max(1, abs(val))) >= certified
+
     def test_main_argument_digits_pin(self):
         """At 150 digits the series agrees with the closed form to 170
         digits; a faster kernel must not widen the bound."""

@@ -23,6 +23,7 @@ from hypergamma.mpreal import (
     beta,
     cos_pi_times,
     exp,
+    fixed_point_sum,
     gamma,
     log,
     pi_value,
@@ -311,6 +312,45 @@ class TestBetaProperties:
             assert abs(val - want) <= err, (p, q, digits)
             if p > 0 and q > 0:
                 assert err <= abs(val) * mp.mpf(2) ** (-prec.work_bits + 8), (p, q)
+
+
+class TestFixedPointSum:
+    # 2F1(40, 40; 1/8; -9/10): terms near 2^350 cancel to about 4e-12
+    UPPER, LOWER = (F(40), F(40)), (F(1, 8),)
+
+    def sums(self, monkeypatch, z, bits):
+        """The radius of the kernel's result, and how many times it summed."""
+        import hypergamma.mpreal as mpreal
+
+        calls = []
+        scaled_sum = mpreal._scaled_sum
+
+        def counted(*args):
+            calls.append(args)
+            return scaled_sum(*args)
+
+        monkeypatch.setattr(mpreal, "_scaled_sum", counted)
+        out = fixed_point_sum(self.UPPER, self.LOWER, z, bits)
+        return as_mpf(out.err), len(calls)
+
+    def test_cancelling_sum_is_summed_again_to_the_target(self, monkeypatch):
+        err, sums = self.sums(monkeypatch, F(-9, 10), P50.work_bits)
+        assert sums == 2 and err <= mp.mpf(2) ** -P50.work_bits
+
+    def test_not_summed_again_when_the_radius_of_z_dominates(self, monkeypatch):
+        # sqrt(81/100) = 9/10 with the radius of its rounding at `bits`
+        for extra, want in ((0, 1), (512, 2)):
+            bits = P50.work_bits + extra
+            z = -sqrt(BigReal.from_fraction(F(81, 100), bits))
+            assert not z.is_exact
+            assert self.sums(monkeypatch, z, P50.work_bits)[1] == want, extra
+
+    def test_zero_and_divergence(self):
+        assert fixed_point_sum(self.UPPER, self.LOWER, F(0), 100).is_exact
+        with pytest.raises(DomainError):
+            fixed_point_sum(self.UPPER, self.LOWER, F(1), 100)
+        with pytest.raises(DomainError):  # |z| < 1, but not |z| + radius
+            fixed_point_sum(self.UPPER, self.LOWER, BigReal.parse("0.99 ± 0.02", 100), 100)
 
 
 class TestTanhSinh:

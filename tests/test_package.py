@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
+import inspect
 import types
+from pathlib import Path
 
 import hypergamma
+from hypergamma import mpreal
 
 
 def test_every_exported_name_resolves_and_none_is_a_module():
@@ -29,3 +34,30 @@ def test_removed_shims_are_gone():
     assert not removed & set(dir(hypergamma.catalog))
     assert not hasattr(hypergamma.IdentityRecord, "compiled")
     assert not hasattr(hypergamma.RatFunc, "from_fraction")
+
+
+def _benchmark_spans():
+    """benchmarks/spans.py, loaded by path: the tracer of the benchmark
+    harness, which wraps the functions it names in the package's modules."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
+    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves():
+    spans = _benchmark_spans()
+    for name in spans.SPANNED + spans.COUNTED:
+        module, path = name.split(".", 1)
+        assert module in spans.MODULES, name
+        owner = importlib.import_module(f"hypergamma.{module}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr)
+        assert callable(owner), name
+
+
+def test_traced_arguments_keep_their_positions():
+    # the tracer's hooks read gamma's (x, prec) and the integrand by position
+    assert list(inspect.signature(mpreal.gamma).parameters)[:2] == ["x", "prec"]
+    assert next(iter(inspect.signature(mpreal.tanh_sinh_integrate).parameters)) == "f"
