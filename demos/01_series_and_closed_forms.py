@@ -1,9 +1,10 @@
 """Evaluating 2F1 series with rational parameters, three different ways.
 
 The dispatcher picks the route: exact finite sums for terminating series,
-direct summation for |z| <= 9/10, and the Euler-integral quadrature for
-arguments close to 1 (where the series would need astronomically many
-terms for the same accuracy).
+direct summation for |z| <= 9/10, and for arguments close to 1 (where the
+series would need astronomically many terms for the same accuracy) a
+series in 1 - z: the logarithmic connection formula when c - a - b is an
+integer, and otherwise the Euler-integral quadrature.
 """
 
 from fractions import Fraction as F
@@ -24,12 +25,13 @@ print(f"  2F1(1/2, 2/3; 1/6 | 1/4)  = {v.to_decimal(50)}")
 print("  closed form (4/3) 2^(1/3) = 1.6798947331931642196896141430376378007603...")
 
 print()
-print("Arguments near 1 dispatch to the Euler integral; the most extreme")
-print("algebraic evaluation in the catalog has argument 2400/2401:")
+print("Arguments near 1 with c = a + b take the logarithmic connection")
+print("formula, a series in 1 - z; the most extreme algebraic evaluation in")
+print("the catalog has argument 2400/2401:")
 p = HypParams(F(1, 8), F(3, 8), F(1, 2))
 v = f21_eval(p, F(2400, 2401), prec)
 print(f"  2F1(1/8, 3/8; 1/2 | 2400/2401) = {v.to_decimal(50)}")
-print("  closed form (2/3) sqrt(7)      = 1.763834207376393738485216582166700393161...")
+print("  closed form (2/3) sqrt(7)      = 1.763834207376393727001077169092840283806...")
 
 print()
 print("And the headline series, whose argument (172872/185039)^2 = 0.8728...")

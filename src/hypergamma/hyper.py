@@ -1,6 +1,6 @@
 """Evaluation of Gauss 2F1 series with rational parameters.
 
-Three evaluation routes; `f21_eval` takes exactly one of them per input:
+Four evaluation routes; `f21_eval` takes exactly one of them per input:
 
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
   nonpositive integer;
@@ -8,15 +8,22 @@ Three evaluation routes; `f21_eval` takes exactly one of them per input:
   the series kernel that Gamma and Beta also use, which returns the
   enclosure: a rigorous rounding and tail bound, and the radius of a
   BigReal z;
+* `f21_log_connection` - for 9/10 < z < 1 with c - a - b an integer, the
+  logarithmic 1 - z connection formula (A&S 15.3.10-11), a pair of series
+  in 1 - z summed by the same kernel with its harmonic companion, so the
+  bound is rigorous too;
 * `f21_integral` - the Gamma-prefactored Euler integral of
   t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1): at z = 1 the Beta series
   of `mpreal.beta`, and for the other rational z too close to 1 for the
-  series, or below -9, tanh-sinh quadrature, whose error bound is an
-  estimate (see `tanh_sinh_integrate`), not a proof.
+  series with c - a - b not an integer, or below -9 with a - b not an
+  integer, tanh-sinh quadrature, whose error bound is an estimate (see
+  `tanh_sinh_integrate`), not a proof.
 
-For -9 <= z < -9/10, `f21_eval` sums Pfaff's transform
-(1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) by `f21_series`.  `check_domain`, which
-`f21_eval` calls first, is the one test of whether an input has a value.
+For z < -9/10, `f21_eval` takes Pfaff's transform
+(1-z)^(-a) 2F1(a, c-b; c; z/(z-1)): by `f21_series` for -9 <= z, and by
+`f21_log_connection` below -9 when a - b is an integer.  `check_domain`,
+which `f21_eval` calls first, is the one test of whether an input has a
+value.
 
 The series and the integral are compared with each other by
 ``hypergamma quadcheck --expr euler`` and by the test suite, not at run
@@ -25,6 +32,7 @@ time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -35,8 +43,12 @@ from .mpreal import (
     BigReal,
     Precision,
     beta,
+    cos_pi_times,
     fixed_point_sum,
     gamma,
+    log,
+    pi_value,
+    sin_pi_times,
     tanh_sinh_integrate,
 )
 
@@ -63,7 +75,8 @@ class SeriesTermCapError(HyperError):
 class NoFeasibleStrategyError(HyperError):
     """An input in the domain, but no evaluation route for it: no
     Euler-integral parameter ordering (c > b > 0 in either order) for
-    9/10 < z < 1 or z < -9."""
+    9/10 < z < 1 with c - a - b not an integer, or for z < -9 with a - b
+    not an integer."""
 
 
 @dataclass(frozen=True)
@@ -247,6 +260,79 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     return BigReal(out.val, out.err, prec.work_bits)
 
 
+def _psi_plus_euler(x: Fraction, prec: Precision) -> BigReal:
+    """psi(x) + Euler's gamma for rational x off the poles.  x is shifted
+    exactly to y in (0, 1] by psi(x + 1) = psi(x) + 1/x; then, for
+    y = p/q < 1, Gauss's digamma theorem (DLMF 5.4.19):
+    psi(y) + gamma = -ln(2q) - (pi/2) cot(pi y)
+    + 2 sum_{k=1}^{ceil(q/2)-1} cos(2 pi k y) ln sin(pi k/q), and 0 at y = 1."""
+    m = math.ceil(x) - 1
+    y = x - m
+    shift = sum((1 / (y + j) for j in range(m)), Fraction(0)) - sum(
+        (1 / (x + j) for j in range(-m)), Fraction(0)
+    )
+    out = BigReal.from_fraction(shift, prec.work_bits)
+    if y == 1:
+        return out
+    q = y.denominator
+    out -= log(BigReal.from_int(2 * q, prec.work_bits))
+    out -= pi_value(prec) * cos_pi_times(y, prec) / (2 * sin_pi_times(y, prec))
+    for k in range(1, (q + 1) // 2):
+        out += 2 * cos_pi_times(2 * k * y, prec) * log(sin_pi_times(Fraction(k, q), prec))
+    return out
+
+
+def f21_log_connection(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
+    """2F1 at rational 0 < z < 1 when m = c - a - b is an integer, by the
+    logarithmic 1 - z connection formulas (A&S 15.3.10-11, DLMF 15.8.10);
+    `f21_eval` takes it for 9/10 < z < 1.  With w = 1 - z and m >= 0,
+
+    2F1 = Gamma(c)/(Gamma(a) Gamma(b)) [(m-1)! / ((a)_m (b)_m)
+          sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) w^n
+          + (-w)^m / m! sum_n t_n (h_n - ln w)],
+
+    t_n = (a+m)_n (b+m)_n / (n! (m+1)_n) w^n and h_n = psi(n+1) + psi(n+m+1)
+    - psi(a+n+m) - psi(b+n+m).  h_n - h_0 is a running harmonic sum, the
+    companion of `fixed_point_sum`; h_0 comes from `_psi_plus_euler`, whose
+    Euler gammas cancel.  m < 0 takes Euler's transform (DLMF 15.8.1)
+    (1-z)^m 2F1(c-a, c-b; c; z) first, exact when c - a or c - b is a
+    nonpositive integer.  Works at 16 more bits, as `f21_integral` does.
+    """
+    w = Fraction(1) - z
+    m = p.c - p.a - p.b
+    if m.denominator != 1 or not 0 < w < 1:
+        raise HyperError("log connection needs c - a - b integer and 0 < z < 1")
+    m = int(m)
+    scale = Fraction(1)
+    if m < 0:
+        scale, p, m = w**m, HypParams(p.c - p.a, p.c - p.b, p.c), -m
+    if p.terminating_degree is not None:
+        return BigReal.from_fraction(scale * f21_terminating(p, z), prec.work_bits)
+    a, b, c = p.a, p.b, p.c
+    qprec = prec.boosted(16)
+    bits = qprec.work_bits
+    companion = ((1, Fraction(1)), (1, Fraction(m + 1)), (-1, a + m), (-1, b + m))
+    t_sum, g_sum = fixed_point_sum(
+        (a + m, b + m), (Fraction(m + 1),), w, bits, None, companion
+    )
+    harmonic = sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
+    h0 = harmonic - _psi_plus_euler(a + m, qprec) - _psi_plus_euler(b + m, qprec)
+    logs = g_sum + (h0 - log(BigReal.from_fraction(w, bits))) * t_sum
+    finite = sum(
+        (
+            pochhammer(a, n) * pochhammer(b, n)
+            / (math.factorial(n) * pochhammer(1 - m, n)) * w**n
+            for n in range(m)
+        ),
+        Fraction(0),
+    )
+    if m:
+        finite *= math.factorial(m - 1) / (pochhammer(a, m) * pochhammer(b, m))
+    out = finite + logs * ((-w) ** m / math.factorial(m))
+    out = out * (gamma(c, qprec) / (gamma(a, qprec) * gamma(b, qprec))) * scale
+    return BigReal(out.val, out.err, prec.work_bits)
+
+
 def _integral_with_swap(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     for q in (p, p.swapped()):
         if q.c > q.b > 0 or (z == 1 and not is_nonpositive_integer(q.b)):
@@ -267,10 +353,13 @@ def f21_eval(
     `check_domain` runs first: an input with no value raises ParamsError.
     auto: the exact terminating sum when an upper parameter is a
     nonpositive integer; otherwise the direct series for |z| <= 9/10, the
-    series of Pfaff's transform for -9 <= z < -9/10, and `f21_integral`:
-    at z = 1 the Beta series, in the given parameter order, and for
-    9/10 < z < 1 and z < -9 tanh-sinh, trying both parameter orderings
-    (NoFeasibleStrategyError when neither has c > b > 0).
+    series of Pfaff's transform for -9 <= z < -9/10, `f21_log_connection`
+    for 9/10 < z < 1 with c - a - b an integer and, after Pfaff's
+    transform, for z < -9 with a - b an integer; and otherwise
+    `f21_integral`: at z = 1 the Beta series, in the given parameter
+    order, and for the rest of 9/10 < z < 1 and z < -9 tanh-sinh, trying
+    both parameter orderings (NoFeasibleStrategyError when neither has
+    c > b > 0).
     "series" and "integral" force that route.  No second route is run: the
     series-versus-integral comparison is ``hypergamma quadcheck --expr
     euler``.
@@ -289,13 +378,18 @@ def f21_eval(
         return BigReal.from_fraction(f21_terminating(p, z), prec.work_bits)
     if abs(z) <= SERIES_THRESHOLD:
         return f21_series(p, z, prec)
-    if -9 <= z < 0:
-        # DLMF 15.8.1: (1-z)^(-a) 2F1(a, c-b; c; w) with w = z/(z-1) in
-        # (9/19, 9/10], at 16 more bits, as in f21_integral, to absorb the
-        # rounding of the prefactor
+    if z < 0 and (z >= -9 or (p.a - p.b).denominator == 1):
+        # DLMF 15.8.1: (1-z)^(-a) 2F1(a, c-b; c; w) with w = z/(z-1), at 16
+        # more bits, as in f21_integral, to absorb the rounding of the
+        # prefactor: for -9 <= z, w is in (9/19, 9/10] and the series sums
+        # it; below -9, w is in (9/10, 1) and its c - a - b = b - a is an
+        # integer
         qprec = prec.boosted(16)
-        series = f21_series(HypParams(p.a, p.c - p.b, p.c), z / (z - 1), qprec)
+        q, w = HypParams(p.a, p.c - p.b, p.c), z / (z - 1)
+        inner = f21_series(q, w, qprec) if z >= -9 else f21_log_connection(q, w, qprec)
         base = BigReal.from_fraction(1 - z, qprec.work_bits)
-        out = base.pow_rational(-p.a) * series
+        out = base.pow_rational(-p.a) * inner
         return BigReal(out.val, out.err, prec.work_bits)
+    if z < 1 and (p.c - p.a - p.b).denominator == 1:
+        return f21_log_connection(p, z, prec)
     return _integral_with_swap(p, z, prec)

@@ -66,6 +66,7 @@ from mpmath.libmp import (
 RN = "n"  # round to nearest
 RU = "u"  # round away from zero (upper bounds for nonnegative quantities)
 RD = "d"  # round toward zero (lower bounds for nonnegative quantities)
+RC = "c"  # round toward +infinity (upper bounds of any sign)
 
 ERR_BITS = 32
 BITS_PER_DIGIT = 3.3220
@@ -287,18 +288,35 @@ class BigReal:
             raise DomainError("fractional power of a base not certainly positive")
         bits = self.bits
         wb = bits + 8
-        lo = _abs_lo(self.val, self.err)
         L = mpf_log(self.val, wb, RN)
         t = mpf_div(mpf_mul_int(L, r.numerator, wb, RN), from_int(r.denominator), wb, RN)
         val = mpf_exp(t, bits, RN)
-        rel_in = mpf_div(
-            _emul(from_rational(abs(r.numerator), r.denominator, ERR_BITS, RU), self.err),
-            lo,
-            ERR_BITS,
-            RU,
-        )
         rel_round = _emul(_eadd(mpf_abs(t), from_int(2)), _pow2(-bits - 2))
-        err = _eadd(_emul(_abs_hi(val, fzero), _eadd(rel_in, rel_round)), _ulp(val, bits, 3))
+        err = _eadd(_emul(_abs_hi(val, fzero), rel_round), _ulp(val, bits, 3))
+        if self.err != fzero:
+            # mean value theorem: the input error moves x^r by at most
+            # |r| err max(lo^(r-1), hi^(r-1)) <= y x^r e^y with
+            # y = |r| err/lo, as (1 + err/lo)^|r| <= e^y; for y <= 1,
+            # e^y <= 1 + 2y, and otherwise the maximum is taken itself, as
+            # e^((r-1) ln x) at x = hi if r > 1 and at x = lo if r < 1
+            abs_r = from_rational(abs(r.numerator), r.denominator, ERR_BITS, RU)
+            lo = _abs_lo(self.val, self.err)
+            y = mpf_div(_emul(abs_r, self.err), lo, ERR_BITS, RU)
+            if mpf_cmp(y, fone) <= 0:
+                dmag = _emul(_emul(y, _eadd(fone, mpf_shift(y, 1))), _abs_hi(val, err))
+            else:
+                x = _abs_hi(self.val, self.err) if r > 1 else lo
+                e = mpf_mul(
+                    from_rational(r.numerator - r.denominator, r.denominator, ERR_BITS, RN),
+                    mpf_log(x, ERR_BITS, RN),
+                    ERR_BITS,
+                    RN,
+                )
+                # 2^(4-ERR_BITS) (|e| + 1) covers the three roundings of e
+                slack = _emul(_eadd(mpf_abs(e), fone), _pow2(4 - ERR_BITS))
+                e = mpf_add(e, slack, ERR_BITS, RC)
+                dmag = _emul(_emul(abs_r, self.err), mpf_exp(e, ERR_BITS, RU))
+            err = _eadd(err, dmag)
         return BigReal(val, err, bits)
 
     # -- formatting -----------------------------------------------------------
@@ -464,16 +482,22 @@ def _center_radius(z: Real) -> tuple[int, int, int]:
 
 
 def fixed_point_sum(
-    upper, lower, z: Real, bits: int, term_cap: int | None = None
-) -> BigReal | None:
-    """The series pFq(upper; lower; z) = sum_n prod (a)_n / prod (b)_n z^n / n!
-    for rational parameters, p <= q + 1 <= 3, at a rational or BigReal z, as
-    a BigReal at `bits` with radius at most 2^-bits max(1, |value|) unless
-    z's radius dominates; None if term_cap terms pass before the tail bound
-    is met.  A non-terminating series with p = q + 1 raises DomainError
-    unless |z| < 1 on all of z's interval.
+    upper, lower, z: Real, bits: int, term_cap: int | None = None, companion=()
+) -> BigReal | tuple[BigReal, BigReal] | None:
+    """The series pFq(upper; lower; z) = sum_n t_n, t_n = prod (a)_n /
+    prod (b)_n z^n / n!, for rational parameters, p <= q + 1 <= 3, at a
+    rational or BigReal z, as a BigReal at `bits` with radius at most
+    2^-bits max(1, |value|) unless z's radius dominates; None if term_cap
+    terms pass before the tail bound is met.  A non-terminating series with
+    p = q + 1 raises DomainError unless |z| < 1 on all of z's interval.
 
-    `_scaled_sum` sums it at wb = bits + guard, guard = bits.bit_length() + 10
+    `companion`, pairs (sigma, alpha) with sigma = +-1 and rational alpha
+    not a nonpositive integer, adds the series sum_n g_n t_n with
+    g_n = sum_{k<n} delta_k and delta_k = sum sigma / (k + alpha): the
+    harmonic part of a logarithmic connection formula.  The result is then
+    the pair (sum t_n, sum g_n t_n), each to the same radius rule.
+
+    `_scaled_sum` sums at wb = bits + guard, guard = bits.bit_length() + 10
     bits for the rounding of O(bits) terms.  A sum that misses the radius
     target (one that cancels, or one of very many terms) is summed once
     more, wb raised by the missed bits plus the guard, if its rounding
@@ -482,34 +506,50 @@ def fixed_point_sum(
     """
     if not len(upper) <= len(lower) + 1 <= 3:
         raise ValueError("fixed_point_sum needs p <= q + 1 <= 3 parameters")
+    if companion and any(al.denominator == 1 and al <= 0 for _, al in companion):
+        raise ValueError("companion shift must not be a nonpositive integer")
     u, v, D = _center_radius(z)
     terminates = any(a.denominator == 1 and a <= 0 for a in upper)
     if len(upper) == len(lower) + 1 and not terminates and abs(u) + D >= v:
         raise DomainError("series argument must satisfy |z| < 1")
     if u == 0 and D == 0:
-        return BigReal.from_int(1, bits)
+        one = BigReal.from_int(1, bits)
+        return (one, BigReal.from_int(0, bits)) if companion else one
     guard = bits.bit_length() + 10
     wb = bits + guard
     for attempt in range(2):
-        out = _scaled_sum(upper, lower, u, v, D, wb, bits, term_cap)
+        out = _scaled_sum(upper, lower, u, v, D, wb, bits, term_cap, companion)
         if out is None:
             return None
-        S, err = out
         # how often err exceeds its target 2^-bits max(2^wb, |S| - err), as
         # |S| - err bounds |2^wb value| from below (S is noise if err > |S|)
-        miss = (err << bits) // max(abs(S) - err, 1 << wb)
+        miss = max((err << bits) // max(abs(S) - err, 1 << wb) for S, err in out)
         if attempt or not miss or D << wb > abs(u):
             break
         wb += miss.bit_length() + guard
-    return BigReal(from_man_exp(S, -wb), from_man_exp(err, -wb, ERR_BITS, RU), bits)
+    sums = tuple(
+        BigReal(from_man_exp(S, -wb), from_man_exp(err, -wb, ERR_BITS, RU), bits)
+        for S, err in out
+    )
+    return sums if companion else sums[0]
+
+
+def _harmonic(terms, n: int) -> tuple[int, int]:
+    """(N, D) with D > 0 and N/D = sum s / (q n + p) over (p, q, s) in terms."""
+    dens = [q * n + p for p, q, _ in terms]
+    den = math.prod(dens)
+    num = sum(s * (den // d) for (_, _, s), d in zip(terms, dens))
+    return (-num, -den) if den < 0 else (num, den)
 
 
 def _scaled_sum(
-    upper, lower, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int | None
-) -> tuple[int, int] | None:
+    upper, lower, u: int, v: int, D: int, wb: int, pwb: int, term_cap: int | None,
+    companion=(),
+) -> list[tuple[int, int]] | None:
     """The pFq series at z in [(u - D)/v, (u + D)/v], v > 0, in integers
-    scaled by 2^wb: (S, err) with |S - 2^wb F| <= err, or None if term_cap
-    terms pass before the tail bound is met.
+    scaled by 2^wb: [(S, err)] with |S - 2^wb F| <= err, and with a
+    companion also (G, err_G), the same for its sum; None if term_cap terms
+    pass before the tail bound is met.
 
     The terms are T <- floor(T P u / (Q v)), with P/Q the parameter part of
     the term ratio in integers and Q > 0, and S <- S + T.  Each floor
@@ -517,13 +557,19 @@ def _scaled_sum(
     in ulps, propagates as E <- ceil(E |P| / Q) + 1; a nonzero radius D
     adds the term ceil(((|T| + E) D + |u| E) |P| / (Q v)).  The error is the
     sum of the E plus 1 ulp, plus a geometric tail bound on the true terms
-    from (|T| + E).
+    from (|T| + E).  The companion term g_n t_n steps the same way, before
+    T does, as floor(X P u / (Q v Dd)) with X = g_n t_n Dd + Nd t_n and
+    delta_n = Nd/Dd, Dd > 0; its own ulp bound propagates like E, with
+    Dd EG + |Nd| E as the error of X.
 
     The tail is tested every 32 terms once the ratio bound
-    ((|u| + D)/v) prod(n + |a|) / (n prod(n - |b|)), which decreases in n
-    past max|param|, is below 1; the sum stops when the tail bound is below
-    2^(-pwb) of the partial sum (or below the rounding bound already
-    accrued), or when an upper parameter makes the series terminate.
+    rho = ((|u| + D)/v) prod(n + |a|) / (n prod(n - |b|)), which decreases
+    in n past max|param|, is below 1; the sum stops when the tail bound is
+    below 2^(-pwb) of the partial sum (or below the rounding bound already
+    accrued), or when an upper parameter makes the series terminate.  Past
+    n, |delta_k| <= Dn = sum 1/(n - |alpha|), so |g_{n+j}| <= |g_n| + j Dn
+    and the companion's tail is at most
+    rho/(1 - rho) |g_n t_n| + rho/(1 - rho)^2 Dn |t_n|.
     """
     up = [(a.numerator, a.denominator) for a in upper]
     lo = [(b.numerator, b.denominator) for b in lower]
@@ -534,20 +580,38 @@ def _scaled_sum(
     P, P1, P2, P3 = _differences(up, bd)
     Q, Q1, Q2, Q3 = _differences(lo + [(1, 1)], ad)
     abs_u_D = abs(u) + D
-    n0 = 2 * max([-(-abs(num) // den) for num, den in up + lo] + [1]) + 8
+    # companion: delta_n = sum sigma q / (q n + p) over alpha = p/q, and
+    # |delta_k| <= sum q / (q n - |p|) for every k >= n > max|alpha|
+    shifts = [(al.numerator, al.denominator, sigma * al.denominator) for sigma, al in companion]
+    bounds = [(-abs(p), q, q) for p, q, _ in shifts]
+    paired = bool(shifts)
+    n0 = 2 * max(
+        [-(-abs(num) // den) for num, den in up + lo + [s[:2] for s in shifts]] + [1]
+    ) + 8
 
     T = S = 1 << wb
     E = E_sum = 0
+    G = EG = EG_sum = G_sum = 0
     n = 0
     while True:
-        if P == 0:
-            return S, E_sum + 1  # terminating series: sum is complete
+        if P == 0:  # terminating series: sum is complete
+            return [(S, E_sum + 1), (G_sum, EG_sum + 1)] if paired else [(S, E_sum + 1)]
         if Q > 0:
             Pr, Qr = P, Q * v
         else:
             Pr, Qr = -P, -Q * v
-        PD = abs(Pr) * D
-        E = -(-(abs(T) * PD + E * (abs(Pr) * abs_u_D)) // Qr) + 1
+        aPr = abs(Pr)
+        PD = aPr * D
+        if paired:
+            Nd, Dd = _harmonic(shifts, n)
+            X = G * Dd + Nd * T
+            EX = EG * Dd + abs(Nd) * E
+            QX = Qr * Dd
+            EG = -(-(abs(X) * PD + EX * (aPr * abs_u_D)) // QX) + 1
+            G = X * (Pr * u) // QX
+            G_sum += G
+            EG_sum += EG
+        E = -(-(abs(T) * PD + E * (aPr * abs_u_D)) // Qr) + 1
         T = T * (Pr * u) // Qr
         S += T
         E_sum += E
@@ -558,14 +622,23 @@ def _scaled_sum(
         Q += Q1
         Q1 += Q2
         Q2 += Q3
-        if n >= n0 and n % 32 == 0:
+        if n % 32 == 0 and n >= n0:
             rn = abs_u_D * bd * math.prod(n * den + abs(num) for num, den in up)
             rd = v * n * ad * math.prod(n * den - abs(num) for num, den in lo)
             if rd > rn:
                 tail = -(-(abs(T) + E) * rn // (rd - rn))
                 # below the target, or below the rounding already made
                 if tail << pwb <= abs(S) or tail <= E_sum:
-                    return S, E_sum + 1 + tail
+                    if not paired:
+                        return [(S, E_sum + 1 + tail)]
+                    dn, dd = _harmonic(bounds, n)
+                    gap = rd - rn
+                    g_tail = -(
+                        -((abs(G) + EG) * rn * gap * dd + (abs(T) + E) * rn * rd * dn)
+                        // (gap * gap * dd)
+                    )
+                    if g_tail << pwb <= abs(G_sum) or g_tail <= EG_sum:
+                        return [(S, E_sum + 1 + tail), (G_sum, EG_sum + 1 + g_tail)]
         if n == term_cap:
             return None
 

@@ -115,7 +115,7 @@ def test_criterion_03_gosper_formula_sweep_and_proof():
 
 def test_criterion_04_zucker_joyce_at_100_digits():
     with criterion(4, "all four Zucker-Joyce evaluations at 100 digits via "
-                      "the Euler-integral path, under 60 s each"):
+                      "the logarithmic 1 - z connection formula, under 60 s each"):
         for rid in (
             "zucker-joyce-2400-2401",
             "zucker-joyce-25-27",
@@ -124,7 +124,9 @@ def test_criterion_04_zucker_joyce_at_100_digits():
         ):
             record = RECORDS[rid]
             _, z = record.lhs({})
-            assert z > SERIES_THRESHOLD  # auto dispatch takes the integral path
+            # beyond the direct series, with c = a + b: auto takes the log
+            # connection route (A&S 15.3.10)
+            assert z > SERIES_THRESHOLD
             start = time.perf_counter()
             entry = verify_identity(record, record_precision(record, 100))
             elapsed = time.perf_counter() - start

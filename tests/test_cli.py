@@ -81,6 +81,15 @@ class TestEval:
         assert code == 3
         assert "usage error" in err
 
+    def test_below_minus_nine_with_integer_a_minus_b(self, capsys):
+        # no Euler ordering; Pfaff's transform has c - a - b = b - a = 1
+        code, out, _ = run(
+            capsys, "eval", "--a", "1/2", "--b", "3/2", "--c=-1/4",
+            "--z=-20", "--digits", "20",
+        )
+        assert code == 0
+        assert out.startswith("0.30725376227687097")
+
     def test_infeasible_evaluation_fails(self, capsys):
         # in the domain, but no route: z > 9/10 and c < min(a, b), so no
         # Euler ordering

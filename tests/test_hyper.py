@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp
 
-from helpers import agm_K, assert_encloses, mpf_of_fraction, overlap
+from helpers import agm_K, as_mpf, assert_encloses, mpf_of_fraction, overlap
 
 from hypergamma.hyper import (
     HypParams,
@@ -22,10 +22,12 @@ from hypergamma.hyper import (
     check_domain,
     f21_eval,
     f21_integral,
+    f21_log_connection,
     f21_series,
     f21_terminating,
     pochhammer,
 )
+import hypergamma.hyper as hyper
 from hypergamma.exact import is_nonpositive_integer
 from hypergamma.gammaexpr import achieved_digits, ge_eval
 from hypergamma.mpreal import BigReal, gamma, pi_value, sqrt
@@ -410,9 +412,13 @@ class TestEval:
             f21_eval(HypParams(F(1, 2), F(2, 3), F(1, 6)), F(3, 2), P30)
 
     def test_no_strategy_near_one_without_ordering(self):
-        # c < min(a, b): no Euler ordering, z too large for the series
+        # c < min(a, b): no Euler ordering, z too large for the series; with
+        # c - a - b = -1 the log connection formula takes it
+        p = HypParams(F(1, 2), F(2, 3), F(1, 6))
+        assert_encloses(f21_eval(p, F(99, 100), P30), oracle_f21(p, F(99, 100)), "c-a-b = -1")
+        # with c - a - b = -2/3 not an integer there is no route
         with pytest.raises(NoFeasibleStrategyError):
-            f21_eval(HypParams(F(1, 2), F(2, 3), F(1, 6)), F(99, 100), P30)
+            f21_eval(HypParams(F(1, 2), F(1, 2), F(1, 3)), F(19, 20), P30)
 
     def test_kummer_via_integral_path(self):
         # auto sums Pfaff's transform at z = -1; the check is Kummer's theorem
@@ -436,6 +442,100 @@ class TestEval:
             base = BigReal.from_fraction(a / (a + b), P30.work_bits)
             want = base.pow_rational(a) * (b + 1)
             assert overlap(out, want)
+
+
+ZUCKER_JOYCE = [
+    # (a, b, c, z, algebraic value): c = a + b, the logarithmic case
+    (F(1, 8), F(3, 8), F(1, 2), F(2400, 2401), lambda: mp.mpf(2) / 3 * mp.sqrt(7)),
+    (F(1, 6), F(1, 3), F(1, 2), F(25, 27), lambda: mp.mpf(3) / 4 * mp.sqrt(3)),
+    (F(1, 6), F(1, 2), F(2, 3), F(125, 128), lambda: mp.mpf(4) / 3 * mp.root(2, 6)),
+    (F(1, 12), F(5, 12), F(1, 2), F(1323, 1331), lambda: mp.mpf(3) / 4 * mp.root(11, 4)),
+]
+
+
+class TestLogConnection:
+    """9/10 < z < 1 with c - a - b an integer: A&S 15.3.10-11 on the series
+    kernel, after Euler's transform when c - a - b < 0; below -9, Pfaff's
+    transform into it when a - b is an integer."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        b=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        m=st.integers(-3, 3),
+        k=st.integers(4, 39),
+        mantissa=st.integers(1, 2**36),
+        digits=st.integers(20, 100),
+    )
+    @example(a=F(1, 8), b=F(3, 8), m=0, k=39, mantissa=1, digits=60)
+    def test_enclosure_near_one(self, a, b, m, k, mantissa, digits):
+        """For z = 1 - w, 2^-39 <= w < 1/10 (2^-39 < 10^-12), the enclosure
+        holds mpmath's value at +50 digits.  w is dyadic, so that mpmath
+        receives z exactly: an exact result (a sum that terminates after
+        Euler's transform) has no radius to absorb a rounded z."""
+        p = HypParams(a, b, a + b + m)
+        assume(p.terminating_degree is None and not is_nonpositive_integer(p.c))
+        z = 1 - F(mantissa % (2**k // 10) or 1, 2**k)
+        got = f21_eval(p, z, Precision.of(digits))
+        with mp.workdps(digits + 50):
+            assert_encloses(got, oracle_f21(p, z), f"{p} at {z}")
+
+    @pytest.mark.parametrize("a, b, c, z, value", ZUCKER_JOYCE)
+    def test_zucker_joyce_agrees_with_the_integral(self, monkeypatch, a, b, c, z, value):
+        p = HypParams(a, b, c)
+        integral = f21_eval(p, z, P30, strategy="integral")
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("tanh_sinh_integrate called")
+
+        monkeypatch.setattr(hyper, "tanh_sinh_integrate", no_quadrature)
+        got = f21_eval(p, z, P50)
+        assert overlap(got, integral)
+        assert_encloses(got, value(), f"Zucker-Joyce at {z}")
+        assert as_mpf(got.err) <= abs(as_mpf(got.val)) * mp.mpf(2) ** -P50.work_bits
+
+    def test_no_euler_ordering(self):
+        # c - a - b = 0, and neither c > b > 0 nor c > a > 0
+        p = HypParams(F(-1, 3), F(4, 3), F(1))
+        assert_encloses(f21_eval(p, F(19, 20), P50), oracle_f21(p, F(19, 20)), "m = 0")
+
+    def test_euler_transform_to_a_terminating_sum(self):
+        # c - a - b = -2 and c - a = -1: (1-z)^-2 2F1(-1, -1/2; 1/2; z), which
+        # is (1-z)^-2 (1 + z)
+        got = f21_log_connection(HypParams(F(3, 2), F(1), F(1, 2)), F(19, 20), P30)
+        want = BigReal.from_fraction(F(20) ** 2 * F(39, 20), P30.work_bits)
+        assert (got.val, got.err) == (want.val, want.err)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        a=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        shift=st.integers(-4, 4),
+        c=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        z=st.builds(F, st.integers(-10**9, -91), st.just(10)),
+        digits=st.integers(20, 80),
+    )
+    @example(a=F(1, 2), shift=1, c=F(-1, 4), z=F(-20), digits=50)
+    def test_below_minus_nine_by_pfaff(self, a, shift, c, z, digits):
+        """z < -9 with a - b an integer: Pfaff's w = z/(z-1) lies in
+        (9/10, 1), where c - a - b = b - a; the enclosure holds mpmath's
+        value at +50 digits."""
+        p = HypParams(a, a + shift, c)
+        assume(p.terminating_degree is None and not is_nonpositive_integer(p.c))
+        got = f21_eval(p, z, Precision.of(digits))
+        with mp.workdps(digits + 50):
+            assert_encloses(got, oracle_f21(p, z), f"{p} at {z}")
+
+    @pytest.mark.parametrize("x", [F(1, 8), F(5, 12), F(2, 3), F(29, 6), F(-7, 3), F(1, 2)])
+    def test_psi_plus_euler(self, x):
+        got = hyper._psi_plus_euler(x, P50)
+        with mp.workdps(80):
+            assert_encloses(got, mp.digamma(mpf_of_fraction(x)) + mp.euler, f"psi({x})")
+
+    def test_psi_plus_euler_at_integers_is_harmonic(self):
+        # psi(n) + gamma = H_(n-1), exactly
+        for n, h in ((1, F(0)), (2, F(1)), (4, F(11, 6))):
+            got, want = hyper._psi_plus_euler(F(n), P50), BigReal.from_fraction(h, P50.work_bits)
+            assert (got.val, got.err) == (want.val, want.err)
 
 
 class TestDomain:

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from mpmath import mp
+from mpmath import iv, mp
+from mpmath.libmp import from_rational
 
 from helpers import as_mpf, assert_encloses, mpf_of_fraction
 
+from hypergamma.hyper import HypParams, f21_series
 from hypergamma.mpreal import (
     BigReal,
     DomainError,
@@ -95,6 +98,34 @@ class TestArithmetic:
         x = BigReal.from_int(-2, 128)
         with pytest.raises(DomainError):
             x.pow_rational(F(1, 2))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        center=st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4)),
+        rel=st.builds(F, st.integers(0, 2**20), st.just(2**24)),
+        r=st.builds(F, st.integers(-2001, 2001), st.integers(1, 12)),
+        bits=st.integers(60, 400),
+    )
+    # the mean-value bound's case: a first-order bound gave 1.0 +- 1.0
+    @example(center=F(1), rel=F(1, 1000), r=F(-2001, 2), bits=200)
+    @example(center=F(1), rel=F(1, 16), r=F(11, 2), bits=100)
+    def test_pow_rational_encloses_the_image_of_a_wide_input(self, center, rel, r, bits):
+        """x^r of an input with relative radius up to 2^-4 holds the image
+        of the whole input interval, taken by mpmath's interval arithmetic
+        at 100 more bits (x^r is monotone, so the image is the hull of the
+        endpoint powers)."""
+        c = BigReal.from_fraction(center, bits)
+        rad = center * rel
+        x = BigReal(c.val, from_rational(rad.numerator, rad.denominator, 32, "u"), bits)
+        got = x.pow_rational(r)
+        saved, iv.prec = iv.prec, bits + 100
+        try:
+            ends = iv.mpf(as_mpf(x.val)) + iv.mpf([-as_mpf(x.err), as_mpf(x.err)])
+            want = ends ** (iv.mpf(r.numerator) / r.denominator)
+            got_iv = iv.mpf(as_mpf(got.val)) + iv.mpf([-as_mpf(got.err), as_mpf(got.err)])
+            assert want in got_iv, (center, rel, r, bits)
+        finally:
+            iv.prec = saved
 
     def test_real_arith_surface(self):
         bits = Precision.of(30).work_bits
@@ -351,6 +382,104 @@ class TestFixedPointSum:
             fixed_point_sum(self.UPPER, self.LOWER, F(1), 100)
         with pytest.raises(DomainError):  # |z| < 1, but not |z| + radius
             fixed_point_sum(self.UPPER, self.LOWER, BigReal.parse("0.99 ± 0.02", 100), 100)
+
+
+    def test_callers_are_bit_identical(self):
+        """Every caller's (value, radius) on 600 seeded inputs: f21_series
+        at rational and BigReal z, Gamma and Beta.  The digest is that of
+        the kernel before it took a companion series; a change to it is a
+        change of every caller's result."""
+        rng = random.Random(600)
+        digest = hashlib.sha256()
+
+        def put(x):
+            sign, man, exp, bc = x.val
+            digest.update(repr((sign, int(man), exp, bc, x.err, x.bits)).encode())
+
+        def rat(limit):
+            den = rng.randint(1, 12)
+            return F(rng.randint(-limit * den, limit * den), den)
+
+        for i in range(400):
+            a, b, c = rat(6), rat(6), rat(6)
+            if c.denominator == 1 and c <= 0:
+                c += F(1, 2)
+            z = F(rng.randint(-90, 90), rng.choice((100, 97, 128)))
+            prec = Precision.of(rng.randint(10, 80))
+            if i % 4 == 3:
+                root = sqrt(BigReal.from_fraction(abs(z), prec.work_bits + rng.choice((0, 64))))
+                z = root if z > 0 else -root
+            put(f21_series(HypParams(a, b, c), z, prec))
+        for _ in range(120):
+            x = F(rng.randint(-40, 60), rng.randint(1, 12))
+            if not (x.denominator == 1 and x <= 0):
+                put(gamma(x, Precision.of(rng.randint(10, 120))))
+        for _ in range(80):
+            x = F(rng.randint(-20, 40), rng.randint(1, 12))
+            y = F(rng.randint(-20, 40), rng.randint(1, 12))
+            if not any(t.denominator == 1 and t <= 0 for t in (x, y, x + y)):
+                put(beta(x, y, Precision.of(rng.randint(10, 80))))
+        assert digest.hexdigest() == (
+            "2c8b775bd614be2683cd20b5f41d010d9f46ec60370db2ea2d5bfc5170b41ba6"
+        )
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        a=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        b=st.builds(F, st.integers(-72, 72), st.integers(1, 12)),
+        m=st.integers(0, 3),
+        w=st.builds(F, st.integers(1, 1000), st.just(10**4)),
+        digits=st.integers(20, 120),
+    )
+    def test_companion_sum(self, a, b, m, w, digits):
+        """The two sums of the logarithmic connection formula, sum t_n and
+        sum g_n t_n with t_n the terms of 2F1(a+m, b+m; m+1; w) and g_n the
+        harmonic sum of delta_k = 1/(k+1) + 1/(k+m+1) - 1/(k+a+m) -
+        1/(k+b+m), each hold a direct mpmath sum at +50 digits."""
+        companion = ((1, F(1)), (1, F(m + 1)), (-1, a + m), (-1, b + m))
+        assume(not any(x.denominator == 1 and x <= 0 for _, x in companion))
+        bits = Precision.of(digits).work_bits
+        got = fixed_point_sum((a + m, b + m), (F(m + 1),), w, bits, None, companion)
+        with mp.workdps(digits + 50):
+            for out, want in zip(got, companion_reference(a, b, m, w, digits + 60)):
+                assert_encloses(out, want, f"companion of ({a}, {b}, {m}) at {w}")
+                assert as_mpf(out.err) <= mp.mpf(2) ** -bits * max(1, abs(want))
+
+    @pytest.mark.parametrize(
+        "a, b, m, w",
+        [(F(1, 8), F(3, 8), 0, F(1, 10)), (F(-5, 2), F(7, 3), 2, F(1, 20)), (F(9, 2), F(6), 1, F(3, 40))],
+    )
+    def test_companion_tail_bound_holds_an_early_stop(self, a, b, m, w):
+        """Summed in 400-bit integers but stopped at a 2^-8 tail target, the
+        radii are the two tail bounds, far above the rounding: each must
+        still hold the sum it dropped."""
+        import hypergamma.mpreal as mpreal
+
+        companion = ((1, F(1)), (1, F(m + 1)), (-1, a + m), (-1, b + m))
+        out = mpreal._scaled_sum(
+            (a + m, b + m), (F(m + 1),), w.numerator, w.denominator, 0, 400, 8, None, companion
+        )
+        with mp.workdps(140):
+            for (S, err), want in zip(out, companion_reference(a, b, m, w, 130)):
+                assert abs(mp.mpf(S) / mp.mpf(2) ** 400 - want) <= mp.mpf(err) / mp.mpf(2) ** 400
+
+    def test_companion_shift_off_the_poles(self):
+        with pytest.raises(ValueError):
+            fixed_point_sum((F(1, 2),), (F(3, 2),), F(1, 2), 100, None, ((1, F(-2)),))
+
+
+def companion_reference(a, b, m, w, digits):
+    """sum t_n and sum g_n t_n of `test_companion_sum`, summed directly in
+    mpmath until a term falls below 10^-digits."""
+    A, B, W = (mpf_of_fraction(x) for x in (a + m, b + m, w))
+    t, g, sums, n = mp.mpf(1), mp.mpf(0), [mp.mpf(0), mp.mpf(0)], 0
+    while n < 60 or abs(t) * (1 + abs(g)) > mp.mpf(10) ** -digits:
+        sums[0] += t
+        sums[1] += g * t
+        g += 1 / mp.mpf(n + 1) + 1 / mp.mpf(n + m + 1) - 1 / (n + A) - 1 / (n + B)
+        t *= (A + n) * (B + n) / ((n + 1) * (n + m + 1)) * W
+        n += 1
+    return sums
 
 
 class TestTanhSinh:

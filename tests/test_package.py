@@ -36,14 +36,21 @@ def test_removed_shims_are_gone():
     assert not hasattr(hypergamma.RatFunc, "from_fraction")
 
 
-def _benchmark_spans():
-    """benchmarks/spans.py, loaded by path: the tracer of the benchmark
-    harness, which wraps the functions it names in the package's modules."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "spans.py"
-    spec = importlib.util.spec_from_file_location("benchmark_spans", path)
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def _benchmark_module(name: str):
+    """benchmarks/<name>.py, loaded by path."""
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", BENCHMARKS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _benchmark_spans():
+    """benchmarks/spans.py: the tracer of the benchmark harness, which wraps
+    the functions it names in the package's modules."""
+    return _benchmark_module("spans")
 
 
 def test_every_traced_name_resolves():
@@ -61,3 +68,37 @@ def test_traced_arguments_keep_their_positions():
     # the tracer's hooks read gamma's (x, prec) and the integrand by position
     assert list(inspect.signature(mpreal.gamma).parameters)[:2] == ["x", "prec"]
     assert next(iter(inspect.signature(mpreal.tanh_sinh_integrate).parameters)) == "f"
+
+
+def test_traced_runs_still_reach_the_quadrature_layers(monkeypatch):
+    """A traced benchmark run exits non-zero when a layer of its workload's
+    EXPECTED_LAYERS (benchmarks/run.py) makes no call.  Of the Euler-integral
+    layers, catalog-100 reaches them through Gauss's sum at z = 1 and the
+    proof steps, and eval-mix through its near-one requests whose c - a - b
+    is not an integer; each must still call every such layer it expects, here
+    at 15 digits on the records and the first seed-1 requests."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))  # run.py imports evalmix
+    expected = _benchmark_module("run").EXPECTED_LAYERS
+    evalmix = importlib.import_module("evalmix")
+    layers = ("hyper.f21_integral", "mpreal.tanh_sinh_integrate")
+    prec = hypergamma.Precision.of(15)
+    records = {r.id: r for r in hypergamma.catalog_load(hypergamma.DEFAULT_CATALOG)}
+
+    def catalog_100():
+        for rid in ("gauss-summation", "gosper-proof-steps"):
+            hypergamma.catalog.verify_identity(records[rid], prec)
+
+    def eval_mix():
+        for req in evalmix.requests(1, 11):
+            hypergamma.f21_eval(hypergamma.HypParams(req.a, req.b, req.c), req.z, prec)
+
+    for workload, run in (("catalog-100", catalog_100), ("eval-mix", eval_mix)):
+        tracer = _benchmark_spans().Tracer()
+        tracer.install(hypergamma)
+        try:
+            run()
+        finally:
+            tracer.uninstall()
+        calls = tracer.layers()
+        for name in set(layers) & set(expected[workload]):
+            assert calls.get(f"{name}.calls"), (workload, name)
