@@ -8,20 +8,22 @@ Four evaluation routes; `f21_eval` takes exactly one of them per input:
   the series kernel that Gamma and Beta also use, which returns the
   enclosure: a rigorous rounding and tail bound, and the radius of a
   BigReal z;
-* `f21_log_connection` - for 9/10 < z < 1 with c - a - b an integer, the
+* `f21_log_connection` - for 9/10 < z < 1 with c - a - b an integer and
+  a, b of denominator at most `LOG_CONNECTION_MAX_DENOMINATOR`, the
   logarithmic 1 - z connection formula (A&S 15.3.10-11), a pair of series
   in 1 - z summed by the same kernel with its harmonic companion, so the
   bound is rigorous too;
 * `f21_integral` - the Gamma-prefactored Euler integral of
   t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1): at z = 1 the Beta series
   of `mpreal.beta`, and for the other rational z too close to 1 for the
-  series with c - a - b not an integer, or below -9 with a - b not an
-  integer, tanh-sinh quadrature, whose error bound is an estimate (see
+  series or below -9 that the log connection formula does not take,
+  tanh-sinh quadrature, whose error bound is an estimate (see
   `tanh_sinh_integrate`), not a proof.
 
 For z < -9/10, `f21_eval` takes Pfaff's transform
 (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)): by `f21_series` for -9 <= z, and by
-`f21_log_connection` below -9 when a - b is an integer.  `check_domain`,
+`f21_log_connection` below -9 when the transformed parameters fit it,
+which needs a - b an integer.  `check_domain`,
 which `f21_eval` calls first, is the one test of whether an input has a
 value.
 
@@ -55,6 +57,10 @@ from .mpreal import (
 RealArg = Union[Fraction, int, BigReal]
 
 SERIES_THRESHOLD = Fraction(9, 10)
+# Gauss's digamma theorem takes ceil(q/2) - 1 log-sines at denominator q:
+# at q = 1000, about 0.3 s at 100 digits on one Intel Xeon core, below
+# the 0.6-0.8 s of the tanh-sinh route that larger denominators keep
+LOG_CONNECTION_MAX_DENOMINATOR = 1000
 DEFAULT_TERM_CAP = 10**7
 
 
@@ -75,8 +81,7 @@ class SeriesTermCapError(HyperError):
 class NoFeasibleStrategyError(HyperError):
     """An input in the domain, but no evaluation route for it: no
     Euler-integral parameter ordering (c > b > 0 in either order) for
-    9/10 < z < 1 with c - a - b not an integer, or for z < -9 with a - b
-    not an integer."""
+    9/10 < z < 1 or z < -9 where `f21_log_connection` does not apply."""
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,9 @@ def _psi_plus_euler(x: Fraction, prec: Precision) -> BigReal:
 def f21_log_connection(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     """2F1 at rational 0 < z < 1 when m = c - a - b is an integer, by the
     logarithmic 1 - z connection formulas (A&S 15.3.10-11, DLMF 15.8.10);
-    `f21_eval` takes it for 9/10 < z < 1.  With w = 1 - z and m >= 0,
+    `f21_eval` takes it for 9/10 < z < 1 when a and b have denominators at
+    most LOG_CONNECTION_MAX_DENOMINATOR, as the cost of `_psi_plus_euler`
+    grows with them.  With w = 1 - z and m >= 0,
 
     2F1 = Gamma(c)/(Gamma(a) Gamma(b)) [(m-1)! / ((a)_m (b)_m)
           sum_{n<m} (a)_n (b)_n / (n! (1-m)_n) w^n
@@ -333,6 +340,15 @@ def f21_log_connection(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     return BigReal(out.val, out.err, prec.work_bits)
 
 
+def _log_connection_fits(p: HypParams) -> bool:
+    """Whether `f21_eval` gives p to `f21_log_connection`: c - a - b an
+    integer, and a and b, whose denominators are those of its digamma
+    arguments, of denominator at most LOG_CONNECTION_MAX_DENOMINATOR."""
+    return (p.c - p.a - p.b).denominator == 1 and max(
+        p.a.denominator, p.b.denominator
+    ) <= LOG_CONNECTION_MAX_DENOMINATOR
+
+
 def _integral_with_swap(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     for q in (p, p.swapped()):
         if q.c > q.b > 0 or (z == 1 and not is_nonpositive_integer(q.b)):
@@ -355,7 +371,9 @@ def f21_eval(
     nonpositive integer; otherwise the direct series for |z| <= 9/10, the
     series of Pfaff's transform for -9 <= z < -9/10, `f21_log_connection`
     for 9/10 < z < 1 with c - a - b an integer and, after Pfaff's
-    transform, for z < -9 with a - b an integer; and otherwise
+    transform, for z < -9 with a - b an integer, in both when the
+    denominators of the parameters it sums are at most
+    LOG_CONNECTION_MAX_DENOMINATOR; and otherwise
     `f21_integral`: at z = 1 the Beta series, in the given parameter
     order, and for the rest of 9/10 < z < 1 and z < -9 tanh-sinh, trying
     both parameter orderings (NoFeasibleStrategyError when neither has
@@ -378,18 +396,19 @@ def f21_eval(
         return BigReal.from_fraction(f21_terminating(p, z), prec.work_bits)
     if abs(z) <= SERIES_THRESHOLD:
         return f21_series(p, z, prec)
-    if z < 0 and (z >= -9 or (p.a - p.b).denominator == 1):
+    q = HypParams(p.a, p.c - p.b, p.c)
+    if z < 0 and (z >= -9 or _log_connection_fits(q)):
         # DLMF 15.8.1: (1-z)^(-a) 2F1(a, c-b; c; w) with w = z/(z-1), at 16
         # more bits, as in f21_integral, to absorb the rounding of the
         # prefactor: for -9 <= z, w is in (9/19, 9/10] and the series sums
         # it; below -9, w is in (9/10, 1) and its c - a - b = b - a is an
         # integer
         qprec = prec.boosted(16)
-        q, w = HypParams(p.a, p.c - p.b, p.c), z / (z - 1)
+        w = z / (z - 1)
         inner = f21_series(q, w, qprec) if z >= -9 else f21_log_connection(q, w, qprec)
         base = BigReal.from_fraction(1 - z, qprec.work_bits)
         out = base.pow_rational(-p.a) * inner
         return BigReal(out.val, out.err, prec.work_bits)
-    if z < 1 and (p.c - p.a - p.b).denominator == 1:
+    if 0 < z < 1 and _log_connection_fits(p):
         return f21_log_connection(p, z, prec)
     return _integral_with_swap(p, z, prec)

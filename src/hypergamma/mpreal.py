@@ -66,7 +66,6 @@ from mpmath.libmp import (
 RN = "n"  # round to nearest
 RU = "u"  # round away from zero (upper bounds for nonnegative quantities)
 RD = "d"  # round toward zero (lower bounds for nonnegative quantities)
-RC = "c"  # round toward +infinity (upper bounds of any sign)
 
 ERR_BITS = 32
 BITS_PER_DIGIT = 3.3220
@@ -295,27 +294,11 @@ class BigReal:
         err = _eadd(_emul(_abs_hi(val, fzero), rel_round), _ulp(val, bits, 3))
         if self.err != fzero:
             # mean value theorem: the input error moves x^r by at most
-            # |r| err max(lo^(r-1), hi^(r-1)) <= y x^r e^y with
-            # y = |r| err/lo, as (1 + err/lo)^|r| <= e^y; for y <= 1,
-            # e^y <= 1 + 2y, and otherwise the maximum is taken itself, as
-            # e^((r-1) ln x) at x = hi if r > 1 and at x = lo if r < 1
+            # |r| err max(lo^(r-1), hi^(r-1)) <= y e^y x^r with
+            # y = |r| err/lo, as (1 + err/lo)^|r| <= e^y
             abs_r = from_rational(abs(r.numerator), r.denominator, ERR_BITS, RU)
-            lo = _abs_lo(self.val, self.err)
-            y = mpf_div(_emul(abs_r, self.err), lo, ERR_BITS, RU)
-            if mpf_cmp(y, fone) <= 0:
-                dmag = _emul(_emul(y, _eadd(fone, mpf_shift(y, 1))), _abs_hi(val, err))
-            else:
-                x = _abs_hi(self.val, self.err) if r > 1 else lo
-                e = mpf_mul(
-                    from_rational(r.numerator - r.denominator, r.denominator, ERR_BITS, RN),
-                    mpf_log(x, ERR_BITS, RN),
-                    ERR_BITS,
-                    RN,
-                )
-                # 2^(4-ERR_BITS) (|e| + 1) covers the three roundings of e
-                slack = _emul(_eadd(mpf_abs(e), fone), _pow2(4 - ERR_BITS))
-                e = mpf_add(e, slack, ERR_BITS, RC)
-                dmag = _emul(_emul(abs_r, self.err), mpf_exp(e, ERR_BITS, RU))
+            y = mpf_div(_emul(abs_r, self.err), _abs_lo(self.val, self.err), ERR_BITS, RU)
+            dmag = _emul(_emul(y, mpf_exp(y, ERR_BITS, RU)), _abs_hi(val, err))
             err = _eadd(err, dmag)
         return BigReal(val, err, bits)
 

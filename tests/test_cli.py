@@ -90,6 +90,16 @@ class TestEval:
         assert code == 0
         assert out.startswith("0.30725376227687097")
 
+    def test_below_minus_nine_with_integer_c_minus_a_minus_b(self, capsys):
+        # a - b = 1/6: not the log connection formula but the integral, with
+        # c > b > 0
+        code, out, _ = run(
+            capsys, "eval", "--a", "1/2", "--b", "1/3", "--c", "11/6",
+            "--z=-20", "--digits", "20",
+        )
+        assert code == 0
+        assert out.startswith("0.64048530741452467689")
+
     def test_infeasible_evaluation_fails(self, capsys):
         # in the domain, but no route: z > 9/10 and c < min(a, b), so no
         # Euler ordering

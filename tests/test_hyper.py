@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -524,6 +525,38 @@ class TestLogConnection:
         got = f21_eval(p, z, Precision.of(digits))
         with mp.workdps(digits + 50):
             assert_encloses(got, oracle_f21(p, z), f"{p} at {z}")
+
+    def test_below_minus_nine_with_integer_c_minus_a_minus_b(self, monkeypatch):
+        # a - b = 1/6 is not an integer, so Pfaff's transform does not fit the
+        # log connection formula, though c - a - b = 1 does: the integral,
+        # with c > b > 0, takes it
+        def no_log_connection(*args, **kwargs):
+            raise AssertionError("f21_log_connection called")
+
+        monkeypatch.setattr(hyper, "f21_log_connection", no_log_connection)
+        p = HypParams(F(1, 2), F(1, 3), F(11, 6))
+        assert_encloses(f21_eval(p, F(-20), P30), oracle_f21(p, F(-20)), f"{p} at -20")
+
+    def test_large_denominator_keeps_the_integral(self, monkeypatch):
+        # a of denominator 200002: Gauss's digamma theorem would take 10^5
+        # log-sines, so the tanh-sinh route takes it, in well under a second
+        def no_log_connection(*args, **kwargs):
+            raise AssertionError("f21_log_connection called")
+
+        monkeypatch.setattr(hyper, "f21_log_connection", no_log_connection)
+        a = F(1, 2) + F(1, 100001)
+        p = HypParams(a, F(1, 3), a + F(1, 3))
+        start = time.perf_counter()
+        got = f21_eval(p, F(19, 20), P30)
+        assert time.perf_counter() - start < 10
+        assert_encloses(got, oracle_f21(p, F(19, 20)), f"{p} at 19/20")
+
+    def test_denominator_bound_is_inclusive(self):
+        q = hyper.LOG_CONNECTION_MAX_DENOMINATOR
+        assert hyper._log_connection_fits(HypParams(F(1, q), F(1, 3), F(1, q) + F(1, 3)))
+        assert not hyper._log_connection_fits(
+            HypParams(F(1, q + 1), F(1, 3), F(1, q + 1) + F(1, 3))
+        )
 
     @pytest.mark.parametrize("x", [F(1, 8), F(5, 12), F(2, 3), F(29, 6), F(-7, 3), F(1, 2)])
     def test_psi_plus_euler(self, x):

@@ -441,7 +441,8 @@ class TestFixedPointSum:
         bits = Precision.of(digits).work_bits
         got = fixed_point_sum((a + m, b + m), (F(m + 1),), w, bits, None, companion)
         with mp.workdps(digits + 50):
-            for out, want in zip(got, companion_reference(a, b, m, w, digits + 60)):
+            wants = companion_reference((a + m, b + m), (F(m + 1),), w, companion, digits + 60)
+            for out, want in zip(got, wants):
                 assert_encloses(out, want, f"companion of ({a}, {b}, {m}) at {w}")
                 assert as_mpf(out.err) <= mp.mpf(2) ** -bits * max(1, abs(want))
 
@@ -460,7 +461,29 @@ class TestFixedPointSum:
             (a + m, b + m), (F(m + 1),), w.numerator, w.denominator, 0, 400, 8, None, companion
         )
         with mp.workdps(140):
-            for (S, err), want in zip(out, companion_reference(a, b, m, w, 130)):
+            wants = companion_reference((a + m, b + m), (F(m + 1),), w, companion, 130)
+            for (S, err), want in zip(out, wants):
+                assert abs(mp.mpf(S) / mp.mpf(2) ** 400 - want) <= mp.mpf(err) / mp.mpf(2) ** 400
+
+    @pytest.mark.parametrize(
+        "a, w, beta, pwb",
+        [(F(1, 2), F(95, 100), F(1, 5), 4), (F(1), F(95, 100), F(9, 50), 8), (F(3, 4), F(49, 50), F(4, 25), 8)],
+    )
+    def test_companion_tail_bound_holds_its_drift(self, a, w, beta, pwb):
+        """delta_k = 2/(k+1) - 1/(k+beta) makes g_n ~ ln n + gamma - 1/beta
+        cross zero near the stop, while past it g grows by about 1/n a term
+        and rho is near 1: the companion's tail is then the
+        rho/(1-rho)^2 D_n |t_n| drift term, which the sum at a 2^-pwb target
+        must carry to hold the sum it dropped."""
+        import hypergamma.mpreal as mpreal
+
+        companion = ((1, F(1)), (1, F(1)), (-1, beta))
+        out = mpreal._scaled_sum(
+            (a, a), (F(1),), w.numerator, w.denominator, 0, 400, pwb, None, companion
+        )
+        with mp.workdps(140):
+            wants = companion_reference((a, a), (F(1),), w, companion, 130)
+            for (S, err), want in zip(out, wants):
                 assert abs(mp.mpf(S) / mp.mpf(2) ** 400 - want) <= mp.mpf(err) / mp.mpf(2) ** 400
 
     def test_companion_shift_off_the_poles(self):
@@ -468,16 +491,19 @@ class TestFixedPointSum:
             fixed_point_sum((F(1, 2),), (F(3, 2),), F(1, 2), 100, None, ((1, F(-2)),))
 
 
-def companion_reference(a, b, m, w, digits):
-    """sum t_n and sum g_n t_n of `test_companion_sum`, summed directly in
-    mpmath until a term falls below 10^-digits."""
-    A, B, W = (mpf_of_fraction(x) for x in (a + m, b + m, w))
+def companion_reference(upper, lower, w, companion, digits):
+    """sum t_n and sum g_n t_n for the terms t_n of pFq(upper; lower; w) and
+    g_n = sum_{k<n} sum sigma/(k + alpha) over the companion, summed
+    directly in mpmath until a term falls below 10^-digits."""
+    A, B = [mpf_of_fraction(x) for x in upper], [mpf_of_fraction(x) for x in lower]
+    W = mpf_of_fraction(w)
+    shifts = [(sigma, mpf_of_fraction(alpha)) for sigma, alpha in companion]
     t, g, sums, n = mp.mpf(1), mp.mpf(0), [mp.mpf(0), mp.mpf(0)], 0
     while n < 60 or abs(t) * (1 + abs(g)) > mp.mpf(10) ** -digits:
         sums[0] += t
         sums[1] += g * t
-        g += 1 / mp.mpf(n + 1) + 1 / mp.mpf(n + m + 1) - 1 / (n + A) - 1 / (n + B)
-        t *= (A + n) * (B + n) / ((n + 1) * (n + m + 1)) * W
+        g += sum(sigma / (n + alpha) for sigma, alpha in shifts)
+        t *= mp.fprod(x + n for x in A) / ((n + 1) * mp.fprod(x + n for x in B)) * W
         n += 1
     return sums
 
