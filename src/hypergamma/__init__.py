@@ -25,6 +25,7 @@ from .mpreal import (
     beta,
     gamma,
     pi_value,
+    power_product,
     tanh_sinh_integrate,
 )
 from .transforms import (
@@ -67,7 +68,8 @@ __all__ = [
     "HypParams", "PochRatio", "f21_eval", "f21_integral", "f21_series",
     "f21_terminating", "pochhammer",
     # mpreal
-    "BigReal", "Precision", "beta", "gamma", "pi_value", "tanh_sinh_integrate",
+    "BigReal", "Precision", "beta", "gamma", "pi_value", "power_product",
+    "tanh_sinh_integrate",
     # transforms
     "CUBIC", "EULER", "MAIN_ARGUMENT", "MAIN_PARAMS", "MAIN_RHS", "QUADRATIC_C_2B",
     "QUADRATIC_MEAN", "RULES", "DerivationTrace", "HypTerm", "TransformRule",

@@ -35,7 +35,7 @@ from .catalog import (
 from .exact import rational, rational_str
 from .gammaexpr import Verdict, achieved_digits, num_equal
 from .hyper import HyperError, HypParams, ParamsError, f21_eval, f21_series, f21_integral
-from .mpreal import MPRealError, Precision, beta, tanh_sinh_integrate
+from .mpreal import MPRealError, Precision, beta, power_product, tanh_sinh_integrate
 from .transforms import TransformError, derive_main, verify_gosper_proof
 
 
@@ -155,7 +155,7 @@ def _cmd_quadcheck(args) -> int:
             y = Fraction(rng.randint(1, 40), rng.randint(8, 24))
 
             def f(u, v, x=x, y=y):
-                return u.pow_rational(x - 1) * v.pow_rational(y - 1)
+                return power_product((u, x - 1), (v, y - 1))
 
             got = tanh_sinh_integrate(f, Fraction(0), Fraction(1), prec)
             want = beta(x, y, prec)

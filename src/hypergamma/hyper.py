@@ -50,6 +50,7 @@ from .mpreal import (
     gamma,
     log,
     pi_value,
+    power_product,
     sin_pi_times,
     tanh_sinh_integrate,
 )
@@ -220,6 +221,21 @@ def f21_terminating(p: HypParams, z: Fraction) -> Fraction:
     return total
 
 
+def euler_integrand(p: HypParams, z: Fraction, bits: int):
+    """t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) as a function of (t, 1 - t), with
+    z rounded at `bits`."""
+    zB = BigReal.from_fraction(z, bits)
+    one_minus_z = 1 - zB
+    e_left, e_right, e_lin = p.b - 1, p.c - p.b - 1, -p.a
+
+    def integrand(u: BigReal, v: BigReal) -> BigReal:
+        # 1 - z t  ==  (1 - z) + z (1 - t), stable against cancellation
+        lin = one_minus_z + zB * v
+        return power_product((u, e_left), (v, e_right), (lin, e_lin))
+
+    return integrand
+
+
 def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     """Euler-integral evaluation: Gamma(c)/(Gamma(b)Gamma(c-b)) times the
     integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1).
@@ -249,16 +265,7 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     if z == 1:
         integral = beta(b, c - a - b, qprec)
     else:
-        zB = BigReal.from_fraction(z, qprec.work_bits)
-        one_minus_z = 1 - zB
-        exp_left, exp_right = b - 1, c - b - 1
-
-        def integrand(u: BigReal, v: BigReal) -> BigReal:
-            # 1 - z t  ==  (1 - z) + z (1 - t), stable against cancellation
-            lin = one_minus_z + zB * v
-            out = u.pow_rational(exp_left) * v.pow_rational(exp_right)
-            return out * lin.pow_rational(-a)
-
+        integrand = euler_integrand(p, z, qprec.work_bits)
         integral = tanh_sinh_integrate(integrand, Fraction(0), Fraction(1), qprec)
     pref = gamma(c, qprec) / (gamma(b, qprec) * gamma(c - b, qprec))
     out = pref * integral

@@ -22,9 +22,16 @@ computed by an exact-rational Pochhammer reduction of the argument to
 1F1(1; y+1; N), with a bound on the dropped upper incomplete gamma
 Gamma(y, N).  Beta is the sum of two incomplete-Beta series at 1/2, with
 positive terms, and no Gamma.  The quadrature is standard tanh-sinh with
-per-level node caching; integrands receive the distances to both endpoints
-at full relative precision so endpoint-singular factors can be evaluated
-without cancellation.
+per-level node caching; each cached node also holds ln x and ln(1 - x),
+computed once per (bits, level) for every integral at those bits.
+Integrands receive the distances to both endpoints at full relative
+precision so endpoint-singular factors can be evaluated without
+cancellation, as `LogReal`s that carry their logarithm.
+
+Every integrand of the package is a power product u^a v^b P^c, which
+`power_product` takes as exp(a ln u + b ln v + c ln P): one exp per
+evaluation, and a log only for the bases that carry none, with the bounds
+of `log` and `exp`.  `BigReal.pow_rational` is the power of a scalar.
 """
 
 from __future__ import annotations
@@ -327,6 +334,21 @@ class BigReal:
         return f"BigReal({self.to_decimal(min(20, max(6, self.bits // 4)))})"
 
 
+class LogReal(BigReal):
+    """A certainly positive BigReal that carries its natural logarithm:
+    `log` is within `log_err` of ln(val).  `log` and `power_product` take
+    the logarithm from it; arithmetic on it gives plain BigReals."""
+
+    __slots__ = ("log", "log_err")
+
+    def __init__(self, val, err, bits: int, log, log_err):
+        self.val = val
+        self.err = err
+        self.bits = bits
+        self.log = log
+        self.log_err = log_err
+
+
 # ---------------------------------------------------------------------------
 # elementary functions
 
@@ -362,18 +384,59 @@ def exp(x: Real, prec: Precision | None = None) -> BigReal:
     return BigReal(val, err, bits)
 
 
-def log(x: Real, prec: Precision | None = None) -> BigReal:
-    bits = prec.work_bits if prec else x.bits
-    x = BigReal.lift(x, bits)
-    lo = _abs_lo(x.val, x.err)
+def _log_parts(x: BigReal, bits: int):
+    """ln x as (value, bound), the value at `bits` or, for a `LogReal`, the
+    one it carries.  The bound is err/lo, the mean value theorem on the
+    interval, plus the value's rounding."""
     if not x.definitely_positive():
         raise DomainError("log of a value not certainly positive")
-    val = mpf_log(x.val, bits, RN)
-    err = _eadd(
-        mpf_div(x.err, lo, ERR_BITS, RU),
-        _emul(_eadd(mpf_abs(val), fone), _pow2(-bits + 2)),
-    )
+    if isinstance(x, LogReal):
+        val, rounding = x.log, x.log_err
+    else:
+        val = mpf_log(x.val, bits, RN)
+        rounding = _emul(_eadd(mpf_abs(val), fone), _pow2(-bits + 2))
+    if x.err == fzero:
+        return val, rounding
+    return val, _eadd(mpf_div(x.err, _abs_lo(x.val, x.err), ERR_BITS, RU), rounding)
+
+
+def log(x: Real, prec: Precision | None = None) -> BigReal:
+    bits = prec.work_bits if prec else x.bits
+    val, err = _log_parts(BigReal.lift(x, bits), bits)
     return BigReal(val, err, bits)
+
+
+def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
+    """prod base^r over the (base, r) pairs, for certainly positive BigReal
+    bases and rational r, as exp(sum r ln base): one exp, and one log for
+    each base that does not carry its own (`LogReal`).
+
+    Each ln base is bounded as by `log` (err/lo plus rounding) and scaled
+    by |r|.  The sum is exact in integers over the common denominator d of
+    the r, each ln cut to fb = bits + 8 fraction bits, and one floor
+    division by d: together (sum |r| + 1) 2^-fb.  `exp` then carries the
+    total eps as eps e^eps of the value, plus its own rounding."""
+    bits = max((base.bits for base, _ in factors), default=0)
+    factors = [(base, r) for base, r in factors if r]
+    if not factors:
+        return BigReal(fone, fzero, bits)
+    fb = bits + 8
+    den = math.lcm(*(r.denominator for _, r in factors))
+    total = weight = 0
+    err = fzero
+    for base, r in factors:
+        (sign, man, exp, _), lerr = _log_parts(base, fb)
+        p = r.numerator * (den // r.denominator)
+        fixed = man << (exp + fb) if exp + fb >= 0 else man >> -(exp + fb)
+        total += -p * fixed if sign else p * fixed
+        weight += abs(p)
+        err = mpf_add(err, mpf_mul_int(lerr, abs(p), ERR_BITS, RU), ERR_BITS, RU)
+    cut = from_man_exp(weight + den, -fb)
+    eps = mpf_div(mpf_add(err, cut, ERR_BITS, RU), from_int(den), ERR_BITS, RU)
+    val = mpf_exp(from_man_exp(total // den, -fb), bits, RN)
+    # exp's bound: e^eps - 1 <= eps e^eps, and 2^(3-bits) for the rounding
+    growth = mpf_add(_emul(eps, mpf_exp(eps, ERR_BITS, RU)), _pow2(3 - bits), ERR_BITS, RU)
+    return BigReal(val, _emul(val, growth), bits)
 
 
 def asin(x: Real, prec: Precision | None = None) -> BigReal:
@@ -714,13 +777,16 @@ Integrand = Callable[[BigReal, BigReal], BigReal]
 
 
 def _ts_nodes(bits: int, level: int) -> list:
-    """Positive-t nodes (x, 1-x, weight) for the given refinement level.
+    """Positive-t nodes (x, 1-x, weight, ln x, ln(1-x)) for the given
+    refinement level.
 
     Abscissa x = 1/(1 + e^(-2u)) with u = (pi/2) sinh(t); the complement is
     returned at full relative precision so integrands can resolve endpoint
     singularities.  Weight is pi*cosh(t)*x*(1-x) (the step h is applied by
     the caller).  Level 0 uses t = j; level k >= 1 the odd multiples of
-    2^-k.
+    2^-k.  The nodes are rounded at wb = bits + 16 bits; their logarithms
+    are those of the rounded nodes at wb + 8 bits, within the rounding
+    bound of `log`, (|ln| + 1) 2^(-6-wb).
     """
     key = (bits, level)
     nodes = _TS_NODE_CACHE.get(key)
@@ -744,7 +810,7 @@ def _ts_nodes(bits: int, level: int) -> list:
         x = mpf_div(fone, denom, wb, RN)
         cx = mpf_div(e, denom, wb, RN)
         w = mpf_mul(mpf_mul(pi_full, ch, wb, RN), mpf_mul(x, cx, wb, RN), wb, RN)
-        nodes.append((x, cx, w))
+        nodes.append((x, cx, w, mpf_log(x, wb + 8, RN), mpf_log(cx, wb + 8, RN)))
         j += step
     _TS_NODE_CACHE[key] = nodes
     return nodes
@@ -760,29 +826,41 @@ def tanh_sinh_integrate(
     """Integrate f over (a, b) by tanh-sinh refinement.
 
     The integrand is called as f(t - a, b - t) with both distances as
-    BigReals at full relative precision (endpoint-singular factors of
-    exponent > -1 are handled).  The returned error bound is the successive
-    level difference times a safety factor plus the propagated integrand
-    bounds; failure to converge within the level cap raises QuadratureError.
+    `LogReal`s at full relative precision (endpoint-singular factors of
+    exponent > -1 are handled).  Each carries its logarithm, ln(b - a)
+    plus the node's cached ln x or ln(1 - x), so `power_product` takes no
+    log for them.  The returned error bound is the successive level
+    difference times a safety factor plus the propagated integrand bounds;
+    failure to converge within the level cap raises QuadratureError.
     """
     a, b = Fraction(a), Fraction(b)
     if not b > a:
         raise DomainError("tanh_sinh_integrate requires b > a")
     wb = prec.work_bits + 16
     scale = BigReal.from_fraction(b - a, wb)
-
     node_rel = _pow2(-wb + 6)
+    unit = b - a == 1
+    lb = wb + 8  # the bits of the node logarithms
+    log_scale = fzero if unit else mpf_log(scale.val, lb, RN)
+    # |ln - ln(val)| <= (|ln| + pad) 2^(3-lb): on a unit interval, twice
+    # the node's bound; else the node's and ln(b - a)'s, the rounding of
+    # their sum, and 2^(8-lb) for the rounding of the product
+    pad = fone if unit else mpf_add(mpf_abs(log_scale), from_int(34), ERR_BITS, RU)
 
-    def call(x, cx):
-        u = scale * BigReal(x, _emul(mpf_abs(x), node_rel), wb)
-        v = scale * BigReal(cx, _emul(mpf_abs(cx), node_rel), wb)
-        return f(u, v)
+    def arg(x, log_x):
+        out = BigReal(x, _emul(x, node_rel), wb)
+        if not unit:
+            out = scale * out
+            log_x = mpf_add(log_scale, log_x, lb, RN)
+        log_err = mpf_shift(mpf_add(mpf_abs(log_x), pad, ERR_BITS, RU), 3 - lb)
+        return LogReal(out.val, out.err, wb, log_x, log_err)
 
     half = from_man_exp(1, -1)
     fe_total = fzero
     # center node t=0: x = cx = 1/2, weight pi/4
     w0 = mpf_shift(mpf_pi(wb, RN), -2)
-    g0 = call(half, half)
+    log_half = mpf_neg(mpf_log(from_int(2), lb, RN))
+    g0 = f(arg(half, log_half), arg(half, log_half))
     total = mpf_mul(w0, g0.val, wb, RN)
     fe_total = _eadd(fe_total, _emul(w0, g0.err))
     prev = None
@@ -791,9 +869,9 @@ def tanh_sinh_integrate(
         h_shift = -level
         new_sum = fzero
         tiny_streak = 0
-        for x, cx, w in _ts_nodes(prec.work_bits, level):
-            g_right = call(x, cx)
-            g_left = call(cx, x)
+        for x, cx, w, log_x, log_cx in _ts_nodes(prec.work_bits, level):
+            g_right = f(arg(x, log_x), arg(cx, log_cx))
+            g_left = f(arg(cx, log_cx), arg(x, log_x))
             contrib = mpf_mul(w, mpf_add(g_right.val, g_left.val, wb, RN), wb, RN)
             new_sum = mpf_add(new_sum, contrib, wb, RN)
             fe_total = _eadd(fe_total, _emul(w, _eadd(g_right.err, g_left.err)))

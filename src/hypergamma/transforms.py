@@ -27,6 +27,7 @@ from .mpreal import (
     cos_pi_times,
     gamma,
     pi_value,
+    power_product,
     tanh_sinh_integrate,
 )
 
@@ -265,6 +266,32 @@ PROOF_STEPS = (
 )
 
 
+def proof_integrands(b: Fraction):
+    """The integrands of the proof steps' three integrals over (0, 1), as
+    functions of (t, 1 - t), each written as its step states it:
+    t^(3/2-3b) (1-t)^(b-1) (1-t/4)^(2b-2), then
+    u^(3/2-3b) (1-u)^(2b-1) (1+u+u^2)^(2b-2), then
+    u^(3/2-3b) (1-u) (1-u^3)^(2b-2)."""
+    quarter = Fraction(1, 4)
+    e_left, e_poly = Fraction(3, 2) - 3 * b, 2 * b - 2
+
+    def integrand_t(u: BigReal, v: BigReal) -> BigReal:
+        lin = 1 - u * quarter
+        return power_product((u, e_left), (v, b - 1), (lin, e_poly))
+
+    def integrand_u(u: BigReal, v: BigReal) -> BigReal:
+        quad = 1 + u + u * u
+        return power_product((u, e_left), (v, e_poly + 1), (quad, e_poly))
+
+    def integrand_cyc(u: BigReal, v: BigReal) -> BigReal:
+        # the cube complement 1-u^3 = v(3 - 3v + v^2) is formed from v to
+        # avoid cancellation
+        cube_c = v * (3 - 3 * v + v * v)
+        return power_product((u, e_left), (cube_c, e_poly)) * v
+
+    return integrand_t, integrand_u, integrand_cyc
+
+
 def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
     """Verify each integral step in the proof of Gosper's formula at a given
     rational b, returning a per-step verdict.
@@ -293,18 +320,7 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
     verdicts: dict[str, Verdict] = {}
 
     quarter = Fraction(1, 4)
-    e_right = b - 1
-    e_left = Fraction(3, 2) - 3 * b
-
-    def integrand_t(u: BigReal, v: BigReal) -> BigReal:
-        # t^(3/2-3b) (1-t)^(b-1) (1-t/4)^(2b-2) with t = u, 1-t = v
-        lin = 1 - u * quarter
-        return (
-            u.pow_rational(e_left)
-            * v.pow_rational(e_right)
-            * lin.pow_rational(2 * b - 2)
-        )
-
+    integrand_t, integrand_u, integrand_cyc = proof_integrands(b)
     i_t = tanh_sinh_integrate(integrand_t, Fraction(0), Fraction(1), qprec)
 
     lhs_series = f21_series(gosper_lhs_params(b), quarter, qprec)
@@ -316,30 +332,11 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
     )
     verdicts[PROOF_STEPS[0]] = num_equal(lhs_series * scale, pref * i_t, prec)
 
-    def integrand_u(u: BigReal, v: BigReal) -> BigReal:
-        # u^(3/2-3b) (1-u)^(2b-1) (1+u+u^2)^(2b-2)
-        quad = 1 + u + u * u
-        return (
-            u.pow_rational(e_left)
-            * v.pow_rational(2 * b - 1)
-            * quad.pow_rational(2 * b - 2)
-        )
-
     i_u = tanh_sinh_integrate(integrand_u, Fraction(0), Fraction(1), qprec)
     four_pow = BigReal.from_fraction(Fraction(4), qprec.work_bits).pow_rational(
         Fraction(5, 2) - 3 * b
     )
     verdicts[PROOF_STEPS[1]] = num_equal(i_t, four_pow * i_u, prec)
-
-    def integrand_cyc(u: BigReal, v: BigReal) -> BigReal:
-        # (u^(3/2-3b) - u^(5/2-3b)) (1-u^3)^(2b-2); the cube complement
-        # 1-u^3 = v(3 - 3v + v^2) is formed from v to avoid cancellation
-        cube_c = v * (3 - 3 * v + v * v)
-        return (
-            u.pow_rational(e_left)
-            * v
-            * cube_c.pow_rational(2 * b - 2)
-        )
 
     i_cyc = tanh_sinh_integrate(integrand_cyc, Fraction(0), Fraction(1), qprec)
     verdicts[PROOF_STEPS[2]] = num_equal(i_u, i_cyc, prec)

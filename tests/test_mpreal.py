@@ -10,15 +10,17 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import from_rational
+from mpmath.libmp import fone, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_shift
 
 from helpers import as_mpf, assert_encloses, mpf_of_fraction
 
-from hypergamma.hyper import HypParams, f21_series
+from hypergamma import mpreal
+from hypergamma.hyper import HypParams, euler_integrand, f21_series
 from hypergamma.mpreal import (
     BigReal,
     DomainError,
     GammaPoleError,
+    LogReal,
     PossibleZeroDivisionError,
     Precision,
     QuadratureError,
@@ -30,10 +32,12 @@ from hypergamma.mpreal import (
     gamma,
     log,
     pi_value,
+    power_product,
     sin_pi_times,
     sqrt,
     tanh_sinh_integrate,
 )
+from hypergamma.transforms import proof_integrands
 
 P50 = Precision.of(50)
 P100 = Precision.of(100)
@@ -569,3 +573,188 @@ class TestTanhSinh:
         hi = tanh_sinh_integrate(f, F(0), F(1), Precision.of(60))
         with mp.workdps(100):
             assert abs(as_mpf(hi.val) - as_mpf(lo.val)) <= as_mpf(lo.err)
+
+
+def _node_base(nbits, level, k, complement, rel) -> LogReal:
+    """The k-th node from the tail of `_ts_nodes(nbits, level)`, x or 1 - x,
+    as the quadrature hands it over, with a relative radius `rel` and the
+    node cache's bound on its logarithm, (|ln| + 1) 2^(2-lb)."""
+    node = mpreal._ts_nodes(nbits, level)
+    node = node[-1 - k % len(node)]
+    val, ln = (node[1], node[4]) if complement else (node[0], node[3])
+    wb = nbits + 16
+    err = mpf_mul(val, from_rational(rel.numerator, rel.denominator, 32, "u"), 32, "u")
+    log_err = mpf_shift(mpf_add(mpf_abs(ln), fone, 32, "u"), 2 - (wb + 8))
+    return LogReal(val, err, wb, ln, log_err)
+
+
+def _iv_of(x: BigReal):
+    return iv.mpf(as_mpf(x.val)) + iv.mpf([-as_mpf(x.err), as_mpf(x.err)])
+
+
+factor_draws = st.tuples(
+    st.booleans(),  # a node base (LogReal) or a plain rational one
+    st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4)),
+    st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 2**20), st.just(2**24))),
+    st.integers(0, 2),  # node level
+    st.integers(0, 63),  # node index from the tail
+    st.booleans(),  # 1 - x rather than x
+    st.builds(F, st.integers(-2001, 2001), st.integers(1, 12)),
+)
+
+
+class TestPowerProduct:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        draws=st.lists(factor_draws, min_size=1, max_size=4),
+        nbits=st.sampled_from((44, 120, 280, 400)),
+    )
+    # a node 1 - x near 2^-7936, exact, at a large exponent: the carried
+    # log's rounding is all of its bound
+    @example(draws=[(True, F(1), F(0), 0, 0, True, F(-2001, 2))], nbits=400)
+    @example(draws=[(False, F(1), F(1, 1000), 0, 0, False, F(-2001, 2))], nbits=200)
+    def test_encloses_the_image_of_its_inputs(self, draws, nbits):
+        """prod base^r over 1-4 factors, bases with relative radius up to
+        2^-4, node bases down to 2^-6000 and below that carry their log,
+        holds the image of the input intervals taken by mpmath's interval
+        arithmetic at 100 more bits."""
+        wb = nbits + 16
+        factors = []
+        for is_node, center, rel, level, k, complement, r in draws:
+            if is_node:
+                base = _node_base(nbits, level, k, complement, rel)
+            else:
+                c = BigReal.from_fraction(center, wb)
+                rad = center * rel
+                base = BigReal(c.val, from_rational(rad.numerator, rad.denominator, 32, "u"), wb)
+            factors.append((base, r))
+        got = power_product(*factors)
+        saved, iv.prec = iv.prec, wb + 100
+        try:
+            want = iv.mpf(1)
+            for base, r in factors:
+                want *= _iv_of(base) ** (iv.mpf(r.numerator) / r.denominator)
+            assert want in _iv_of(got), (draws, nbits)
+        finally:
+            iv.prec = saved
+
+    def test_no_factor_is_an_exact_one(self):
+        x = BigReal.from_fraction(F(22, 7), 128)
+        for out in (power_product(), power_product((x, 0), (x, F(0)))):
+            assert out.is_exact and float(out) == 1.0
+
+    def test_a_base_not_certainly_positive_is_rejected(self):
+        wide = BigReal(BigReal.from_int(1, 64).val, BigReal.from_int(2, 64).val, 64)
+        for base in (BigReal.from_int(-2, 128), wide):
+            with pytest.raises(DomainError):
+                power_product((base, F(1, 3)))
+
+    def test_a_carried_log_takes_no_transcendental(self, monkeypatch):
+        x = _node_base(120, 1, 3, True, F(0))
+        y = _node_base(120, 2, 5, False, F(1, 2**30))
+
+        def no_log(*args):
+            raise AssertionError("mpf_log called for a base that carries its log")
+
+        monkeypatch.setattr(mpreal, "mpf_log", no_log)
+        with mp.workdps(80):
+            assert_encloses(log(x), mp.log(as_mpf(x.val)), "carried log")
+            want = as_mpf(x.val) ** (mp.mpf(-7) / 3) * as_mpf(y.val) ** (mp.mpf(5) / 8)
+            assert_encloses(power_product((x, F(-7, 3)), (y, F(5, 8))), want, "carried")
+
+    def test_node_logs_hold_their_bound(self):
+        """Every cached ln x and ln(1 - x) is within (|ln| + 1) 2^(2-lb) of
+        the log of the stored node, lb = bits + 24."""
+        for nbits in (44, 280):
+            lb = nbits + 24
+            for level in range(3):
+                for node in mpreal._ts_nodes(nbits, level):
+                    for val, ln in ((node[0], node[3]), (node[1], node[4])):
+                        with mp.workprec(lb + 100):
+                            gap = abs(as_mpf(ln) - mp.log(as_mpf(val)))
+                            assert gap <= (abs(as_mpf(ln)) + 1) * mp.mpf(2) ** (2 - lb)
+
+
+# b on (1/2, 5/6), where the proof steps' integrals converge: the catalog's
+# three and one close to each end
+PROOF_B = (F(5, 8), F(3, 4), F(7, 10), F(51, 100), F(41, 50))
+
+
+class TestIntegrandShapes:
+    """Each integrand shape of the package through `tanh_sinh_integrate`,
+    against its closed form at 50 more digits."""
+
+    prec = Precision.of(30)
+
+    @staticmethod
+    def _mp(q):
+        return mp.mpf(q.numerator) / q.denominator
+
+    @pytest.mark.parametrize("b", PROOF_B, ids=str)
+    def test_proof_steps(self, b):
+        # i_t = 4^(5/2-3b) i_u, i_u = i_cyc = (B(5/6-b, 2b-1) - B(7/6-b, 2b-1))/3
+        with mp.workdps(self.prec.target_digits + 50):
+            third = (
+                mp.beta(self._mp(F(5, 6) - b), self._mp(2 * b - 1))
+                - mp.beta(self._mp(F(7, 6) - b), self._mp(2 * b - 1))
+            ) / 3
+            wants = (mp.mpf(4) ** self._mp(F(5, 2) - 3 * b) * third, third, third)
+            for f, want in zip(proof_integrands(b), wants):
+                assert_encloses(tanh_sinh_integrate(f, F(0), F(1), self.prec), want, str(b))
+
+    @pytest.mark.parametrize("b", PROOF_B, ids=str)
+    def test_beta(self, b):
+        # B(5/2-3b, b), the first proof step's integral at z = 0 and the
+        # shape of quadcheck's; the cube substitution's Betas have an
+        # exponent below -0.97 at the ends, where tanh-sinh does not converge
+        x, y = F(5, 2) - 3 * b, b
+
+        def f(u, v):
+            return power_product((u, x - 1), (v, y - 1))
+
+        with mp.workdps(self.prec.target_digits + 50):
+            want = mp.beta(self._mp(x), self._mp(y))
+            assert_encloses(tanh_sinh_integrate(f, F(0), F(1), self.prec), want, str(b))
+
+    @pytest.mark.parametrize("b", PROOF_B, ids=str)
+    def test_euler(self, b):
+        # the first proof step's integral, 2F1(2-2b, 5/2-3b; 5/2-2b; z), at
+        # its z = 1/4 and where f21_integral takes it: near 1 and below -9
+        p = HypParams(2 - 2 * b, F(5, 2) - 3 * b, F(5, 2) - 2 * b)
+        for z in (F(1, 4), F(19, 20), F(-30)):
+            f = euler_integrand(p, z, self.prec.work_bits + 16)
+            with mp.workdps(self.prec.target_digits + 50):
+                a_, b_, c_ = (self._mp(q) for q in (p.a, p.b, p.c))
+                want = mp.beta(b_, c_ - b_) * mp.hyp2f1(a_, b_, c_, self._mp(z))
+                assert_encloses(
+                    tanh_sinh_integrate(f, F(0), F(1), self.prec), want, f"{b} {z}"
+                )
+
+    @pytest.mark.parametrize(
+        "a, b", [(F(0), F(1)), (F(1), F(3)), (F(-1, 3), F(1, 7))], ids=("unit", "1-3", "inexact")
+    )
+    def test_arguments_carry_their_log(self, a, b):
+        """Each u and v handed to the integrand is a LogReal whose log is
+        within log_err of ln(val)."""
+        seen = []
+
+        def f(u, v):
+            seen.extend((u, v))
+            return power_product((u, F(-1, 2)), (v, F(1, 3)))
+
+        tanh_sinh_integrate(f, a, b, self.prec)
+        assert len(seen) > 100
+        for x in seen:
+            assert isinstance(x, LogReal)
+            with mp.workprec(x.bits + 100):
+                gap = abs(as_mpf(x.log) - mp.log(as_mpf(x.val)))
+                assert gap <= as_mpf(x.log_err), (a, b)
+
+    def test_shifted_interval_carries_the_scale_log(self):
+        # int_1^3 (t-1)^(-1/2) (3-t)^(1/3) dt = 2^(5/6) B(1/2, 4/3)
+        def f(u, v):
+            return power_product((u, F(-1, 2)), (v, F(1, 3)))
+
+        with mp.workdps(self.prec.target_digits + 50):
+            want = mp.mpf(2) ** (mp.mpf(5) / 6) * mp.beta(mp.mpf(1) / 2, mp.mpf(4) / 3)
+            assert_encloses(tanh_sinh_integrate(f, F(1), F(3), self.prec), want, "[1, 3]")

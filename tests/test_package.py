@@ -76,11 +76,17 @@ def test_traced_runs_still_reach_the_quadrature_layers(monkeypatch):
     layers, catalog-100 reaches them through Gauss's sum at z = 1 and the
     proof steps, and eval-mix through its near-one requests whose c - a - b
     is not an integer; each must still call every such layer it expects, here
-    at 15 digits on the records and the first seed-1 requests."""
+    at 15 digits on the records and the first seed-1 requests.
+
+    The counted `BigReal.pow_rational` is expected by both workloads too.
+    No integrand calls it (they take `power_product`), so it is reached only
+    through scalar powers: in catalog-100 Beta's 2^-(x+y) and the proof
+    steps' prefactors, and in eval-mix only Pfaff's (1 - z)^-a for z < -9/10,
+    which the first seed-1 requests include."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))  # run.py imports evalmix
     expected = _benchmark_module("run").EXPECTED_LAYERS
     evalmix = importlib.import_module("evalmix")
-    layers = ("hyper.f21_integral", "mpreal.tanh_sinh_integrate")
+    layers = ("hyper.f21_integral", "mpreal.tanh_sinh_integrate", "mpreal.BigReal.pow_rational")
     prec = hypergamma.Precision.of(15)
     records = {r.id: r for r in hypergamma.catalog_load(hypergamma.DEFAULT_CATALOG)}
 
