@@ -47,7 +47,7 @@ def integrand(u, v):
     return power_product((u, F(5, 24) - 1), (v, F(1, 4) - 1))
 
 
-b_quad = tanh_sinh_integrate(integrand, F(0), F(1), prec)
+b_quad = tanh_sinh_integrate(integrand, prec)
 print(f"  series route:     {b_series.to_decimal(45)}")
 print(f"  quadrature route: {b_quad.to_decimal(45)}")
 print(f"  verdict: {num_equal(b_series, b_quad, prec).value}")

@@ -17,11 +17,13 @@ record's `kind` selects exactly one verification strategy:
 Template expressions ("5/2-2*b", "b/(a+b)", ...) are exact rational
 expressions; only +, -, *, / and named variables are allowed.  A record
 is compiled when `IdentityRecord.from_json` makes it, for `catalog_load`
-or for other code, and that is its validation: its templates, the rule or
-chain it names, and at every sample, drawn then, once, the domain of its
-lhs, any exact product (whose lhs must terminate), and the Gamma
-arguments, bases and surds of any Gamma expression, which must be
-positive.  A fault raises the same CatalogError either way.
+or for other code, into its `run`, and that is its validation: the rule or
+chain it names, or every template evaluated once at every sample, drawn
+then, once, into the concrete points the run checks.  At each sample the
+lhs must have a value (and terminate if the rhs is exact), any exact
+product must be defined, and the Gamma arguments, bases and surds of any
+Gamma expression must be positive.  A fault raises the same CatalogError
+either way; verifying evaluates no template.
 
 Verdicts per record are pass / fail / inconclusive; an inconclusive
 comparison is retried once at doubled precision.  A fail entry
@@ -99,7 +101,6 @@ class CatalogError(ValueError):
 
 Env = dict[str, Fraction]
 Template = Callable[[Env], Fraction]
-Lhs = Callable[[Env], tuple[HypParams, Fraction]]
 
 # One comparison made while verifying a record: its verdict, the digits to
 # which the two sides provably agree (None: exact, or not measured), the
@@ -107,6 +108,10 @@ Lhs = Callable[[Env], tuple[HypParams, Fraction]]
 # comparison yields only a verdict).
 Check = tuple[Verdict, "int | None", str, "BigReal | None", "BigReal | None"]
 Checks = Callable[[Precision], Iterator[Check]]
+
+# The rhs at a precision from its value at a sample: an enclosure, or an
+# exact rational.
+RhsValue = Callable[[object, Precision], "BigReal | Fraction"]
 
 _BINARY = {
     ast.Add: operator.add,
@@ -120,8 +125,9 @@ _UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
 def _compile_expr(text, where: str = "") -> tuple[Template, frozenset[str]]:
     """Parse an exact rational expression (+, -, *, /, integer literals and
     variables) once into a closure over its variables, together with the
-    variable names it reads.  Its errors, at parse or evaluation, begin
-    with `where`."""
+    variable names it reads.  Its errors at parse begin with `where`; those
+    at evaluation do not, as `_check_samples` names the record and the
+    sample."""
     text, where = str(text), f"{where}: " if where else ""
     try:
         tree = ast.parse(text, mode="eval").body
@@ -159,9 +165,9 @@ def _compile_expr(text, where: str = "") -> tuple[Template, frozenset[str]]:
         try:
             return fn(env)
         except KeyError as e:
-            raise CatalogError(f"{where}unknown variable {e.args[0]!r} in {text!r}") from None
+            raise CatalogError(f"unknown variable {e.args[0]!r} in {text!r}") from None
         except ZeroDivisionError:
-            raise CatalogError(f"{where}division by zero in {text!r}") from None
+            raise CatalogError(f"division by zero in {text!r}") from None
 
     return evaluate, frozenset(names)
 
@@ -198,45 +204,46 @@ def _integer(value, where: str) -> int:
 
 
 def _sample_text(env: Env) -> str:
-    return ", ".join(f"{k}={rational_str(v)}" for k, v in env.items())
+    # str of a Fraction is rational_str's "p/q", or "p" for an integer
+    return ", ".join(f"{k}={v}" for k, v in env.items())
 
 
-def _check_samples(fn: Callable[[Env], object], samples: Sequence[Env], where: str) -> None:
-    """Call fn at every sample: a HyperError or GammaExprError at any
-    sample is a catalog error naming the record and the sample."""
+def _check_samples(fn: Callable[[Env], object], samples: Sequence[Env], where: str) -> list:
+    """fn at every sample, in order: a HyperError, GammaExprError or
+    CatalogError at any sample is a catalog error naming the record and
+    the sample."""
+    values = []
     for env in samples:
         try:
-            fn(env)
-        except (HyperError, GammaExprError) as e:
+            values.append(fn(env))
+        except (HyperError, GammaExprError, CatalogError) as e:
             at = _sample_text(env)
             raise CatalogError(f"{where}{' at ' + at if at else ''}: {e}") from None
+    return values
 
 
 def _compile_lhs(
     lhs, variables: set[str], samples: Sequence[Env], exact: bool, where: str
-) -> Lhs:
-    """The lhs closure, checked at every sample: the series has a value,
-    and terminates if the rhs is exact."""
+) -> list[tuple[HypParams, Fraction]]:
+    """The lhs parameters and argument at every sample, where the series
+    must have a value, and terminate if the rhs is exact."""
     if not isinstance(lhs, dict) or set(lhs) != {"a", "b", "c", "z"}:
         raise CatalogError(f"{where}: lhs must define a, b, c, z")
     a, b, c, z = (_template(lhs[k], variables, f"{where} lhs.{k}") for k in "abcz")
 
     def params(env: Env) -> tuple[HypParams, Fraction]:
-        return HypParams(a(env), b(env), c(env)), z(env)
-
-    def checked(env: Env) -> None:
-        p, z = params(env)
-        check_domain(p, z)
+        p, arg = HypParams(a(env), b(env), c(env)), z(env)
+        check_domain(p, arg)
         if exact and p.terminating_degree is None:
             raise HyperError("an exact rhs needs a terminating lhs")
+        return p, arg
 
-    _check_samples(checked, samples, f"{where} lhs")
-    return params
+    return _check_samples(params, samples, f"{where} lhs")
 
 
-def _compile_gamma_expr(
-    data: dict, variables: set[str], where: str, samples: Sequence[Env] = ({},)
-) -> Callable[[Env], GammaExpr]:
+def _compile_gamma_expr(data, variables: set[str], samples: Sequence[Env], where: str) -> list:
+    """The factors of a Gamma expression at every sample, as GammaExpr's
+    fields take them, checked as GammaExpr checks them."""
     if not isinstance(data, dict):
         raise CatalogError(f"{where}: gamma_expr must be an object")
     unknown = set(data) - {"rat", "pi", "gamma", "surd"}
@@ -259,29 +266,29 @@ def _compile_gamma_expr(
     gammas = [(t(a), _integer(e, where)) for a, e in entries("gamma", 2)]
     surds = [(t(p), t(q), t(d), _integer(e, where)) for p, q, d, e in entries("surd", 4)]
 
-    def instantiate(env: Env) -> GammaExpr:
-        return GammaExpr(
-            rational_factors=tuple((b(env), e(env)) for b, e in rats),
-            pi_exponent=pi(env),
-            gamma_factors=tuple((a(env), e) for a, e in gammas),
-            surd_factors=tuple((p(env), q(env), d(env), e) for p, q, d, e in surds),
-        )
+    def factors(env: Env) -> tuple:
+        rat = [(b(env), e(env)) for b, e in rats]
+        gamma = [(a(env), e) for a, e in gammas]
+        surd = [(p(env), q(env), d(env), e) for p, q, d, e in surds]
+        check_positive(rat, gamma, surd)
+        return rat, pi(env), gamma, surd
 
-    def positive(env: Env) -> None:
-        """The checks of GammaExpr, on only the templates they read."""
-        check_positive(
-            [(b(env), None) for b, _ in rats],
-            [(a(env), e) for a, e in gammas],
-            [(p(env), q(env), d(env), e) for p, q, d, e in surds],
-        )
+    return _check_samples(factors, samples, where)
 
-    _check_samples(positive, samples, where)
-    return instantiate
+
+def _gamma_sum(terms, prec: Precision) -> BigReal:
+    """The sum of the (sign, factors) Gamma-expression `terms`, begun at the
+    first, as one begun at 0 would add an ulp to the radius."""
+    pieces = [ge_eval(GammaExpr(*factors), prec) for _, factors in terms]
+    first, *rest = (x if sign > 0 else -x for (sign, _), x in zip(terms, pieces))
+    return sum(rest, first)
 
 
 def _compile_exact_product(
     value, variables: set[str], samples: Sequence[Env], where: str
-) -> Template:
+) -> tuple[list, Callable]:
+    """The (base, exponent, Pochhammer index) of an exact product at every
+    sample, defined at each, and the product of such factors."""
     if not isinstance(value, dict):
         raise CatalogError(f"{where}: exact_product must be an object")
     unknown = set(value) - {"pow_base", "pow_exp", "poch_ratio"}
@@ -289,7 +296,7 @@ def _compile_exact_product(
         raise CatalogError(f"{where}: unknown exact_product fields {sorted(unknown)}")
     base = _template(value.get("pow_base", "1"), variables, where)
     expo = _template(value.get("pow_exp", "0"), variables, where)
-    pr = value.get("poch_ratio")
+    pr, ratio = value.get("poch_ratio"), None
     if pr is not None:
         if not isinstance(pr, dict) or set(pr) != {"upper", "lower", "n"} or not all(
             isinstance(pr[k], list) for k in ("upper", "lower")
@@ -301,68 +308,63 @@ def _compile_exact_product(
         )
         index = _template(pr["n"], variables, where)
 
-    def checked(env: Env) -> tuple[Fraction, int, int]:
-        """The base, the exponent and the Pochhammer index at a sample."""
+    def factors(env: Env) -> tuple[Fraction, int, int]:
         b, e = base(env), expo(env)
         if e.denominator != 1:
-            raise CatalogError(f"{where}: exact_product exponent must be an integer")
+            raise CatalogError("exact_product exponent must be an integer")
         if b == 0 and e < 0:
-            raise CatalogError(f"{where}: exact_product divides by zero")
-        if pr is None:
+            raise CatalogError("exact_product divides by zero")
+        if ratio is None:
             return b, int(e), 0
         n = index(env)
         if n.denominator != 1 or n < 0:
-            raise CatalogError(f"{where}: poch_ratio index must be a nonnegative integer")
+            raise CatalogError("poch_ratio index must be a nonnegative integer")
         ratio.check(int(n))
         return b, int(e), int(n)
 
-    _check_samples(checked, samples, where)
+    def product(at: tuple[Fraction, int, int], prec: Precision) -> Fraction:
+        b, e, n = at
+        return b**e if ratio is None else b**e * ratio.value(n)
 
-    def exact(env: Env) -> Fraction:
-        b, e, n = checked(env)
-        return b**e if pr is None else b**e * ratio.value(n)
-
-    return exact
+    return _check_samples(factors, samples, where), product
 
 
 _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}
 
 
-def _compile_rhs(rhs, variables: set[str], samples: Sequence[Env], where: str) -> dict:
-    """Exactly one of `rhs`, an enclosure at a sample and a precision, and
-    `exact_rhs`, an exact rational at a sample, checked at every sample."""
+def _compile_rhs(
+    rhs, variables: set[str], samples: Sequence[Env], where: str
+) -> tuple[list, RhsValue, bool]:
+    """The rhs as a value at every sample, the function that gives such a
+    value at a precision, and whether that is an exact rational."""
     if not isinstance(rhs, dict) or len(rhs) != 1:
         raise CatalogError(f"{where}: rhs must have exactly one of {sorted(_RHS_KINDS)}")
     (key, value), = rhs.items()
+    if key == "rational":
+        values = _check_samples(_template(value, variables, where), samples, where)
+        return values, lambda q, prec: BigReal.from_fraction(q, prec.work_bits), False
+    if key == "exact_product":
+        return *_compile_exact_product(value, variables, samples, where), True
     if key == "gamma_expr":
-        expr = _compile_gamma_expr(value, variables, where, samples)
-        return {"rhs": lambda env, prec: ge_eval(expr(env), prec)}
-    if key == "gamma_expr_sum":
-        if not isinstance(value, list):
-            raise CatalogError(f"{where}: gamma_expr_sum must be a list of terms")
+        terms = [(1, value, where)]
+    elif key == "gamma_expr_sum":
+        if not isinstance(value, list) or not value:
+            raise CatalogError(f"{where}: gamma_expr_sum must be a nonempty list of terms")
         terms = []
         for i, term in enumerate(value):
             if not isinstance(term, dict) or set(term) != {"sign", "expr"}:
                 raise CatalogError(f"{where}: sum term {i} needs sign and expr")
             if term["sign"] not in (1, -1) or isinstance(term["sign"], bool):
                 raise CatalogError(f"{where}: sum term sign must be 1 or -1")
-            expr = _compile_gamma_expr(term["expr"], variables, f"{where} term {i}", samples)
-            terms.append((term["sign"], expr))
-
-        def signed_sum(env: Env, prec: Precision) -> BigReal:
-            total = BigReal.from_int(0, prec.work_bits)
-            for sign, expr in terms:
-                piece = ge_eval(expr(env), prec)
-                total = total + (piece if sign > 0 else -piece)
-            return total
-
-        return {"rhs": signed_sum}
-    if key == "rational":
-        q = _template(value, variables, where)
-        return {"rhs": lambda env, prec: BigReal.from_fraction(q(env), prec.work_bits)}
-    if key == "exact_product":
-        return {"exact_rhs": _compile_exact_product(value, variables, samples, where)}
-    raise CatalogError(f"{where}: unknown rhs kind {key!r}")
+            terms.append((term["sign"], term["expr"], f"{where} term {i}"))
+    else:
+        raise CatalogError(f"{where}: unknown rhs kind {key!r}")
+    # one column of (sign, factors) per term, one row per sample
+    columns = [
+        [(sign, factors) for factors in _compile_gamma_expr(expr, variables, samples, at)]
+        for sign, expr, at in terms
+    ]
+    return list(zip(*columns)), _gamma_sum, False
 
 
 # ---------------------------------------------------------------------------
@@ -380,21 +382,17 @@ _KIND_FIELDS = {
 
 @dataclass(frozen=True)
 class IdentityRecord:
-    """A catalog record, compiled when `from_json` makes it.  A rule or chain
-    record is its `run`, which yields its checks at a precision.  A point or
-    family record keeps its `samples`, drawn once, and closures over one
-    sample: `lhs` and exactly one of `rhs` (an enclosure at a precision) and
-    `exact_rhs` (an exact rational)."""
+    """A catalog record, compiled when `from_json` makes it into its `run`,
+    which yields its checks at a precision.  A point or family record's run
+    holds its points, every template evaluated at every sample; `exact`
+    marks one whose rhs is an exact rational, compared exactly."""
 
     id: str
     kind: str
+    run: Checks
     source: str = ""
     digits: int | None = None
-    run: Checks | None = None
-    samples: tuple[Env, ...] = ()
-    lhs: Lhs | None = None
-    rhs: Callable[[Env, Precision], BigReal] | None = None
-    exact_rhs: Template | None = None
+    exact: bool = False
 
     @classmethod
     def from_json(cls, data, where: str = "record") -> IdentityRecord:
@@ -416,20 +414,18 @@ class IdentityRecord:
         if digits is not None and (type(digits) is not int or digits < 1):
             raise CatalogError(f"{where}: digits must be a positive integer")
 
-        record = partial(cls, rid, kind, data.get("source", ""), digits)
+        record = partial(cls, rid, kind, source=data.get("source", ""), digits=digits)
         if kind == "transform-rule":
-            return record(run=_compile_rule(data, where))
+            return record(_compile_rule(data, where))
         if kind == "proof-chain":
-            return record(run=_compile_chain(data, where))
+            return record(_compile_chain(data, where))
         variables, samples = _compile_samples(data, where)
-        rhs = _compile_rhs(data.get("rhs"), variables, samples, where)
-        lhs = _compile_lhs(data.get("lhs"), variables, samples, "exact_rhs" in rhs, where)
-        return record(samples=samples, lhs=lhs, **rhs)
-
-    def checks(self, prec: Precision) -> Iterator[Check]:
-        if self.run is not None:
-            return self.run(prec)
-        return _sample_checks(self, prec)
+        rhs, value, exact = _compile_rhs(data.get("rhs"), variables, samples, where)
+        lhs = _compile_lhs(data.get("lhs"), variables, samples, exact, where)
+        points = tuple(
+            (_sample_text(env), p, z, r) for env, (p, z), r in zip(samples, lhs, rhs)
+        )
+        return record(partial(_sample_checks, points, value), exact=exact)
 
 
 def catalog_load(path: str | Path) -> list[IdentityRecord]:
@@ -678,12 +674,15 @@ def _fold(checks: Iterable[Check]) -> Check:
     return Verdict.worst(verdicts), min(digits, default=None), "", None, None
 
 
-def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
-    for env in record.samples:
-        at = _sample_text(env)
-        p, z = record.lhs(env)
-        if record.exact_rhs is not None:
-            got, want = f21_terminating(p, z), record.exact_rhs(env)
+def _sample_checks(points: Sequence[tuple], value: RhsValue, prec: Precision) -> Iterator[Check]:
+    """The series against the rhs at each point, its sample's text, lhs
+    parameters and argument, and rhs value (a rational, an exact product's
+    factors, or the signed factors of each Gamma-expression term): the
+    terminating sum against an exact rational, else enclosures at `prec`."""
+    for at, p, z, rhs in points:
+        want = value(rhs, prec)
+        if isinstance(want, Fraction):
+            got = f21_terminating(p, z)
             if got == want:
                 yield Verdict.EQUAL, None, "", None, None
             else:
@@ -692,13 +691,12 @@ def _sample_checks(record: IdentityRecord, prec: Precision) -> Iterator[Check]:
                 yield Verdict.DISTINCT, None, detail, None, None
             continue
         lhs_val = f21_eval(p, z, prec)
-        rhs_val = record.rhs(env, prec)
         yield (
-            num_equal(lhs_val, rhs_val, prec),
-            achieved_digits(lhs_val, rhs_val),
+            num_equal(lhs_val, want, prec),
+            achieved_digits(lhs_val, want),
             f"distinct at {at}" if at else "intervals disjoint",
             lhs_val,
-            rhs_val,
+            want,
         )
 
 
@@ -810,13 +808,13 @@ def _compile_chain(data: dict, where: str) -> Checks:
 def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
     start = time.perf_counter()
     try:
-        verdict, digits, detail, lhs, rhs = _fold(record.checks(prec))
+        verdict, digits, detail, lhs, rhs = _fold(record.run(prec))
     except (HyperError, MPRealError, TransformError, DerivationError) as e:
         return ReportEntry(
             record.id, "fail", None, time.perf_counter() - start,
             prec.target_digits, detail=f"{type(e).__name__}: {e}",
         )
-    if record.exact_rhs is not None:
+    if record.exact:
         digits = "exact"
     return ReportEntry(
         record.id,

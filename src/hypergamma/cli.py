@@ -157,7 +157,7 @@ def _cmd_quadcheck(args) -> int:
             def f(u, v, x=x, y=y):
                 return power_product((u, x - 1), (v, y - 1))
 
-            got = tanh_sinh_integrate(f, Fraction(0), Fraction(1), prec)
+            got = tanh_sinh_integrate(f, prec)
             want = beta(x, y, prec)
             label = f"B({rational_str(x)}, {rational_str(y)})"
         else:

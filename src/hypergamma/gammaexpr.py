@@ -128,18 +128,6 @@ class GammaExpr:
             raise GammaExprError("rational factor must be positive")
         return cls(rational_factors=((q, exponent),))
 
-    @classmethod
-    def from_gamma(cls, arg, exponent: int = 1) -> "GammaExpr":
-        return cls(gamma_factors=((Fraction(arg), exponent),))
-
-    @classmethod
-    def pi_power(cls, exponent) -> "GammaExpr":
-        return cls(pi_exponent=Fraction(exponent))
-
-    @classmethod
-    def from_surd(cls, p, q, d, exponent: int = 1) -> "GammaExpr":
-        return cls(surd_factors=((Fraction(p), Fraction(q), Fraction(d), exponent),))
-
     # -- algebra -------------------------------------------------------------
 
     def __mul__(self, other: "GammaExpr") -> "GammaExpr":

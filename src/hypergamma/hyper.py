@@ -266,7 +266,7 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
         integral = beta(b, c - a - b, qprec)
     else:
         integrand = euler_integrand(p, z, qprec.work_bits)
-        integral = tanh_sinh_integrate(integrand, Fraction(0), Fraction(1), qprec)
+        integral = tanh_sinh_integrate(integrand, qprec)
     pref = gamma(c, qprec) / (gamma(b, qprec) * gamma(c - b, qprec))
     out = pref * integral
     return BigReal(out.val, out.err, prec.work_bits)

@@ -21,12 +21,13 @@ computed by an exact-rational Pochhammer reduction of the argument to
 (0, 1] (so pole detection is exact) followed by the incomplete-gamma series
 1F1(1; y+1; N), with a bound on the dropped upper incomplete gamma
 Gamma(y, N).  Beta is the sum of two incomplete-Beta series at 1/2, with
-positive terms, and no Gamma.  The quadrature is standard tanh-sinh with
+positive terms, and no Gamma.  The quadrature is standard tanh-sinh over
+(0, 1), the one interval of every integral in the package, with
 per-level node caching; each cached node also holds ln x and ln(1 - x),
 computed once per (bits, level) for every integral at those bits.
-Integrands receive the distances to both endpoints at full relative
-precision so endpoint-singular factors can be evaluated without
-cancellation, as `LogReal`s that carry their logarithm.
+Integrands receive t and 1 - t at full relative precision so
+endpoint-singular factors can be evaluated without cancellation, as
+`LogReal`s that carry their logarithm.
 
 Every integrand of the package is a power product u^a v^b P^c, which
 `power_product` takes as exp(a ln u + b ln v + c ln P): one exp per
@@ -50,7 +51,6 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
-    mpf_asin,
     mpf_cmp,
     mpf_cosh_sinh,
     mpf_div,
@@ -359,9 +359,8 @@ def pi_value(prec: Precision) -> BigReal:
     return BigReal(val, _ulp(val, bits, -4), bits)
 
 
-def sqrt(x: Real, prec: Precision | None = None) -> BigReal:
-    bits = prec.work_bits if prec else x.bits
-    x = BigReal.lift(x, bits)
+def sqrt(x: BigReal) -> BigReal:
+    bits = x.bits
     if x.val == fzero and x.err == fzero:
         return BigReal(fzero, fzero, bits)
     if not x.definitely_positive():
@@ -374,9 +373,8 @@ def sqrt(x: Real, prec: Precision | None = None) -> BigReal:
     return BigReal(val, err, bits)
 
 
-def exp(x: Real, prec: Precision | None = None) -> BigReal:
-    bits = prec.work_bits if prec else x.bits
-    x = BigReal.lift(x, bits)
+def exp(x: BigReal) -> BigReal:
+    bits = x.bits
     val = mpf_exp(x.val, bits, RN)
     # e^eps - 1 <= eps e^eps; e^eps - 1 rounded at ERR_BITS would floor at 2^-31
     growth = _emul(x.err, mpf_exp(x.err, ERR_BITS, RU))
@@ -400,10 +398,9 @@ def _log_parts(x: BigReal, bits: int):
     return val, _eadd(mpf_div(x.err, _abs_lo(x.val, x.err), ERR_BITS, RU), rounding)
 
 
-def log(x: Real, prec: Precision | None = None) -> BigReal:
-    bits = prec.work_bits if prec else x.bits
-    val, err = _log_parts(BigReal.lift(x, bits), bits)
-    return BigReal(val, err, bits)
+def log(x: BigReal) -> BigReal:
+    val, err = _log_parts(x, x.bits)
+    return BigReal(val, err, x.bits)
 
 
 def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
@@ -437,29 +434,6 @@ def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
     # exp's bound: e^eps - 1 <= eps e^eps, and 2^(3-bits) for the rounding
     growth = mpf_add(_emul(eps, mpf_exp(eps, ERR_BITS, RU)), _pow2(3 - bits), ERR_BITS, RU)
     return BigReal(val, _emul(val, growth), bits)
-
-
-def asin(x: Real, prec: Precision | None = None) -> BigReal:
-    bits = prec.work_bits if prec else x.bits
-    x = BigReal.lift(x, bits)
-    hi = _abs_hi(x.val, x.err)
-    if mpf_cmp(hi, fone) > 0:
-        if mpf_cmp(mpf_abs(x.val), fone) == 0 and x.err == fzero:
-            hi = fone
-        else:
-            raise DomainError("asin argument not certainly within [-1, 1]")
-    val = mpf_asin(x.val, bits, RN)
-    if mpf_cmp(hi, fone) == 0:
-        if x.err != fzero:
-            raise DomainError("asin derivative unbounded at |x| = 1")
-        deriv_term = fzero
-    else:
-        one_minus = mpf_sub(fone, mpf_mul(hi, hi, ERR_BITS, RU), ERR_BITS, RD)
-        if mpf_cmp(one_minus, fzero) <= 0:
-            raise DomainError("asin derivative unbounded near |x| = 1")
-        deriv_term = mpf_div(x.err, mpf_sqrt(one_minus, ERR_BITS, RD), ERR_BITS, RU)
-    err = _eadd(deriv_term, _emul(_eadd(mpf_abs(val), fone), _pow2(-bits + 2)))
-    return BigReal(val, err, bits)
 
 
 def _sin_pi_reduced(frac: Fraction, bits: int):
@@ -816,44 +790,25 @@ def _ts_nodes(bits: int, level: int) -> list:
     return nodes
 
 
-def tanh_sinh_integrate(
-    f: Integrand,
-    a: Fraction,
-    b: Fraction,
-    prec: Precision,
-    level_cap: int = 12,
-) -> BigReal:
-    """Integrate f over (a, b) by tanh-sinh refinement.
+def tanh_sinh_integrate(f: Integrand, prec: Precision, level_cap: int = 12) -> BigReal:
+    """Integrate f over (0, 1) by tanh-sinh refinement.
 
-    The integrand is called as f(t - a, b - t) with both distances as
-    `LogReal`s at full relative precision (endpoint-singular factors of
-    exponent > -1 are handled).  Each carries its logarithm, ln(b - a)
-    plus the node's cached ln x or ln(1 - x), so `power_product` takes no
-    log for them.  The returned error bound is the successive level
-    difference times a safety factor plus the propagated integrand bounds;
-    failure to converge within the level cap raises QuadratureError.
+    The integrand is called as f(t, 1 - t) with both as `LogReal`s at full
+    relative precision (endpoint-singular factors of exponent > -1 are
+    handled).  Each carries the node's cached ln x or ln(1 - x), so
+    `power_product` takes no log for them.  The returned error bound is the
+    successive level difference times a safety factor plus the propagated
+    integrand bounds; failure to converge within the level cap raises
+    QuadratureError.
     """
-    a, b = Fraction(a), Fraction(b)
-    if not b > a:
-        raise DomainError("tanh_sinh_integrate requires b > a")
     wb = prec.work_bits + 16
-    scale = BigReal.from_fraction(b - a, wb)
     node_rel = _pow2(-wb + 6)
-    unit = b - a == 1
     lb = wb + 8  # the bits of the node logarithms
-    log_scale = fzero if unit else mpf_log(scale.val, lb, RN)
-    # |ln - ln(val)| <= (|ln| + pad) 2^(3-lb): on a unit interval, twice
-    # the node's bound; else the node's and ln(b - a)'s, the rounding of
-    # their sum, and 2^(8-lb) for the rounding of the product
-    pad = fone if unit else mpf_add(mpf_abs(log_scale), from_int(34), ERR_BITS, RU)
 
     def arg(x, log_x):
-        out = BigReal(x, _emul(x, node_rel), wb)
-        if not unit:
-            out = scale * out
-            log_x = mpf_add(log_scale, log_x, lb, RN)
-        log_err = mpf_shift(mpf_add(mpf_abs(log_x), pad, ERR_BITS, RU), 3 - lb)
-        return LogReal(out.val, out.err, wb, log_x, log_err)
+        # |ln - ln(x)| <= (|ln| + 1) 2^(3-lb), twice the node's bound
+        log_err = mpf_shift(mpf_add(mpf_abs(log_x), fone, ERR_BITS, RU), 3 - lb)
+        return LogReal(x, _emul(x, node_rel), wb, log_x, log_err)
 
     half = from_man_exp(1, -1)
     fe_total = fzero
@@ -900,8 +855,7 @@ def tanh_sinh_integrate(
                     fe_total,
                     _emul(_eadd(fone, mpf_abs(cur)), _pow2(-wb + 12)),
                 )
-                out = BigReal(cur, err, wb) * scale
-                return BigReal(out.val, out.err, prec.work_bits)
+                return BigReal(cur, err, prec.work_bits)
         prev = cur
     raise QuadratureError(
         f"tanh-sinh did not converge by level {level_cap}"

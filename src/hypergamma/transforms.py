@@ -321,7 +321,7 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
 
     quarter = Fraction(1, 4)
     integrand_t, integrand_u, integrand_cyc = proof_integrands(b)
-    i_t = tanh_sinh_integrate(integrand_t, Fraction(0), Fraction(1), qprec)
+    i_t = tanh_sinh_integrate(integrand_t, qprec)
 
     lhs_series = f21_series(gosper_lhs_params(b), quarter, qprec)
     scale = BigReal.from_fraction(Fraction(4, 3), qprec.work_bits).pow_rational(
@@ -332,13 +332,13 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
     )
     verdicts[PROOF_STEPS[0]] = num_equal(lhs_series * scale, pref * i_t, prec)
 
-    i_u = tanh_sinh_integrate(integrand_u, Fraction(0), Fraction(1), qprec)
+    i_u = tanh_sinh_integrate(integrand_u, qprec)
     four_pow = BigReal.from_fraction(Fraction(4), qprec.work_bits).pow_rational(
         Fraction(5, 2) - 3 * b
     )
     verdicts[PROOF_STEPS[1]] = num_equal(i_t, four_pow * i_u, prec)
 
-    i_cyc = tanh_sinh_integrate(integrand_cyc, Fraction(0), Fraction(1), qprec)
+    i_cyc = tanh_sinh_integrate(integrand_cyc, qprec)
     verdicts[PROOF_STEPS[2]] = num_equal(i_u, i_cyc, prec)
 
     delta = beta(Fraction(5, 6) - b, 2 * b - 1, qprec) - beta(

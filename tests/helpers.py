@@ -21,6 +21,18 @@ from hypergamma.mpreal import (
 )
 
 
+def points(record) -> tuple:
+    """A point or family record's points, as its run checks them: (sample
+    text, HypParams, z, rhs value) with every template evaluated."""
+    return record.run.args[0]
+
+
+def rhs_enclosure(record, prec: Precision) -> BigReal:
+    """The rhs enclosure of a one-point record at `prec`."""
+    (_, _, _, rhs), = points(record)
+    return record.run.args[1](rhs, prec)
+
+
 def as_mpf(x):
     """Raw mpf tuple -> mpmath.mpf (no rounding)."""
     return mp.make_mpf(x)

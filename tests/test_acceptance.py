@@ -11,6 +11,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+from helpers import points
 from hypergamma.catalog import (
     CANARY_CATALOG,
     DEFAULT_CATALOG,
@@ -123,7 +124,7 @@ def test_criterion_04_zucker_joyce_at_100_digits():
             "zucker-joyce-1323-1331",
         ):
             record = RECORDS[rid]
-            _, z = record.lhs({})
+            (_, _, z, _), = points(record)
             # beyond the direct series, with c = a + b: auto takes the log
             # connection route (A&S 15.3.10)
             assert z > SERIES_THRESHOLD

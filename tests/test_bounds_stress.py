@@ -20,7 +20,6 @@ from hypergamma.mpreal import (
     BigReal,
     MPRealError,
     Precision,
-    asin,
     beta,
     cos_pi_times,
     exp,
@@ -50,7 +49,7 @@ def _build(rng: random.Random, depth: int):
     if depth == 0 or rng.random() < 0.25:
         return _leaf(rng)
     op = rng.choice(
-        ("add", "sub", "mul", "div", "sqrt", "exp", "log", "pow", "asin",
+        ("add", "sub", "mul", "div", "sqrt", "exp", "log", "pow",
          "sinpi", "cospi", "gamma")
     )
     left = _build(rng, depth - 1)
@@ -98,13 +97,6 @@ def _build(rng: random.Random, depth: int):
             return None
         try:
             return x.pow_rational(r), ox ** mpf_of_fraction(r)
-        except MPRealError:
-            return None
-    if op == "asin":
-        if abs(ox) >= mpmath.mpf("0.999"):
-            return None
-        try:
-            return asin(x), mp.asin(ox)
         except MPRealError:
             return None
     if op == "sinpi":
@@ -164,7 +156,7 @@ def test_spec_beta_pair_quadrature_cross_check():
     def integrand(u, v):
         return u.pow_rational(F(5, 24) - 1) * v.pow_rational(F(1, 4) - 1)
 
-    via_quad = tanh_sinh_integrate(integrand, F(0), F(1), prec)
+    via_quad = tanh_sinh_integrate(integrand, prec)
     diff = via_series - via_quad
     assert not diff.definitely_positive() and not diff.definitely_negative()
     assert via_series.to_decimal(12).startswith("8.2500727092")

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import points
 from hypergamma.catalog import (
     CANARY_CATALOG,
     DEFAULT_CATALOG,
@@ -125,18 +126,20 @@ class TestLoad:
 class TestFamilies:
     def test_grid_expansion_counts(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        assert len(records["apagodu-zeilberger-family"].samples) == 31
-        assert len(records["gosper-strange-series"].samples) == 25
+        assert len(points(records["apagodu-zeilberger-family"])) == 31
+        assert len(points(records["gosper-strange-series"])) == 25
 
     def test_samplers_deterministic(self):
+        # gauss-summation's lhs is 2F1(a, b; c; 1) over the sampled a, b, c
         a, b = (
-            next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "gauss-summation").samples
+            points(next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "gauss-summation"))
             for _ in range(2)
         )
         assert a == b and len(a) == 30
-        for env in a:
-            assert env["c"] > env["b"] > 0
-            assert env["c"] - env["a"] - env["b"] > F(1, 10)
+        for _, p, z, _ in a:
+            assert z == 1
+            assert p.c > p.b > 0
+            assert p.c - p.a - p.b > F(1, 10)
 
     def test_every_sample_is_drawn_at_load(self, monkeypatch):
         # the samples are drawn once, when the record is made: verifying
@@ -152,12 +155,50 @@ class TestFamilies:
         entry = verify_identity(record, Precision.of(20))
         assert entry.verdict == "pass"
 
+    @pytest.mark.parametrize(
+        "rid", ["gosper-quarter-family", "apagodu-zeilberger-family", "linear"]
+    )
+    def test_verifying_evaluates_no_template(self, monkeypatch, rid):
+        # every template is evaluated at every sample when the record is
+        # made: a Gamma expression, an exact product and a rational rhs
+        import hypergamma.catalog as catalog
+
+        calls = []
+        compile_template = catalog._template
+
+        def counted(*args):
+            template = compile_template(*args)
+
+            def fn(env):
+                calls.append(env)
+                return template(env)
+
+            return fn
+
+        monkeypatch.setattr(catalog, "_template", counted)
+        # 2F1(-1, n; n+1; 1/4) = 1 - n/(4(n+1))
+        linear = dict(
+            FAMILY_RECORD,
+            id="linear",
+            lhs={"a": "-1", "b": "n", "c": "n+1", "z": "1/4"},
+            rhs={"rational": "1-n/(4*(n+1))"},
+        )
+        records = [*catalog_load(DEFAULT_CATALOG), IdentityRecord.from_json(linear)]
+        record = next(r for r in records if r.id == rid)
+        loaded = len(calls)
+        assert loaded
+        entry = verify_identity(record, Precision.of(20))
+        assert entry.verdict == "pass"
+        assert len(calls) == loaded, "a template was evaluated at verify time"
+
     def test_gosper_sampler_range(self):
+        # gosper-quarter-family's lhs is 2F1(1/2, b; 5/2-2b; 1/4) over the sampled b
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
-        envs = records["gosper-quarter-family"].samples
-        assert len(envs) == 25
-        assert all(F(-2) < env["b"] < F(5, 6) for env in envs)
-        assert all(env["b"].denominator <= 24 for env in envs)
+        family = points(records["gosper-quarter-family"])
+        assert len(family) == 25
+        assert all(F(-2) < p.b < F(5, 6) for _, p, _, _ in family)
+        assert all(p.b.denominator <= 24 for _, p, _, _ in family)
+        assert all(at == f"b={p.b}" for at, p, _, _ in family)
 
 
 class TestVerify:
@@ -377,6 +418,7 @@ BAD_INPUTS = {
         POINT_RECORD, rhs={"gamma_expr_sum": [{"sign": True, "expr": {"rat": [["2", "1"]]}}]}
     ),
     "sum-term-not-an-object": dict(POINT_RECORD, rhs={"gamma_expr_sum": [5]}),
+    "sum-empty": dict(POINT_RECORD, rhs={"gamma_expr_sum": []}),
     "exact-product-not-an-object": dict(POINT_RECORD, rhs={"exact_product": 5}),
     "poch-ratio-upper-not-a-list": dict(
         POINT_RECORD,
@@ -439,6 +481,12 @@ BAD_INPUTS = {
     "grid-surd-negative": dict(
         FAMILY_RECORD, rhs={"gamma_expr": {"surd": [["1-n", "-1", "2", 1]]}}
     ),
+    # a template with no value at some sample, in each template kind
+    "grid-rat-exponent-no-value": dict(
+        FAMILY_RECORD, rhs={"gamma_expr": {"rat": [["2", "n/(n-1)"]]}}
+    ),
+    "grid-pi-exponent-no-value": dict(FAMILY_RECORD, rhs={"gamma_expr": {"pi": "n/(n-1)"}}),
+    "grid-rational-no-value": dict(FAMILY_RECORD, rhs={"rational": "1-n/(n-1)"}),
     # an exact rhs needs an lhs that terminates
     "exact-rhs-lhs-not-terminating": dict(
         POINT_RECORD,
@@ -471,6 +519,28 @@ def test_bad_record_built_in_code_raises_the_load_error(tmp_path, name):
     with pytest.raises(CatalogError) as built:
         IdentityRecord.from_json(BAD_INPUTS[name])
     assert str(built.value) == str(loaded.value)
+
+
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("grid-rat-exponent-no-value", "n/(n-1)"),
+        ("grid-pi-exponent-no-value", "n/(n-1)"),
+        ("grid-rational-no-value", "1-n/(n-1)"),
+    ],
+)
+def test_template_fault_stops_the_run_before_any_record_is_verified(
+    tmp_path, capsys, name, text
+):
+    # every template is evaluated at load, so a fault at any sample is a
+    # catalog error naming the sample, and no report is printed
+    from hypergamma.cli import main
+
+    path = write_catalog(tmp_path, [POINT_RECORD, BAD_INPUTS[name]])
+    assert main(["verify", "--catalog", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"catalog error: record 'f' at n=1: division by zero in {text!r}\n"
 
 
 @pytest.mark.parametrize("record", [5, {"kind": "proof-chain"}], ids=["not-an-object", "no-id"])
@@ -569,5 +639,7 @@ def test_point_record_with_exact_product_is_verified_exactly(tmp_path):
 
 def test_family_and_split_records_compile_at_load(tmp_path):
     family, split = catalog_load(write_catalog(tmp_path, [FAMILY_RECORD, SPLIT_RECORD]))
-    assert [env["n"] for env in family.samples] == [0, 1, 2]
+    assert [(at, p.a, z, rhs) for at, p, z, rhs in points(family)] == [
+        ("n=0", 0, F(1, 4), 1), ("n=1", -1, F(1, 4), 1), ("n=2", -2, F(1, 4), 1)
+    ]
     assert split.run.args == (((F(1, 4), F(1, 4), F(1, 4)),),)

@@ -75,7 +75,7 @@ class TestEval:
         assert_encloses(ge_eval(MAIN_RHS, P60), want, "main RHS")
 
     def test_surd_value(self):
-        e = GammaExpr.from_surd(1, 1, 2, -1)
+        e = GammaExpr(surd_factors=((F(1), F(1), F(2), -1),))
         assert_encloses(ge_eval(e, P40), 1 / (1 + mp.sqrt(2)), "1/(1+sqrt2)")
 
     def test_invalid_expressions(self):
@@ -84,7 +84,7 @@ class TestEval:
         with pytest.raises(GammaExprError):
             GammaExpr(rational_factors=((F(-2), F(1)),))
         with pytest.raises(GammaExprError):
-            GammaExpr.from_surd(1, -2, 2, 1)  # 1 - 2 sqrt(2) < 0
+            GammaExpr(surd_factors=((F(1), F(-2), F(2), 1),))  # 1 - 2 sqrt(2) < 0
 
 
 class TestMul:
@@ -93,9 +93,9 @@ class TestMul:
         assert e * GammaExpr.one() == e
 
     def test_gamma_exponent_merge(self):
-        x = GammaExpr.from_gamma(F(1, 8), 1)
-        y = GammaExpr.from_gamma(F(1, 8), 2)
-        assert x * y == GammaExpr.from_gamma(F(1, 8), 3)
+        x = GammaExpr(gamma_factors=((F(1, 8), 1),))
+        y = GammaExpr(gamma_factors=((F(1, 8), 2),))
+        assert x * y == GammaExpr(gamma_factors=((F(1, 8), 3),))
 
     def test_inverse_cancels(self):
         assert MAIN_RHS * MAIN_RHS.inverse() == GammaExpr.one()
@@ -130,18 +130,18 @@ class TestReflect:
         for _ in range(20):
             x = F(rng.randint(1, 40), rng.randint(2, 12))
             lhs = (
-                GammaExpr.from_gamma(x)
-                * GammaExpr.from_gamma(x + F(1, 2))
+                GammaExpr(gamma_factors=((x, 1),))
+                * GammaExpr(gamma_factors=((x + F(1, 2), 1),))
                 * GammaExpr(rational_factors=((F(2), 2 * x - 1),), pi_exponent=F(-1, 2))
             )
-            rhs = GammaExpr.from_gamma(2 * x)
+            rhs = GammaExpr(gamma_factors=((2 * x, 1),))
             assert num_equal(ge_eval(lhs, P40), ge_eval(rhs, P40), P40) is Verdict.EQUAL
 
 
 class TestNumEqual:
     def test_equal_case(self):
         x = GammaExpr(gamma_factors=((F(1, 2), 2),))
-        y = GammaExpr.pi_power(1)
+        y = GammaExpr(pi_exponent=F(1))
         assert num_equal(ge_eval(x, P60), ge_eval(y, P60), P60) is Verdict.EQUAL
 
     def test_distinct_case(self):
@@ -171,7 +171,8 @@ class TestJson:
     def test_round_trip(self):
         # the catalog's gamma_expr compiler is the one reader of this shape
         data = MAIN_RHS.to_json()
-        assert _compile_gamma_expr(data, set(), "main")({}) == MAIN_RHS
+        (factors,) = _compile_gamma_expr(data, set(), ({},), "main")
+        assert GammaExpr(*factors) == MAIN_RHS
 
     def test_spec_shape(self):
         data = MAIN_RHS.to_json()
@@ -181,7 +182,7 @@ class TestJson:
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(CatalogError, match=r"unknown gamma_expr fields \['bogus'\]"):
-            _compile_gamma_expr({"rat": [], "bogus": 1}, set(), "x")
+            _compile_gamma_expr({"rat": [], "bogus": 1}, set(), ({},), "x")
 
 
 verdict_lists = st.lists(st.sampled_from(list(Verdict)))

@@ -24,7 +24,6 @@ from hypergamma.mpreal import (
     PossibleZeroDivisionError,
     Precision,
     QuadratureError,
-    asin,
     beta,
     cos_pi_times,
     exp,
@@ -152,10 +151,6 @@ class TestElementary:
         assert v.to_decimal(17).startswith("-0.3826834323650897")
         assert_encloses(v, mp.cospi(mp.mpf(5) / 8), "cospi(5/8)")
 
-    def test_asin_half_is_pi_sixth(self):
-        v = asin(BigReal.from_fraction(F(1, 2), P50.work_bits))
-        assert_encloses(v * 6, mp.pi, "asin(1/2)*6")
-
     def test_sqrt_seven(self):
         v = sqrt(BigReal.from_int(7, P50.work_bits))
         assert v.to_decimal(20).startswith("2.6457513110645905905")
@@ -179,11 +174,9 @@ class TestElementary:
             assert rel <= mp.mpf(2) ** (-prec.work_bits + 8), (prec, rel)
 
     def test_elementary_dispatch_and_domains(self):
-        assert_encloses(sqrt(F(1, 4), P50), mp.mpf(1) / 2, "sqrt")
+        assert_encloses(sqrt(BigReal.from_fraction(F(1, 4), P50.work_bits)), mp.mpf(1) / 2, "sqrt")
         with pytest.raises(DomainError):
-            log(F(-1), P50)
-        with pytest.raises(DomainError):
-            asin(F(2), P50)
+            log(BigReal.from_int(-1, P50.work_bits))
 
 
 class TestGamma:
@@ -519,7 +512,7 @@ class TestTanhSinh:
         def f(u, v):
             return u.pow_rational(F(-1, 2))
 
-        got = tanh_sinh_integrate(f, F(0), F(1), prec)
+        got = tanh_sinh_integrate(f, prec)
         assert_encloses(got, mp.mpf(2), "int t^-1/2")
 
     def test_symmetric_quarter_singularities(self):
@@ -528,18 +521,9 @@ class TestTanhSinh:
         def f(u, v):
             return u.pow_rational(F(-1, 4)) * v.pow_rational(F(-1, 4))
 
-        got = tanh_sinh_integrate(f, F(0), F(1), prec)
+        got = tanh_sinh_integrate(f, prec)
         want = mp.beta(mp.mpf(3) / 4, mp.mpf(3) / 4)
         assert_encloses(got, want, "beta(3/4,3/4) integral")
-
-    def test_shifted_interval(self):
-        prec = Precision.of(30)
-
-        def f(u, v):
-            return u * v
-
-        got = tanh_sinh_integrate(f, F(1), F(3), prec)
-        assert_encloses(got, mp.mpf(8) / 6, "int (t-1)(3-t) over (1,3)")
 
     def test_quadrature_vs_gamma_50_pairs(self):
         prec = Precision.of(30)
@@ -551,7 +535,7 @@ class TestTanhSinh:
             def f(u, v, x=x, y=y):
                 return u.pow_rational(x - 1) * v.pow_rational(y - 1)
 
-            got = tanh_sinh_integrate(f, F(0), F(1), prec)
+            got = tanh_sinh_integrate(f, prec)
             want = beta(x, y, prec)
             d = got - want
             assert not d.definitely_positive() and not d.definitely_negative()
@@ -563,14 +547,14 @@ class TestTanhSinh:
             return u.pow_rational(F(-9, 8))  # exponent < -1: divergent
 
         with pytest.raises((QuadratureError, OverflowError)):
-            tanh_sinh_integrate(f, F(0), F(1), prec, level_cap=8)
+            tanh_sinh_integrate(f, prec, level_cap=8)
 
     def test_monotone_precision(self):
         def f(u, v):
             return u.pow_rational(F(-1, 2)) * v.pow_rational(F(-1, 3))
 
-        lo = tanh_sinh_integrate(f, F(0), F(1), Precision.of(25))
-        hi = tanh_sinh_integrate(f, F(0), F(1), Precision.of(60))
+        lo = tanh_sinh_integrate(f, Precision.of(25))
+        hi = tanh_sinh_integrate(f, Precision.of(60))
         with mp.workdps(100):
             assert abs(as_mpf(hi.val) - as_mpf(lo.val)) <= as_mpf(lo.err)
 
@@ -700,7 +684,7 @@ class TestIntegrandShapes:
             ) / 3
             wants = (mp.mpf(4) ** self._mp(F(5, 2) - 3 * b) * third, third, third)
             for f, want in zip(proof_integrands(b), wants):
-                assert_encloses(tanh_sinh_integrate(f, F(0), F(1), self.prec), want, str(b))
+                assert_encloses(tanh_sinh_integrate(f, self.prec), want, str(b))
 
     @pytest.mark.parametrize("b", PROOF_B, ids=str)
     def test_beta(self, b):
@@ -714,7 +698,7 @@ class TestIntegrandShapes:
 
         with mp.workdps(self.prec.target_digits + 50):
             want = mp.beta(self._mp(x), self._mp(y))
-            assert_encloses(tanh_sinh_integrate(f, F(0), F(1), self.prec), want, str(b))
+            assert_encloses(tanh_sinh_integrate(f, self.prec), want, str(b))
 
     @pytest.mark.parametrize("b", PROOF_B, ids=str)
     def test_euler(self, b):
@@ -727,13 +711,10 @@ class TestIntegrandShapes:
                 a_, b_, c_ = (self._mp(q) for q in (p.a, p.b, p.c))
                 want = mp.beta(b_, c_ - b_) * mp.hyp2f1(a_, b_, c_, self._mp(z))
                 assert_encloses(
-                    tanh_sinh_integrate(f, F(0), F(1), self.prec), want, f"{b} {z}"
+                    tanh_sinh_integrate(f, self.prec), want, f"{b} {z}"
                 )
 
-    @pytest.mark.parametrize(
-        "a, b", [(F(0), F(1)), (F(1), F(3)), (F(-1, 3), F(1, 7))], ids=("unit", "1-3", "inexact")
-    )
-    def test_arguments_carry_their_log(self, a, b):
+    def test_arguments_carry_their_log(self):
         """Each u and v handed to the integrand is a LogReal whose log is
         within log_err of ln(val)."""
         seen = []
@@ -742,19 +723,10 @@ class TestIntegrandShapes:
             seen.extend((u, v))
             return power_product((u, F(-1, 2)), (v, F(1, 3)))
 
-        tanh_sinh_integrate(f, a, b, self.prec)
+        tanh_sinh_integrate(f, self.prec)
         assert len(seen) > 100
         for x in seen:
             assert isinstance(x, LogReal)
             with mp.workprec(x.bits + 100):
                 gap = abs(as_mpf(x.log) - mp.log(as_mpf(x.val)))
-                assert gap <= as_mpf(x.log_err), (a, b)
-
-    def test_shifted_interval_carries_the_scale_log(self):
-        # int_1^3 (t-1)^(-1/2) (3-t)^(1/3) dt = 2^(5/6) B(1/2, 4/3)
-        def f(u, v):
-            return power_product((u, F(-1, 2)), (v, F(1, 3)))
-
-        with mp.workdps(self.prec.target_digits + 50):
-            want = mp.mpf(2) ** (mp.mpf(5) / 6) * mp.beta(mp.mpf(1) / 2, mp.mpf(4) / 3)
-            assert_encloses(tanh_sinh_integrate(f, F(1), F(3), self.prec), want, "[1, 3]")
+                assert gap <= as_mpf(x.log_err)

@@ -34,6 +34,16 @@ def test_removed_shims_are_gone():
     assert not removed & set(dir(hypergamma.catalog))
     assert not hasattr(hypergamma.IdentityRecord, "compiled")
     assert not hasattr(hypergamma.RatFunc, "from_fraction")
+    assert not hasattr(mpreal, "asin")
+    for builder in ("from_gamma", "pi_power", "from_surd"):
+        assert not hasattr(hypergamma.GammaExpr, builder), builder
+    # a record's one compiled form is its run
+    record = hypergamma.IdentityRecord.from_json(
+        {"id": "x", "kind": "point-evaluation",
+         "lhs": {"a": "1/2", "b": "1/2", "c": "3/2", "z": "1/4"}, "rhs": {"rational": "1"}}
+    )
+    for field in ("lhs", "rhs", "exact_rhs", "samples", "checks"):
+        assert not hasattr(record, field), field
 
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from mpmath import mp
 
-from helpers import assert_encloses, overlap
+from helpers import assert_encloses, overlap, points, rhs_enclosure
 
 from hypergamma.catalog import DEFAULT_CATALOG, IdentityRecord, catalog_load, verify_identity
 from hypergamma.exact import Poly, RatFunc, poly_from_pairs
@@ -234,7 +234,7 @@ class TestConclusion:
         assert entry.digits >= 40
 
     def test_lhs_value(self):
-        p, z = self.RECORD.lhs({})
+        (_, p, z, _), = points(self.RECORD)
         assert (p, z) == (HypParams(F(1, 2), F(3, 2), F(13, 6)), F(-1, 3))
         lhs = f21_eval(p, z, P40)
         assert lhs.to_decimal(20).startswith("0.9031416027010812323")
@@ -247,7 +247,7 @@ class TestConclusion:
     def test_first_term_value(self):
         first = self.JSON["rhs"]["gamma_expr_sum"][0]
         assert first["sign"] == 1
-        value = self.variant([first]).rhs({}, P40)
+        value = rhs_enclosure(self.variant([first]), P40)
         # 7/(2^(2/3) sqrt 3); the analogous 6-numerator value is 2.182247271...
         assert value.to_decimal(12).startswith("2.5459551506")
 
