@@ -700,26 +700,6 @@ def _sample_checks(points: Sequence[tuple], value: RhsValue, prec: Precision) ->
         )
 
 
-def _rule_sample_params(rule_name: str, rng: random.Random) -> HypParams:
-    if rule_name == "euler":
-        return HypParams(
-            Fraction(rng.randint(-8, 8), 4),
-            Fraction(rng.randint(-8, 8), 4),
-            Fraction(rng.randint(1, 12), 4),
-        )
-    if rule_name == "quadratic-c-2b":
-        b = Fraction(rng.randint(1, 12), 8)
-        return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
-    if rule_name == "quadratic-mean":
-        a = Fraction(rng.randint(1, 10), 8)
-        b = Fraction(rng.randint(1, 10), 8)
-        return HypParams(a, b, (a + b + 1) / 2)
-    if rule_name == "cubic":
-        a = Fraction(rng.randint(1, 12), 16)
-        return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
-    raise CatalogError(f"no parameter sampler for rule {rule_name!r}")
-
-
 def _split_checks(
     points: Sequence[tuple[Fraction, Fraction, Fraction]], prec: Precision
 ) -> Iterator[Check]:
@@ -736,7 +716,7 @@ def _rule_checks(name: str, samples: int, seed: int, prec: Precision) -> Iterato
         w = lo + (hi - lo) * Fraction(rng.randint(1, 79), 80)
         if w == 0:
             continue
-        p = _rule_sample_params(name, rng)
+        p = rule.sample_params(rng)
         out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
         lhs_val = f21_eval(p, w, prec)
         rhs_val = out.evaluate(w, prec)

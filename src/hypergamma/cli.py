@@ -34,9 +34,18 @@ from .catalog import (
 )
 from .exact import rational, rational_str
 from .gammaexpr import Verdict, achieved_digits, num_equal
-from .hyper import HyperError, HypParams, ParamsError, f21_eval, f21_series, f21_integral
+from .hyper import (
+    HyperError, HypParams, ParamsError, check_domain, f21_eval, f21_integral, f21_series,
+)
 from .mpreal import MPRealError, Precision, beta, power_product, tanh_sinh_integrate
 from .transforms import TransformError, derive_main, verify_gosper_proof
+
+
+# 100 times the largest documented run (derive_main at 1000 digits); far
+# above it the series kernel's fixed-point shifts overflow
+MAX_DIGITS = 100_000
+
+ROUTES = {"auto": f21_eval, "series": f21_series, "integral": f21_integral}
 
 
 class _UsageError(Exception):
@@ -65,6 +74,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _digits(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"expected at most {MAX_DIGITS} digits, got {text!r}")
+    return value
+
+
 def _emit(report_format: str, payload: dict, text: str) -> None:
     if report_format == "json":
         print(json.dumps(payload, indent=2))
@@ -75,8 +91,8 @@ def _emit(report_format: str, payload: dict, text: str) -> None:
 def _cmd_eval(args) -> int:
     p = HypParams(_fraction(args.a), _fraction(args.b), _fraction(args.c))
     z = _fraction(args.z)
-    prec = Precision.of(args.digits)
-    value = f21_eval(p, z, prec, strategy=args.strategy)
+    check_domain(p, z)
+    value = ROUTES[args.strategy](p, z, Precision.of(args.digits))
     text = value.to_decimal(args.digits)
     _emit(
         args.report,
@@ -200,34 +216,34 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--z", required=True)
-    p.add_argument("--digits", type=_positive_int, default=50)
-    p.add_argument("--strategy", choices=("auto", "series", "integral"), default="auto")
+    p.add_argument("--digits", type=_digits, default=50)
+    p.add_argument("--strategy", choices=tuple(ROUTES), default="auto")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("verify", help="verify an identity catalog")
     p.add_argument("--catalog", default=str(DEFAULT_CATALOG))
-    p.add_argument("--digits", type=_positive_int, default=100)
+    p.add_argument("--digits", type=_digits, default=100)
     p.add_argument("--only", default=None, help="verify a single record id")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("derive-chain", help="rebuild the degree-12 chain evaluation")
-    p.add_argument("--digits", type=_positive_int, default=150)
+    p.add_argument("--digits", type=_digits, default=150)
     p.add_argument("--trace", default=None, help="write the derivation trace JSON here")
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_derive_chain)
 
     p = sub.add_parser("proof-check", help="verify the 2F1(1/4) formula proof steps")
     p.add_argument("--b", required=True)
-    p.add_argument("--digits", type=_positive_int, default=60)
+    p.add_argument("--digits", type=_digits, default=60)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_proof_check)
 
     p = sub.add_parser("quadcheck", help="quadrature cross-checks")
     p.add_argument("--expr", choices=("beta", "euler"), required=True)
     p.add_argument("--samples", type=_positive_int, default=10)
-    p.add_argument("--digits", type=_positive_int, default=30)
+    p.add_argument("--digits", type=_digits, default=30)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_quadcheck)

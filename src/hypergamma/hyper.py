@@ -14,18 +14,19 @@ Four evaluation routes; `f21_eval` takes exactly one of them per input:
   in 1 - z summed by the same kernel with its harmonic companion, so the
   bound is rigorous too;
 * `f21_integral` - the Gamma-prefactored Euler integral of
-  t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1): at z = 1 the Beta series
-  of `mpreal.beta`, and for the other rational z too close to 1 for the
-  series or below -9 that the log connection formula does not take,
-  tanh-sinh quadrature, whose error bound is an estimate (see
-  `tanh_sinh_integrate`), not a proof.
+  t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) over (0,1), in the order of a and b
+  that has one: at z = 1 the Beta series of `mpreal.beta`, and for the
+  other rational z too close to 1 for the series or below -9 that the log
+  connection formula does not take, tanh-sinh quadrature, whose error
+  bound is an estimate (see `tanh_sinh_integrate`), not a proof.
 
 For z < -9/10, `f21_eval` takes Pfaff's transform
 (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)): by `f21_series` for -9 <= z, and by
 `f21_log_connection` below -9 when the transformed parameters fit it,
 which needs a - b an integer.  `check_domain`,
 which `f21_eval` calls first, is the one test of whether an input has a
-value.
+value; ``hypergamma eval --strategy series|integral`` calls it and then
+`f21_series` or `f21_integral` alone.
 
 The series and the integral are compared with each other by
 ``hypergamma quadcheck --expr euler`` and by the test suite, not at run
@@ -80,8 +81,9 @@ class SeriesTermCapError(HyperError):
 
 
 class NoFeasibleStrategyError(HyperError):
-    """An input in the domain, but no evaluation route for it: no
-    Euler-integral parameter ordering (c > b > 0 in either order) for
+    """`f21_integral` found no Euler-integral parameter ordering: neither
+    (a, b; c) nor (b, a; c) has c > b > 0, or at z = 1, b off the poles.
+    `f21_eval` meets it on an input in the domain that has no other route:
     9/10 < z < 1 or z < -9 where `f21_log_connection` does not apply."""
 
 
@@ -238,35 +240,37 @@ def euler_integrand(p: HypParams, z: Fraction, bits: int):
 
 def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     """Euler-integral evaluation: Gamma(c)/(Gamma(b)Gamma(c-b)) times the
-    integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1).
+    integral of t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) on (0,1), for rational
+    z <= 1, in the first of the orderings p, `p.swapped()` that has one
+    (NoFeasibleStrategyError when neither has).
 
-    For rational z < 1 requires c > b > 0; the integral is taken by
-    tanh-sinh quadrature, whose error bound is an estimate.  At z = 1
-    (requires c-a-b > 0) the integral is B(b, c-a-b), summed by the
-    positive-term series of `mpreal.beta`: no Gamma quotient is formed for
-    it, so the Gamma route stays independent of Gauss's theorem.  No order
-    c > b > 0 is needed there: the value is 0 if c-a or c-b is a
-    nonpositive integer (DLMF 15.8.1: (1-z)^(c-a-b) times a terminating
-    2F1), and otherwise, with b off the poles, so is every argument.
+    For z < 1 that needs c > b > 0, and the integral is taken by tanh-sinh
+    quadrature, whose error bound is an estimate.  At z = 1 (requires
+    c-a-b > 0) the integral is B(b, c-a-b), summed by the positive-term
+    series of `mpreal.beta`: no Gamma quotient is formed for it, so the
+    Gamma route stays independent of Gauss's theorem.  There b off the
+    poles suffices: the value is 0 if c-a or c-b is a nonpositive integer
+    (DLMF 15.8.1: (1-z)^(c-a-b) times a terminating 2F1), and otherwise so
+    is every argument.
     """
-    a, b, c = p.a, p.b, p.c
     z = Fraction(z)
+    for q in (p, p.swapped()):
+        if q.c > q.b > 0 or (z == 1 and not is_nonpositive_integer(q.b)):
+            break
+    else:
+        raise NoFeasibleStrategyError("no Euler-integral parameter ordering with c > b > 0")
+    a, b, c = q.a, q.b, q.c
+    qprec = prec.boosted(16)
     if z > 1:
         raise HyperError("Euler integral requires z <= 1")
-    if z == 1:
-        if not c - a - b > 0:
-            raise HyperError("z = 1 requires c - a - b > 0")
-        if is_nonpositive_integer(c - a) or is_nonpositive_integer(c - b):
-            return BigReal.from_int(0, prec.work_bits)
-    elif not (c > b > 0):
-        raise HyperError("Euler integral requires c > b > 0")
-
-    qprec = prec.boosted(16)
-    if z == 1:
-        integral = beta(b, c - a - b, qprec)
+    if z < 1:
+        integral = tanh_sinh_integrate(euler_integrand(q, z, qprec.work_bits), qprec)
+    elif not c - a - b > 0:
+        raise HyperError("z = 1 requires c - a - b > 0")
+    elif is_nonpositive_integer(c - a) or is_nonpositive_integer(c - b):
+        return BigReal.from_int(0, prec.work_bits)
     else:
-        integrand = euler_integrand(p, z, qprec.work_bits)
-        integral = tanh_sinh_integrate(integrand, qprec)
+        integral = beta(b, c - a - b, qprec)
     pref = gamma(c, qprec) / (gamma(b, qprec) * gamma(c - b, qprec))
     out = pref * integral
     return BigReal(out.val, out.err, prec.work_bits)
@@ -356,49 +360,24 @@ def _log_connection_fits(p: HypParams) -> bool:
     ) <= LOG_CONNECTION_MAX_DENOMINATOR
 
 
-def _integral_with_swap(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
-    for q in (p, p.swapped()):
-        if q.c > q.b > 0 or (z == 1 and not is_nonpositive_integer(q.b)):
-            return f21_integral(q, z, prec)
-    raise NoFeasibleStrategyError(
-        "no Euler-integral parameter ordering with c > b > 0"
-    )
-
-
-def f21_eval(
-    p: HypParams,
-    z: Fraction,
-    prec: Precision,
-    strategy: str = "auto",
-) -> BigReal:
-    """Strategy dispatcher for rational arguments; one route per input.
+def f21_eval(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
+    """2F1 at a rational z by exactly one route per input.
 
     `check_domain` runs first: an input with no value raises ParamsError.
-    auto: the exact terminating sum when an upper parameter is a
+    Then the exact terminating sum when an upper parameter is a
     nonpositive integer; otherwise the direct series for |z| <= 9/10, the
     series of Pfaff's transform for -9 <= z < -9/10, `f21_log_connection`
     for 9/10 < z < 1 with c - a - b an integer and, after Pfaff's
     transform, for z < -9 with a - b an integer, in both when the
     denominators of the parameters it sums are at most
-    LOG_CONNECTION_MAX_DENOMINATOR; and otherwise
-    `f21_integral`: at z = 1 the Beta series, in the given parameter
-    order, and for the rest of 9/10 < z < 1 and z < -9 tanh-sinh, trying
-    both parameter orderings (NoFeasibleStrategyError when neither has
-    c > b > 0).
-    "series" and "integral" force that route.  No second route is run: the
+    LOG_CONNECTION_MAX_DENOMINATOR; and otherwise `f21_integral`, which
+    picks the parameter ordering: the Beta series at z = 1, and tanh-sinh
+    for the rest of 9/10 < z < 1 and z < -9.  No second route is run: the
     series-versus-integral comparison is ``hypergamma quadcheck --expr
     euler``.
     """
     check_domain(p, z)
     z = Fraction(z)
-    if strategy not in ("auto", "series", "integral"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if strategy == "series":
-        return f21_series(p, z, prec)
-    if strategy == "integral":
-        return _integral_with_swap(p, z, prec)
-
     if p.terminating_degree is not None:
         return BigReal.from_fraction(f21_terminating(p, z), prec.work_bits)
     if abs(z) <= SERIES_THRESHOLD:
@@ -418,4 +397,4 @@ def f21_eval(
         return BigReal(out.val, out.err, prec.work_bits)
     if 0 < z < 1 and _log_connection_fits(p):
         return f21_log_connection(p, z, prec)
-    return _integral_with_swap(p, z, prec)
+    return f21_integral(p, z, prec)

@@ -32,7 +32,9 @@ endpoint-singular factors can be evaluated without cancellation, as
 Every integrand of the package is a power product u^a v^b P^c, which
 `power_product` takes as exp(a ln u + b ln v + c ln P): one exp per
 evaluation, and a log only for the bases that carry none, with the bounds
-of `log` and `exp`.  `BigReal.pow_rational` is the power of a scalar.
+of `log` and `exp`.  It is also the one fractional power:
+`BigReal.pow_rational` keeps exponent 0, the integers (`pow_int`) and 1/2
+(`sqrt`), and hands every other exponent to it.
 """
 
 from __future__ import annotations
@@ -281,8 +283,9 @@ class BigReal:
         return BigReal(val, err, self.bits)
 
     def pow_rational(self, r) -> "BigReal":
-        """self ** (p/q).  Fractional exponents require a certainly-positive
-        base (real principal powers only); exponent 0 gives exactly 1."""
+        """self ** (p/q): exactly 1 at exponent 0, `pow_int` at an integer,
+        `sqrt` at 1/2, and otherwise `power_product`, which needs a
+        certainly positive base (real principal powers only)."""
         r = Fraction(r)
         if r == 0:
             return BigReal(fone, fzero, self.bits)
@@ -290,24 +293,7 @@ class BigReal:
             return self.pow_int(r.numerator)
         if r == Fraction(1, 2):
             return sqrt(self)
-        if not self.definitely_positive():
-            raise DomainError("fractional power of a base not certainly positive")
-        bits = self.bits
-        wb = bits + 8
-        L = mpf_log(self.val, wb, RN)
-        t = mpf_div(mpf_mul_int(L, r.numerator, wb, RN), from_int(r.denominator), wb, RN)
-        val = mpf_exp(t, bits, RN)
-        rel_round = _emul(_eadd(mpf_abs(t), from_int(2)), _pow2(-bits - 2))
-        err = _eadd(_emul(_abs_hi(val, fzero), rel_round), _ulp(val, bits, 3))
-        if self.err != fzero:
-            # mean value theorem: the input error moves x^r by at most
-            # |r| err max(lo^(r-1), hi^(r-1)) <= y e^y x^r with
-            # y = |r| err/lo, as (1 + err/lo)^|r| <= e^y
-            abs_r = from_rational(abs(r.numerator), r.denominator, ERR_BITS, RU)
-            y = mpf_div(_emul(abs_r, self.err), _abs_lo(self.val, self.err), ERR_BITS, RU)
-            dmag = _emul(_emul(y, mpf_exp(y, ERR_BITS, RU)), _abs_hi(val, err))
-            err = _eadd(err, dmag)
-        return BigReal(val, err, bits)
+        return power_product((self, r))
 
     # -- formatting -----------------------------------------------------------
 

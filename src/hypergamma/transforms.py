@@ -14,8 +14,10 @@ only in the verification routines.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exact import Poly, RatFunc, poly_from_pairs, rational_str
 from .gammaexpr import GammaExpr, Verdict, achieved_digits, ge_eval, num_equal
@@ -111,8 +113,10 @@ class TransformRule:
     param_map: tuple[Affine, Affine, Affine]
     arg_map: RatFunc
     prefactor_map: tuple[tuple[Poly, Affine], ...]
-    # conservative sampling region (lo, hi) for soundness checks
+    # conservative sampling region (lo, hi) for soundness checks, and a
+    # draw of parameters that satisfy the constraints
     sample_region: tuple[Fraction, Fraction]
+    sample_params: Callable[[random.Random], HypParams]
 
     def applies_to(self, p: HypParams) -> bool:
         return all(_affine(row, p) == 0 for row in self.constraints)
@@ -157,6 +161,11 @@ def _row(ca=0, cb=0, cc=0, k=0) -> Affine:
     return (_fr(ca), _fr(cb), _fr(cc), _fr(k))
 
 
+def _sample_euler(rng: random.Random) -> HypParams:
+    a, b = (Fraction(rng.randint(-8, 8), 4) for _ in range(2))
+    return HypParams(a, b, Fraction(rng.randint(1, 12), 4))
+
+
 # Euler's transform: 2F1(a,b;c;w) = (1-w)^(c-a-b) 2F1(c-a, c-b; c; w)
 EULER = TransformRule(
     name="euler",
@@ -165,7 +174,14 @@ EULER = TransformRule(
     arg_map=RatFunc.x(),
     prefactor_map=((poly_from_pairs((0, 1), (1, -1)), _row(-1, -1, 1)),),
     sample_region=(_fr(-3) / 4, _fr(3) / 4),
+    sample_params=_sample_euler,
 )
+
+
+def _sample_c_2b(rng: random.Random) -> HypParams:
+    b = Fraction(rng.randint(1, 12), 8)
+    return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
+
 
 # Quadratic transform at c = 2b:
 # 2F1(a,b;2b;w) = (1-w)^(b-a) (1-w/2)^(a-2b)
@@ -186,7 +202,15 @@ QUADRATIC_C_2B = TransformRule(
         (poly_from_pairs((0, 1), (1, Fraction(-1, 2))), _row(1, -2)),
     ),
     sample_region=(_fr(-1) / 2, _fr(3) / 5),
+    sample_params=_sample_c_2b,
 )
+
+
+def _sample_mean(rng: random.Random) -> HypParams:
+    a = Fraction(rng.randint(1, 10), 8)
+    b = Fraction(rng.randint(1, 10), 8)
+    return HypParams(a, b, (a + b + 1) / 2)
+
 
 # Quadratic transform at c = (a+b+1)/2:
 # 2F1(a,b;(a+b+1)/2;w) = (1-2w)^(-a)
@@ -204,7 +228,14 @@ QUADRATIC_MEAN = TransformRule(
     ),
     prefactor_map=((poly_from_pairs((0, 1), (1, -2)), _row(-1)),),
     sample_region=(_fr(-1) / 10, _fr(1) / 10),
+    sample_params=_sample_mean,
 )
+
+
+def _sample_cubic(rng: random.Random) -> HypParams:
+    a = Fraction(rng.randint(1, 12), 16)
+    return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
+
 
 # Cubic transform at b = a + 1/2, c = (4a+5)/6:
 # 2F1(a,a+1/2;(4a+5)/6;w) = (1-9w)^(-2a/3)
@@ -226,6 +257,7 @@ CUBIC = TransformRule(
     ),
     prefactor_map=((poly_from_pairs((0, 1), (1, -9)), _row(Fraction(-2, 3))),),
     sample_region=(_fr(-1) / 60, _fr(1) / 60),
+    sample_params=_sample_cubic,
 )
 
 RULES: dict[str, TransformRule] = {

@@ -242,6 +242,8 @@ class TestQuadcheck:
         ("quadcheck", "--expr", "beta", "--digits", "0"),
         ("quadcheck", "--expr", "beta", "--samples", "0"),
         ("quadcheck", "--expr", "euler", "--samples", "two"),
+        ("eval", "--a", "1/2", "--b", "1", "--c", "2", "--z", "1/2",
+         "--digits", "99999999999999999999"),
     ],
 )
 def test_nonpositive_count_is_usage_error(capsys, argv):

@@ -325,6 +325,26 @@ class TestIntegral:
         with pytest.raises(Exception):
             f21_integral(HypParams(F(1, 8), F(3, 8), F(1, 2)), F(3, 2), P30)
 
+    def test_takes_the_ordering_that_has_an_integral(self):
+        # off z = 1, (b, a; c) with only c > a > 0 is integrated as (a, b; c)
+        ordered = HypParams(F(-1, 3), F(2, 5), F(7, 5))
+        for z in (F(1, 4), F(19, 20)):
+            want = f21_integral(ordered, z, P30)
+            got = f21_integral(ordered.swapped(), z, P30)
+            assert (got.val, got.err, got.bits) == (want.val, want.err, want.bits)
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (F(1, 2), F(2, 3), F(1, 6), F(1, 4)),  # c below a and b
+            (F(1, 2), F(-2, 3), F(1, 3), F(-20)),  # b negative, c below a
+            (F(-1), F(-2), F(1, 2), F(1)),  # at z = 1 both on the poles
+        ],
+    )
+    def test_no_ordering_is_no_feasible_strategy(self, a, b, c, z):
+        with pytest.raises(NoFeasibleStrategyError):
+            f21_integral(HypParams(a, b, c), z, P30)
+
     def test_negative_z_matches_series(self):
         p = HypParams(F(2, 5), F(1, 4), F(23, 20))
         z = F(-1, 2)
@@ -358,8 +378,8 @@ class TestEval:
     def test_strategies_agree(self):
         p = HypParams(F(2, 5), F(1, 4), F(23, 20))
         z = F(1, 3)
-        s = f21_eval(p, z, P30, strategy="series")
-        i = f21_eval(p, z, P30, strategy="integral")
+        s = f21_series(p, z, P30)
+        i = f21_integral(p, z, P30)
         a = f21_eval(p, z, P30)
         assert overlap(s, i) and overlap(a, s)
 
@@ -482,7 +502,7 @@ class TestLogConnection:
     @pytest.mark.parametrize("a, b, c, z, value", ZUCKER_JOYCE)
     def test_zucker_joyce_agrees_with_the_integral(self, monkeypatch, a, b, c, z, value):
         p = HypParams(a, b, c)
-        integral = f21_eval(p, z, P30, strategy="integral")
+        integral = f21_integral(p, z, P30)
 
         def no_quadrature(*args, **kwargs):
             raise AssertionError("tanh_sinh_integrate called")

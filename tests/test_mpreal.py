@@ -342,6 +342,46 @@ class TestBetaProperties:
                 assert err <= abs(val) * mp.mpf(2) ** (-prec.work_bits + 8), (p, q)
 
 
+def _caller_inputs():
+    """The seeded inputs of the callers' digests, drawn from one stream:
+    400 of f21_series, a quarter at a BigReal z, then Gamma's, then Beta's."""
+    rng = random.Random(600)
+
+    def rat(limit):
+        den = rng.randint(1, 12)
+        return F(rng.randint(-limit * den, limit * den), den)
+
+    series, gammas, betas = [], [], []
+    for i in range(400):
+        a, b, c = rat(6), rat(6), rat(6)
+        if c.denominator == 1 and c <= 0:
+            c += F(1, 2)
+        z = F(rng.randint(-90, 90), rng.choice((100, 97, 128)))
+        prec = Precision.of(rng.randint(10, 80))
+        if i % 4 == 3:
+            root = sqrt(BigReal.from_fraction(abs(z), prec.work_bits + rng.choice((0, 64))))
+            z = root if z > 0 else -root
+        series.append((a, b, c, z, prec))
+    for _ in range(120):
+        x = F(rng.randint(-40, 60), rng.randint(1, 12))
+        if not (x.denominator == 1 and x <= 0):
+            gammas.append((x, Precision.of(rng.randint(10, 120))))
+    for _ in range(80):
+        x = F(rng.randint(-20, 40), rng.randint(1, 12))
+        y = F(rng.randint(-20, 40), rng.randint(1, 12))
+        if not any(t.denominator == 1 and t <= 0 for t in (x, y, x + y)):
+            betas.append((x, y, Precision.of(rng.randint(10, 80))))
+    return series, gammas, betas
+
+
+def _digest(values) -> str:
+    digest = hashlib.sha256()
+    for x in values:
+        sign, man, exp, bc = x.val
+        digest.update(repr((sign, int(man), exp, bc, x.err, x.bits)).encode())
+    return digest.hexdigest()
+
+
 class TestFixedPointSum:
     # 2F1(40, 40; 1/8; -9/10): terms near 2^350 cancel to about 4e-12
     UPPER, LOWER = (F(40), F(40)), (F(1, 8),)
@@ -382,42 +422,23 @@ class TestFixedPointSum:
 
 
     def test_callers_are_bit_identical(self):
-        """Every caller's (value, radius) on 600 seeded inputs: f21_series
-        at rational and BigReal z, Gamma and Beta.  The digest is that of
-        the kernel before it took a companion series; a change to it is a
+        """Every series caller's (value, radius) on 520 seeded inputs:
+        f21_series at rational and BigReal z, and Gamma.  The digest is that
+        of the kernel before it took a companion series; a change to it is a
         change of every caller's result."""
-        rng = random.Random(600)
-        digest = hashlib.sha256()
+        series, gammas, _ = _caller_inputs()
+        values = [f21_series(HypParams(a, b, c), z, prec) for a, b, c, z, prec in series]
+        values += [gamma(x, prec) for x, prec in gammas]
+        assert _digest(values) == (
+            "29fb8a2ae4afe8c7de24c0f494481eba3c669677413e53756024547fe973858d"
+        )
 
-        def put(x):
-            sign, man, exp, bc = x.val
-            digest.update(repr((sign, int(man), exp, bc, x.err, x.bits)).encode())
-
-        def rat(limit):
-            den = rng.randint(1, 12)
-            return F(rng.randint(-limit * den, limit * den), den)
-
-        for i in range(400):
-            a, b, c = rat(6), rat(6), rat(6)
-            if c.denominator == 1 and c <= 0:
-                c += F(1, 2)
-            z = F(rng.randint(-90, 90), rng.choice((100, 97, 128)))
-            prec = Precision.of(rng.randint(10, 80))
-            if i % 4 == 3:
-                root = sqrt(BigReal.from_fraction(abs(z), prec.work_bits + rng.choice((0, 64))))
-                z = root if z > 0 else -root
-            put(f21_series(HypParams(a, b, c), z, prec))
-        for _ in range(120):
-            x = F(rng.randint(-40, 60), rng.randint(1, 12))
-            if not (x.denominator == 1 and x <= 0):
-                put(gamma(x, Precision.of(rng.randint(10, 120))))
-        for _ in range(80):
-            x = F(rng.randint(-20, 40), rng.randint(1, 12))
-            y = F(rng.randint(-20, 40), rng.randint(1, 12))
-            if not any(t.denominator == 1 and t <= 0 for t in (x, y, x + y)):
-                put(beta(x, y, Precision.of(rng.randint(10, 80))))
-        assert digest.hexdigest() == (
-            "2c8b775bd614be2683cd20b5f41d010d9f46ec60370db2ea2d5bfc5170b41ba6"
+    def test_beta_is_bit_identical(self):
+        """Beta's (value, radius) on the 55 seeded inputs that follow; its
+        digest is that of 2^-(x+y) raised by `power_product`."""
+        *_, betas = _caller_inputs()
+        assert _digest(beta(x, y, prec) for x, y, prec in betas) == (
+            "bea203ee58e3695ce113a444f9fad6ddf03c7141fefd38007df7d816487f049b"
         )
 
     @settings(max_examples=60, deadline=None, derandomize=True)

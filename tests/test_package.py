@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import hypergamma
-from hypergamma import mpreal
+from hypergamma import hyper, mpreal
 
 
 def test_every_exported_name_resolves_and_none_is_a_module():
@@ -35,6 +35,8 @@ def test_removed_shims_are_gone():
     assert not hasattr(hypergamma.IdentityRecord, "compiled")
     assert not hasattr(hypergamma.RatFunc, "from_fraction")
     assert not hasattr(mpreal, "asin")
+    assert not hasattr(hyper, "_integral_with_swap")
+    assert not hasattr(hypergamma.catalog, "_rule_sample_params")
     for builder in ("from_gamma", "pi_power", "from_surd"):
         assert not hasattr(hypergamma.GammaExpr, builder), builder
     # a record's one compiled form is its run
@@ -78,6 +80,8 @@ def test_traced_arguments_keep_their_positions():
     # the tracer's hooks read gamma's (x, prec) and the integrand by position
     assert list(inspect.signature(mpreal.gamma).parameters)[:2] == ["x", "prec"]
     assert next(iter(inspect.signature(mpreal.tanh_sinh_integrate).parameters)) == "f"
+    # benchmarks/worker.py calls f21_eval(p, z, prec) by position
+    assert list(inspect.signature(hyper.f21_eval).parameters) == ["p", "z", "prec"]
 
 
 def test_traced_runs_still_reach_the_quadrature_layers(monkeypatch):

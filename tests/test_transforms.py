@@ -86,6 +86,12 @@ class TestApplyRule:
         with pytest.raises(TransformError):
             apply_rule(QUADRATIC_C_2B, HypTerm((), HypParams(F(1, 2), F(5, 8), F(9, 8)), RatFunc.x()))
 
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_sampled_params_satisfy_the_rule(self, name):
+        rule, rng = RULES[name], random.Random(name)
+        for _ in range(50):
+            assert rule.applies_to(rule.sample_params(rng))
+
     def test_rule_soundness_sampled(self):
         rng = random.Random(1209)
         for rule in RULES.values():
@@ -94,22 +100,7 @@ class TestApplyRule:
                 w = lo + (hi - lo) * F(rng.randint(1, 79), 80)
                 if w == 0:
                     continue
-                if rule is EULER:
-                    p = HypParams(
-                        F(rng.randint(-8, 8), 4),
-                        F(rng.randint(-8, 8), 4),
-                        F(rng.randint(1, 12), 4),
-                    )
-                elif rule is QUADRATIC_C_2B:
-                    b = F(rng.randint(1, 12), 8)
-                    p = HypParams(F(rng.randint(-8, 8), 8), b, 2 * b)
-                elif rule is QUADRATIC_MEAN:
-                    a = F(rng.randint(1, 10), 8)
-                    b = F(rng.randint(1, 10), 8)
-                    p = HypParams(a, b, (a + b + 1) / 2)
-                else:
-                    a = F(rng.randint(1, 12), 16)
-                    p = HypParams(a, a + F(1, 2), (4 * a + 5) / 6)
+                p = rule.sample_params(rng)
                 term = HypTerm((), p, RatFunc.x())
                 out = apply_rule(rule, term)
                 lhs = f21_eval(p, w, P30)
