@@ -322,11 +322,18 @@ def _compile_exact_product(
         ratio.check(int(n))
         return b, int(e), int(n)
 
+    points = _check_samples(factors, samples, where)
+    ratios: dict[int, Fraction] = {}  # the ratio at every point, at first use
+
     def product(at: tuple[Fraction, int, int], prec: Precision) -> Fraction:
         b, e, n = at
-        return b**e if ratio is None else b**e * ratio.value(n)
+        if ratio is None:
+            return b**e
+        if not ratios:
+            ratios.update(ratio.values(n for _, _, n in points))
+        return b**e * ratios[n]
 
-    return _check_samples(factors, samples, where), product
+    return points, product
 
 
 _RHS_KINDS = {"gamma_expr", "gamma_expr_sum", "rational", "exact_product"}

@@ -17,7 +17,21 @@ from typing import Iterable
 from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_sub
 
 from .exact import rational_str
-from .mpreal import ERR_BITS, RU, BigReal, Precision, gamma, pi_value, sqrt
+from .mpreal import (
+    ERR_BITS,
+    RU,
+    BigReal,
+    Precision,
+    _log_int,
+    gamma,
+    pi_value,
+    power_product,
+    sqrt,
+)
+
+# rational bases are split over the primes below this; a larger cofactor
+# stays whole
+TRIAL_DIVISION_BOUND = 1000
 
 
 class Verdict(str, enum.Enum):
@@ -180,14 +194,37 @@ class GammaExpr:
         return out
 
 
+def _integer_powers(rational_factors) -> dict[int, Fraction]:
+    """prod base^e over the rational factors as prod n^r over integers
+    n > 1: the primes below TRIAL_DIVISION_BOUND, found by trial division
+    of each numerator and denominator, and the cofactors left above it."""
+    out: dict[int, Fraction] = {}
+    for base, e in rational_factors:
+        for n, r in ((base.numerator, e), (base.denominator, -e)):
+            d = 2
+            while d < TRIAL_DIVISION_BOUND and d * d <= n:
+                while n % d == 0:
+                    n //= d
+                    out[d] = out.get(d, 0) + r
+                d += 1 if d == 2 else 2
+            if n > 1:
+                out[n] = out.get(n, 0) + r
+    return out
+
+
 def ge_eval(e: GammaExpr, prec: Precision) -> BigReal:
-    """Numeric value with propagated error bounds."""
+    """Numeric value with propagated error bounds.
+
+    The rational factors, written over their primes with the exponents
+    summed per prime, and the power of pi are raised together by one
+    `power_product`: one exp, with each integer's log from `_log_int`,
+    cached per precision.  Each Gamma factor is an integer power of
+    `gamma`, and each surd an integer power of p + q sqrt(d)."""
     bits = prec.work_bits
-    acc = BigReal.from_int(1, bits)
-    for base, expo in e.rational_factors:
-        acc = acc * BigReal.from_fraction(base, bits).pow_rational(expo)
+    powers = [(_log_int(n, bits), r) for n, r in _integer_powers(e.rational_factors).items()]
     if e.pi_exponent:
-        acc = acc * pi_value(prec).pow_rational(e.pi_exponent)
+        powers.append((pi_value(prec), e.pi_exponent))
+    acc = power_product(*powers) if powers else BigReal.from_int(1, bits)
     for arg, expo in e.gamma_factors:
         acc = acc * gamma(arg, prec).pow_int(expo)
     for p, q, d, expo in e.surd_factors:

@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
+from typing import Iterable, Union
 
 from .exact import is_nonpositive_integer, rational_str
 from .mpreal import (
@@ -157,14 +157,22 @@ class PochRatio:
                 )
 
     def value(self, n: int) -> Fraction:
-        self.check(n)
-        num = Fraction(1)
-        for u in self.upper:
-            num *= pochhammer(u, n)
-        den = Fraction(1)
-        for l in self.lower:
-            den *= pochhammer(l, n)
-        return num / den
+        return self.values((n,))[n]
+
+    def values(self, indices: Iterable[int]) -> dict[int, Fraction]:
+        """The ratio at each index, by one running product over the sorted
+        indices: max(indices) steps in all, not one product per index."""
+        out: dict[int, Fraction] = {}
+        num = den = Fraction(1)
+        k = 0
+        for n in sorted(set(indices)):
+            self.check(n)
+            for j in range(k, n):
+                num *= math.prod(u + j for u in self.upper)
+                den *= math.prod(l + j for l in self.lower)
+            k = n
+            out[n] = num / den
+        return out
 
 
 def pochhammer(x: Fraction, n: int) -> Fraction:

@@ -16,15 +16,18 @@ plain values, and everything is safe to use concurrently.
 `fixed_point_sum` is the one series kernel of the package: it sums a pFq
 series with rational parameters in Python integers, with an integer ulp
 bound and a geometric tail bound, and returns the enclosure as a BigReal;
-`hyper.f21_series`, `gamma` and `beta` call it once per series.  Gamma is
-computed by an exact-rational Pochhammer reduction of the argument to
-(0, 1] (so pole detection is exact) followed by the incomplete-gamma series
-1F1(1; y+1; N), with a bound on the dropped upper incomplete gamma
-Gamma(y, N).  Beta is the sum of two incomplete-Beta series at 1/2, with
-positive terms, and no Gamma.  The quadrature is standard tanh-sinh over
-(0, 1), the one interval of every integral in the package, with
-per-level node caching; each cached node also holds ln x and ln(1 - x),
-computed once per (bits, level) for every integral at those bits.
+`hyper.f21_series`, `gamma` and `beta` call it once per series.  A series
+of positive terms keeps only wb bits below its largest term, as it cannot
+cancel.  Gamma is computed by an exact-rational Pochhammer reduction of
+the argument to (0, 1] (so pole detection is exact) followed by the
+incomplete-gamma series 1F1(1; y+1; N), with a bound on the dropped upper
+incomplete gamma Gamma(y, N); ln N, like the log of any exact integer
+(`_log_int`), is cached per precision.  Beta is the sum of two
+incomplete-Beta series at 1/2, with positive terms, and no Gamma.  The
+quadrature is standard tanh-sinh over (0, 1), the one interval of every
+integral in the package, with per-level node caching; each cached node
+also holds ln x and ln(1 - x), computed once per (bits, level) for every
+integral at those bits.
 Integrands receive t and 1 - t at full relative precision so
 endpoint-singular factors can be evaluated without cancellation, as
 `LogReal`s that carry their logarithm.
@@ -384,6 +387,26 @@ def _log_parts(x: BigReal, bits: int):
     return val, _eadd(mpf_div(x.err, _abs_lo(x.val, x.err), ERR_BITS, RU), rounding)
 
 
+_LOG_INT_CACHE: dict[tuple[int, int], LogReal] = {}
+_LOG_INT_CACHE_MAX = 4096
+
+
+def _log_int(n: int, bits: int) -> LogReal:
+    """The integer n >= 1, exact, as a `LogReal` at `bits` whose log is
+    rounded at bits + 8, within (|ln n| + 1) 2^(-bits-6); cached per
+    (n, bits)."""
+    key = (n, bits)
+    out = _LOG_INT_CACHE.get(key)
+    if out is None:
+        if len(_LOG_INT_CACHE) > _LOG_INT_CACHE_MAX:
+            _LOG_INT_CACHE.clear()
+        val = from_int(n)
+        ln = mpf_log(val, bits + 8, RN)
+        rounding = _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits - 6))
+        out = _LOG_INT_CACHE[key] = LogReal(val, fzero, bits, ln, rounding)
+    return out
+
+
 def log(x: BigReal) -> BigReal:
     val, err = _log_parts(x, x.bits)
     return BigReal(val, err, x.bits)
@@ -568,6 +591,14 @@ def _scaled_sum(
     delta_n = Nd/Dd, Dd > 0; its own ulp bound propagates like E, with
     Dd EG + |Nd| E as the error of X.
 
+    A series of positive terms (u > 0, every parameter > 0, no companion)
+    cannot cancel, so it needs no bits below 2^-wb of its largest term.
+    Every 32 terms, a T above 2^(wb+64) is cut to wb + 1 bits: T and S
+    shift right by sh, each E and E_sum becomes (E >> sh) + 2 (1 ulp for
+    the ceiling, 1 for the floor of the shift), and all later integers are
+    in units of 2^scale, scale the sum of the shifts; S and its error
+    shift back left by scale on return.
+
     The tail is tested every 32 terms once the ratio bound
     rho = ((|u| + D)/v) prod(n + |a|) / (n prod(n - |b|)), which decreases
     in n past max|param|, is below 1; the sum stops when the tail bound is
@@ -595,10 +626,12 @@ def _scaled_sum(
         [-(-abs(num) // den) for num, den in up + lo + [s[:2] for s in shifts]] + [1]
     ) + 8
 
+    # positive terms need no bits below 2^-wb of the largest one
+    rescales = u > 0 and not paired and all(x > 0 for x in (*upper, *lower))
     T = S = 1 << wb
     E = E_sum = 0
     G = EG = EG_sum = G_sum = 0
-    n = 0
+    n = scale = 0
     while True:
         if P == 0:  # terminating series: sum is complete
             return [(S, E_sum + 1), (G_sum, EG_sum + 1)] if paired else [(S, E_sum + 1)]
@@ -628,6 +661,14 @@ def _scaled_sum(
         Q += Q1
         Q1 += Q2
         Q2 += Q3
+        if n % 32 == 0 and rescales and T >> (wb + 64):
+            # floor both shifts: 1 ulp each, and 1 more for E's ceiling
+            sh = T.bit_length() - wb - 1
+            T >>= sh
+            S >>= sh
+            E = (E >> sh) + 2
+            E_sum = (E_sum >> sh) + 2
+            scale += sh
         if n % 32 == 0 and n >= n0:
             rn = abs_u_D * bd * math.prod(n * den + abs(num) for num, den in up)
             rd = v * n * ad * math.prod(n * den - abs(num) for num, den in lo)
@@ -636,7 +677,7 @@ def _scaled_sum(
                 # below the target, or below the rounding already made
                 if tail << pwb <= abs(S) or tail <= E_sum:
                     if not paired:
-                        return [(S, E_sum + 1 + tail)]
+                        return [(S << scale, (E_sum + 1 + tail) << scale)]
                     dn, dd = _harmonic(bounds, n)
                     gap = rd - rn
                     g_tail = -(
@@ -662,10 +703,12 @@ def _gamma_unit(y: Fraction, wb: int) -> BigReal:
     (wb + 8) ln 2: gamma(y, N) = N^y e^(-N) / y * 1F1(1; y+1; N)
     (DLMF 8.7.1) is a series of positive terms, and
     0 < Gamma(y, N) <= N^(y-1) e^(-N) <= 2^-(wb+8) (DLMF 8.10.1), which
-    enters as [0, 2^-floor(1.4426 N)]."""
+    enters as [0, 2^-floor(1.4426 N)].  ln N comes from `_log_int`, so
+    every cold Gamma at one precision shares it, and the 1F1 terms, which
+    rise to about 2^wb before they fall, are summed rescaled."""
     # e^-N = 2^-(N log2 e) <= 2^-floor(1.4426 N) <= 2^-(wb+8), as log2 e > 1.4426
     N = -(-(wb + 8) * 10000 // 14426)
-    pref = exp(log(BigReal.from_int(N, wb)) * y - N) / y
+    pref = exp(log(_log_int(N, wb)) * y - N) / y
     half_tail = _pow2(-(14426 * N // 10000) - 1)
     return pref * fixed_point_sum((1,), (y + 1,), N, wb) + BigReal(half_tail, half_tail, wb)
 

@@ -191,6 +191,26 @@ class TestFamilies:
         assert entry.verdict == "pass"
         assert len(calls) == loaded, "a template was evaluated at verify time"
 
+    def test_exact_products_step_one_running_product(self, monkeypatch):
+        # apagodu-zeilberger-family's Pochhammer ratios at n = 0..30 are
+        # one pass of 30 steps at verify, not a product per sample
+        import hypergamma.hyper as hyper
+
+        calls = []
+        values = hyper.PochRatio.values
+
+        def counted(self, indices):
+            indices = list(indices)
+            calls.append(indices)
+            return values(self, indices)
+
+        monkeypatch.setattr(hyper.PochRatio, "values", counted)
+        record = next(
+            r for r in catalog_load(DEFAULT_CATALOG) if r.id == "apagodu-zeilberger-family"
+        )
+        assert verify_identity(record, Precision.of(20)).verdict == "pass"
+        assert len(calls) == 1 and sorted(set(calls[0])) == list(range(31))
+
     def test_gosper_sampler_range(self):
         # gosper-quarter-family's lhs is 2F1(1/2, b; 5/2-2b; 1/4) over the sampled b
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction as F
@@ -77,6 +78,18 @@ class TestPochhammer:
         with pytest.raises(ParamsError):
             bad.value(4)
         assert bad.value(1) == F(1, 2) / F(-2)
+        with pytest.raises(ParamsError):
+            bad.values([1, 4])
+
+    def test_poch_ratio_values_are_the_products(self):
+        # unsorted, repeated indices, each the Pochhammer products' ratio
+        indices = [12, 0, 30, 5, 12, 1]
+        got = AZ_RATIO.values(indices)
+        assert sorted(got) == sorted(set(indices))
+        for n, q in got.items():
+            num = math.prod((pochhammer(u, n) for u in AZ_RATIO.upper), start=F(1))
+            den = math.prod((pochhammer(l, n) for l in AZ_RATIO.lower), start=F(1))
+            assert q == num / den, n
 
 
 class TestSeries:

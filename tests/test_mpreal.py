@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from fractions import Fraction as F
 
@@ -422,15 +423,24 @@ class TestFixedPointSum:
 
 
     def test_callers_are_bit_identical(self):
-        """Every series caller's (value, radius) on 520 seeded inputs:
-        f21_series at rational and BigReal z, and Gamma.  The digest is that
-        of the kernel before it took a companion series; a change to it is a
-        change of every caller's result."""
-        series, gammas, _ = _caller_inputs()
+        """f21_series's (value, radius) on 400 seeded inputs, at rational
+        and BigReal z.  The digest is that of the kernel before it took a
+        companion series or rescaled a sum of positive terms (no term here
+        grows past 2^64 of the first); a change to it is a change of every
+        series caller's result."""
+        series, _, _ = _caller_inputs()
         values = [f21_series(HypParams(a, b, c), z, prec) for a, b, c, z, prec in series]
-        values += [gamma(x, prec) for x, prec in gammas]
         assert _digest(values) == (
-            "29fb8a2ae4afe8c7de24c0f494481eba3c669677413e53756024547fe973858d"
+            "d7452481ceb066b02875f686217830a3a56699514b3846fd1daedacdb5f525bd"
+        )
+
+    def test_gamma_is_bit_identical(self):
+        """Gamma's (value, radius) on the 107 seeded inputs that follow;
+        its digest is that of the rescaled 1F1 sum and of ln N from
+        `_log_int`."""
+        _, gammas, _ = _caller_inputs()
+        assert _digest(gamma(x, prec) for x, prec in gammas) == (
+            "09f054b1a888860e4f1995bf189cf2855f93755e78d49126fd0be95fa0a7e76e"
         )
 
     def test_beta_is_bit_identical(self):
@@ -507,6 +517,107 @@ class TestFixedPointSum:
     def test_companion_shift_off_the_poles(self):
         with pytest.raises(ValueError):
             fixed_point_sum((F(1, 2),), (F(3, 2),), F(1, 2), 100, None, ((1, F(-2)),))
+
+
+def _fraction(x) -> F:
+    """A raw mpf tuple as the exact rational it is."""
+    sign, man, exp, _ = x
+    q = man * F(2) ** exp
+    return -q if sign else q
+
+
+def _peak_log2(upper, lower, z) -> float:
+    """log2 of the largest term of a series of positive terms, in floats."""
+    logt = peak = 0.0
+    n = 0
+    while True:
+        ratio = math.prod(a + n for a in upper) / math.prod(b + n for b in lower) * z / (n + 1)
+        if ratio < 1 and n > max(upper):
+            return peak
+        logt += math.log2(ratio)
+        peak = max(peak, logt)
+        n += 1
+
+
+class TestLogInt:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 10**6), bits=st.integers(64, 4000))
+    def test_encloses_ln_n(self, n, bits):
+        """The exact n, and a log within its bound of mpmath's ln n at +50
+        digits."""
+        out = mpreal._log_int(n, bits)
+        assert out.is_exact and _fraction(out.val) == n and out.bits == bits
+        with mp.workprec(bits + 180):
+            assert abs(as_mpf(out.log) - mp.log(n)) <= as_mpf(out.log_err), (n, bits)
+
+    def test_cache_clears_above_its_cap(self, monkeypatch):
+        monkeypatch.setattr(mpreal, "_LOG_INT_CACHE", {})
+        monkeypatch.setattr(mpreal, "_LOG_INT_CACHE_MAX", 3)
+        sizes = []
+        for n in range(2, 8):
+            mpreal._log_int(n, 64)
+            sizes.append(len(mpreal._LOG_INT_CACHE))
+        assert sizes == [1, 2, 3, 4, 1, 2]
+        assert mpreal._log_int(7, 64) is mpreal._log_int(7, 64)
+        assert mpreal._log_int(7, 65) is not mpreal._log_int(7, 64)
+
+
+class TestPositiveTerms:
+    """A series of positive terms is summed in integers cut to wb bits
+    below its largest term; each shift of the scale adds 2 ulps to each
+    error bound, which must still hold."""
+
+    @pytest.mark.parametrize("a", [40, 1000])
+    @pytest.mark.parametrize("digits", [50, 1000])
+    def test_exact_value(self, a, digits):
+        """2F1(a, 1; 2; 1/2) = 2 (2^(a-1) - 1) / (a - 1): at a = 1000 the
+        terms pass 2^990 and the sum is rescaled, at a = 40 they stay below
+        2^36 and it is not."""
+        prec = Precision.of(digits)
+        got = f21_series(HypParams(F(a), F(1), F(2)), F(1, 2), prec)
+        want = F(2 * (2 ** (a - 1) - 1), a - 1)
+        err = _fraction(got.err)
+        assert abs(_fraction(got.val) - want) <= err, (a, digits)
+        assert err <= want / 2**prec.work_bits, (a, digits)
+
+    @pytest.mark.parametrize("y", [F(1, 8), F(5, 8), F(1, 3)])
+    def test_gamma_series_at_1000_digits(self, y):
+        """1F1(1; y+1; N) at Gamma's N for 1000 digits, whose terms pass
+        2^3000 before they fall, against a direct mpmath sum at +50
+        digits."""
+        wb = Precision.of(1000).work_bits + 32
+        N = -(-(wb + 8) * 10000 // 14426)
+        got = fixed_point_sum((1,), (y + 1,), N, wb)
+        with mp.workdps(1050):
+            t, total, n = mp.mpf(1), mp.mpf(0), 0
+            while n < 2 * N or t > total * mp.mpf(10) ** -1060:
+                total += t
+                t = t * N / (y + 1 + n)
+                n += 1
+            assert_encloses(got, total, f"1F1(1; {y}+1; {N})")
+            assert as_mpf(got.err) <= total * mp.mpf(2) ** -wb
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        shape=st.sampled_from([(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]),
+        tops=st.lists(st.builds(F, st.integers(1, 4000), st.integers(1, 12)), min_size=3, max_size=3),
+        bottoms=st.lists(st.builds(F, st.integers(1, 120), st.integers(1, 12)), min_size=2, max_size=2),
+        k=st.integers(1, 95),
+        digits=st.integers(20, 150),
+    )
+    def test_growing_terms_against_mpmath(self, shape, tops, bottoms, k, digits):
+        """pFq with positive parameters whose terms grow past 2^70, at
+        z = k/100 for p = q + 1 and z = 5k otherwise, holds mpmath's value
+        at +50 digits, to a radius within 2^-bits of it."""
+        upper, lower = tops[: shape[0]], bottoms[: shape[1]]
+        z = F(k, 100) if shape[0] == shape[1] + 1 else F(5 * k)
+        assume(_peak_log2(upper, lower, float(z)) > 70)
+        bits = Precision.of(digits).work_bits
+        got = fixed_point_sum(upper, lower, z, bits)
+        with mp.workdps(digits + 50):
+            want = mp.hyper([mpf_of_fraction(a) for a in upper], [mpf_of_fraction(b) for b in lower], mpf_of_fraction(z))
+            assert_encloses(got, want, f"{upper}; {lower}; {z}")
+            assert as_mpf(got.err) <= want * mp.mpf(2) ** -bits
 
 
 def companion_reference(upper, lower, w, companion, digits):

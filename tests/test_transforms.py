@@ -119,6 +119,26 @@ class TestChain:
         assert twelfth_degree_map()(F(1, 4)) == MAIN_ARGUMENT
         assert MAIN_ARGUMENT == F(172872, 185039) ** 2
 
+    def test_derive_main_at_1000_digits_takes_9_logs(self, monkeypatch):
+        """With cold Gamma and integer-log caches, the 1000-digit chain
+        takes 9 logarithms: one per integer N of the Gamma series and per
+        prime of the rational bases at a precision, and one per pi power.
+        Raising each rational base and pi power by its own log took 25."""
+        import hypergamma.mpreal as mpreal
+
+        monkeypatch.setattr(mpreal, "_GAMMA_CACHE", {})
+        monkeypatch.setattr(mpreal, "_LOG_INT_CACHE", {})
+        calls = []
+        mpf_log = mpreal.mpf_log
+
+        def counted(*args):
+            calls.append(args)
+            return mpf_log(*args)
+
+        monkeypatch.setattr(mpreal, "mpf_log", counted)
+        derive_main(Precision.of(1000))
+        assert len(calls) <= 9
+
     def test_derive_main_small(self):
         trace = derive_main(P40)
         assert trace.verdict is Verdict.EQUAL
