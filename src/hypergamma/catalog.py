@@ -41,7 +41,7 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -323,15 +323,14 @@ def _compile_exact_product(
         return b, int(e), int(n)
 
     points = _check_samples(factors, samples, where)
-    ratios: dict[int, Fraction] = {}  # the ratio at every point, at first use
+
+    @cache
+    def ratios() -> dict[int, Fraction]:  # at every point, at first use
+        return ratio.values(n for _, _, n in points)
 
     def product(at: tuple[Fraction, int, int], prec: Precision) -> Fraction:
         b, e, n = at
-        if ratio is None:
-            return b**e
-        if not ratios:
-            ratios.update(ratio.values(n for _, _, n in points))
-        return b**e * ratios[n]
+        return b**e if ratio is None else b**e * ratios()[n]
 
     return points, product
 

@@ -627,7 +627,7 @@ def _scaled_sum(
     ) + 8
 
     # positive terms need no bits below 2^-wb of the largest one
-    rescales = u > 0 and not paired and all(x > 0 for x in (*upper, *lower))
+    rescales = u > 0 and not paired and all(num > 0 for num, _ in up + lo)
     T = S = 1 << wb
     E = E_sum = 0
     G = EG = EG_sum = G_sum = 0
@@ -661,31 +661,32 @@ def _scaled_sum(
         Q += Q1
         Q1 += Q2
         Q2 += Q3
-        if n % 32 == 0 and rescales and T >> (wb + 64):
-            # floor both shifts: 1 ulp each, and 1 more for E's ceiling
-            sh = T.bit_length() - wb - 1
-            T >>= sh
-            S >>= sh
-            E = (E >> sh) + 2
-            E_sum = (E_sum >> sh) + 2
-            scale += sh
-        if n % 32 == 0 and n >= n0:
-            rn = abs_u_D * bd * math.prod(n * den + abs(num) for num, den in up)
-            rd = v * n * ad * math.prod(n * den - abs(num) for num, den in lo)
-            if rd > rn:
-                tail = -(-(abs(T) + E) * rn // (rd - rn))
-                # below the target, or below the rounding already made
-                if tail << pwb <= abs(S) or tail <= E_sum:
-                    if not paired:
-                        return [(S << scale, (E_sum + 1 + tail) << scale)]
-                    dn, dd = _harmonic(bounds, n)
-                    gap = rd - rn
-                    g_tail = -(
-                        -((abs(G) + EG) * rn * gap * dd + (abs(T) + E) * rn * rd * dn)
-                        // (gap * gap * dd)
-                    )
-                    if g_tail << pwb <= abs(G_sum) or g_tail <= EG_sum:
-                        return [(S, E_sum + 1 + tail), (G_sum, EG_sum + 1 + g_tail)]
+        if n % 32 == 0:
+            if rescales and T >> (wb + 64):
+                # floor both shifts: 1 ulp each, and 1 more for E's ceiling
+                sh = T.bit_length() - wb - 1
+                T >>= sh
+                S >>= sh
+                E = (E >> sh) + 2
+                E_sum = (E_sum >> sh) + 2
+                scale += sh
+            if n >= n0:
+                rn = abs_u_D * bd * math.prod(n * den + abs(num) for num, den in up)
+                rd = v * n * ad * math.prod(n * den - abs(num) for num, den in lo)
+                if rd > rn:
+                    tail = -(-(abs(T) + E) * rn // (rd - rn))
+                    # below the target, or below the rounding already made
+                    if tail << pwb <= abs(S) or tail <= E_sum:
+                        if not paired:
+                            return [(S << scale, (E_sum + 1 + tail) << scale)]
+                        dn, dd = _harmonic(bounds, n)
+                        gap = rd - rn
+                        g_tail = -(
+                            -((abs(G) + EG) * rn * gap * dd + (abs(T) + E) * rn * rd * dn)
+                            // (gap * gap * dd)
+                        )
+                        if g_tail << pwb <= abs(G_sum) or g_tail <= EG_sum:
+                            return [(S, E_sum + 1 + tail), (G_sum, EG_sum + 1 + g_tail)]
         if n == term_cap:
             return None
 
