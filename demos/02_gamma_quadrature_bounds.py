@@ -10,12 +10,12 @@ the tanh-sinh nodes absorb.
 from fractions import Fraction as F
 
 from hypergamma import (
+    PowerIntegrand,
     Precision,
     beta,
     gamma,
     num_equal,
     pi_value,
-    power_product,
     tanh_sinh_integrate,
 )
 
@@ -40,14 +40,9 @@ print(f"  verdict: {num_equal(lhs, pi_value(prec), prec).value}")
 print()
 print("Beta(5/24, 1/4) via series, and via quadrature of t^(-19/24)(1-t)^(-3/4):")
 b_series = beta(F(5, 24), F(1, 4), prec)
-
-
-def integrand(u, v):
-    # u and v carry their logarithms from the node cache: one exp per node
-    return power_product((u, F(5, 24) - 1), (v, F(1, 4) - 1))
-
-
-b_quad = tanh_sinh_integrate(integrand, prec)
+# the integrand as data: u and v carry their logarithms from the node cache,
+# so each node costs one exp
+b_quad = tanh_sinh_integrate(PowerIntegrand(F(5, 24) - 1, F(1, 4) - 1), prec)
 print(f"  series route:     {b_series.to_decimal(45)}")
 print(f"  quadrature route: {b_quad.to_decimal(45)}")
 print(f"  verdict: {num_equal(b_series, b_quad, prec).value}")

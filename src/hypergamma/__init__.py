@@ -21,6 +21,7 @@ from .hyper import (
 )
 from .mpreal import (
     BigReal,
+    PowerIntegrand,
     Precision,
     beta,
     gamma,
@@ -68,8 +69,8 @@ __all__ = [
     "HypParams", "PochRatio", "f21_eval", "f21_integral", "f21_series",
     "f21_terminating", "pochhammer",
     # mpreal
-    "BigReal", "Precision", "beta", "gamma", "pi_value", "power_product",
-    "tanh_sinh_integrate",
+    "BigReal", "PowerIntegrand", "Precision", "beta", "gamma", "pi_value",
+    "power_product", "tanh_sinh_integrate",
     # transforms
     "CUBIC", "EULER", "MAIN_ARGUMENT", "MAIN_PARAMS", "MAIN_RHS", "QUADRATIC_C_2B",
     "QUADRATIC_MEAN", "RULES", "DerivationTrace", "HypTerm", "TransformRule",

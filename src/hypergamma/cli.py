@@ -37,7 +37,7 @@ from .gammaexpr import Verdict, achieved_digits, num_equal
 from .hyper import (
     HyperError, HypParams, ParamsError, check_domain, f21_eval, f21_integral, f21_series,
 )
-from .mpreal import MPRealError, Precision, beta, power_product, tanh_sinh_integrate
+from .mpreal import MPRealError, PowerIntegrand, Precision, beta, tanh_sinh_integrate
 from .transforms import TransformError, derive_main, verify_gosper_proof
 
 
@@ -169,11 +169,7 @@ def _cmd_quadcheck(args) -> int:
         if args.expr == "beta":
             x = Fraction(rng.randint(1, 40), rng.randint(8, 24))
             y = Fraction(rng.randint(1, 40), rng.randint(8, 24))
-
-            def f(u, v, x=x, y=y):
-                return power_product((u, x - 1), (v, y - 1))
-
-            got = tanh_sinh_integrate(f, prec)
+            got = tanh_sinh_integrate(PowerIntegrand(x - 1, y - 1), prec)
             want = beta(x, y, prec)
             label = f"B({rational_str(x)}, {rational_str(y)})"
         else:

@@ -18,7 +18,10 @@ Four evaluation routes; `f21_eval` takes exactly one of them per input:
   that has one: at z = 1 the Beta series of `mpreal.beta`, and for the
   other rational z too close to 1 for the series or below -9 that the log
   connection formula does not take, tanh-sinh quadrature, whose error
-  bound is an estimate (see `tanh_sinh_integrate`), not a proof.
+  bound is an estimate (see `tanh_sinh_integrate`), not a proof.  The
+  integrand is data (`euler_integrand`, an `mpreal.PowerIntegrand`):
+  1 - z t is the exact polynomial (1 - z) + z (1 - t) in 1 - t, which does
+  not cancel near z = 1.
 
 For z < -9/10, `f21_eval` takes Pfaff's transform
 (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)): by `f21_series` for -9 <= z, and by
@@ -44,6 +47,7 @@ from typing import Iterable, Union
 from .exact import is_nonpositive_integer, rational_str
 from .mpreal import (
     BigReal,
+    PowerIntegrand,
     Precision,
     beta,
     cos_pi_times,
@@ -51,7 +55,6 @@ from .mpreal import (
     gamma,
     log,
     pi_value,
-    power_product,
     sin_pi_times,
     tanh_sinh_integrate,
 )
@@ -231,19 +234,11 @@ def f21_terminating(p: HypParams, z: Fraction) -> Fraction:
     return total
 
 
-def euler_integrand(p: HypParams, z: Fraction, bits: int):
-    """t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) as a function of (t, 1 - t), with
-    z rounded at `bits`."""
-    zB = BigReal.from_fraction(z, bits)
-    one_minus_z = 1 - zB
-    e_left, e_right, e_lin = p.b - 1, p.c - p.b - 1, -p.a
-
-    def integrand(u: BigReal, v: BigReal) -> BigReal:
-        # 1 - z t  ==  (1 - z) + z (1 - t), stable against cancellation
-        lin = one_minus_z + zB * v
-        return power_product((u, e_left), (v, e_right), (lin, e_lin))
-
-    return integrand
+def euler_integrand(p: HypParams, z: Fraction) -> PowerIntegrand:
+    """t^(b-1) (1-t)^(c-b-1) (1-zt)^(-a) for rational z < 1, with 1 - z t
+    written as (1 - z) + z (1 - t), exactly, which does not cancel."""
+    z = Fraction(z)
+    return PowerIntegrand(p.b - 1, p.c - p.b - 1, (("v", (1 - z, z), -p.a),))
 
 
 def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
@@ -272,7 +267,7 @@ def f21_integral(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     if z > 1:
         raise HyperError("Euler integral requires z <= 1")
     if z < 1:
-        integral = tanh_sinh_integrate(euler_integrand(q, z, qprec.work_bits), qprec)
+        integral = tanh_sinh_integrate(euler_integrand(q, z), qprec)
     elif not c - a - b > 0:
         raise HyperError("z = 1 requires c - a - b > 0")
     elif is_nonpositive_integer(c - a) or is_nonpositive_integer(c - b):

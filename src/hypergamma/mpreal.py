@@ -26,24 +26,28 @@ incomplete gamma Gamma(y, N); ln N, like the log of any exact integer
 incomplete-Beta series at 1/2, with positive terms, and no Gamma.  The
 quadrature is standard tanh-sinh over (0, 1), the one interval of every
 integral in the package, with per-level node caching; each cached node
-also holds ln x and ln(1 - x), computed once per (bits, level) for every
-integral at those bits.
-Integrands receive t and 1 - t at full relative precision so
-endpoint-singular factors can be evaluated without cancellation, as
-`LogReal`s that carry their logarithm.
+holds x and 1 - x as `LogReal`s that carry ln x and ln(1 - x), computed
+once per (bits, level) for every integral at those bits, and handed to the
+integrand at full relative precision, so endpoint-singular factors are
+evaluated without cancellation.  The node loop sums, bounds and tests its
+terms in Python integers.
 
-Every integrand of the package is a power product u^a v^b P^c, which
-`power_product` takes as exp(a ln u + b ln v + c ln P): one exp per
-evaluation, and a log only for the bases that carry none, with the bounds
-of `log` and `exp`.  It is also the one fractional power:
-`BigReal.pow_rational` keeps exponent 0, the integers (`pow_int`) and 1/2
-(`sqrt`), and hands every other exponent to it.
+Every integrand of the package is a `PowerIntegrand`, the data
+u^a v^b prod P(x)^c with exact rational exponents and polynomials P
+certainly positive on [0, 1]: each P is evaluated by Horner on the
+integers of x's mantissa with a relative bound, and the sum of r ln base
+is taken in integers, so an evaluation costs one log per polynomial and
+one exp.  `power_product`, the same exp of a sum of logs for BigReal
+bases, is also the one fractional power: `BigReal.pow_rational` keeps
+exponent 0, the integers (`pow_int`) and 1/2 (`sqrt`), and hands every
+other exponent to it.  pi (`pi_value`) carries its log, taken once per
+precision.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -326,9 +330,11 @@ class BigReal:
 class LogReal(BigReal):
     """A certainly positive BigReal that carries its natural logarithm:
     `log` is within `log_err` of ln(val).  `log` and `power_product` take
-    the logarithm from it; arithmetic on it gives plain BigReals."""
+    the logarithm from it; arithmetic on it gives plain BigReals.  `fixed`
+    keeps the log in integers (`_log_fixed`) once an integrand has asked
+    for it."""
 
-    __slots__ = ("log", "log_err")
+    __slots__ = ("log", "log_err", "fixed")
 
     def __init__(self, val, err, bits: int, log, log_err):
         self.val = val
@@ -336,16 +342,27 @@ class LogReal(BigReal):
         self.bits = bits
         self.log = log
         self.log_err = log_err
+        self.fixed = None
 
 
 # ---------------------------------------------------------------------------
 # elementary functions
 
 
-def pi_value(prec: Precision) -> BigReal:
+_PI_CACHE: dict[int, LogReal] = {}
+
+
+def pi_value(prec: Precision) -> LogReal:
+    """pi at work_bits, rounded at work_bits + 8, as a `LogReal` whose log
+    is taken once per precision, at work_bits + 8, within
+    (|ln pi| + 1) 2^(-work_bits-6): the value and bound `log` would give
+    for that base in `power_product`."""
     bits = prec.work_bits
-    val = mpf_pi(bits + 8, RN)
-    return BigReal(val, _ulp(val, bits, -4), bits)
+    out = _PI_CACHE.get(bits)
+    if out is None:
+        val = mpf_pi(bits + 8, RN)
+        out = _PI_CACHE[bits] = _carrying_log(val, _ulp(val, bits, -4), bits)
+    return out
 
 
 def sqrt(x: BigReal) -> BigReal:
@@ -400,16 +417,39 @@ def _log_int(n: int, bits: int) -> LogReal:
     if out is None:
         if len(_LOG_INT_CACHE) > _LOG_INT_CACHE_MAX:
             _LOG_INT_CACHE.clear()
-        val = from_int(n)
-        ln = mpf_log(val, bits + 8, RN)
-        rounding = _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits - 6))
-        out = _LOG_INT_CACHE[key] = LogReal(val, fzero, bits, ln, rounding)
+        out = _LOG_INT_CACHE[key] = _carrying_log(from_int(n), fzero, bits)
     return out
+
+
+def _carrying_log(val, err, bits: int) -> LogReal:
+    """val ± err at `bits` as a `LogReal` whose log is rounded at bits + 8,
+    within (|ln| + 1) 2^(-bits-6)."""
+    ln = mpf_log(val, bits + 8, RN)
+    return LogReal(val, err, bits, ln, _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits - 6)))
 
 
 def log(x: BigReal) -> BigReal:
     val, err = _log_parts(x, x.bits)
     return BigReal(val, err, x.bits)
+
+
+def _fixed(v, fb: int) -> int:
+    """The mpf v cut to fb fraction bits, an integer within 1 of v 2^fb."""
+    sign, man, exp, _ = v
+    fixed = man << (exp + fb) if exp + fb >= 0 else man >> -(exp + fb)
+    return -fixed if sign else fixed
+
+
+def _exp_sum(total: int, den: int, eps, fb: int, bits: int) -> BigReal:
+    """exp(S) at `bits` for S = sum r ln base, the one exp of `power_product`
+    and `PowerIntegrand`: total = sum p L over the common denominator den
+    of the r, p = r den and L each ln base cut to fb fraction bits, and the
+    mpf eps bounds |S - floor(total / den) 2^-fb|.  The value carries eps
+    as eps e^eps (e^eps - 1 <= eps e^eps), plus 2^(3-bits) for its
+    rounding."""
+    val = mpf_exp(from_man_exp(total // den, -fb), bits, RN)
+    growth = mpf_add(_emul(eps, mpf_exp(eps, ERR_BITS, RU)), _pow2(3 - bits), ERR_BITS, RU)
+    return BigReal(val, _emul(val, growth), bits)
 
 
 def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
@@ -420,8 +460,8 @@ def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
     Each ln base is bounded as by `log` (err/lo plus rounding) and scaled
     by |r|.  The sum is exact in integers over the common denominator d of
     the r, each ln cut to fb = bits + 8 fraction bits, and one floor
-    division by d: together (sum |r| + 1) 2^-fb.  `exp` then carries the
-    total eps as eps e^eps of the value, plus its own rounding."""
+    division by d: together (sum |r| + 1) 2^-fb.  `_exp_sum` then takes the
+    one exp and carries the total eps."""
     bits = max((base.bits for base, _ in factors), default=0)
     factors = [(base, r) for base, r in factors if r]
     if not factors:
@@ -431,18 +471,167 @@ def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
     total = weight = 0
     err = fzero
     for base, r in factors:
-        (sign, man, exp, _), lerr = _log_parts(base, fb)
+        ln, lerr = _log_parts(base, fb)
         p = r.numerator * (den // r.denominator)
-        fixed = man << (exp + fb) if exp + fb >= 0 else man >> -(exp + fb)
-        total += -p * fixed if sign else p * fixed
+        total += p * _fixed(ln, fb)
         weight += abs(p)
         err = mpf_add(err, mpf_mul_int(lerr, abs(p), ERR_BITS, RU), ERR_BITS, RU)
     cut = from_man_exp(weight + den, -fb)
     eps = mpf_div(mpf_add(err, cut, ERR_BITS, RU), from_int(den), ERR_BITS, RU)
-    val = mpf_exp(from_man_exp(total // den, -fb), bits, RN)
-    # exp's bound: e^eps - 1 <= eps e^eps, and 2^(3-bits) for the rounding
-    growth = mpf_add(_emul(eps, mpf_exp(eps, ERR_BITS, RU)), _pow2(3 - bits), ERR_BITS, RU)
-    return BigReal(val, _emul(val, growth), bits)
+    return _exp_sum(total, den, eps, fb, bits)
+
+
+def _log_fixed(x: BigReal, fb: int) -> tuple[int, int]:
+    """ln x for a certainly positive x as integers (L, B): L the value of
+    `_log_parts` at fb bits cut to fb fraction bits, B its bound rounded up
+    to a whole number of 2^-fb.  A `LogReal` keeps the pair for the next
+    call at the same fb."""
+    if isinstance(x, LogReal) and x.fixed is not None and x.fixed[0] == fb:
+        return x.fixed[1], x.fixed[2]
+    ln, (_, m, e, _) = _log_parts(x, fb)
+    out = _fixed(ln, fb), m << (e + fb) if e + fb >= 0 else -(-m >> -(e + fb))
+    if isinstance(x, LogReal):
+        x.fixed = (fb, *out)
+    return out
+
+
+def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
+    """P(y) = sum C_k y^k / den, for the integers C_n, ..., C_0 in `coeffs`
+    (highest first) and dsum = sum k |C_k|, at every y in x's interval, as
+    integers (Y, e, E): Y 2^e is within E 2^e of each P(y).
+
+    Horner runs on x's mantissa in integers: each step Y <- Y man + C_k is
+    exact, then cut to p bits, which costs at most one ulp of that step,
+    2^e_k <= 2^(1-p) of its value; the k-th step's ulp reaches the end
+    multiplied by |x|^k < 2^(k xh).  A shorter result is widened to p bits
+    before the bounds are added.  x's radius r adds r sum k |C_k| h^(k-1),
+    the mean value theorem with h = max(1, |x| + r).  A den other than 1
+    is one floor division of Y (1 ulp) and a ceiling one of E."""
+    sign, man, exp, bc = x.val
+    if sign:
+        man = -man
+    xh = max(0, exp + bc)  # |x| < 2^xh
+    Y, e = coeffs[0], 0
+    ulps = []
+    k = len(coeffs) - 1
+    for c in coeffs[1:]:
+        k -= 1
+        a = e + exp
+        if a < 0:
+            Y, e = Y * man + (c << -a), a
+        else:
+            Y, e = (Y * man << a) + c, 0
+        cut = Y.bit_length() - p
+        if cut > 0:
+            Y >>= cut
+            e += cut
+            ulps.append(e + k * xh)
+    short = p - Y.bit_length()
+    if short > 0:  # an exact value of few bits: give the bounds room
+        Y <<= short
+        e -= short
+    E = sum(1 << (u - e) if u > e else 1 for u in ulps)
+    _, rm, re, _ = x.err
+    if rm:
+        n = len(coeffs) - 1
+        d = rm * dsum
+        if n > 1:
+            # h^(n-1) bounds every |y|^(k-1) once h = |x| + r is above 1
+            lo = min(exp, re)
+            h = (abs(man) << (exp - lo)) + (rm << (re - lo))
+            if (h > 1 << -lo) if lo < 0 else h << lo > 1:
+                d *= h ** (n - 1)
+                re += lo * (n - 1)
+        E += d << (re - e) if re >= e else -(-d >> (e - re))
+    if den != 1:
+        s = den.bit_length()
+        Y, E, e = (Y << s) // den, -(-(E << s) // den) + 1, e - s
+    return Y, e, E
+
+
+def _bernstein_positive(coeffs: tuple[Fraction, ...]) -> bool:
+    """Whether every Bernstein coefficient on [0, 1] of sum c_k x^k (lowest
+    first) is positive, which makes the polynomial positive on [0, 1]."""
+    n = len(coeffs) - 1
+    return all(
+        sum(Fraction(math.comb(j, k), math.comb(n, k)) * c for k, c in enumerate(coeffs[: j + 1])) > 0
+        for j in range(n + 1)
+    )
+
+
+@dataclass(frozen=True)
+class PowerIntegrand:
+    """The integrand u^u_exp v^v_exp prod P(x)^r of an integral over (0, 1),
+    as data, called as f(u, v) with v = 1 - u.  Each factor (x, coeffs, r)
+    is a polynomial P(x) = sum coeffs[k] x^k in x = "u" or "v" with exact
+    rational coefficients (lowest first) and a rational exponent r; every
+    Bernstein coefficient of P on [0, 1] must be positive, which makes P
+    certainly positive there (DomainError otherwise).
+
+    A call takes ln u and ln v as `_log_fixed` gives them (from the node
+    cache for the quadrature's `LogReal`s), each P by `_horner` at
+    fb + 8 bits and one `mpf_log`, bounded by log's rounding plus E/(Y - E)
+    for Horner's enclosure, and sums r ln in integers for `_exp_sum`, the
+    exp of `power_product`: one log per polynomial and one exp."""
+
+    u_exp: Fraction
+    v_exp: Fraction
+    factors: tuple[tuple[str, tuple[Fraction, ...], Fraction], ...] = ()
+    # (is_v, p) per power of u or v, and (is_v, C, den, dsum, p) per
+    # polynomial, with p = r times the common denominator `_den`
+    _logs: tuple = field(init=False, repr=False, compare=False)
+    _polys: tuple = field(init=False, repr=False, compare=False)
+    _den: int = field(init=False, repr=False, compare=False)
+    _weight: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        powers = [(False, Fraction(self.u_exp)), (True, Fraction(self.v_exp))]
+        polys = []
+        for var, coeffs, r in self.factors:
+            if var not in ("u", "v"):
+                raise ValueError(f"factor variable must be 'u' or 'v', not {var!r}")
+            coeffs = [Fraction(c) for c in coeffs]
+            while len(coeffs) > 1 and coeffs[-1] == 0:
+                coeffs.pop()
+            if not coeffs or not _bernstein_positive(coeffs):
+                raise DomainError(f"factor {coeffs} is not certainly positive on [0, 1]")
+            polys.append((var == "v", coeffs, Fraction(r)))
+        den = math.lcm(*(r.denominator for _, r in powers), *(r.denominator for *_, r in polys))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_logs", tuple((is_v, int(r * den)) for is_v, r in powers if r))
+        plan = []
+        for is_v, coeffs, r in polys:
+            if r:
+                cden = math.lcm(*(c.denominator for c in coeffs))
+                ints = tuple(int(c * cden) for c in reversed(coeffs))
+                dsum = sum(k * abs(int(c * cden)) for k, c in enumerate(coeffs))
+                plan.append((is_v, ints, cden, dsum, int(r * den)))
+        object.__setattr__(self, "_polys", tuple(plan))
+        object.__setattr__(
+            self, "_weight", sum(abs(p) for _, p in self._logs) + sum(abs(q[-1]) for q in plan)
+        )
+
+    def __call__(self, u: BigReal, v: BigReal) -> BigReal:
+        bits = max(u.bits, v.bits)
+        fb = bits + 8
+        total = bound = 0
+        for is_v, p in self._logs:
+            L, B = _log_fixed(v if is_v else u, fb)
+            total += p * L
+            bound += abs(p) * B
+        for is_v, coeffs, cden, dsum, p in self._polys:
+            Y, e, E = _horner(coeffs, cden, dsum, v if is_v else u, fb + 8)
+            if Y <= E:
+                raise DomainError("polynomial factor not certainly positive")
+            L = _fixed(mpf_log(from_man_exp(Y, e), fb, RN), fb)
+            # log's rounding, (|ln| + 1) 2^(2-fb), and E/(Y - E) for the interval
+            B = 4 * ((abs(L) >> fb) + 3) - (-(E << fb) // (Y - E))
+            total += p * L
+            bound += abs(p) * B
+        # the bounds, and 1 for each cut and for the floor division by den
+        den = self._den
+        eps = from_man_exp(-(-(bound + self._weight + den) // den), -fb)
+        return _exp_sum(total, den, eps, fb, bits)
 
 
 def _sin_pi_reduced(frac: Fraction, bits: int):
@@ -780,17 +969,26 @@ _TS_NODE_CACHE: dict[tuple, list] = {}
 Integrand = Callable[[BigReal, BigReal], BigReal]
 
 
-def _ts_nodes(bits: int, level: int) -> list:
-    """Positive-t nodes (x, 1-x, weight, ln x, ln(1-x)) for the given
-    refinement level.
+def _node_arg(x, wb: int) -> LogReal:
+    """The node x, rounded at wb bits, as the integrand receives it: a
+    `LogReal` of relative radius 2^(6-wb) whose log, rounded at
+    lb = wb + 8 bits, is within (|ln| + 1) 2^(3-lb), twice log's rounding
+    bound."""
+    lb = wb + 8
+    ln = mpf_log(x, lb, RN)
+    log_err = mpf_shift(mpf_add(mpf_abs(ln), fone, ERR_BITS, RU), 3 - lb)
+    return LogReal(x, _emul(x, _pow2(6 - wb)), wb, ln, log_err)
+
+
+def _ts_nodes(bits: int, level: int) -> list[tuple[LogReal, LogReal, tuple]]:
+    """Positive-t nodes (x, 1-x, weight) for the given refinement level,
+    x and 1 - x as `_node_arg` hands them to the integrand.
 
     Abscissa x = 1/(1 + e^(-2u)) with u = (pi/2) sinh(t); the complement is
     returned at full relative precision so integrands can resolve endpoint
     singularities.  Weight is pi*cosh(t)*x*(1-x) (the step h is applied by
     the caller).  Level 0 uses t = j; level k >= 1 the odd multiples of
-    2^-k.  The nodes are rounded at wb = bits + 16 bits; their logarithms
-    are those of the rounded nodes at wb + 8 bits, within the rounding
-    bound of `log`, (|ln| + 1) 2^(-6-wb).
+    2^-k.  The nodes are rounded at wb = bits + 16 bits.
     """
     key = (bits, level)
     nodes = _TS_NODE_CACHE.get(key)
@@ -814,67 +1012,76 @@ def _ts_nodes(bits: int, level: int) -> list:
         x = mpf_div(fone, denom, wb, RN)
         cx = mpf_div(e, denom, wb, RN)
         w = mpf_mul(mpf_mul(pi_full, ch, wb, RN), mpf_mul(x, cx, wb, RN), wb, RN)
-        nodes.append((x, cx, w, mpf_log(x, wb + 8, RN), mpf_log(cx, wb + 8, RN)))
+        nodes.append((_node_arg(x, wb), _node_arg(cx, wb), w))
         j += step
     _TS_NODE_CACHE[key] = nodes
     return nodes
 
 
+def _weighted(w, a, b, fb: int, up: bool = False) -> int:
+    """w (a + b) 2^fb for mpfs w >= 0, a and b, in integers: the floor, or
+    with `up` the ceiling."""
+    _, wm, we, _ = w
+    sa, ma, ea, _ = a
+    sb, mb, eb, _ = b
+    e = min(ea, eb)
+    q = wm * (((-ma if sa else ma) << (ea - e)) + ((-mb if sb else mb) << (eb - e)))
+    e += we + fb
+    if e >= 0:
+        return q << e
+    return -(-q >> -e) if up else q >> -e
+
+
 def tanh_sinh_integrate(f: Integrand, prec: Precision, level_cap: int = 12) -> BigReal:
     """Integrate f over (0, 1) by tanh-sinh refinement.
 
-    The integrand is called as f(t, 1 - t) with both as `LogReal`s at full
-    relative precision (endpoint-singular factors of exponent > -1 are
-    handled).  Each carries the node's cached ln x or ln(1 - x), so
-    `power_product` takes no log for them.  The returned error bound is the
-    successive level difference times a safety factor plus the propagated
-    integrand bounds; failure to converge within the level cap raises
+    The integrand is called as f(t, 1 - t) with both as the node cache's
+    `LogReal`s at full relative precision (endpoint-singular factors of
+    exponent > -1 are handled), so a `PowerIntegrand` takes no log for
+    them; any callable of (u, v) that returns a BigReal will do.
+
+    The node loop reads each value's and each bound's mantissa and sums in
+    Python integers at fb = wb + 16 fraction bits: the weighted values
+    floored, their bounds rounded up (fe_total, summed over every level
+    without the step h), and the tiny-node test exact.  The level sums are
+    integers A with estimate A 2^(-fb-level), so halving the step rounds
+    nothing.  The returned error bound is 10 times the successive level
+    difference, plus fe_total, plus (1 + |cur|) 2^(12-wb), which holds
+    the floors (fewer than 2^5 2^(-fb) in all) and the rounding of the
+    estimate to wb bits; failure to converge within the level cap raises
     QuadratureError.
     """
     wb = prec.work_bits + 16
-    node_rel = _pow2(-wb + 6)
-    lb = wb + 8  # the bits of the node logarithms
-
-    def arg(x, log_x):
-        # |ln - ln(x)| <= (|ln| + 1) 2^(3-lb), twice the node's bound
-        log_err = mpf_shift(mpf_add(mpf_abs(log_x), fone, ERR_BITS, RU), 3 - lb)
-        return LogReal(x, _emul(x, node_rel), wb, log_x, log_err)
-
-    half = from_man_exp(1, -1)
-    fe_total = fzero
+    fb = wb + 16
+    one = 1 << fb
     # center node t=0: x = cx = 1/2, weight pi/4
+    half = _node_arg(from_man_exp(1, -1), wb)
     w0 = mpf_shift(mpf_pi(wb, RN), -2)
-    log_half = mpf_neg(mpf_log(from_int(2), lb, RN))
-    g0 = f(arg(half, log_half), arg(half, log_half))
-    total = mpf_mul(w0, g0.val, wb, RN)
-    fe_total = _eadd(fe_total, _emul(w0, g0.err))
-    prev = None
+    g0 = f(half, half)
+    A = _weighted(w0, g0.val, fzero, fb)
+    fe_total = _weighted(w0, g0.err, fzero, fb, True)
+    A_prev = None
     diff = None
     for level in range(level_cap + 1):
-        h_shift = -level
-        new_sum = fzero
+        new_sum = 0
         tiny_streak = 0
-        for x, cx, w, log_x, log_cx in _ts_nodes(prec.work_bits, level):
-            g_right = f(arg(x, log_x), arg(cx, log_cx))
-            g_left = f(arg(cx, log_cx), arg(x, log_x))
-            contrib = mpf_mul(w, mpf_add(g_right.val, g_left.val, wb, RN), wb, RN)
-            new_sum = mpf_add(new_sum, contrib, wb, RN)
-            fe_total = _eadd(fe_total, _emul(w, _eadd(g_right.err, g_left.err)))
-            mag = mpf_abs(contrib)
-            floor_mag = mpf_shift(mpf_add(fone, mpf_abs(new_sum), ERR_BITS, RU), -(wb + 8))
-            if mpf_cmp(mag, floor_mag) <= 0:
+        for x, cx, w in _ts_nodes(prec.work_bits, level):
+            g_right = f(x, cx)
+            g_left = f(cx, x)
+            contrib = _weighted(w, g_right.val, g_left.val, fb)
+            new_sum += contrib
+            fe_total += _weighted(w, g_right.err, g_left.err, fb, True)
+            # |contrib| <= (1 + |new_sum|) 2^-(wb+8)
+            if abs(contrib) << (wb + 8) <= one + abs(new_sum):
                 tiny_streak += 1
                 if tiny_streak >= 6:
                     break
             else:
                 tiny_streak = 0
-        if level == 0:
-            total = mpf_add(total, new_sum, wb, RN)
-            cur = total
-        else:
-            cur = mpf_add(mpf_shift(prev, -1), mpf_shift(new_sum, h_shift), wb, RN)
-        if prev is not None and level >= 2:
-            diff = mpf_abs(mpf_sub(cur, prev, ERR_BITS, RU))
+        A += new_sum
+        if level >= 2:
+            cur = from_man_exp(A, -fb - level, wb, RN)
+            diff = from_man_exp(abs(A - 2 * A_prev), -fb - level, ERR_BITS, RU)
             tol = _emul(
                 _eadd(fone, mpf_abs(cur)),
                 from_str(f"1e-{prec.target_digits + 5}", ERR_BITS, RU),
@@ -882,11 +1089,11 @@ def tanh_sinh_integrate(f: Integrand, prec: Precision, level_cap: int = 12) -> B
             if mpf_cmp(diff, tol) <= 0:
                 err = _eadd(
                     _emul(from_int(10), diff),
-                    fe_total,
+                    from_man_exp(fe_total, -fb, ERR_BITS, RU),
                     _emul(_eadd(fone, mpf_abs(cur)), _pow2(-wb + 12)),
                 )
                 return BigReal(cur, err, prec.work_bits)
-        prev = cur
+        A_prev = A
     raise QuadratureError(
         f"tanh-sinh did not converge by level {level_cap}"
         + (f" (last refinement difference {to_str(diff, 3)})" if diff else "")

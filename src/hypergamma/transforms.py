@@ -24,12 +24,12 @@ from .gammaexpr import GammaExpr, Verdict, achieved_digits, ge_eval, num_equal
 from .hyper import HypParams, f21_eval, f21_series
 from .mpreal import (
     BigReal,
+    PowerIntegrand,
     Precision,
     beta,
     cos_pi_times,
     gamma,
     pi_value,
-    power_product,
     tanh_sinh_integrate,
 )
 
@@ -298,30 +298,19 @@ PROOF_STEPS = (
 )
 
 
-def proof_integrands(b: Fraction):
-    """The integrands of the proof steps' three integrals over (0, 1), as
-    functions of (t, 1 - t), each written as its step states it:
+def proof_integrands(b: Fraction) -> tuple[PowerIntegrand, PowerIntegrand, PowerIntegrand]:
+    """The integrands of the proof steps' three integrals over (0, 1), in
+    u = t and v = 1 - t, each as its step states it:
     t^(3/2-3b) (1-t)^(b-1) (1-t/4)^(2b-2), then
     u^(3/2-3b) (1-u)^(2b-1) (1+u+u^2)^(2b-2), then
-    u^(3/2-3b) (1-u) (1-u^3)^(2b-2)."""
-    quarter = Fraction(1, 4)
+    u^(3/2-3b) (1-u) (1-u^3)^(2b-2), whose 1-u^3 is written v (3 - 3v + v^2)
+    so that it does not cancel near u = 1."""
     e_left, e_poly = Fraction(3, 2) - 3 * b, 2 * b - 2
-
-    def integrand_t(u: BigReal, v: BigReal) -> BigReal:
-        lin = 1 - u * quarter
-        return power_product((u, e_left), (v, b - 1), (lin, e_poly))
-
-    def integrand_u(u: BigReal, v: BigReal) -> BigReal:
-        quad = 1 + u + u * u
-        return power_product((u, e_left), (v, e_poly + 1), (quad, e_poly))
-
-    def integrand_cyc(u: BigReal, v: BigReal) -> BigReal:
-        # the cube complement 1-u^3 = v(3 - 3v + v^2) is formed from v to
-        # avoid cancellation
-        cube_c = v * (3 - 3 * v + v * v)
-        return power_product((u, e_left), (cube_c, e_poly)) * v
-
-    return integrand_t, integrand_u, integrand_cyc
+    return (
+        PowerIntegrand(e_left, b - 1, (("u", (1, Fraction(-1, 4)), e_poly),)),
+        PowerIntegrand(e_left, e_poly + 1, (("u", (1, 1, 1), e_poly),)),
+        PowerIntegrand(e_left, e_poly + 1, (("v", (3, -3, 1), e_poly),)),
+    )
 
 
 def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:

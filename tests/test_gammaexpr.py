@@ -21,6 +21,7 @@ from hypergamma.gammaexpr import (
     ge_eval,
     num_equal,
 )
+from hypergamma import mpreal
 from hypergamma.mpreal import BigReal, Precision
 
 P40 = Precision.of(40)
@@ -77,6 +78,24 @@ class TestEval:
     def test_surd_value(self):
         e = GammaExpr(surd_factors=((F(1), F(1), F(2), -1),))
         assert_encloses(ge_eval(e, P40), 1 / (1 + mp.sqrt(2)), "1/(1+sqrt2)")
+
+    def test_pi_log_is_taken_once_per_precision(self, monkeypatch):
+        """A second evaluation at the same precision takes no log of pi, and
+        gives the same bits."""
+        prec = Precision.of(73)
+        first = ge_eval(MAIN_RHS, prec)
+        pi = mpreal.mpf_pi(prec.work_bits + 8, "n")
+        logs = []
+        real_log = mpreal.mpf_log
+
+        def logged(x, *args):
+            logs.append(x)
+            return real_log(x, *args)
+
+        monkeypatch.setattr(mpreal, "mpf_log", logged)
+        second = ge_eval(MAIN_RHS, prec)
+        assert pi not in logs
+        assert (second.val, second.err) == (first.val, first.err)
 
     def test_invalid_expressions(self):
         with pytest.raises(GammaExprError):

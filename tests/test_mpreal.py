@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import fone, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_shift
+from mpmath.libmp import fone, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_shift
 
 from helpers import as_mpf, assert_encloses, mpf_of_fraction
 
@@ -23,6 +23,7 @@ from hypergamma.mpreal import (
     GammaPoleError,
     LogReal,
     PossibleZeroDivisionError,
+    PowerIntegrand,
     Precision,
     QuadratureError,
     beta,
@@ -681,6 +682,16 @@ class TestTanhSinh:
         with pytest.raises((QuadratureError, OverflowError)):
             tanh_sinh_integrate(f, prec, level_cap=8)
 
+    def test_the_integrand_bounds_reach_the_result(self):
+        """f = 1 +- 2^-40 at every node: 1 - 2^-40 and 1 + 2^-40 are each the
+        integral of a function inside every value f returns, so the result
+        must hold both."""
+        prec = Precision.of(30)
+        one = BigReal(fone, from_rational(1, 2**40, 32, "u"), prec.work_bits)
+        got = tanh_sinh_integrate(lambda u, v: one, prec)
+        for want in (1 - F(1, 2**40), 1 + F(1, 2**40)):
+            assert_encloses(got, mpf_of_fraction(want), str(want))
+
     def test_monotone_precision(self):
         def f(u, v):
             return u.pow_rational(F(-1, 2)) * v.pow_rational(F(-1, 3))
@@ -696,8 +707,8 @@ def _node_base(nbits, level, k, complement, rel) -> LogReal:
     as the quadrature hands it over, with a relative radius `rel` and the
     node cache's bound on its logarithm, (|ln| + 1) 2^(2-lb)."""
     node = mpreal._ts_nodes(nbits, level)
-    node = node[-1 - k % len(node)]
-    val, ln = (node[1], node[4]) if complement else (node[0], node[3])
+    node = node[-1 - k % len(node)][1 if complement else 0]
+    val, ln = node.val, node.log
     wb = nbits + 16
     err = mpf_mul(val, from_rational(rel.numerator, rel.denominator, 32, "u"), 32, "u")
     log_err = mpf_shift(mpf_add(mpf_abs(ln), fone, 32, "u"), 2 - (wb + 8))
@@ -784,11 +795,112 @@ class TestPowerProduct:
         for nbits in (44, 280):
             lb = nbits + 24
             for level in range(3):
-                for node in mpreal._ts_nodes(nbits, level):
-                    for val, ln in ((node[0], node[3]), (node[1], node[4])):
+                for x, cx, _ in mpreal._ts_nodes(nbits, level):
+                    for val, ln in ((x.val, x.log), (cx.val, cx.log)):
                         with mp.workprec(lb + 100):
                             gap = abs(as_mpf(ln) - mp.log(as_mpf(val)))
                             assert gap <= (abs(as_mpf(ln)) + 1) * mp.mpf(2) ** (2 - lb)
+
+
+# the polynomial factors of the package: the three proof steps', and
+# Euler's (1 - z) + z v near z = 1 and below -9
+POLY_SHAPES = (
+    ("u", (1, F(-1, 4))),
+    ("u", (1, 1, 1)),
+    ("v", (3, -3, 1)),
+    *(("v", (1 - z, z)) for z in (1 - F(1, 10**3), 1 - F(1, 10**12), F(-(10**8)))),
+)
+
+exponents = st.builds(F, st.integers(-2001, 2001), st.integers(1, 12))
+
+
+class TestPowerIntegrand:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        node=st.booleans(),  # a cached node pair, or plain wide bases
+        nbits=st.sampled_from((44, 120, 280, 400)),
+        level=st.integers(0, 2),
+        k=st.integers(0, 63),  # node index from the tail
+        swap=st.booleans(),  # (1 - x, x) rather than (x, 1 - x)
+        center=st.integers(1, 2**20 - 1),  # plain u = center / 2^20
+        rels=st.tuples(*[st.builds(F, st.integers(0, 2**20), st.just(2**24))] * 2),
+        powers=st.tuples(exponents, exponents),
+        factors=st.lists(st.tuples(st.sampled_from(POLY_SHAPES), exponents), max_size=2),
+    )
+    # the far node pair at 400 bits, x = 1 - 2^-7936 rounded to 1: h = |x| + r
+    # is above 1 for the quadratic factor
+    @example(
+        node=True, nbits=400, level=0, k=0, swap=False, center=1, rels=(F(0), F(0)),
+        powers=(F(-2001, 12), F(2001, 12)), factors=[(POLY_SHAPES[1], F(2001, 2))],
+    )
+    def test_encloses_the_image_of_its_inputs(
+        self, node, nbits, level, k, swap, center, rels, powers, factors
+    ):
+        """u^a v^b prod P^r over 0-2 of the package's polynomial factors,
+        at node pairs down to 2^-7936 or at plain bases of relative radius
+        up to 2^-4, holds the image of the input intervals taken by
+        mpmath's interval arithmetic at 100 more bits."""
+        wb = nbits + 16
+        if node:
+            nodes = mpreal._ts_nodes(nbits, level)
+            u, v, _ = nodes[-1 - k % len(nodes)]
+        else:
+            u, v = (
+                BigReal(
+                    BigReal.from_fraction(c, wb).val,
+                    from_rational((c * rel).numerator, (c * rel).denominator, 32, "u"),
+                    wb,
+                )
+                for c, rel in zip((F(center, 2**20), 1 - F(center, 2**20)), rels)
+            )
+        if swap:
+            u, v = v, u
+        f = PowerIntegrand(*powers, tuple((var, coeffs, r) for (var, coeffs), r in factors))
+        saved, iv.prec = iv.prec, wb + 100
+        try:
+            U, V = _iv_of(u), _iv_of(v)
+            want = U ** (iv.mpf(powers[0].numerator) / powers[0].denominator)
+            want *= V ** (iv.mpf(powers[1].numerator) / powers[1].denominator)
+            for (var, coeffs), r in factors:
+                X = V if var == "v" else U
+                P = sum(iv.mpf(c.numerator) / c.denominator * X**j for j, c in enumerate(map(F, coeffs)))
+                # Euler's factor at z = -10^8 is negative for v above 1
+                assume(P.a > 0)
+                want *= P ** (iv.mpf(r.numerator) / r.denominator)
+            assert want in _iv_of(f(u, v)), (node, nbits, level, k, swap, center, rels, powers, factors)
+        finally:
+            iv.prec = saved
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        coeffs=st.lists(st.integers(-(10**6), 10**6), min_size=1, max_size=4),
+        den=st.integers(1, 1000),
+        man=st.integers(-(2**60), 2**60),
+        exp=st.integers(-200, 0),
+        rad=st.integers(0, 2**20),
+        p=st.integers(8, 64),
+    )
+    def test_horner_encloses_the_polynomial(self, coeffs, den, man, exp, rad, p):
+        """Horner cut to p bits holds sum C_k y^k / den, exactly in
+        Fractions, at the center and both ends of x's interval."""
+        x = BigReal(from_man_exp(man, exp), from_man_exp(rad, exp - 24), 64)
+        dsum = sum(k * abs(c) for k, c in enumerate(reversed(coeffs)))
+        Y, e, E = mpreal._horner(tuple(coeffs), den, dsum, x, p)
+        got, radius = F(Y) * F(2) ** e, F(E) * F(2) ** e
+        center, r = F(man) * F(2) ** exp, F(rad) * F(2) ** (exp - 24)
+        for y in (center - r, center, center + r):
+            want = sum(c * y**k for k, c in enumerate(reversed(coeffs))) / den
+            assert abs(got - want) <= radius, (coeffs, den, man, exp, rad, p)
+
+    def test_a_factor_not_certainly_positive_is_rejected(self):
+        # a root inside, a zero at an end, a double root, a negative constant
+        for coeffs in ((1, -2), (0, 1), (F(1, 2), -2, 2), (-1,)):
+            with pytest.raises(DomainError):
+                PowerIntegrand(F(0), F(0), (("u", coeffs, F(1, 3)),))
+        # positive on [0, 1], not on the interval it is called at
+        f = PowerIntegrand(F(0), F(0), (("v", (1 + 10**8, -(10**8)), F(1, 3)),))
+        with pytest.raises(DomainError):
+            f(BigReal.from_fraction(F(1, 2), 64), BigReal.from_fraction(F(3, 2), 64))
 
 
 # b on (1/2, 5/6), where the proof steps' integrals converge: the catalog's
@@ -838,7 +950,7 @@ class TestIntegrandShapes:
         # its z = 1/4 and where f21_integral takes it: near 1 and below -9
         p = HypParams(2 - 2 * b, F(5, 2) - 3 * b, F(5, 2) - 2 * b)
         for z in (F(1, 4), F(19, 20), F(-30)):
-            f = euler_integrand(p, z, self.prec.work_bits + 16)
+            f = euler_integrand(p, z)
             with mp.workdps(self.prec.target_digits + 50):
                 a_, b_, c_ = (self._mp(q) for q in (p.a, p.b, p.c))
                 want = mp.beta(b_, c_ - b_) * mp.hyp2f1(a_, b_, c_, self._mp(z))

@@ -93,8 +93,9 @@ def test_traced_runs_still_reach_the_quadrature_layers(monkeypatch):
     at 15 digits on the records and the first seed-1 requests.
 
     The counted `BigReal.pow_rational` is expected by both workloads too.
-    No integrand calls it (they take `power_product`), so it is reached only
-    through scalar powers: in catalog-100 Beta's 2^-(x+y) and the proof
+    No integrand calls it (each is a `PowerIntegrand`, which sums its logs
+    in integers and takes one exp), so it is reached only through scalar
+    powers: in catalog-100 Beta's 2^-(x+y) and the proof
     steps' prefactors, and in eval-mix only Pfaff's (1 - z)^-a for z < -9/10,
     which the first seed-1 requests include."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))  # run.py imports evalmix
