@@ -330,11 +330,11 @@ class BigReal:
 class LogReal(BigReal):
     """A certainly positive BigReal that carries its natural logarithm:
     `log` is within `log_err` of ln(val).  `log` and `power_product` take
-    the logarithm from it; arithmetic on it gives plain BigReals.  `fixed`
-    keeps the log in integers (`_log_fixed`) once an integrand has asked
-    for it."""
+    the logarithm from it; arithmetic on it gives plain BigReals.
+    `fixed_err` keeps the bound of `_log_fixed` at bits + 8 once an
+    integrand has asked for it."""
 
-    __slots__ = ("log", "log_err", "fixed")
+    __slots__ = ("log", "log_err", "fixed_err")
 
     def __init__(self, val, err, bits: int, log, log_err):
         self.val = val
@@ -342,7 +342,7 @@ class LogReal(BigReal):
         self.bits = bits
         self.log = log
         self.log_err = log_err
-        self.fixed = None
+        self.fixed_err = None
 
 
 # ---------------------------------------------------------------------------
@@ -484,15 +484,16 @@ def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
 def _log_fixed(x: BigReal, fb: int) -> tuple[int, int]:
     """ln x for a certainly positive x as integers (L, B): L the value of
     `_log_parts` at fb bits cut to fb fraction bits, B its bound rounded up
-    to a whole number of 2^-fb.  A `LogReal` keeps the pair for the next
-    call at the same fb."""
-    if isinstance(x, LogReal) and x.fixed is not None and x.fixed[0] == fb:
-        return x.fixed[1], x.fixed[2]
+    to a whole number of 2^-fb.  A `LogReal` keeps B for the next call at
+    fb = bits + 8, the fb of an integrand at its own nodes."""
+    kept = isinstance(x, LogReal) and fb == x.bits + 8
+    if kept and x.fixed_err is not None:
+        return _fixed(x.log, fb), x.fixed_err
     ln, (_, m, e, _) = _log_parts(x, fb)
-    out = _fixed(ln, fb), m << (e + fb) if e + fb >= 0 else -(-m >> -(e + fb))
-    if isinstance(x, LogReal):
-        x.fixed = (fb, *out)
-    return out
+    B = m << (e + fb) if e + fb >= 0 else -(-m >> -(e + fb))
+    if kept:
+        x.fixed_err = B
+    return _fixed(ln, fb), B
 
 
 def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
