@@ -787,7 +787,14 @@ def _compile_chain(data: dict, where: str) -> Checks:
             return partial(_gosper_proof_checks, (Fraction(5, 8),))
         if not isinstance(b, list) or not b:
             raise CatalogError(f"{where}: b must be a nonempty list of rationals")
-        return partial(_gosper_proof_checks, tuple(_rational(x, f"{where} b") for x in b))
+        b = tuple(_rational(x, f"{where} b") for x in b)
+        for x in b:
+            if not Fraction(1, 2) < x < Fraction(5, 6):
+                raise CatalogError(
+                    f"{where}: b = {rational_str(x)} is outside (1/2, 5/6), "
+                    "where the proof's integrals converge"
+                )
+        return partial(_gosper_proof_checks, b)
     raise CatalogError(f"{where}: unknown proof chain {chain!r}")
 
 

@@ -38,7 +38,7 @@ from .hyper import (
     HyperError, HypParams, ParamsError, check_domain, f21_eval, f21_integral, f21_series,
 )
 from .mpreal import MPRealError, PowerIntegrand, Precision, beta, tanh_sinh_integrate
-from .transforms import TransformError, derive_main, verify_gosper_proof
+from .transforms import PROOF_METHODS, TransformError, derive_main, verify_gosper_proof
 
 
 # 100 times the largest documented run (derive_main at 1000 digits); far
@@ -146,7 +146,7 @@ def _cmd_derive_chain(args) -> int:
 def _cmd_proof_check(args) -> int:
     prec = Precision.of(args.digits)
     verdicts = verify_gosper_proof(_fraction(args.b), prec)
-    rows = [f"{name:28s} {verdict.value}" for name, verdict in verdicts.items()]
+    rows = [f"{name:28s} {v.value:20s} {PROOF_METHODS[name]}" for name, v in verdicts.items()]
     _emit(
         args.report,
         {
@@ -154,6 +154,7 @@ def _cmd_proof_check(args) -> int:
             "b": args.b,
             "digits": args.digits,
             "steps": {name: v.value for name, v in verdicts.items()},
+            "methods": {name: PROOF_METHODS[name] for name in verdicts},
         },
         "\n".join(rows),
     )

@@ -157,6 +157,9 @@ class Poly:
             acc = acc * x + c
         return acc
 
+    def derivative(self) -> "Poly":
+        return Poly(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         if other.is_zero:
             raise PoleError("polynomial division by zero polynomial")

@@ -17,15 +17,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import prod
 from typing import Callable
 
-from .exact import Poly, RatFunc, poly_from_pairs, rational_str
-from .gammaexpr import GammaExpr, Verdict, achieved_digits, ge_eval, num_equal
+from .exact import PoleError, Poly, RatFunc, poly_from_pairs, poly_gcd, rational_str
+from .gammaexpr import (
+    GammaExpr,
+    Verdict,
+    _integer_powers,
+    achieved_digits,
+    ge_eval,
+    num_equal,
+)
 from .hyper import HypParams, f21_eval, f21_series
 from .mpreal import (
     BigReal,
     PowerIntegrand,
     Precision,
+    _bernstein_positive,
     beta,
     cos_pi_times,
     gamma,
@@ -296,6 +306,9 @@ PROOF_STEPS = (
     "cube-substitution",
     "reflection-closed-form",
 )
+# "exact": an identity of integrands proved in exact arithmetic;
+# "numeric": two enclosures compared by `num_equal`
+PROOF_METHODS = dict(zip(PROOF_STEPS, ("numeric", "exact", "exact", "exact", "numeric")))
 
 
 def proof_integrands(b: Fraction) -> tuple[PowerIntegrand, PowerIntegrand, PowerIntegrand]:
@@ -313,21 +326,193 @@ def proof_integrands(b: Fraction) -> tuple[PowerIntegrand, PowerIntegrand, Power
     )
 
 
-def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
-    """Verify each integral step in the proof of Gosper's formula at a given
-    rational b, returning a per-step verdict.
+# The proof's substitutions: t = 4u/(1+u)^2 (step 2) and v = u^3 (step 4)
+SUBSTITUTION_MAP = RatFunc(poly_from_pairs((1, 4)), poly_from_pairs((0, 1), (1, 2), (2, 1)))
+CUBE_MAP = RatFunc(poly_from_pairs((3, 1)))
+_X = RatFunc.x()
+_U, _V = Poly.x(), poly_from_pairs((0, 1), (1, -1))  # u and 1 - u
+_HALF = Fraction(1, 2)
 
-    Steps (each compared by two independent evaluation routes):
-      euler-transform-integral: (4/3)^(2-3b) 2F1(1/2,b;5/2-2b;1/4) equals
-          G(5/2-2b)/(G(5/2-3b)G(b)) * int t^(3/2-3b)(1-t)^(b-1)(1-t/4)^(2b-2);
-      substitution: t = 4u/(1+u)^2 turns that integral into
+# prod P(u)^e over (0, 1); a constant is a P of degree 0
+Factors = tuple[tuple[Poly, Fraction], ...]
+
+
+class _Unproven(ArithmeticError):
+    """A side condition of an exact proof step that does not hold."""
+
+
+@cache
+def _composed(p: Poly, phi: RatFunc, flip: bool) -> tuple[Poly, Poly]:
+    """p(phi(u)), or p(1 - phi(u)) when flip, as num / den with den(1/2) > 0."""
+    r = RatFunc(p).compose(RatFunc(_V).compose(phi) if flip else phi)
+    return (r.num, r.den) if r.den(_HALF) > 0 else (-r.num, -r.den)
+
+
+@cache
+def _jacobian(phi: RatFunc) -> Factors:
+    """|phi'| as factors, for a phi that takes 0 and 1 to 0 and 1 or to 1
+    and 0.  `_factorised` then shows each factor positive on (0, 1), so phi'
+    keeps one sign there and phi is monotone from (0, 1) onto (0, 1)."""
+    try:
+        ends = (phi(0), phi(1))
+    except PoleError:
+        ends = None
+    if ends not in ((0, 1), (1, 0)):
+        raise _Unproven(f"{phi!r} does not map (0, 1) onto itself")
+    n, d = phi.num, phi.den
+    slope = n.derivative() * d - n * d.derivative()
+    return (
+        (slope if ends == (0, 1) else -slope, Fraction(1)),
+        (d if d(_HALF) > 0 else -d, Fraction(-2)),
+    )
+
+
+def _substituted(f: PowerIntegrand, phi: RatFunc = _X) -> Factors:
+    """f's integrand at x = phi(u), times |phi'(u)|, as factors in u."""
+    out = []
+    for var, coeffs, r in (("u", (0, 1), f.u_exp), ("v", (0, 1), f.v_exp), *f.factors):
+        num, den = _composed(Poly(coeffs), phi, var == "v")
+        out += ((num, r), (den, -r))
+    return (*out, *_jacobian(phi))
+
+
+@cache
+def _factorised(polys: tuple[Poly, ...]) -> tuple[tuple[Poly, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]]:
+    """A basis u, 1 - u, Q_1, ... of pairwise coprime polynomials, and each
+    of polys as c u^k (1-u)^m prod Q_j^(n_j): one row (c, (k, m, n_1, ...))
+    each.  Every Q_j, signed positive at 1/2, must have only positive
+    Bernstein coefficients on [0, 1], and every c must be positive, so that
+    each polynomial is certainly positive on (0, 1) (_Unproven otherwise)."""
+    cores = []
+    for p in polys:
+        if p.is_zero:
+            raise _Unproven("a factor vanishes identically")
+        k = next(i for i, c in enumerate(p.coeffs) if c)
+        p, m = Poly(p.coeffs[k:]), 0
+        while p(1) == 0:
+            p, m = p.divmod(_V)[0], m + 1
+        cores.append((p, k, m))
+    basis, todo = [], [p for p, _, _ in cores if p.degree > 0]
+    while todo:  # split any two with a common factor into g, p/g and q/g
+        p = todo.pop()
+        for i, q in enumerate(basis):
+            g = poly_gcd(p, q)
+            if g.degree > 0:
+                del basis[i]
+                todo += [r for r in (g, p.divmod(g)[0], q.divmod(g)[0]) if r.degree > 0]
+                break
+        else:
+            basis.append(p)
+    basis = [q.primitive_scale()[1] for q in basis]
+    basis = [q if q(_HALF) > 0 else -q for q in basis]
+    if not all(_bernstein_positive(q.coeffs) for q in basis):
+        raise _Unproven("a factor is not certainly positive on (0, 1)")
+    rows = []
+    for p, k, m in cores:
+        mults = []
+        for q in basis:
+            n = 0
+            while (qr := p.divmod(q))[1].is_zero:
+                p, n = qr[0], n + 1
+            mults.append(n)
+        if p.degree != 0 or p.coeffs[0] <= 0:
+            raise _Unproven("a factor is not certainly positive on (0, 1)")
+        rows.append((p.coeffs[0], (k, m, *mults)))
+    return (_U, _V, *basis), tuple(rows)
+
+
+def _integrals_agree(lhs: Factors, *rhs: tuple[int, Factors]) -> Verdict:
+    """Whether int_0^1 lhs equals the sum of sign * int_0^1 term over the
+    (sign, term) of rhs, proved from the same identity of the integrands.
+
+    Each integrand is reduced over one coprime basis (`_factorised`), and
+    its exponents of u and 1 - u must be above -1, so that every integral
+    converges.  Each term over lhs must be a rational function: a rational
+    constant (the prime exponents of `_integer_powers`, all integers) times
+    integer powers of the basis.  The identity then holds on (0, 1) exactly
+    when the terms over their common factor sum to the zero polynomial."""
+    terms = ((-1, lhs), *rhs)
+    basis, rows = _factorised(tuple(p for _, t in terms for p, _ in t))
+    rows = iter(rows)
+    forms = []
+    for sign, t in terms:
+        consts, expo = [], [0] * len(basis)
+        for (_, e), (c, ks) in zip(t, rows):
+            consts.append((c, e))
+            expo = [x + e * k if k else x for x, k in zip(expo, ks)]
+        if expo[0] <= -1 or expo[1] <= -1:
+            raise _Unproven("an endpoint exponent is at most -1: the integral diverges")
+        forms.append((sign, consts, expo))
+    _, c0, x0 = forms[0]
+    total = []
+    for sign, consts, expo in forms:
+        ratio = _integer_powers(consts + [(c, -e) for c, e in c0])
+        shift = [x - y for x, y in zip(expo, x0)]
+        if any(k.denominator != 1 for k in (*ratio.values(), *shift)):
+            return Verdict.DISTINCT
+        total.append((sign * prod(Fraction(n) ** int(k) for n, k in ratio.items()), shift))
+    low = [min(col) for col in zip(*(shift for _, shift in total))]
+    acc = Poly.zero()
+    for r, shift in total:
+        acc = acc + prod((q ** int(k - lo) for q, k, lo in zip(basis, shift, low)), start=Poly.constant(r))
+    return Verdict.EQUAL if acc.is_zero else Verdict.DISTINCT
+
+
+def prove_substitution_steps(b: Fraction) -> dict[str, Verdict]:
+    """Steps 2-4 of the proof at b, each proved exactly as an identity of
+    integrands over (0, 1) by `_integrals_agree`:
+      substitution: i_t's integrand at t = 4u/(1+u)^2, times dt/du, is
+          4^(5/2-3b) times i_u's;
+      cyclotomic: i_cyc's 3 - 3v + v^2 at v = 1 - u is i_u's 1 + u + u^2;
+      cube-substitution: the integrands of B(5/6-b, 2b-1) and
+          B(7/6-b, 2b-1), each at v = u^3 times dv/du, differ by 3 times
+          i_cyc's.
+    A step is EQUAL when proved, and DISTINCT when its integrands differ or
+    a side condition fails: a factor not certainly positive on (0, 1), a
+    map not monotone from (0, 1) onto (0, 1), or an exponent of u or 1 - u
+    at most -1 (so some integral diverges, as at b = 1/2 and b = 5/6).
+    The polynomial work is cached, so a second b costs exponent arithmetic."""
+    b = _fr(b)
+    f_t, f_u, f_cyc = proof_integrands(b)
+    four = ((Poly.constant(4), Fraction(5, 2) - 3 * b),)
+    third = ((Poly.constant(3), Fraction(-1)),)
+    betas = [
+        (sign, third + _substituted(PowerIntegrand(x - 1, 2 * b - 2), CUBE_MAP))
+        for sign, x in ((1, Fraction(5, 6) - b), (-1, Fraction(7, 6) - b))
+    ]
+    steps = {
+        PROOF_STEPS[1]: lambda: _integrals_agree(
+            _substituted(f_t, SUBSTITUTION_MAP), (1, four + _substituted(f_u))
+        ),
+        PROOF_STEPS[2]: lambda: _integrals_agree(_substituted(f_u), (1, _substituted(f_cyc))),
+        PROOF_STEPS[3]: lambda: _integrals_agree(_substituted(f_cyc), *betas),
+    }
+    verdicts = {}
+    for step, check in steps.items():
+        try:
+            verdicts[step] = check()
+        except _Unproven:
+            verdicts[step] = Verdict.DISTINCT
+    return verdicts
+
+
+def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
+    """Verify each step in the proof of Gosper's formula at a given rational
+    b, returning a per-step verdict in the order of PROOF_STEPS.
+
+    Steps (PROOF_METHODS names how each is checked):
+      euler-transform-integral (numeric): (4/3)^(2-3b) 2F1(1/2,b;5/2-2b;1/4)
+          equals G(5/2-2b)/(G(5/2-3b)G(b)) * i_t, with the series against
+          the tanh-sinh value of i_t = int t^(3/2-3b)(1-t)^(b-1)(1-t/4)^(2b-2);
+      substitution (exact): t = 4u/(1+u)^2 turns i_t into
           4^(5/2-3b) int u^(3/2-3b)(1-u)^(2b-1)(1+u+u^2)^(2b-2);
-      cyclotomic: (1-u)(1+u+u^2) = 1-u^3 rewrites the integrand as
+      cyclotomic (exact): (1-u)(1+u+u^2) = 1-u^3 rewrites the integrand as
           (u^(3/2-3b) - u^(5/2-3b))(1-u^3)^(2b-2);
-      cube-substitution: v = u^3 reduces it to
+      cube-substitution (exact): v = u^3 reduces it to
           (B(5/6-b, 2b-1) - B(7/6-b, 2b-1))/3;
-      reflection-closed-form: that difference equals
-          -G(2b-1) G(5/6-b) G(7/6-b) cos(pi b) / pi.
+      reflection-closed-form (numeric): that difference, from the Beta
+          series, equals -G(2b-1) G(5/6-b) G(7/6-b) cos(pi b) / pi.
+    The exact steps are `prove_substitution_steps`; they integrate nothing.
 
     Requires b in (1/2, 5/6) so every integral converges absolutely.
     """
@@ -341,9 +526,7 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
     verdicts: dict[str, Verdict] = {}
 
     quarter = Fraction(1, 4)
-    integrand_t, integrand_u, integrand_cyc = proof_integrands(b)
-    i_t = tanh_sinh_integrate(integrand_t, qprec)
-
+    i_t = tanh_sinh_integrate(proof_integrands(b)[0], qprec)
     lhs_series = f21_series(gosper_lhs_params(b), quarter, qprec)
     scale = BigReal.from_fraction(Fraction(4, 3), qprec.work_bits).pow_rational(
         2 - 3 * b
@@ -352,21 +535,11 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
         gamma(Fraction(5, 2) - 3 * b, qprec) * gamma(b, qprec)
     )
     verdicts[PROOF_STEPS[0]] = num_equal(lhs_series * scale, pref * i_t, prec)
-
-    i_u = tanh_sinh_integrate(integrand_u, qprec)
-    four_pow = BigReal.from_fraction(Fraction(4), qprec.work_bits).pow_rational(
-        Fraction(5, 2) - 3 * b
-    )
-    verdicts[PROOF_STEPS[1]] = num_equal(i_t, four_pow * i_u, prec)
-
-    i_cyc = tanh_sinh_integrate(integrand_cyc, qprec)
-    verdicts[PROOF_STEPS[2]] = num_equal(i_u, i_cyc, prec)
+    verdicts.update(prove_substitution_steps(b))
 
     delta = beta(Fraction(5, 6) - b, 2 * b - 1, qprec) - beta(
         Fraction(7, 6) - b, 2 * b - 1, qprec
     )
-    verdicts[PROOF_STEPS[3]] = num_equal(i_cyc, delta / 3, prec)
-
     closed = -(
         gamma(2 * b - 1, qprec)
         * gamma(Fraction(5, 6) - b, qprec)

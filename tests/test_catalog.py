@@ -408,6 +408,11 @@ BAD_INPUTS = {
     "gamma-expr-not-an-object": dict(POINT_RECORD, rhs={"gamma_expr": [["2", "1"]]}),
     "chain-b-not-a-list": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": 5},
     "chain-b-empty": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": []},
+    # the proof's integrals converge only for 1/2 < b < 5/6
+    "chain-b-at-one-half": {"id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": ["1/2"]},
+    "chain-b-out-of-range": {
+        "id": "g", "kind": "proof-chain", "chain": "gosper-proof", "b": ["5/8", "5/6", "9/10"],
+    },
     "rule-unknown": dict(RULE_RECORD, rule="eulr"),
     "chain-unknown": {"id": "g", "kind": "proof-chain", "chain": "gosper-prof"},
     "point-exact-exponent-not-integer": dict(

@@ -198,6 +198,9 @@ class TestProofCheck:
         code, out, _ = run(capsys, "proof-check", "--b", "5/8", "--digits", "30")
         assert code == 0
         assert out.count("equal-within-bounds") == 5
+        # each verdict is followed by how its step was checked
+        methods = [line.split()[-1] for line in out.splitlines()]
+        assert methods == ["numeric", "exact", "exact", "exact", "numeric"]
 
     def test_out_of_range_b_is_usage_error(self, capsys):
         code, _, err = run(capsys, "proof-check", "--b", "1/4", "--digits", "30")
@@ -210,6 +213,14 @@ class TestProofCheck:
         assert code == 0
         data = json.loads(out)
         assert len(data["steps"]) == 5
+        assert set(data["steps"].values()) == {"equal-within-bounds"}
+        assert data["methods"] == {
+            "euler-transform-integral": "numeric",
+            "substitution": "exact",
+            "cyclotomic": "exact",
+            "cube-substitution": "exact",
+            "reflection-closed-form": "numeric",
+        }
 
 
 class TestQuadcheck:

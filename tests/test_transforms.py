@@ -8,6 +8,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp
 
 from helpers import assert_encloses, overlap, points, rhs_enclosure
@@ -16,17 +18,20 @@ from hypergamma.catalog import DEFAULT_CATALOG, IdentityRecord, catalog_load, ve
 from hypergamma.exact import Poly, RatFunc, poly_from_pairs
 from hypergamma.gammaexpr import Verdict, ge_eval, num_equal
 from hypergamma.hyper import HypParams, f21_eval, f21_terminating
-from hypergamma.mpreal import Precision
+from hypergamma.mpreal import BigReal, PowerIntegrand, Precision, beta, tanh_sinh_integrate
 from hypergamma.transforms import (
+    CUBE_MAP,
     CUBIC,
     EULER,
     MAIN_ARGUMENT,
     MAIN_PARAMS,
     MAIN_RHS,
+    PROOF_METHODS,
     PROOF_STEPS,
     QUADRATIC_C_2B,
     QUADRATIC_MEAN,
     RULES,
+    SUBSTITUTION_MAP,
     DerivationError,
     HypTerm,
     TransformError,
@@ -34,9 +39,14 @@ from hypergamma.transforms import (
     derive_main,
     gosper_lhs_params,
     gosper_rhs,
+    proof_integrands,
+    prove_substitution_steps,
     twelfth_degree_map,
     verify_gosper_proof,
     verify_zj_split,
+    _integrals_agree,
+    _substituted,
+    _Unproven,
 )
 
 P30 = Precision.of(30)
@@ -204,6 +214,121 @@ class TestGosperProof:
         for b in (F(1, 4), F(1, 2), F(5, 6), F(9, 10)):
             with pytest.raises(TransformError):
                 verify_gosper_proof(b, P30)
+
+    @pytest.mark.parametrize("b", (F(5, 8), F(7, 10)), ids=str)
+    def test_quadrature_agrees_with_the_exact_steps(self, b):
+        # the tanh-sinh values of i_u and i_cyc, which the exact steps no
+        # longer compute, match i_t / 4^(5/2-3b) and the Beta difference / 3
+        prec = Precision.of(20)
+        q = prec.boosted(16)
+        i_t, i_u, i_cyc = (tanh_sinh_integrate(f, q) for f in proof_integrands(b))
+        four = BigReal.from_fraction(F(4), q.work_bits).pow_rational(F(5, 2) - 3 * b)
+        delta = beta(F(5, 6) - b, 2 * b - 1, q) - beta(F(7, 6) - b, 2 * b - 1, q)
+        assert num_equal(i_u, i_t / four, prec) is Verdict.EQUAL
+        assert num_equal(i_cyc, delta / 3, prec) is Verdict.EQUAL
+
+
+# every b in (1/2, 5/6) with denominator at most 48
+PROOF_RANGE = sorted({F(n, d) for d in range(1, 49) for n in range(d) if F(1, 2) < F(n, d) < F(5, 6)})
+
+
+def _step2(b, f_u=None, const=None, t_map=SUBSTITUTION_MAP):
+    """Step 2 with one of its parts replaced."""
+    f_t, default_u, _ = proof_integrands(b)
+    const = F(5, 2) - 3 * b if const is None else const
+    rhs = ((Poly.constant(4), const),) + _substituted(f_u or default_u)
+    return _integrals_agree(_substituted(f_t, t_map), (1, rhs))
+
+
+class TestExactProofSteps:
+    """The exact checker of steps 2-4 proves the true steps and rejects each
+    way a step can be wrong: its integrands, its map or a side condition."""
+
+    def test_methods(self):
+        assert tuple(PROOF_METHODS) == PROOF_STEPS
+        assert list(PROOF_METHODS.values()) == ["numeric", "exact", "exact", "exact", "numeric"]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.sampled_from(PROOF_RANGE))
+    def test_steps_are_proved_across_the_range(self, b):
+        verdicts = prove_substitution_steps(b)
+        assert tuple(verdicts) == PROOF_STEPS[1:4]
+        assert all(v is Verdict.EQUAL for v in verdicts.values()), (b, verdicts)
+
+    def test_a_wrong_exponent_is_distinct(self):
+        b = F(5, 8)
+        f_u = proof_integrands(b)[1]
+        for du, dv in ((F(1, 48), 0), (0, F(-1, 48)), (1, 0)):
+            wrong = PowerIntegrand(f_u.u_exp + du, f_u.v_exp + dv, f_u.factors)
+            assert _step2(b, f_u=wrong) is Verdict.DISTINCT, (du, dv)
+
+    def test_a_wrong_constant_is_distinct(self):
+        b = F(5, 8)
+        assert _step2(b) is Verdict.EQUAL
+        for const in (F(3, 2) - 3 * b, F(5, 2) - 3 * b + F(1, 48)):
+            assert _step2(b, const=const) is Verdict.DISTINCT, const
+
+    def test_a_wrong_map_is_distinct(self):
+        # t = 2u/(1+u) is monotone onto (0, 1), but its integrand is another
+        t_map = RatFunc(poly_from_pairs((1, 2)), poly_from_pairs((0, 1), (1, 1)))
+        assert _step2(F(5, 8), t_map=t_map) is Verdict.DISTINCT
+
+    def test_a_non_monotone_map_is_rejected(self):
+        f_t = proof_integrands(F(5, 8))[0]
+        # 4u(1-u) takes both ends to 0
+        with pytest.raises(_Unproven, match="onto itself"):
+            _substituted(f_t, RatFunc(poly_from_pairs((1, 4), (2, -4))))
+        # u(3u-2) has the right ends, but its slope 6u - 2 changes sign
+        bent = RatFunc(poly_from_pairs((1, -2), (2, 3)))
+        with pytest.raises(_Unproven, match="not certainly positive"):
+            _integrals_agree(_substituted(f_t, bent), (1, _substituted(f_t, bent)))
+
+    def test_a_map_onto_part_of_the_interval_is_rejected(self):
+        # t = u/2: int_0^1 t^a dt = 2^(-a-1) int_0^1 u^a du is false, though
+        # the integrands agree once pulled back
+        half = RatFunc(poly_from_pairs((1, F(1, 2))))
+        f = PowerIntegrand(F(1, 3), 0)
+        with pytest.raises(_Unproven, match="onto itself"):
+            _substituted(f, half)
+
+    def test_a_decreasing_map_is_proved(self):
+        # x = 1 - u swaps the ends: B(p, q) = B(q, p)
+        flip = RatFunc(poly_from_pairs((0, 1), (1, -1)))
+        lhs = _substituted(PowerIntegrand(F(-1, 3), F(2, 5)), flip)
+        assert _integrals_agree(lhs, (1, _substituted(PowerIntegrand(F(2, 5), F(-1, 3))))) is Verdict.EQUAL
+        assert _integrals_agree(lhs, (1, _substituted(PowerIntegrand(F(-1, 3), F(2, 5))))) is Verdict.DISTINCT
+
+    @pytest.mark.parametrize(
+        "factor", (poly_from_pairs((0, 1), (1, -2)), poly_from_pairs((0, -2), (1, 1))), ids=("1-2u", "u-2")
+    )
+    def test_a_factor_not_positive_on_the_interval_is_rejected(self, factor):
+        # the same factor on both sides: the integrands agree, but
+        # (1-2u)^(1/2) changes sign inside (0, 1) and (u-2)^(1/2) is negative
+        f_u = _substituted(proof_integrands(F(5, 8))[1])
+        extra = ((factor, F(1, 2)),)
+        with pytest.raises(_Unproven, match="not certainly positive"):
+            _integrals_agree(f_u + extra, (1, f_u + extra))
+
+    @pytest.mark.parametrize(
+        "b, rejected",
+        ((F(1, 2), {"cube-substitution"}), (F(5, 6), set(PROOF_STEPS[1:4]))),
+        ids=("b=1/2", "b=5/6"),
+    )
+    def test_the_ends_of_the_range_fail_the_exponent_test(self, b, rejected):
+        # at b = 1/2 only the Betas diverge, (1 - v)^-1; at b = 5/6 so does
+        # every u^(3/2-3b) = u^-1.  The integrands still agree at both ends,
+        # so only the exponent test rejects them.
+        verdicts = prove_substitution_steps(b)
+        assert {s for s, v in verdicts.items() if v is not Verdict.EQUAL} == rejected
+        assert all(v is Verdict.DISTINCT for s, v in verdicts.items() if s in rejected)
+        f_t, f_u, f_cyc = proof_integrands(b)
+        third = ((Poly.constant(3), F(-1)),)
+        betas = [
+            (s, third + _substituted(PowerIntegrand(x - 1, 2 * b - 2), CUBE_MAP))
+            for s, x in ((1, F(5, 6) - b), (-1, F(7, 6) - b))
+        ]
+        with pytest.raises(_Unproven, match="endpoint exponent"):
+            _integrals_agree(_substituted(f_cyc), *betas)
 
 
 class TestSplit:
