@@ -481,16 +481,14 @@ def prove_substitution_steps(b: Fraction) -> dict[str, Verdict]:
         for sign, x in ((1, Fraction(5, 6) - b), (-1, Fraction(7, 6) - b))
     ]
     steps = {
-        PROOF_STEPS[1]: lambda: _integrals_agree(
-            _substituted(f_t, SUBSTITUTION_MAP), (1, four + _substituted(f_u))
-        ),
-        PROOF_STEPS[2]: lambda: _integrals_agree(_substituted(f_u), (1, _substituted(f_cyc))),
-        PROOF_STEPS[3]: lambda: _integrals_agree(_substituted(f_cyc), *betas),
+        PROOF_STEPS[1]: (_substituted(f_t, SUBSTITUTION_MAP), (1, four + _substituted(f_u))),
+        PROOF_STEPS[2]: (_substituted(f_u), (1, _substituted(f_cyc))),
+        PROOF_STEPS[3]: (_substituted(f_cyc), *betas),
     }
     verdicts = {}
-    for step, check in steps.items():
+    for step, (lhs, *rhs) in steps.items():
         try:
-            verdicts[step] = check()
+            verdicts[step] = _integrals_agree(lhs, *rhs)
         except _Unproven:
             verdicts[step] = Verdict.DISTINCT
     return verdicts
