@@ -17,25 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from math import prod
 from typing import Callable
 
-from .exact import PoleError, Poly, RatFunc, poly_from_pairs, poly_gcd, rational_str
-from .gammaexpr import (
-    GammaExpr,
-    Verdict,
-    _integer_powers,
-    achieved_digits,
-    ge_eval,
-    num_equal,
-)
+from .exact import Poly, RatFunc, poly_from_pairs, rational_str
+from .gammaexpr import GammaExpr, Verdict, achieved_digits, ge_eval, num_equal
 from .hyper import HypParams, f21_eval, f21_series
 from .mpreal import (
     BigReal,
     PowerIntegrand,
     Precision,
-    _bernstein_positive,
     beta,
     cos_pi_times,
     gamma,
@@ -329,138 +319,11 @@ def proof_integrands(b: Fraction) -> tuple[PowerIntegrand, PowerIntegrand, Power
 # The proof's substitutions: t = 4u/(1+u)^2 (step 2) and v = u^3 (step 4)
 SUBSTITUTION_MAP = RatFunc(poly_from_pairs((1, 4)), poly_from_pairs((0, 1), (1, 2), (2, 1)))
 CUBE_MAP = RatFunc(poly_from_pairs((3, 1)))
-_X = RatFunc.x()
-_U, _V = Poly.x(), poly_from_pairs((0, 1), (1, -1))  # u and 1 - u
-_HALF = Fraction(1, 2)
-
-# prod P(u)^e over (0, 1); a constant is a P of degree 0
-Factors = tuple[tuple[Poly, Fraction], ...]
-
-
-class _Unproven(ArithmeticError):
-    """A side condition of an exact proof step that does not hold."""
-
-
-@cache
-def _composed(p: Poly, phi: RatFunc, flip: bool) -> tuple[Poly, Poly]:
-    """p(phi(u)), or p(1 - phi(u)) when flip, as num / den with den(1/2) > 0."""
-    r = RatFunc(p).compose(RatFunc(_V).compose(phi) if flip else phi)
-    return (r.num, r.den) if r.den(_HALF) > 0 else (-r.num, -r.den)
-
-
-@cache
-def _jacobian(phi: RatFunc) -> Factors:
-    """|phi'| as factors, for a phi that takes 0 and 1 to 0 and 1 or to 1
-    and 0.  `_factorised` then shows each factor positive on (0, 1), so phi'
-    keeps one sign there and phi is monotone from (0, 1) onto (0, 1)."""
-    try:
-        ends = (phi(0), phi(1))
-    except PoleError:
-        ends = None
-    if ends not in ((0, 1), (1, 0)):
-        raise _Unproven(f"{phi!r} does not map (0, 1) onto itself")
-    n, d = phi.num, phi.den
-    slope = n.derivative() * d - n * d.derivative()
-    return (
-        (slope if ends == (0, 1) else -slope, Fraction(1)),
-        (d if d(_HALF) > 0 else -d, Fraction(-2)),
-    )
-
-
-def _substituted(f: PowerIntegrand, phi: RatFunc = _X) -> Factors:
-    """f's integrand at x = phi(u), times |phi'(u)|, as factors in u."""
-    out = []
-    for var, coeffs, r in (("u", (0, 1), f.u_exp), ("v", (0, 1), f.v_exp), *f.factors):
-        num, den = _composed(Poly(coeffs), phi, var == "v")
-        out += ((num, r), (den, -r))
-    return (*out, *_jacobian(phi))
-
-
-@cache
-def _factorised(polys: tuple[Poly, ...]) -> tuple[tuple[Poly, ...], tuple[tuple[Fraction, tuple[int, ...]], ...]]:
-    """A basis u, 1 - u, Q_1, ... of pairwise coprime polynomials, and each
-    of polys as c u^k (1-u)^m prod Q_j^(n_j): one row (c, (k, m, n_1, ...))
-    each.  Every Q_j, signed positive at 1/2, must have only positive
-    Bernstein coefficients on [0, 1], and every c must be positive, so that
-    each polynomial is certainly positive on (0, 1) (_Unproven otherwise)."""
-    cores = []
-    for p in polys:
-        if p.is_zero:
-            raise _Unproven("a factor vanishes identically")
-        k = next(i for i, c in enumerate(p.coeffs) if c)
-        p, m = Poly(p.coeffs[k:]), 0
-        while p(1) == 0:
-            p, m = p.divmod(_V)[0], m + 1
-        cores.append((p, k, m))
-    basis, todo = [], [p for p, _, _ in cores if p.degree > 0]
-    while todo:  # split any two with a common factor into g, p/g and q/g
-        p = todo.pop()
-        for i, q in enumerate(basis):
-            g = poly_gcd(p, q)
-            if g.degree > 0:
-                del basis[i]
-                todo += [r for r in (g, p.divmod(g)[0], q.divmod(g)[0]) if r.degree > 0]
-                break
-        else:
-            basis.append(p)
-    basis = [q.primitive_scale()[1] for q in basis]
-    basis = [q if q(_HALF) > 0 else -q for q in basis]
-    if not all(_bernstein_positive(q.coeffs) for q in basis):
-        raise _Unproven("a factor is not certainly positive on (0, 1)")
-    rows = []
-    for p, k, m in cores:
-        mults = []
-        for q in basis:
-            n = 0
-            while (qr := p.divmod(q))[1].is_zero:
-                p, n = qr[0], n + 1
-            mults.append(n)
-        if p.degree != 0 or p.coeffs[0] <= 0:
-            raise _Unproven("a factor is not certainly positive on (0, 1)")
-        rows.append((p.coeffs[0], (k, m, *mults)))
-    return (_U, _V, *basis), tuple(rows)
-
-
-def _integrals_agree(lhs: Factors, *rhs: tuple[int, Factors]) -> Verdict:
-    """Whether int_0^1 lhs equals the sum of sign * int_0^1 term over the
-    (sign, term) of rhs, proved from the same identity of the integrands.
-
-    Each integrand is reduced over one coprime basis (`_factorised`), and
-    its exponents of u and 1 - u must be above -1, so that every integral
-    converges.  Each term over lhs must be a rational function: a rational
-    constant (the prime exponents of `_integer_powers`, all integers) times
-    integer powers of the basis.  The identity then holds on (0, 1) exactly
-    when the terms over their common factor sum to the zero polynomial."""
-    terms = ((-1, lhs), *rhs)
-    basis, rows = _factorised(tuple(p for _, t in terms for p, _ in t))
-    rows = iter(rows)
-    forms = []
-    for sign, t in terms:
-        consts, expo = [], [0] * len(basis)
-        for (_, e), (c, ks) in zip(t, rows):
-            consts.append((c, e))
-            expo = [x + e * k if k else x for x, k in zip(expo, ks)]
-        if expo[0] <= -1 or expo[1] <= -1:
-            raise _Unproven("an endpoint exponent is at most -1: the integral diverges")
-        forms.append((sign, consts, expo))
-    _, c0, x0 = forms[0]
-    total = []
-    for sign, consts, expo in forms:
-        ratio = _integer_powers(consts + [(c, -e) for c, e in c0])
-        shift = [x - y for x, y in zip(expo, x0)]
-        if any(k.denominator != 1 for k in (*ratio.values(), *shift)):
-            return Verdict.DISTINCT
-        total.append((sign * prod(Fraction(n) ** int(k) for n, k in ratio.items()), shift))
-    low = [min(col) for col in zip(*(shift for _, shift in total))]
-    acc = Poly.zero()
-    for r, shift in total:
-        acc = acc + prod((q ** int(k - lo) for q, k, lo in zip(basis, shift, low)), start=Poly.constant(r))
-    return Verdict.EQUAL if acc.is_zero else Verdict.DISTINCT
 
 
 def prove_substitution_steps(b: Fraction) -> dict[str, Verdict]:
     """Steps 2-4 of the proof at b, each proved exactly as an identity of
-    integrands over (0, 1) by `_integrals_agree`:
+    integrands over (0, 1) by `integrals.integrals_agree`:
       substitution: i_t's integrand at t = 4u/(1+u)^2, times dt/du, is
           4^(5/2-3b) times i_u's;
       cyclotomic: i_cyc's 3 - 3v + v^2 at v = 1 - u is i_u's 1 + u + u^2;
@@ -472,24 +335,27 @@ def prove_substitution_steps(b: Fraction) -> dict[str, Verdict]:
     map not monotone from (0, 1) onto (0, 1), or an exponent of u or 1 - u
     at most -1 (so some integral diverges, as at b = 1/2 and b = 5/6).
     The polynomial work is cached, so a second b costs exponent arithmetic."""
+    # imported here, so that only a process that proves a step compiles it
+    from .integrals import Unproven, integrals_agree, substituted
+
     b = _fr(b)
     f_t, f_u, f_cyc = proof_integrands(b)
     four = ((Poly.constant(4), Fraction(5, 2) - 3 * b),)
     third = ((Poly.constant(3), Fraction(-1)),)
     betas = [
-        (sign, third + _substituted(PowerIntegrand(x - 1, 2 * b - 2), CUBE_MAP))
+        (sign, third + substituted(PowerIntegrand(x - 1, 2 * b - 2), CUBE_MAP))
         for sign, x in ((1, Fraction(5, 6) - b), (-1, Fraction(7, 6) - b))
     ]
     steps = {
-        PROOF_STEPS[1]: (_substituted(f_t, SUBSTITUTION_MAP), (1, four + _substituted(f_u))),
-        PROOF_STEPS[2]: (_substituted(f_u), (1, _substituted(f_cyc))),
-        PROOF_STEPS[3]: (_substituted(f_cyc), *betas),
+        PROOF_STEPS[1]: (substituted(f_t, SUBSTITUTION_MAP), (1, four + substituted(f_u))),
+        PROOF_STEPS[2]: (substituted(f_u), (1, substituted(f_cyc))),
+        PROOF_STEPS[3]: (substituted(f_cyc), *betas),
     }
     verdicts = {}
     for step, (lhs, *rhs) in steps.items():
         try:
-            verdicts[step] = _integrals_agree(lhs, *rhs)
-        except _Unproven:
+            verdicts[step] = integrals_agree(lhs, *rhs)
+        except Unproven:
             verdicts[step] = Verdict.DISTINCT
     return verdicts
 

@@ -18,6 +18,7 @@ from hypergamma.catalog import DEFAULT_CATALOG, IdentityRecord, catalog_load, ve
 from hypergamma.exact import Poly, RatFunc, poly_from_pairs
 from hypergamma.gammaexpr import Verdict, ge_eval, num_equal
 from hypergamma.hyper import HypParams, f21_eval, f21_terminating
+from hypergamma.integrals import Unproven, integrals_agree, substituted
 from hypergamma.mpreal import BigReal, PowerIntegrand, Precision, beta, tanh_sinh_integrate
 from hypergamma.transforms import (
     CUBE_MAP,
@@ -44,9 +45,6 @@ from hypergamma.transforms import (
     twelfth_degree_map,
     verify_gosper_proof,
     verify_zj_split,
-    _integrals_agree,
-    _substituted,
-    _Unproven,
 )
 
 P30 = Precision.of(30)
@@ -236,8 +234,8 @@ def _step2(b, f_u=None, const=None, t_map=SUBSTITUTION_MAP):
     """Step 2 with one of its parts replaced."""
     f_t, default_u, _ = proof_integrands(b)
     const = F(5, 2) - 3 * b if const is None else const
-    rhs = ((Poly.constant(4), const),) + _substituted(f_u or default_u)
-    return _integrals_agree(_substituted(f_t, t_map), (1, rhs))
+    rhs = ((Poly.constant(4), const),) + substituted(f_u or default_u)
+    return integrals_agree(substituted(f_t, t_map), (1, rhs))
 
 
 class TestExactProofSteps:
@@ -276,27 +274,27 @@ class TestExactProofSteps:
     def test_a_non_monotone_map_is_rejected(self):
         f_t = proof_integrands(F(5, 8))[0]
         # 4u(1-u) takes both ends to 0
-        with pytest.raises(_Unproven, match="onto itself"):
-            _substituted(f_t, RatFunc(poly_from_pairs((1, 4), (2, -4))))
+        with pytest.raises(Unproven, match="onto itself"):
+            substituted(f_t, RatFunc(poly_from_pairs((1, 4), (2, -4))))
         # u(3u-2) has the right ends, but its slope 6u - 2 changes sign
         bent = RatFunc(poly_from_pairs((1, -2), (2, 3)))
-        with pytest.raises(_Unproven, match="not certainly positive"):
-            _integrals_agree(_substituted(f_t, bent), (1, _substituted(f_t, bent)))
+        with pytest.raises(Unproven, match="not certainly positive"):
+            integrals_agree(substituted(f_t, bent), (1, substituted(f_t, bent)))
 
     def test_a_map_onto_part_of_the_interval_is_rejected(self):
         # t = u/2: int_0^1 t^a dt = 2^(-a-1) int_0^1 u^a du is false, though
         # the integrands agree once pulled back
         half = RatFunc(poly_from_pairs((1, F(1, 2))))
         f = PowerIntegrand(F(1, 3), 0)
-        with pytest.raises(_Unproven, match="onto itself"):
-            _substituted(f, half)
+        with pytest.raises(Unproven, match="onto itself"):
+            substituted(f, half)
 
     def test_a_decreasing_map_is_proved(self):
         # x = 1 - u swaps the ends: B(p, q) = B(q, p)
         flip = RatFunc(poly_from_pairs((0, 1), (1, -1)))
-        lhs = _substituted(PowerIntegrand(F(-1, 3), F(2, 5)), flip)
-        assert _integrals_agree(lhs, (1, _substituted(PowerIntegrand(F(2, 5), F(-1, 3))))) is Verdict.EQUAL
-        assert _integrals_agree(lhs, (1, _substituted(PowerIntegrand(F(-1, 3), F(2, 5))))) is Verdict.DISTINCT
+        lhs = substituted(PowerIntegrand(F(-1, 3), F(2, 5)), flip)
+        assert integrals_agree(lhs, (1, substituted(PowerIntegrand(F(2, 5), F(-1, 3))))) is Verdict.EQUAL
+        assert integrals_agree(lhs, (1, substituted(PowerIntegrand(F(-1, 3), F(2, 5))))) is Verdict.DISTINCT
 
     @pytest.mark.parametrize(
         "factor", (poly_from_pairs((0, 1), (1, -2)), poly_from_pairs((0, -2), (1, 1))), ids=("1-2u", "u-2")
@@ -304,10 +302,10 @@ class TestExactProofSteps:
     def test_a_factor_not_positive_on_the_interval_is_rejected(self, factor):
         # the same factor on both sides: the integrands agree, but
         # (1-2u)^(1/2) changes sign inside (0, 1) and (u-2)^(1/2) is negative
-        f_u = _substituted(proof_integrands(F(5, 8))[1])
+        f_u = substituted(proof_integrands(F(5, 8))[1])
         extra = ((factor, F(1, 2)),)
-        with pytest.raises(_Unproven, match="not certainly positive"):
-            _integrals_agree(f_u + extra, (1, f_u + extra))
+        with pytest.raises(Unproven, match="not certainly positive"):
+            integrals_agree(f_u + extra, (1, f_u + extra))
 
     @pytest.mark.parametrize(
         "b, rejected",
@@ -324,11 +322,11 @@ class TestExactProofSteps:
         f_t, f_u, f_cyc = proof_integrands(b)
         third = ((Poly.constant(3), F(-1)),)
         betas = [
-            (s, third + _substituted(PowerIntegrand(x - 1, 2 * b - 2), CUBE_MAP))
+            (s, third + substituted(PowerIntegrand(x - 1, 2 * b - 2), CUBE_MAP))
             for s, x in ((1, F(5, 6) - b), (-1, F(7, 6) - b))
         ]
-        with pytest.raises(_Unproven, match="endpoint exponent"):
-            _integrals_agree(_substituted(f_cyc), *betas)
+        with pytest.raises(Unproven, match="endpoint exponent"):
+            integrals_agree(substituted(f_cyc), *betas)
 
 
 class TestSplit:
