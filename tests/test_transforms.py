@@ -27,7 +27,6 @@ from hypergamma.transforms import (
     MAIN_ARGUMENT,
     MAIN_PARAMS,
     MAIN_RHS,
-    PROOF_METHODS,
     PROOF_STEPS,
     QUADRATIC_C_2B,
     QUADRATIC_MEAN,
@@ -241,10 +240,6 @@ def _step2(b, f_u=None, const=None, t_map=SUBSTITUTION_MAP):
 class TestExactProofSteps:
     """The exact checker of steps 2-4 proves the true steps and rejects each
     way a step can be wrong: its integrands, its map or a side condition."""
-
-    def test_methods(self):
-        assert tuple(PROOF_METHODS) == PROOF_STEPS
-        assert list(PROOF_METHODS.values()) == ["numeric", "exact", "exact", "exact", "numeric"]
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.sampled_from(PROOF_RANGE))
