@@ -65,6 +65,7 @@ from .hyper import (
 )
 from .mpreal import BigReal, MPRealError, Precision
 from .transforms import (
+    PROOF_B_RANGE,
     RULES,
     DerivationError,
     HypTerm,
@@ -789,7 +790,7 @@ def _compile_chain(data: dict, where: str) -> Checks:
             raise CatalogError(f"{where}: b must be a nonempty list of rationals")
         b = tuple(_rational(x, f"{where} b") for x in b)
         for x in b:
-            if not Fraction(1, 2) < x < Fraction(5, 6):
+            if not PROOF_B_RANGE[0] < x < PROOF_B_RANGE[1]:
                 raise CatalogError(
                     f"{where}: b = {rational_str(x)} is outside (1/2, 5/6), "
                     "where the proof's integrals converge"

@@ -296,6 +296,8 @@ PROOF_STEPS = (
     "cube-substitution",
     "reflection-closed-form",
 )
+# the b where every integral of the proof converges: 2b-1 > 0, 3/2-3b > -1
+PROOF_B_RANGE = (Fraction(1, 2), Fraction(5, 6))
 # "exact": an identity of integrands proved in exact arithmetic;
 # "numeric": two enclosures compared by `num_equal`
 PROOF_METHODS = dict(zip(PROOF_STEPS, ("numeric", "exact", "exact", "exact", "numeric")))
@@ -381,7 +383,7 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
     Requires b in (1/2, 5/6) so every integral converges absolutely.
     """
     b = _fr(b)
-    if not (Fraction(1, 2) < b < Fraction(5, 6)):
+    if not PROOF_B_RANGE[0] < b < PROOF_B_RANGE[1]:
         raise TransformError(
             "proof-step verification requires 1/2 < b < 5/6 "
             "(2b-1 > 0 and 3/2-3b > -1)"
