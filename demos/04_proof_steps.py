@@ -4,10 +4,11 @@ The substitution steps (t = 4u/(1+u)^2, 1 - u^3 = (1 - u)(1 + u + u^2) and
 v = u^3) are proved exactly, as identities between power products of
 polynomials, with their side conditions: positive factors, monotone maps
 onto (0, 1) and convergent integrals.  The first step (the series against
-its Euler integral by quadrature) and the last (the Beta difference against
-its Gamma closed form) are compared numerically.  Each runs at several
-values of the free parameter b inside the absolute-convergence range
-(1/2, 5/6).
+the Euler integral of its Euler transform) rests on the tanh-sinh estimate
+of that integral, so it is reported as estimated; the last (the Beta
+difference against its Gamma closed form) is compared numerically.  Each
+runs at several values of the free parameter b inside the
+absolute-convergence range (1/2, 5/6).
 """
 
 from fractions import Fraction as F

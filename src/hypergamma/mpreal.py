@@ -26,8 +26,9 @@ incomplete gamma Gamma(y, N); ln N, like the log of any exact integer
 incomplete-Beta series at 1/2, with positive terms, and no Gamma.  The
 quadrature is standard tanh-sinh over (0, 1), the one interval of every
 integral in the package, with per-level node caching; each cached node
-holds x and 1 - x as `LogReal`s that carry ln x and ln(1 - x), computed
-once per (bits, level) for every integral at those bits, and handed to the
+holds x and 1 - x as `LogReal`s that carry ln x and ln(1 - x), built by
+`_carrying_log` as pi's and the integer logs are, computed once per
+(bits, level) for every integral at those bits, and handed to the
 integrand at full relative precision, so endpoint-singular factors are
 evaluated without cancellation.  The node loop sums, bounds and tests its
 terms in Python integers.
@@ -36,9 +37,10 @@ Every integrand of the package is a `PowerIntegrand`, the data
 u^a v^b prod P(x)^c with exact rational exponents and polynomials P
 certainly positive on [0, 1]: each P is evaluated by Horner on the
 integers of x's mantissa with a relative bound, and the sum of r ln base
-is taken in integers, so an evaluation costs one log per polynomial and
-one exp.  `power_product`, the same exp of a sum of logs for BigReal
-bases, is also the one fractional power: `BigReal.pow_rational` keeps
+and its bound are taken in integers, so an evaluation costs one log per
+polynomial and one exp.  `power_product` is the same integer sum for
+BigReal bases, each ln from `_log_fixed`, and the same exp (`_exp_sum`).
+It is also the one fractional power: `BigReal.pow_rational` keeps
 exponent 0, the integers (`pow_int`) and 1/2 (`sqrt`), and hands every
 other exponent to it.  pi (`pi_value`) carries its log, taken once per
 precision.
@@ -440,14 +442,17 @@ def _fixed(v, fb: int) -> int:
     return -fixed if sign else fixed
 
 
-def _exp_sum(total: int, den: int, eps, fb: int, bits: int) -> BigReal:
+def _exp_sum(total: int, bound: int, den: int, fb: int, bits: int) -> BigReal:
     """exp(S) at `bits` for S = sum r ln base, the one exp of `power_product`
     and `PowerIntegrand`: total = sum p L over the common denominator den
-    of the r, p = r den and L each ln base cut to fb fraction bits, and the
-    mpf eps bounds |S - floor(total / den) 2^-fb|.  The value carries eps
-    as eps e^eps (e^eps - 1 <= eps e^eps), plus 2^(3-bits) for its
-    rounding."""
+    of the r, p = r den and L each ln base cut to fb fraction bits, and
+    bound = sum |p| (B + 1), B the bound of L in units of 2^-fb and 1 for
+    its cut.  With 1 more for the floor division by den,
+    eps = ceil((bound + den) / den) 2^-fb bounds |S - floor(total / den) 2^-fb|.
+    The value carries eps as eps e^eps (e^eps - 1 <= eps e^eps), plus
+    2^(3-bits) for its rounding."""
     val = mpf_exp(from_man_exp(total // den, -fb), bits, RN)
+    eps = from_man_exp(-(-(bound + den) // den), -fb)
     growth = mpf_add(_emul(eps, mpf_exp(eps, ERR_BITS, RU)), _pow2(3 - bits), ERR_BITS, RU)
     return BigReal(val, _emul(val, growth), bits)
 
@@ -457,35 +462,31 @@ def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
     bases and rational r, as exp(sum r ln base): one exp, and one log for
     each base that does not carry its own (`LogReal`).
 
-    Each ln base is bounded as by `log` (err/lo plus rounding) and scaled
-    by |r|.  The sum is exact in integers over the common denominator d of
-    the r, each ln cut to fb = bits + 8 fraction bits, and one floor
-    division by d: together (sum |r| + 1) 2^-fb.  `_exp_sum` then takes the
-    one exp and carries the total eps."""
+    Each ln base comes from `_log_fixed` at fb = bits + 8 fraction bits,
+    bounded as by `log` (err/lo plus rounding).  Over the common
+    denominator d of the r the sum and its bound are integers, as in
+    `PowerIntegrand`, and `_exp_sum` takes the one exp."""
     bits = max((base.bits for base, _ in factors), default=0)
     factors = [(base, r) for base, r in factors if r]
     if not factors:
         return BigReal(fone, fzero, bits)
     fb = bits + 8
     den = math.lcm(*(r.denominator for _, r in factors))
-    total = weight = 0
-    err = fzero
+    total = bound = 0
     for base, r in factors:
-        ln, lerr = _log_parts(base, fb)
+        L, B = _log_fixed(base, fb)
         p = r.numerator * (den // r.denominator)
-        total += p * _fixed(ln, fb)
-        weight += abs(p)
-        err = mpf_add(err, mpf_mul_int(lerr, abs(p), ERR_BITS, RU), ERR_BITS, RU)
-    cut = from_man_exp(weight + den, -fb)
-    eps = mpf_div(mpf_add(err, cut, ERR_BITS, RU), from_int(den), ERR_BITS, RU)
-    return _exp_sum(total, den, eps, fb, bits)
+        total += p * L
+        bound += abs(p) * (B + 1)
+    return _exp_sum(total, bound, den, fb, bits)
 
 
 def _log_fixed(x: BigReal, fb: int) -> tuple[int, int]:
     """ln x for a certainly positive x as integers (L, B): L the value of
     `_log_parts` at fb bits cut to fb fraction bits, B its bound rounded up
     to a whole number of 2^-fb.  A `LogReal` keeps B for the next call at
-    fb = bits + 8, the fb of an integrand at its own nodes."""
+    fb = bits + 8, the fb of an integrand at its own nodes and of
+    `power_product` at its bases' bits."""
     kept = isinstance(x, LogReal) and fb == x.bits + 8
     if kept and x.fixed_err is not None:
         return _fixed(x.log, fb), x.fixed_err
@@ -572,8 +573,9 @@ class PowerIntegrand:
     A call takes ln u and ln v as `_log_fixed` gives them (from the node
     cache for the quadrature's `LogReal`s), each P by `_horner` at
     fb + 8 bits and one `mpf_log`, bounded by log's rounding plus E/(Y - E)
-    for Horner's enclosure, and sums r ln in integers for `_exp_sum`, the
-    exp of `power_product`: one log per polynomial and one exp."""
+    for Horner's enclosure, and sums r ln and its bound in integers for
+    `_exp_sum`, as `power_product` does: one log per polynomial and one
+    exp."""
 
     u_exp: Fraction
     v_exp: Fraction
@@ -583,7 +585,6 @@ class PowerIntegrand:
     _logs: tuple = field(init=False, repr=False, compare=False)
     _polys: tuple = field(init=False, repr=False, compare=False)
     _den: int = field(init=False, repr=False, compare=False)
-    _weight: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         powers = [(False, Fraction(self.u_exp)), (True, Fraction(self.v_exp))]
@@ -608,9 +609,6 @@ class PowerIntegrand:
                 dsum = sum(k * abs(int(c * cden)) for k, c in enumerate(coeffs))
                 plan.append((is_v, ints, cden, dsum, int(r * den)))
         object.__setattr__(self, "_polys", tuple(plan))
-        object.__setattr__(
-            self, "_weight", sum(abs(p) for _, p in self._logs) + sum(abs(q[-1]) for q in plan)
-        )
 
     def __call__(self, u: BigReal, v: BigReal) -> BigReal:
         bits = max(u.bits, v.bits)
@@ -619,7 +617,7 @@ class PowerIntegrand:
         for is_v, p in self._logs:
             L, B = _log_fixed(v if is_v else u, fb)
             total += p * L
-            bound += abs(p) * B
+            bound += abs(p) * (B + 1)
         for is_v, coeffs, cden, dsum, p in self._polys:
             Y, e, E = _horner(coeffs, cden, dsum, v if is_v else u, fb + 8)
             if Y <= E:
@@ -628,11 +626,8 @@ class PowerIntegrand:
             # log's rounding, (|ln| + 1) 2^(2-fb), and E/(Y - E) for the interval
             B = 4 * ((abs(L) >> fb) + 3) - (-(E << fb) // (Y - E))
             total += p * L
-            bound += abs(p) * B
-        # the bounds, and 1 for each cut and for the floor division by den
-        den = self._den
-        eps = from_man_exp(-(-(bound + self._weight + den) // den), -fb)
-        return _exp_sum(total, den, eps, fb, bits)
+            bound += abs(p) * (B + 1)
+        return _exp_sum(total, bound, self._den, fb, bits)
 
 
 def _sin_pi_reduced(frac: Fraction, bits: int):
@@ -972,13 +967,8 @@ Integrand = Callable[[BigReal, BigReal], BigReal]
 
 def _node_arg(x, wb: int) -> LogReal:
     """The node x, rounded at wb bits, as the integrand receives it: a
-    `LogReal` of relative radius 2^(6-wb) whose log, rounded at
-    lb = wb + 8 bits, is within (|ln| + 1) 2^(3-lb), twice log's rounding
-    bound."""
-    lb = wb + 8
-    ln = mpf_log(x, lb, RN)
-    log_err = mpf_shift(mpf_add(mpf_abs(ln), fone, ERR_BITS, RU), 3 - lb)
-    return LogReal(x, _emul(x, _pow2(6 - wb)), wb, ln, log_err)
+    `LogReal` of relative radius 2^(6-wb) from `_carrying_log`."""
+    return _carrying_log(x, _emul(x, _pow2(6 - wb)), wb)
 
 
 def _ts_nodes(bits: int, level: int) -> list[tuple[LogReal, LogReal, tuple]]:

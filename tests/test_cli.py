@@ -200,7 +200,7 @@ class TestProofCheck:
         assert out.count("equal-within-bounds") == 5
         # each verdict is followed by how its step was checked
         methods = [line.split()[-1] for line in out.splitlines()]
-        assert methods == ["numeric", "exact", "exact", "exact", "numeric"]
+        assert methods == ["estimated", "exact", "exact", "exact", "numeric"]
 
     def test_out_of_range_b_is_usage_error(self, capsys):
         code, _, err = run(capsys, "proof-check", "--b", "1/4", "--digits", "30")
@@ -215,7 +215,7 @@ class TestProofCheck:
         assert len(data["steps"]) == 5
         assert set(data["steps"].values()) == {"equal-within-bounds"}
         assert data["methods"] == {
-            "euler-transform-integral": "numeric",
+            "euler-transform-integral": "estimated",
             "substitution": "exact",
             "cyclotomic": "exact",
             "cube-substitution": "exact",

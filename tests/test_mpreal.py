@@ -446,10 +446,11 @@ class TestFixedPointSum:
 
     def test_beta_is_bit_identical(self):
         """Beta's (value, radius) on the 55 seeded inputs that follow; its
-        digest is that of 2^-(x+y) raised by `power_product`."""
+        digest is that of 2^-(x+y) raised by `power_product`, with the log
+        bound summed in integers as `PowerIntegrand` sums it."""
         *_, betas = _caller_inputs()
         assert _digest(beta(x, y, prec) for x, y, prec in betas) == (
-            "bea203ee58e3695ce113a444f9fad6ddf03c7141fefd38007df7d816487f049b"
+            "2e40e82c4e97e968925d2e446b92c47f254876bc37a4f108ae35db726dd65933"
         )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -891,6 +892,18 @@ class TestPowerIntegrand:
         for y in (center - r, center, center + r):
             want = sum(c * y**k for k, c in enumerate(reversed(coeffs))) / den
             assert abs(got - want) <= radius, (coeffs, den, man, exp, rad, p)
+
+    def test_sums_its_logs_as_power_product_does(self):
+        """u^a v^b at a cached node pair is `power_product` of the pair, in
+        value and radius: one integer sum of the logs and their bounds."""
+        nodes = mpreal._ts_nodes(Precision.of(30).work_bits, 1)
+        powers = ((F(-1, 2), F(1, 3)), (F(0), F(7, 4)), (F(3, 2), F(-5, 6)))
+        powers += ((F(-2001, 12), F(2)), (F(-19, 24), F(-3, 4)))
+        for a, b in powers:
+            f = PowerIntegrand(a, b)
+            for x, cx, _ in (nodes[0], nodes[len(nodes) // 2], nodes[-1]):
+                got, want = f(x, cx), power_product((x, a), (cx, b))
+                assert (got.val, got.err) == (want.val, want.err), (a, b, x)
 
     def test_a_factor_not_certainly_positive_is_rejected(self):
         # a root inside, a zero at an end, a double root, a negative constant

@@ -87,19 +87,19 @@ def test_traced_arguments_keep_their_positions():
 def test_traced_runs_still_reach_the_quadrature_layers(monkeypatch):
     """A traced benchmark run exits non-zero when a layer of its workload's
     EXPECTED_LAYERS (benchmarks/run.py) makes no call.  Of the Euler-integral
-    layers, catalog-100 reaches them through Gauss's sum at z = 1 and the
-    proof's first step, whose i_t is its only tanh-sinh integral (the
-    substitution steps are proved exactly), and eval-mix through its
-    near-one requests whose c - a - b is not an integer; each must still
-    call every such layer it expects, here at 15 digits on the records and
-    the first seed-1 requests.
+    layers, catalog-100 reaches them through Gauss's sum at z = 1 and
+    through `f21_integral` in the proof's first step, whose i_t is its only
+    tanh-sinh integral (the substitution steps are proved exactly), and
+    eval-mix through its near-one requests whose c - a - b is not an
+    integer; each must still call every such layer it expects, here at 15
+    digits on the records and the first seed-1 requests.
 
     The counted `BigReal.pow_rational` is expected by both workloads too.
     No integrand calls it (each is a `PowerIntegrand`, which sums its logs
     in integers and takes one exp), so it is reached only through scalar
-    powers: in catalog-100 Beta's 2^-(x+y) and the first proof
-    step's (4/3)^(2-3b), and in eval-mix only Pfaff's (1 - z)^-a for z < -9/10,
-    which the first seed-1 requests include."""
+    powers: in the two catalog-100 records run here only Beta's 2^-(x+y),
+    and in eval-mix only Pfaff's (1 - z)^-a for z < -9/10, which the first
+    seed-1 requests include."""
     monkeypatch.syspath_prepend(str(BENCHMARKS))  # run.py imports evalmix
     expected = _benchmark_module("run").EXPECTED_LAYERS
     evalmix = importlib.import_module("evalmix")

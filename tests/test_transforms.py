@@ -3,6 +3,7 @@ splitting transform, and the concluding identity."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from fractions import Fraction as F
@@ -14,10 +15,11 @@ from mpmath import mp
 
 from helpers import assert_encloses, overlap, points, rhs_enclosure
 
+from hypergamma import transforms
 from hypergamma.catalog import DEFAULT_CATALOG, IdentityRecord, catalog_load, verify_identity
 from hypergamma.exact import Poly, RatFunc, poly_from_pairs
 from hypergamma.gammaexpr import Verdict, ge_eval, num_equal
-from hypergamma.hyper import HypParams, f21_eval, f21_terminating
+from hypergamma.hyper import HypParams, euler_integrand, f21_eval, f21_terminating
 from hypergamma.integrals import Unproven, integrals_agree, substituted
 from hypergamma.mpreal import BigReal, PowerIntegrand, Precision, beta, tanh_sinh_integrate
 from hypergamma.transforms import (
@@ -211,6 +213,21 @@ class TestGosperProof:
         for b in (F(1, 4), F(1, 2), F(5, 6), F(9, 10)):
             with pytest.raises(TransformError):
                 verify_gosper_proof(b, P30)
+
+    def test_step_one_integrates_i_t(self):
+        # the Euler transform has c > b > 0 across the range, so
+        # f21_integral takes its parameters unswapped, and its integrand is
+        # the i_t of step 2
+        for b in PROOF_RANGE:
+            p = EULER.new_params(gosper_lhs_params(b))
+            assert p.c > p.b > 0, b
+            assert proof_integrands(b)[0] == euler_integrand(p, F(1, 4)), b
+
+    def test_a_wrong_euler_prefactor_is_distinct(self, monkeypatch):
+        (base, (ca, cb, cc, k)), = EULER.prefactor_map
+        wrong = dataclasses.replace(EULER, prefactor_map=((base, (ca, cb, cc, k + F(1, 48))),))
+        monkeypatch.setattr(transforms, "EULER", wrong)
+        assert verify_gosper_proof(F(5, 8), P30)[PROOF_STEPS[0]] is Verdict.DISTINCT
 
     @pytest.mark.parametrize("b", (F(5, 8), F(7, 10)), ids=str)
     def test_quadrature_agrees_with_the_exact_steps(self, b):
