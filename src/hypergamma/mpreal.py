@@ -20,12 +20,14 @@ bound and a geometric tail bound, and returns the enclosure as a BigReal;
 of positive terms keeps only wb bits below its largest term, as it cannot
 cancel.  Gamma is computed by an exact-rational Pochhammer reduction of
 the argument to (0, 1] (so pole detection is exact) followed by the
-incomplete-gamma series 1F1(1; y+1; N), with a bound on the dropped upper
-incomplete gamma Gamma(y, N); ln N, like the log of any exact integer
-(`_log_int`), is cached per precision.  Beta is the sum of two
-incomplete-Beta series at 1/2, with positive terms, and no Gamma.  The
-quadrature is standard tanh-sinh over (0, 1), the one interval of every
-integral in the package, with per-level node caching; each cached node
+incomplete-gamma series 1F1(1; y+1; M) plus the asymptotic sum of the
+upper incomplete gamma Gamma(y, M), whose remainder is at most its first
+neglected term, or, for 1/2 < y < 1, by reflection from Gamma(1 - y);
+ln M, like the log of any exact integer (`_log_int`), is cached per
+precision.  Beta is the sum of two incomplete-Beta series at 1/2, with
+positive terms, and no Gamma.  The quadrature is standard tanh-sinh over
+(0, 1), the one interval of every integral in the package, with
+per-level node caching; each cached node
 holds x and 1 - x as `LogReal`s that carry ln x and ln(1 - x), built by
 `_carrying_log` as pi's and the integer logs are, computed once per
 (bits, level) for every integral at those bits, and handed to the
@@ -38,8 +40,10 @@ u^a v^b prod P(x)^c with exact rational exponents and polynomials P
 certainly positive on [0, 1]: each P is evaluated by Horner on the
 integers of x's mantissa with a relative bound, and the sum of r ln base
 and its bound are taken in integers, so an evaluation costs one log per
-polynomial and one exp.  `power_product` is the same integer sum for
-BigReal bases, each ln from `_log_fixed`, and the same exp (`_exp_sum`).
+polynomial and one exp; at a quadrature node the last polynomial's log is
+kept on the node, so integrands that share a factor take it once.
+`power_product` is the same integer sum for BigReal bases, each ln from
+`_log_fixed`, and the same exp (`_exp_sum`).
 It is also the one fractional power: `BigReal.pow_rational` keeps
 exponent 0, the integers (`pow_int`) and 1/2 (`sqrt`), and hands every
 other exponent to it.  pi (`pi_value`) carries its log, taken once per
@@ -187,9 +191,23 @@ class BigReal:
     @classmethod
     def from_fraction(cls, q: Fraction, bits: int) -> "BigReal":
         q = Fraction(q)
-        val = from_rational(q.numerator, q.denominator, bits, RN)
-        den = q.denominator
-        exact = den & (den - 1) == 0 and abs(q.numerator).bit_length() <= bits
+        return cls.from_ratio(q.numerator, q.denominator, bits)
+
+    @classmethod
+    def from_ratio(cls, num: int, den: int, bits: int) -> "BigReal":
+        """num/den for coprime integers with den > 0, rounded once at bits:
+        `from_fraction` without the gcd, for the large exact products of
+        `gamma`'s shift.  A long num is divided only to a quotient of
+        bits + 3 bits or more and a sticky bit for the rest, which rounds
+        as the whole quotient does."""
+        sh = abs(num).bit_length() - den.bit_length() - bits - 4
+        if sh > 0:
+            quot, rem = divmod(abs(num), den << sh)
+            man = 2 * quot + (rem > 0)
+            val = from_man_exp(man if num > 0 else -man, sh - 1, bits, RN)
+        else:
+            val = from_rational(num, den, bits, RN)
+        exact = den & (den - 1) == 0 and abs(num).bit_length() <= bits
         return cls(val, fzero if exact else _ulp(val, bits, 1), bits)
 
     @classmethod
@@ -334,9 +352,10 @@ class LogReal(BigReal):
     `log` is within `log_err` of ln(val).  `log` and `power_product` take
     the logarithm from it; arithmetic on it gives plain BigReals.
     `fixed_err` keeps the bound of `_log_fixed` at bits + 8 once an
-    integrand has asked for it."""
+    integrand has asked for it, and `poly_log` the (L, B) of the last
+    polynomial factor a `PowerIntegrand` has taken at it."""
 
-    __slots__ = ("log", "log_err", "fixed_err")
+    __slots__ = ("log", "log_err", "fixed_err", "poly_log")
 
     def __init__(self, val, err, bits: int, log, log_err):
         self.val = val
@@ -345,6 +364,7 @@ class LogReal(BigReal):
         self.log = log
         self.log_err = log_err
         self.fixed_err = None
+        self.poly_log = None
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +571,17 @@ def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
     return Y, e, E
 
 
+def _poly_log(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, fb: int):
+    """ln P(x) for `_horner`'s P as integers (L, B) in units of 2^-fb: L
+    cut from one `mpf_log` at fb bits, B log's rounding, (|ln| + 1)
+    2^(2-fb), plus E/(Y - E) for Horner's enclosure at fb + 8 bits."""
+    Y, e, E = _horner(coeffs, den, dsum, x, fb + 8)
+    if Y <= E:
+        raise DomainError("polynomial factor not certainly positive")
+    L = _fixed(mpf_log(from_man_exp(Y, e), fb, RN), fb)
+    return L, 4 * ((abs(L) >> fb) + 3) - (-(E << fb) // (Y - E))
+
+
 def _bernstein_positive(coeffs: tuple[Fraction, ...]) -> bool:
     """Whether every Bernstein coefficient on [0, 1] of sum c_k x^k (lowest
     first) is positive, which makes the polynomial positive on [0, 1]."""
@@ -575,7 +606,10 @@ class PowerIntegrand:
     fb + 8 bits and one `mpf_log`, bounded by log's rounding plus E/(Y - E)
     for Horner's enclosure, and sums r ln and its bound in integers for
     `_exp_sum`, as `power_product` does: one log per polynomial and one
-    exp."""
+    exp.  The last ln P taken at a `LogReal` is kept on it, with its
+    polynomial and fb, so integrands that share a factor (the proof's i_t
+    at each b) take it once per node; one entry per node keeps the node
+    cache's size fixed however many integrands use it."""
 
     u_exp: Fraction
     v_exp: Fraction
@@ -619,12 +653,14 @@ class PowerIntegrand:
             total += p * L
             bound += abs(p) * (B + 1)
         for is_v, coeffs, cden, dsum, p in self._polys:
-            Y, e, E = _horner(coeffs, cden, dsum, v if is_v else u, fb + 8)
-            if Y <= E:
-                raise DomainError("polynomial factor not certainly positive")
-            L = _fixed(mpf_log(from_man_exp(Y, e), fb, RN), fb)
-            # log's rounding, (|ln| + 1) 2^(2-fb), and E/(Y - E) for the interval
-            B = 4 * ((abs(L) >> fb) + 3) - (-(E << fb) // (Y - E))
+            x = v if is_v else u
+            kept = x.poly_log if isinstance(x, LogReal) else None
+            if kept is not None and kept[:3] == (coeffs, cden, fb):
+                L, B = kept[3:]
+            else:
+                L, B = _poly_log(coeffs, cden, dsum, x, fb)
+                if isinstance(x, LogReal):
+                    x.poly_log = (coeffs, cden, fb, L, B)
             total += p * L
             bound += abs(p) * (B + 1)
         return _exp_sum(total, bound, self._den, fb, bits)
@@ -883,20 +919,84 @@ _GAMMA_CACHE: dict[tuple, BigReal] = {}
 _GAMMA_CACHE_MAX = 20000
 
 
+def _gamma_cached(y: Fraction, wb: int) -> BigReal:
+    """Gamma(y) for rational 0 < y <= 1 at wb bits, cached per (y, wb)."""
+    key = (y, wb)
+    g = _GAMMA_CACHE.get(key)
+    if g is None:
+        if len(_GAMMA_CACHE) > _GAMMA_CACHE_MAX:
+            _GAMMA_CACHE.clear()
+        g = _GAMMA_CACHE[key] = _gamma_unit(y, wb)
+    return g
+
+
+def _gamma_tail(y: Fraction, M: int, fb: int) -> tuple[int, int]:
+    """Integers (S, R) with |Gamma(y, M) M^-y e^M - S 2^-fb| <= R 2^-fb, for
+    rational 0 < y <= 1 and an integer M >= 1.
+
+    n integrations by parts give Gamma(y, M) = M^(y-1) e^-M
+    sum_{k<n} u_k M^-k + u_n Gamma(y-n, M), u_k = (y-1)(y-2)...(y-k), and
+    0 < Gamma(y-n, M) <= M^(y-n-1) e^-M once y - n - 1 < 0 (DLMF
+    8.11.2-3): the remainder is at most the first neglected term.  The
+    terms a_k = u_k M^(-k-1) are summed at fb fraction bits up to n, the
+    first k with k - y >= M, which is M + 1; each T is the one before
+    times (y - k)/M <= 0, floored, and U bounds |a_k| 2^fb from above by
+    the same steps rounded up.  The summed terms alternate in sign and do
+    not grow (|y - k| < M), so each floor's error, carried on through the
+    later terms, adds up to less than one ulp of the sum: R is n ulps plus
+    U at k = n."""
+    p, q = y.numerator, y.denominator
+    den = q * M
+    T, U = (1 << fb) // M, -(-(1 << fb) // M)
+    S, f = 0, p
+    for _ in range(M + 1):
+        S += T
+        f -= q  # q (y - k)
+        T = T * f // den
+        U = -(U * f // den)
+    return S, M + 1 + U
+
+
 def _gamma_unit(y: Fraction, wb: int) -> BigReal:
-    """Gamma(y) for rational 0 < y <= 1 at wb bits, as
-    gamma(y, N) + Gamma(y, N) with N = ceil((wb + 8) / 1.4426), just above
-    (wb + 8) ln 2: gamma(y, N) = N^y e^(-N) / y * 1F1(1; y+1; N)
-    (DLMF 8.7.1) is a series of positive terms, and
-    0 < Gamma(y, N) <= N^(y-1) e^(-N) <= 2^-(wb+8) (DLMF 8.10.1), which
-    enters as [0, 2^-floor(1.4426 N)].  ln N comes from `_log_int`, so
-    every cold Gamma at one precision shares it, and the 1F1 terms, which
-    rise to about 2^wb before they fall, are summed rescaled."""
-    # e^-N = 2^-(N log2 e) <= 2^-floor(1.4426 N) <= 2^-(wb+8), as log2 e > 1.4426
-    N = -(-(wb + 8) * 10000 // 14426)
-    pref = exp(log(_log_int(N, wb)) * y - N) / y
-    half_tail = _pow2(-(14426 * N // 10000) - 1)
-    return pref * fixed_point_sum((1,), (y + 1,), N, wb) + BigReal(half_tail, half_tail, wb)
+    """Gamma(y) for rational 0 < y <= 1 at wb bits.
+
+    For 1/2 < y < 1 it is pi / (sin(pi y) Gamma(1 - y)) (DLMF 5.5.3), with
+    Gamma(1 - y) from the cache at the same wb and the sine taken
+    ceil(log2(1/(2(1 - y)))) bits higher, as sin(pi y) >= 2(1 - y), so
+    that its absolute radius is relative; which y reflect depends on y
+    alone.  Otherwise Gamma(y) = gamma(y, M) + Gamma(y, M) =
+    M^y e^-M (1F1(1; y+1; M) / y + A) with M about (wb + 24) / (2 log2 e),
+    so that e^-M is about 2^-(wb+24)/2: gamma(y, M) = M^y e^-M / y
+    1F1(1; y+1; M) (DLMF 8.7.1) is a series of positive terms, summed
+    rescaled by `fixed_point_sum`, and A = Gamma(y, M) M^-y e^M < 1/M is
+    the asymptotic sum of `_gamma_tail` with its proven remainder, which
+    needs only wb/2 + 40 fraction bits beside 1F1 / y, about e^M M^-y.
+    Against the incomplete-gamma series alone, at M about twice as large,
+    the 1F1 takes two thirds of the terms.  ln M comes from `_log_int`, so
+    every cold Gamma at one precision shares it."""
+    if y < 1 < 2 * y:
+        r = 1 - y
+        extra = (r.denominator // (2 * r.numerator)).bit_length()  # 2^extra > 1/(2r)
+        s = sin_pi_times(y, Precision(0, wb + extra))
+        s = BigReal(s.val, s.err, wb)
+        return pi_value(Precision(0, wb)) / (s * _gamma_cached(r, wb))
+    M = -(-(wb + 24) * 10000 // 28854)  # 2 log2 e = 2.8854 to five digits
+    fb = wb // 2 + 40
+    S, R = _gamma_tail(y, M, fb)
+    tail = BigReal(from_man_exp(S, -fb), from_man_exp(R, -fb, ERR_BITS, RU), wb)
+    pref = exp(log(_log_int(M, wb)) * y - M)
+    return pref * (fixed_point_sum((1,), (y + 1,), M, wb) / y + tail)
+
+
+def _pochhammer(x: Fraction, m: int) -> tuple[int, int]:
+    """(x)_m = x (x+1) ... (x+m-1) for x = p/q as (num, den) =
+    (prod (p + jq), q^m), coprime as gcd(p + jq, q) = 1; the product is
+    taken as a balanced tree of integer products, with no gcd."""
+    p, q = x.numerator, x.denominator
+    vals = [p + j * q for j in range(m)] or [1]
+    while len(vals) > 1:
+        vals = [a * b for a, b in zip(vals[::2], vals[1::2])] + vals[len(vals) & ~1 :]
+    return vals[0], q**m
 
 
 def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
@@ -904,10 +1004,13 @@ def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
 
     x is reduced to y in (0, 1] with exact rational arithmetic, so poles
     are detected exactly: Gamma(x) = (y)_m Gamma(y) for x > 1 and
-    Gamma(y) / (x)_m for x <= 0, with m = |x - y|.  Gamma(y) is the
-    incomplete-gamma series of `_gamma_unit`, summed by `fixed_point_sum`
-    and cached per (y, bits).  The returned bound satisfies
-    err <= 2^(-work_bits+8) * |Gamma(x)|.
+    Gamma(y) / (x)_m for x <= 0, with m = |x - y|, each Pochhammer
+    symbol one exact integer quotient (`_pochhammer`) rounded once.
+    Gamma(y) is `_gamma_unit` at wb = work_bits + 32, cached per (y, wb):
+    reflection onto (0, 1/2] for 1/2 < y < 1, and otherwise the 1F1 series
+    of gamma(y, M) on `fixed_point_sum` plus an asymptotic sum for
+    Gamma(y, M) with a proven remainder, M about wb / 2.9.  The returned
+    bound satisfies err <= 2^(-work_bits+8) * |Gamma(x)|.
     """
     wb = prec.work_bits + 32
     x = Fraction(x)
@@ -915,16 +1018,11 @@ def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
         raise GammaPoleError(f"gamma pole at {x}")
     m = math.ceil(x) - 1
     y = x - m
-    key = (y, wb)
-    g = _GAMMA_CACHE.get(key)
-    if g is None:
-        if len(_GAMMA_CACHE) > _GAMMA_CACHE_MAX:
-            _GAMMA_CACHE.clear()
-        g = _GAMMA_CACHE[key] = _gamma_unit(y, wb)
+    g = _gamma_cached(y, wb)
     if m > 0:
-        g = g * math.prod((y + j for j in range(m)), start=Fraction(1))
+        g = g * BigReal.from_ratio(*_pochhammer(y, m), g.bits)
     elif m < 0:
-        g = g / math.prod((x + j for j in range(-m)), start=Fraction(1))
+        g = g / BigReal.from_ratio(*_pochhammer(x, -m), g.bits)
     return BigReal(g.val, g.err, prec.work_bits)
 
 
@@ -941,12 +1039,13 @@ def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:
     for arg in (x, y, x + y):
         if arg.denominator == 1 and arg <= 0:
             raise GammaPoleError(f"beta pole: gamma argument {arg}")
-    ratio = Fraction(1)
+    num = den = 1
     for _ in range(2):  # shift x up, then (swapped) y
         m = max(0, 1 - math.ceil(x))
-        for j in range(m):
-            ratio *= (x + y + j) / (x + j)
+        (sn, sd), (xn, xd) = _pochhammer(x + y, m), _pochhammer(x, m)
+        num, den = num * sn * xd, den * sd * xn
         x, y = y, x + m
+    ratio = Fraction(num, den)
     wb = prec.work_bits + 32
     half = Fraction(1, 2)
     halves = (

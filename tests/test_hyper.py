@@ -675,6 +675,18 @@ class TestGaussAtOne:
         with mp.workdps(digits + 50):
             assert_encloses(got, oracle_f21(p, F(1)), f"{p} at 1")
 
+    def test_large_parameters_are_quick(self):
+        """Gauss's sum at a = 100000, c = a + 1/2 takes Gamma(c) and
+        Gamma(c - 1/3): each shift (y)_m is one exact product of 10^5
+        factors, formed as a balanced tree and rounded once."""
+        a = F(100000)
+        p = HypParams(a, F(1, 3), a + F(1, 2))
+        start = time.perf_counter()
+        got = f21_eval(p, F(1), Precision.of(20))
+        assert time.perf_counter() - start < 3
+        with mp.workdps(70):
+            assert_encloses(got, oracle_f21(p, F(1)), f"{p} at 1")
+
 
 class TestAgmK:
     def test_k_zero(self):

@@ -18,6 +18,7 @@ from helpers import as_mpf, assert_encloses, mpf_of_fraction
 from hypergamma import mpreal
 from hypergamma.hyper import HypParams, euler_integrand, f21_series
 from hypergamma.mpreal import (
+    BITS_PER_DIGIT,
     BigReal,
     DomainError,
     GammaPoleError,
@@ -63,6 +64,25 @@ class TestArithmetic:
         x = BigReal.from_int(7, 128)
         assert x.is_exact
         assert float(x) == 7.0
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        num=st.one_of(st.integers(-(2**64), 2**64), st.integers(-(2**3000), 2**3000)),
+        den=st.one_of(st.integers(1, 2**40), st.builds(lambda k: 2**k, st.integers(0, 200))),
+        bits=st.integers(2, 300),
+    )
+    @example(num=5 * 2**600, den=1, bits=2)  # a tie, rounded to even
+    @example(num=5 * 2**600 + 1, den=1, bits=2)  # just past it: only the sticky bit says so
+    @example(num=-(5 * 2**600 + 1), den=3, bits=2)
+    def test_from_ratio_rounds_as_mpmath(self, num, den, bits):
+        """The quotient of a long numerator is divided only to bits + 3 bits
+        and a sticky bit, and must round exactly as mpmath's correctly
+        rounded quotient does."""
+        q = F(num, den)
+        got = BigReal.from_ratio(q.numerator, q.denominator, bits)
+        assert got.val == from_rational(q.numerator, q.denominator, bits, "n")
+        dyadic = q.denominator & (q.denominator - 1) == 0
+        assert got.is_exact == (dyadic and abs(q.numerator).bit_length() <= bits)
 
     def test_interval_encloses_fraction_ops(self):
         rng = random.Random(11)
@@ -242,6 +262,24 @@ class TestGamma:
             assert_encloses(got, mp.gamma(mpf_of_fraction(x)), f"threaded gamma({x})")
 
 
+@st.composite
+def _unit_argument(draw):
+    q = draw(st.integers(1, 2000))
+    return F(draw(st.integers(1, q)), q)
+
+
+def _assert_gamma_contract(x: F, work_bits: int):
+    """Gamma(x) at work_bits holds mpmath's value at +50 digits, and its
+    relative radius meets the 2^(-work_bits+8) contract."""
+    prec = Precision(max(1, int(work_bits / BITS_PER_DIGIT)), work_bits)
+    g = gamma(x, prec)
+    with mp.workdps(prec.target_digits + 50):
+        want = mp.gamma(mpf_of_fraction(x))
+        val, err = as_mpf(g.val), as_mpf(g.err)
+        assert abs(val - want) <= err, (x, work_bits)
+        assert err <= abs(val) * mp.mpf(2) ** (-work_bits + 8), (x, work_bits)
+
+
 class TestGammaProperties:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -263,7 +301,62 @@ class TestGammaProperties:
             assert abs(val - want) <= err, (x, digits)
             assert err <= abs(val) * mp.mpf(2) ** (-prec.work_bits + 8), (x, digits)
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        y=_unit_argument(),
+        shift=st.sampled_from((0, 0, 0, 1, 7, -1, -3)),
+        work_bits=st.one_of(st.integers(40, 1200), st.just(4000)),
+    )
+    def test_unit_arguments_against_mpmath(self, y, shift, work_bits):
+        """Gamma(p/q + shift) for p/q in (0, 1] with q <= 2000, reflected
+        (p/q > 1/2) or summed, at 40 to 4000 work bits, holds mpmath's
+        value at +50 digits and meets the 2^(-work_bits+8) contract."""
+        x = y + shift
+        assume(not (x.denominator == 1 and x <= 0))
+        _assert_gamma_contract(x, work_bits)
+
+    @pytest.mark.parametrize("q", [3, 4, 10, 101, 999, 1000, 1999, 2000, 2**40])
+    def test_one_minus_one_over_q(self, q):
+        """y = 1 - 1/q reflects through sin(pi y) = sin(pi / q), which is
+        small: the sine is taken with enough more bits that Gamma(y) still
+        holds mpmath's value and meets the contract.  At q = 2^40 the
+        contract fails without those bits."""
+        for work_bits in (40, 300, 1000):
+            _assert_gamma_contract(1 - F(1, q), work_bits)
+
+    def test_reflected_values_against_mpmath(self):
+        """Every y = p/q in (1/2, 1) for q <= 24 at 50 and 100 digits,
+        computed from Gamma(1 - y) and sin(pi y), holds mpmath's value."""
+        args = sorted({F(p, q) for q in range(3, 25) for p in range(q // 2 + 1, q)})
+        for prec in (P50, P100):
+            for y in args:
+                assert_encloses(gamma(y, prec), mp.gamma(mpf_of_fraction(y)), f"gamma({y})")
+
+    def test_tail_bound_needs_both_of_its_terms(self):
+        """`_gamma_tail` at low precision (fb = 0 to 40 fraction bits, M up
+        to 40), where its n = M + 1 floors and its first neglected term U
+        are each a few ulps: (S, R) holds Gamma(y, M) M^-y e^M (mpmath at
+        60 digits) everywhere, and on this grid R - U alone and U alone
+        would each fail, so neither term is slack."""
+        short_floors = short_remainder = 0
+        with mp.workdps(60):
+            for y in (F(1, 2), F(1, 3), F(2, 7), F(1, 1000), F(499, 1000), F(1)):
+                yv = mpf_of_fraction(y)
+                for M in (1, 2, 5, 13, 40):
+                    exact = mp.gammainc(yv, M) * mp.power(M, -yv) * mp.exp(M)
+                    for fb in range(0, 41):
+                        S, R = mpreal._gamma_tail(y, M, fb)
+                        err = abs(S - exact * 2**fb)
+                        assert err <= R, (y, M, fb)
+                        short_remainder += err > M + 1
+                        short_floors += err > R - (M + 1)
+        assert short_floors and short_remainder
+
     def test_reflection_200_samples(self):
+        """Gamma(x) Gamma(1 - x) sin(pi x) = pi at 200 x = k/200.  Since
+        Gamma reflects every 1/2 < x < 1 through this same identity, the
+        check is circular there, and holds only the other half to it; the
+        reflected values are checked against mpmath above."""
         rng = random.Random(42)
         pi = pi_value(P50)
         for _ in range(200):
@@ -437,11 +530,12 @@ class TestFixedPointSum:
 
     def test_gamma_is_bit_identical(self):
         """Gamma's (value, radius) on the 107 seeded inputs that follow;
-        its digest is that of the rescaled 1F1 sum and of ln N from
-        `_log_int`."""
+        its digest is that of the half-length 1F1 sum at M, ln M from
+        `_log_int`, the asymptotic tail of `_gamma_tail`, and reflection
+        for 1/2 < y < 1; the Pochhammer shift does not move it."""
         _, gammas, _ = _caller_inputs()
         assert _digest(gamma(x, prec) for x, prec in gammas) == (
-            "09f054b1a888860e4f1995bf189cf2855f93755e78d49126fd0be95fa0a7e76e"
+            "4eaf8a6ed333f99eb3a25283a520ac6445b00fcf71aabca3c8ed8f4f82974a82"
         )
 
     def test_beta_is_bit_identical(self):
@@ -584,9 +678,9 @@ class TestPositiveTerms:
 
     @pytest.mark.parametrize("y", [F(1, 8), F(5, 8), F(1, 3)])
     def test_gamma_series_at_1000_digits(self, y):
-        """1F1(1; y+1; N) at Gamma's N for 1000 digits, whose terms pass
-        2^3000 before they fall, against a direct mpmath sum at +50
-        digits."""
+        """1F1(1; y+1; N) at N = (wb + 8) / 1.4426 for 1000 digits, whose
+        terms pass 2^3000 before they fall, against a direct mpmath sum at
+        +50 digits."""
         wb = Precision.of(1000).work_bits + 32
         N = -(-(wb + 8) * 10000 // 14426)
         got = fixed_point_sum((1,), (y + 1,), N, wb)
@@ -904,6 +998,26 @@ class TestPowerIntegrand:
             for x, cx, _ in (nodes[0], nodes[len(nodes) // 2], nodes[-1]):
                 got, want = f(x, cx), power_product((x, a), (cx, b))
                 assert (got.val, got.err) == (want.val, want.err), (a, b, x)
+
+    def test_a_shared_factor_is_logged_once_per_node(self, monkeypatch):
+        """Two integrands with the factor 3/4 + v/4 (the proof's i_t at two
+        b) take its log once per cached node, and each value is the one a
+        fresh copy of the node gives."""
+        nodes = mpreal._ts_nodes(331, 1)[:8]
+        poly = ("v", (F(3, 4), F(1, 4)), F(-5, 4))
+        f = PowerIntegrand(F(-3, 8), F(1, 4), (poly,))
+        g = PowerIntegrand(F(-1, 4), F(1, 8), (poly[:2] + (F(-3, 2),),))
+        calls = []
+        horner = mpreal._horner
+        monkeypatch.setattr(mpreal, "_horner", lambda *args: calls.append(args) or horner(*args))
+        got = [h(x, cx) for h in (f, g) for x, cx, _ in nodes]
+        assert len(calls) == len(nodes)
+
+        def fresh(x):
+            return LogReal(x.val, x.err, x.bits, x.log, x.log_err)
+
+        want = [h(fresh(x), fresh(cx)) for h in (f, g) for x, cx, _ in nodes]
+        assert [(v.val, v.err) for v in got] == [(v.val, v.err) for v in want]
 
     def test_a_factor_not_certainly_positive_is_rejected(self):
         # a root inside, a zero at an end, a double root, a negative constant
