@@ -9,7 +9,7 @@ record's `kind` selects exactly one verification strategy:
 * ``parametric-family``: the lhs parameters, argument, and rhs expression
   are templates over named variables; samples come from an explicit grid or
   a named deterministic sampler.  Exact rhs kinds compare as rationals.
-* ``transform-rule``: soundness sampling of a named rewrite rule, or the
+* ``transform-rule``: the exact proof of a named rewrite rule, or the
   fixed-point checks of the series splitting transform.
 * ``proof-chain``: the derivation chain of the headline evaluation, or the
   per-step proof verification of the 2F1(1/4) closed form.
@@ -45,7 +45,7 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .exact import RatFunc, rational, rational_str
+from .exact import rational, rational_str
 from .gammaexpr import (
     GammaExpr,
     GammaExprError,
@@ -68,10 +68,10 @@ from .transforms import (
     PROOF_B_RANGE,
     RULES,
     DerivationError,
-    HypTerm,
     TransformError,
-    apply_rule,
+    TransformRule,
     derive_main,
+    prove_rule,
     verify_gosper_proof,
     verify_zj_split,
 )
@@ -382,7 +382,7 @@ _COMMON_FIELDS = {"id", "kind", "source", "digits"}
 _KIND_FIELDS = {
     "point-evaluation": {"lhs", "rhs"},
     "parametric-family": {"lhs", "rhs", "parameters"},
-    "transform-rule": {"rule", "samples", "seed", "points"},
+    "transform-rule": {"rule", "points"},
     "proof-chain": {"chain", "b"},
 }
 
@@ -423,7 +423,7 @@ class IdentityRecord:
 
         record = partial(cls, rid, kind, source=data.get("source", ""), digits=digits)
         if kind == "transform-rule":
-            return record(_compile_rule(data, where))
+            return record(_compile_rule(data, where), exact=data["rule"] in RULES)
         if kind == "proof-chain":
             return record(_compile_chain(data, where))
         variables, samples = _compile_samples(data, where)
@@ -715,38 +715,16 @@ def _split_checks(
         yield verify_zj_split(a, b, z, prec), None, f"split distinct at {at}", None, None
 
 
-def _rule_checks(name: str, samples: int, seed: int, prec: Precision) -> Iterator[Check]:
-    rule = RULES[name]
-    rng = random.Random(seed)
-    lo, hi = rule.sample_region
-    for _ in range(samples):
-        w = lo + (hi - lo) * Fraction(rng.randint(1, 79), 80)
-        if w == 0:
-            continue
-        p = rule.sample_params(rng)
-        out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
-        lhs_val = f21_eval(p, w, prec)
-        rhs_val = out.evaluate(w, prec)
-        yield (
-            num_equal(lhs_val, rhs_val, prec),
-            achieved_digits(lhs_val, rhs_val),
-            f"rule {name} unsound at params "
-            f"({rational_str(p.a)},{rational_str(p.b)};{rational_str(p.c)}), "
-            f"w={rational_str(w)}",
-            lhs_val,
-            rhs_val,
-        )
+def _rule_proof(rule: TransformRule, prec: Precision) -> Iterator[Check]:
+    failure = prove_rule(rule)
+    yield Verdict.DISTINCT if failure else Verdict.EQUAL, None, failure or "", None, None
 
 
 def _compile_rule(data: dict, where: str) -> Checks:
-    name, samples, seed, points = (data.get(k) for k in ("rule", "samples", "seed", "points"))
-    if not isinstance(name, str):
-        raise CatalogError(f"{where}: transform-rule needs a rule name")
+    name, points = data.get("rule"), data.get("points")
     if name == "zj-split":
         if not points:
             raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
-        if samples is not None or seed is not None:
-            raise CatalogError(f"{where}: zj-split checks its points; samples and seed are unused")
         if not isinstance(points, list) or not all(
             isinstance(pt, dict) and set(pt) == {"a", "b", "z"} for pt in points
         ):
@@ -754,15 +732,11 @@ def _compile_rule(data: dict, where: str) -> Checks:
         return partial(_split_checks, tuple(
             tuple(_rational(pt[k], f"{where} point") for k in "abz") for pt in points
         ))
-    if name not in RULES:
+    if not isinstance(name, str) or name not in RULES:
         raise CatalogError(f"{where}: unknown transform rule {name!r}")
     if points is not None:
-        raise CatalogError(f"{where}: rule {name!r} is sampled; points are unused")
-    samples = 20 if samples is None else _integer(samples, f"{where} samples")
-    if samples < 1:
-        raise CatalogError(f"{where}: samples must be positive")
-    seed = 0 if seed is None else _integer(seed, f"{where} seed")
-    return partial(_rule_checks, name, samples, seed)
+        raise CatalogError(f"{where}: rule {name!r} is proved exactly; points are unused")
+    return partial(_rule_proof, RULES[name])
 
 
 def _main_derivation_checks(prec: Precision) -> Iterator[Check]:

@@ -8,21 +8,20 @@ the argument as an exact rational function.  A `TransformRule` rewrites a
 term whose parameters satisfy an exact linear constraint: parameters map
 affinely, the argument map composes exactly, and rule prefactor bases
 (polynomials in the old argument) are composed and split into polynomial
-factors of the new variable.  Everything symbolic is exact; numerics enter
-only in the verification routines.
+factors of the new variable.  Everything symbolic is exact, and so is each
+rule's proof (`prove_rule`); numerics enter only in the verification routines.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .exact import Poly, RatFunc, poly_from_pairs, rational_str
 from .gammaexpr import GammaExpr, Verdict, achieved_digits, ge_eval, num_equal
 from .hyper import HypParams, euler_integrand, f21_eval, f21_integral, f21_series
-from .mpreal import BigReal, PowerIntegrand, Precision, beta, cos_pi_times, gamma, pi_value
+from .mpreal import BigReal, PowerIntegrand, Precision, _bernstein_positive, beta, cos_pi_times, gamma, pi_value
 
 
 class TransformError(ValueError):
@@ -39,10 +38,6 @@ Affine = tuple[Fraction, Fraction, Fraction, Fraction]  # ca*a + cb*b + cc*c + k
 def _affine(row: Affine, p: HypParams) -> Fraction:
     ca, cb, cc, k = row
     return ca * p.a + cb * p.b + cc * p.c + k
-
-
-def _fr(x) -> Fraction:
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -71,13 +66,6 @@ class HypTerm:
             out = out * GammaExpr.from_rational(v, expo)
         return out
 
-    def evaluate(self, z: Fraction, prec: Precision) -> BigReal:
-        """Numeric value prefactor(z) * 2F1(params; argument(z))."""
-        z = Fraction(z)
-        arg = self.argument(z)
-        series = f21_eval(self.params, arg, prec)
-        return ge_eval(self.prefactor_value(z), prec) * series
-
     def to_json(self) -> dict:
         return {
             "prefactor": [
@@ -96,18 +84,15 @@ class HypTerm:
 @dataclass(frozen=True)
 class TransformRule:
     """A 2F1 rewrite: constraint on (a,b,c), affine parameter map, exact
-    argument map in the old argument w, and prefactor bases in w with
-    parameter-dependent exponents."""
+    argument map in the old argument w, prefactor bases in w with
+    parameter-dependent exponents, and the region [lo, hi] it is proved on."""
 
     name: str
     constraints: tuple[Affine, ...]
     param_map: tuple[Affine, Affine, Affine]
     arg_map: RatFunc
     prefactor_map: tuple[tuple[Poly, Affine], ...]
-    # conservative sampling region (lo, hi) for soundness checks, and a
-    # draw of parameters that satisfy the constraints
-    sample_region: tuple[Fraction, Fraction]
-    sample_params: Callable[[random.Random], HypParams]
+    region: tuple[Fraction, Fraction]
 
     def applies_to(self, p: HypParams) -> bool:
         return all(_affine(row, p) == 0 for row in self.constraints)
@@ -149,12 +134,7 @@ def apply_rule(rule: TransformRule, term: HypTerm) -> HypTerm:
 
 
 def _row(ca=0, cb=0, cc=0, k=0) -> Affine:
-    return (_fr(ca), _fr(cb), _fr(cc), _fr(k))
-
-
-def _sample_euler(rng: random.Random) -> HypParams:
-    a, b = (Fraction(rng.randint(-8, 8), 4) for _ in range(2))
-    return HypParams(a, b, Fraction(rng.randint(1, 12), 4))
+    return (Fraction(ca), Fraction(cb), Fraction(cc), Fraction(k))
 
 
 # Euler's transform: 2F1(a,b;c;w) = (1-w)^(c-a-b) 2F1(c-a, c-b; c; w)
@@ -164,14 +144,8 @@ EULER = TransformRule(
     param_map=(_row(-1, 0, 1), _row(0, -1, 1), _row(0, 0, 1)),
     arg_map=RatFunc.x(),
     prefactor_map=((poly_from_pairs((0, 1), (1, -1)), _row(-1, -1, 1)),),
-    sample_region=(_fr(-3) / 4, _fr(3) / 4),
-    sample_params=_sample_euler,
+    region=(Fraction(-3, 4), Fraction(3, 4)),
 )
-
-
-def _sample_c_2b(rng: random.Random) -> HypParams:
-    b = Fraction(rng.randint(1, 12), 8)
-    return HypParams(Fraction(rng.randint(-8, 8), 8), b, 2 * b)
 
 
 # Quadratic transform at c = 2b:
@@ -192,15 +166,8 @@ QUADRATIC_C_2B = TransformRule(
         (poly_from_pairs((0, 1), (1, -1)), _row(-1, 1)),
         (poly_from_pairs((0, 1), (1, Fraction(-1, 2))), _row(1, -2)),
     ),
-    sample_region=(_fr(-1) / 2, _fr(3) / 5),
-    sample_params=_sample_c_2b,
+    region=(Fraction(-1, 2), Fraction(3, 5)),
 )
-
-
-def _sample_mean(rng: random.Random) -> HypParams:
-    a = Fraction(rng.randint(1, 10), 8)
-    b = Fraction(rng.randint(1, 10), 8)
-    return HypParams(a, b, (a + b + 1) / 2)
 
 
 # Quadratic transform at c = (a+b+1)/2:
@@ -218,14 +185,8 @@ QUADRATIC_MEAN = TransformRule(
         poly_from_pairs((2, 4), (1, -4)), poly_from_pairs((2, 4), (1, -4), (0, 1))
     ),
     prefactor_map=((poly_from_pairs((0, 1), (1, -2)), _row(-1)),),
-    sample_region=(_fr(-1) / 10, _fr(1) / 10),
-    sample_params=_sample_mean,
+    region=(Fraction(-1, 10), Fraction(1, 10)),
 )
-
-
-def _sample_cubic(rng: random.Random) -> HypParams:
-    a = Fraction(rng.randint(1, 12), 16)
-    return HypParams(a, a + Fraction(1, 2), (4 * a + 5) / 6)
 
 
 # Cubic transform at b = a + 1/2, c = (4a+5)/6:
@@ -247,13 +208,95 @@ CUBIC = TransformRule(
         poly_from_pairs((2, 81), (1, -18), (0, 1)),
     ),
     prefactor_map=((poly_from_pairs((0, 1), (1, -9)), _row(Fraction(-2, 3))),),
-    sample_region=(_fr(-1) / 60, _fr(1) / 60),
-    sample_params=_sample_cubic,
+    region=(Fraction(-1, 10), Fraction(1, 60)),
 )
 
 RULES: dict[str, TransformRule] = {
     r.name: r for r in (EULER, QUADRATIC_C_2B, QUADRATIC_MEAN, CUBIC)
 }
+
+
+def _parameter_grid(rule: TransformRule) -> list[HypParams]:
+    """The (a, b, c) that meet the rule's constraints, with the k free
+    parameters of their Gauss-Jordan elimination on {0, 1, 2}^k."""
+    pivots: dict[int, list[Fraction]] = {}
+    for row in rule.constraints:
+        for j, r in pivots.items():
+            row = [x - row[j] * y for x, y in zip(row, r)]
+        j = next((j for j in range(3) if row[j]), None)
+        if j is not None:
+            row = [x / row[j] for x in row]
+            pivots = {i: [x - r[j] * y for x, y in zip(r, row)] for i, r in pivots.items()} | {j: row}
+    free, grid = [j for j in range(3) if j not in pivots], []
+    for t in itertools.product(map(Fraction, range(3)), repeat=len(free)):
+        v = dict(zip(free, t))
+        v.update({j: -r[3] - sum(r[i] * v[i] for i in free) for j, r in pivots.items()})
+        grid.append(HypParams(v[0], v[1], v[2]))
+    return grid
+
+
+def _degree_bound(rule: TransformRule) -> int:
+    """N of `prove_rule`."""
+    n, d = rule.arg_map.num.degree, rule.arg_map.den.degree
+    return 2 * sum(base.degree for base, _ in rule.prefactor_map) + 3 * d + 2 * n + max(n, d)
+
+
+def prove_rule(rule: TransformRule) -> str | None:
+    """Prove a rule for every parameter that meets its constraints and every
+    w in its region, exactly, by the hypergeometric equation (DLMF
+    15.10.1): None when proved, else the first condition that fails.
+
+    For F(a,b;c;w) = P G(phi), G = F(a',b';c';.), P = prod B_i^e_i and
+    l = P'/P, the equation of (a, b, c) on P G(phi), with G'' from G's, is
+    P (A G + B G'):  A = w(1-w)(l' + l^2) + (c - (a+b+1)w) l - ab + g a'b',
+    B = w(1-w)(2 l phi' + phi'') + (c - (a+b+1)w) phi' - g (c' - (a'+b'+1) phi),
+    g = w(1-w) phi'^2 / (phi (1-phi)).  A = B = 0, phi(0) = 0 and B_i(0) = 1
+    make P G(phi) the solution analytic at 0 with value 1, F(a,b;c;.), for
+    c and c' not nonpositive integers; it stays F on the region [lo, hi],
+    lo < 0 < hi, where every B_i, 1 - w, phi = n/d's denominator and 1 - phi
+    have positive Bernstein coefficients, so that both sides are analytic.
+
+    Over D = Q^2 d^3 n (d-n), Q = prod B_i, a term p/s of A or B has s | D,
+    and deg p - deg s is 0 for the terms in l and ab, deg n - deg d for
+    phi' and phi'', deg n - deg(d-n) for g a'b', and that plus
+    max(deg n, deg d) - deg d for g c', as l = L/Q with deg L < deg Q,
+    phi' = W/d^2 with deg W < deg n + deg d, and g = w(1-w) W^2 /
+    (d^2 n (d-n)): each is at most deg n + max(deg n, deg d) - deg(d-n).
+    So A D and B D have degree at most N = 2 deg Q + 3 deg d + 2 deg n +
+    max(deg n, deg d), and are 0 if 0 at N + 1 integers off D's zeros.  In
+    each of the k free parameters, in which e_i, a', b', c' are affine, A
+    has degree 2 and B 1 at most: they are 0 if 0 on a 3^k grid."""
+    name, (lo, hi) = f"rule {rule.name}", rule.region
+    n, d = rule.arg_map.num, rule.arg_map.den
+    bases = [base for base, _ in rule.prefactor_map]
+    if n(0) != 0 or d(0) == 0 or any(base(0) != 1 for base in bases) or not lo < 0 < hi:
+        return f"{name}: phi(0) = 0, every B_i(0) = 1 and lo < 0 < hi do not all hold"
+    n, d = (n, d) if d(0) > 0 else (-n, -d)
+    positive = (*((repr(b), b) for b in bases), ("1 - w", Poly((1, -1))), ("phi's denominator", d), ("1 - phi", d - n))
+    for what, f in positive:
+        if not _bernstein_positive(RatFunc(f).compose(RatFunc(Poly((lo, hi - lo)))).num.coeffs):
+            return f"{name}: {what} is not certainly positive on [{rational_str(lo)}, {rational_str(hi)}]"
+    grid = [(p, rule.new_params(p), [_affine(e, p) for _, e in rule.prefactor_map]) for p in _parameter_grid(rule)]
+    jets = [(f, f.derivative(), f.derivative().derivative()) for f in (*bases, n, d)]
+    off_d = (w for w in itertools.count(1) if all(f(w) for f in (*bases, n, d, d - n)))
+    for w in itertools.islice(off_d, _degree_bound(rule) + 1):
+        *at_bases, (n0, n1, n2), (d0, d1, d2) = [[f(w) for f in jet] for jet in jets]
+        slopes = [(v1 / v, v2 / v - (v1 / v) ** 2) for v, v1, v2 in at_bases]  # l and l' per e_i
+        phi = n0 / d0
+        phi1 = (n1 - phi * d1) / d0
+        phi2 = (n2 - 2 * phi1 * d1 - phi * d2) / d0
+        ww = w - w * w
+        g = ww * phi1**2 / (phi - phi * phi)
+        for p, q, es in grid:
+            ell = sum(e * s for e, (s, _) in zip(es, slopes))
+            dell = sum(e * ds for e, (_, ds) in zip(es, slopes))
+            lin = p.c - (p.a + p.b + 1) * w
+            A = ww * (dell + ell * ell) + lin * ell - p.a * p.b + g * q.a * q.b
+            B = ww * (2 * ell * phi1 + phi2) + lin * phi1 - g * (q.c - (q.a + q.b + 1) * phi)
+            if A or B:
+                at = ", ".join(map(rational_str, (p.a, p.b, p.c)))
+                return f"{name}: {'A' if A else 'B'} = {rational_str(A or B)} at (a, b, c) = ({at}), w = {w}"
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -262,14 +305,14 @@ RULES: dict[str, TransformRule] = {
 
 def gosper_lhs_params(b: Fraction) -> HypParams:
     """Left side of Gosper's formula: 2F1(1/2, b; 5/2-2b; 1/4)."""
-    b = _fr(b)
+    b = Fraction(b)
     return HypParams(Fraction(1, 2), b, Fraction(5, 2) - 2 * b)
 
 
 def gosper_rhs(b: Fraction) -> GammaExpr:
     """Right side of Gosper's formula:
     2^(2b) sqrt(pi)/3 * Gamma(5/2-2b) / Gamma(3/2-b)^2."""
-    b = _fr(b)
+    b = Fraction(b)
     for arg in (Fraction(5, 2) - 2 * b, Fraction(3, 2) - b):
         if arg.denominator == 1 and arg <= 0:
             raise TransformError(f"gamma pole at {rational_str(arg)} in closed form")
@@ -333,7 +376,7 @@ def prove_substitution_steps(b: Fraction) -> dict[str, Verdict]:
     # imported here, so that only a process that proves a step compiles it
     from .integrals import Unproven, integrals_agree, substituted
 
-    b = _fr(b)
+    b = Fraction(b)
     f_t, f_u, f_cyc = proof_integrands(b)
     four = ((Poly.constant(4), Fraction(5, 2) - 3 * b),)
     third = ((Poly.constant(3), Fraction(-1)),)
@@ -377,7 +420,7 @@ def verify_gosper_proof(b: Fraction, prec: Precision) -> dict[str, Verdict]:
 
     Requires b in (1/2, 5/6) so every integral converges absolutely.
     """
-    b = _fr(b)
+    b = Fraction(b)
     if not PROOF_B_RANGE[0] < b < PROOF_B_RANGE[1]:
         raise TransformError(
             "proof-step verification requires 1/2 < b < 5/6 "
@@ -479,13 +522,13 @@ def derive_main(prec: Precision) -> DerivationTrace:
     composed exactly; at z = 1/4 the argument must equal (172872/185039)^2
     as an exact rational, the derived constant (Gosper closed form divided
     by the accumulated prefactor) must agree numerically with both the
-    direct series evaluation and the printed Gamma-product form.  Any
-    internal mismatch raises DerivationError.
+    series at that argument and the printed Gamma-product form.  Any
+    internal mismatch raises DerivationError.  No intermediate term is
+    evaluated: `prove_rule` proves the rules where the chain applies them.
     """
     z = Fraction(1, 4)
-    seed = HypTerm((), HypParams(Fraction(1, 2), Fraction(5, 8), Fraction(5, 4)), RatFunc.x())
+    term = HypTerm((), HypParams(Fraction(1, 2), Fraction(5, 8), Fraction(5, 4)), RatFunc.x())
     steps = []
-    term = seed
     for rule in (QUADRATIC_C_2B, QUADRATIC_MEAN, CUBIC):
         if rule is QUADRATIC_MEAN:
             # 2F1 is symmetric in its upper parameters; the chain takes the
@@ -505,18 +548,8 @@ def derive_main(prec: Precision) -> DerivationTrace:
             f"expected {rational_str(MAIN_ARGUMENT)}"
         )
 
-    # the last step's series is the one at MAIN_ARGUMENT: summed once, here
-    series_value = f21_series(MAIN_PARAMS, MAIN_ARGUMENT, prec)
+    series_value = f21_eval(MAIN_PARAMS, MAIN_ARGUMENT, prec)  # |z| <= 9/10: the direct series
     prefactor = term.prefactor_value(z)
-    base_val = seed.evaluate(z, prec)
-    for name, step_term in steps:
-        if step_term is term:
-            step_val = ge_eval(prefactor, prec) * series_value
-        else:
-            step_val = step_term.evaluate(z, prec)
-        if num_equal(base_val, step_val, prec) is Verdict.DISTINCT:
-            raise DerivationError(f"chain inconsistent after rule {name}")
-
     # 2F1(main; A(1/4)) = gosper_rhs(5/8) / prefactor(1/4)
     constant = gosper_rhs(Fraction(5, 8)) * prefactor.inverse()
     constant_value = ge_eval(constant, prec)
@@ -551,7 +584,7 @@ def derive_main(prec: Precision) -> DerivationTrace:
 def verify_zj_split(a: Fraction, b: Fraction, z: Fraction, prec: Precision) -> Verdict:
     """Check the Gamma-prefactored split of 2F1(a,b;1/2;z) into the two
     series at arguments (1 -+ sqrt(z))/2."""
-    a, b, z = _fr(a), _fr(b), _fr(z)
+    a, b, z = Fraction(a), Fraction(b), Fraction(z)
     if not 0 < z < 1:
         raise TransformError("split check requires 0 < z < 1")
     qprec = prec.boosted(8)

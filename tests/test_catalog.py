@@ -260,7 +260,7 @@ class TestVerify:
     def test_unregistered_rule_fails(self):
         with pytest.raises(CatalogError) as e:
             IdentityRecord.from_json(
-                {"id": "x", "kind": "transform-rule", "rule": "landen", "samples": 3, "seed": 1}
+                {"id": "x", "kind": "transform-rule", "rule": "landen"}
             )
         assert str(e.value) == "record 'x': unknown transform rule 'landen'"
 
@@ -369,7 +369,7 @@ FAMILY_RECORD = {
     "rhs": {"rational": "1"},
     "parameters": {"vars": ["n"], "grid": {"n": {"from": 0, "to": 2}}},
 }
-RULE_RECORD = {"id": "r", "kind": "transform-rule", "rule": "euler", "seed": 1}
+RULE_RECORD = {"id": "r", "kind": "transform-rule", "rule": "euler"}
 SPLIT_RECORD = {
     "id": "s",
     "kind": "transform-rule",
@@ -395,6 +395,7 @@ BAD_INPUTS = {
     "surd-exponent-not-integer": dict(
         POINT_RECORD, rhs={"gamma_expr": {"surd": [["1", "2", "2", "1/2"]]}}
     ),
+    # the knobs of the sampled rule check, gone: unknown fields now
     "rule-samples-negative": dict(RULE_RECORD, samples=-3),
     "rule-samples-zero": dict(RULE_RECORD, samples=0),
     "rule-samples-not-integer": dict(RULE_RECORD, samples="x"),
@@ -609,10 +610,8 @@ def test_catalog_without_records_exits_3(tmp_path, capsys, text):
     [
         ({"rule": "zj-split"}, "zj-split needs a nonempty list of points"),
         ({"rule": "zj-split", "points": []}, "zj-split needs a nonempty list of points"),
-        ({"rule": "euler", "samples": 0}, "samples must be positive"),
-        ({"rule": "euler", "samples": -3}, "samples must be positive"),
     ],
-    ids=["fields0", "fields1", "fields2", "fields3"],
+    ids=["fields0", "fields1"],
 )
 def test_record_built_in_code_that_checks_nothing_fails(fields, message):
     # a record built in code is compiled when it is made, with the checks
@@ -668,3 +667,50 @@ def test_family_and_split_records_compile_at_load(tmp_path):
         ("n=0", 0, F(1, 4), 1), ("n=1", -1, F(1, 4), 1), ("n=2", -2, F(1, 4), 1)
     ]
     assert split.run.args == (((F(1, 4), F(1, 4), F(1, 4)),),)
+
+
+@pytest.mark.parametrize("fields", [{"samples": 20}, {"seed": 101}, {"samples": 20, "seed": 101}])
+def test_rule_record_with_the_sampling_knobs_exits_3(tmp_path, capsys, fields):
+    # a rule is proved, not sampled: samples and seed are unknown fields
+    from hypergamma.cli import main
+
+    path = write_catalog(tmp_path, [dict(RULE_RECORD, **fields)])
+    assert main(["verify", "--catalog", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"catalog error: record 'r': unknown fields {sorted(fields)}\n"
+
+
+def test_rule_records_are_proved_exactly_with_no_evaluation(monkeypatch):
+    import hypergamma.catalog as catalog
+    import hypergamma.hyper as hyper
+    import hypergamma.transforms as transforms
+
+    calls, f21_eval = [], hyper.f21_eval
+
+    def counted(*args):
+        calls.append(args)
+        return f21_eval(*args)
+
+    for module in (catalog, hyper, transforms):
+        monkeypatch.setattr(module, "f21_eval", counted)
+    records = [r for r in catalog_load(DEFAULT_CATALOG) if r.id.startswith("rule-")]
+    assert len(records) == 4
+    for record in records:
+        entry = verify_identity(record, Precision.of(100))
+        assert (entry.verdict, entry.digits, entry.detail) == ("pass", "exact", ""), record.id
+    assert calls == []
+
+
+def test_a_wrong_rule_fails_naming_the_coefficient_and_the_point(monkeypatch):
+    import dataclasses
+
+    from hypergamma.transforms import CUBIC, RULES
+
+    (base, (ca, cb, cc, k)), = CUBIC.prefactor_map
+    wrong = dataclasses.replace(CUBIC, prefactor_map=((base, (ca, cb, cc, k + F(1, 48))),))
+    monkeypatch.setitem(RULES, "cubic", wrong)
+    record = IdentityRecord.from_json({"id": "c", "kind": "transform-rule", "rule": "cubic"})
+    entry = verify_identity(record, Precision.of(30))
+    assert (entry.verdict, entry.digits, entry.precision_digits) == ("fail", "exact", 30)
+    assert entry.detail.startswith("rule cubic: A = ")
+    assert " at (a, b, c) = (" in entry.detail and ", w = " in entry.detail

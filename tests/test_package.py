@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -37,6 +38,12 @@ def test_removed_shims_are_gone():
     assert not hasattr(mpreal, "asin")
     assert not hasattr(hyper, "_integral_with_swap")
     assert not hasattr(hypergamma.catalog, "_rule_sample_params")
+    # the rules are proved, not sampled
+    assert not hasattr(hypergamma.catalog, "_rule_checks")
+    assert not hasattr(hypergamma.HypTerm, "evaluate")
+    rule_fields = {f.name for f in dataclasses.fields(hypergamma.TransformRule)}
+    assert not {"sample_params", "sample_region"} & rule_fields
+    assert not [name for name in dir(hypergamma.transforms) if name.startswith("_sample_")]
     for builder in ("from_gamma", "pi_power", "from_surd"):
         assert not hasattr(hypergamma.GammaExpr, builder), builder
     # a record's one compiled form is its run

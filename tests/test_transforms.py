@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -21,7 +22,7 @@ from hypergamma.exact import Poly, RatFunc, poly_from_pairs
 from hypergamma.gammaexpr import Verdict, ge_eval, num_equal
 from hypergamma.hyper import HypParams, euler_integrand, f21_eval, f21_terminating
 from hypergamma.integrals import Unproven, integrals_agree, substituted
-from hypergamma.mpreal import BigReal, PowerIntegrand, Precision, beta, tanh_sinh_integrate
+from hypergamma.mpreal import BigReal, PowerIntegrand, Precision, _bernstein_positive, beta, tanh_sinh_integrate
 from hypergamma.transforms import (
     CUBE_MAP,
     CUBIC,
@@ -42,10 +43,12 @@ from hypergamma.transforms import (
     gosper_lhs_params,
     gosper_rhs,
     proof_integrands,
+    prove_rule,
     prove_substitution_steps,
     twelfth_degree_map,
     verify_gosper_proof,
     verify_zj_split,
+    _row,
 )
 
 P30 = Precision.of(30)
@@ -99,22 +102,201 @@ class TestApplyRule:
     def test_sampled_params_satisfy_the_rule(self, name):
         rule, rng = RULES[name], random.Random(name)
         for _ in range(50):
-            assert rule.applies_to(rule.sample_params(rng))
+            assert rule.applies_to(SAMPLERS[name](rng))
 
     def test_rule_soundness_sampled(self):
+        # the numeric check, independent of the proof: both sides at sampled
+        # parameters and w in the proved region
         rng = random.Random(1209)
         for rule in RULES.values():
-            lo, hi = rule.sample_region
+            lo, hi = rule.region
             for _ in range(20):
                 w = lo + (hi - lo) * F(rng.randint(1, 79), 80)
                 if w == 0:
                     continue
-                p = rule.sample_params(rng)
-                term = HypTerm((), p, RatFunc.x())
-                out = apply_rule(rule, term)
-                lhs = f21_eval(p, w, P30)
-                rhs = out.evaluate(w, P30)
-                assert overlap(lhs, rhs), f"{rule.name} at {p} w={w}"
+                p = SAMPLERS[rule.name](rng)
+                out = apply_rule(rule, HypTerm((), p, RatFunc.x()))
+                rhs = ge_eval(out.prefactor_value(w), P30) * f21_eval(out.params, out.argument(w), P30)
+                assert overlap(f21_eval(p, w, P30), rhs), f"{rule.name} at {p} w={w}"
+
+
+# parameters at which each rule applies, for the numeric check
+def _sample_euler(rng):
+    a, b = (F(rng.randint(-8, 8), 4) for _ in range(2))
+    return HypParams(a, b, F(rng.randint(1, 12), 4))
+
+
+def _sample_c_2b(rng):
+    b = F(rng.randint(1, 12), 8)
+    return HypParams(F(rng.randint(-8, 8), 8), b, 2 * b)
+
+
+def _sample_mean(rng):
+    a, b = F(rng.randint(1, 10), 8), F(rng.randint(1, 10), 8)
+    return HypParams(a, b, (a + b + 1) / 2)
+
+
+def _sample_cubic(rng):
+    a = F(rng.randint(1, 12), 16)
+    return HypParams(a, a + F(1, 2), (4 * a + 5) / 6)
+
+
+SAMPLERS = {
+    "euler": _sample_euler,
+    "quadratic-c-2b": _sample_c_2b,
+    "quadratic-mean": _sample_mean,
+    "cubic": _sample_cubic,
+}
+
+
+def _shifted(row, by=F(1, 48)):
+    return (*row[:3], row[3] + by)
+
+
+def _wrong_rules(rule):
+    """Each way a rule's data can be wrong that its proof must reject."""
+    (base, e_row), *rest = rule.prefactor_map
+    wrong = {
+        f"parameter row {i}": dataclasses.replace(
+            rule, param_map=tuple(_shifted(r) if j == i else r for j, r in enumerate(rule.param_map))
+        )
+        for i in range(3)
+    }
+    wrong["exponent row"] = dataclasses.replace(rule, prefactor_map=((base, _shifted(e_row)), *rest))
+    num, den = rule.arg_map.num, rule.arg_map.den
+    wrong["argument map"] = dataclasses.replace(rule, arg_map=RatFunc(num.scale(F(49, 48)), den))
+    return wrong
+
+
+# the first point past each rule's region where phi reaches 1, a base 0 or
+# phi a pole, as (region, what the proof names)
+BROKEN_REGIONS = {
+    "euler": ((F(-3, 4), F(1)), "Poly(1 + -1*z)"),
+    "quadratic-c-2b": ((F(-1, 2), F(1)), "Poly(1 + -1*z)"),
+    "quadratic-mean": ((F(-1, 10), F(1, 2)), "Poly(1 + -2*z)"),
+    "cubic": ((F(-1, 3), F(1, 60)), "1 - phi"),
+}
+
+
+class TestRuleProof:
+    """`prove_rule` proves every rule exactly, on its grid and its region,
+    and rejects each way a rule can be wrong."""
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_every_rule_is_proved(self, name):
+        assert prove_rule(RULES[name]) is None
+        assert len(transforms._parameter_grid(RULES[name])) == {
+            "euler": 27, "quadratic-c-2b": 9, "quadratic-mean": 9, "cubic": 3
+        }[name]
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_the_grid_meets_the_constraints(self, name):
+        grid = transforms._parameter_grid(RULES[name])
+        assert len(set(grid)) == len(grid)
+        assert all(RULES[name].applies_to(p) for p in grid)
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_a_wrong_row_or_map_is_rejected(self, name):
+        for what, wrong in _wrong_rules(RULES[name]).items():
+            failure = prove_rule(wrong)
+            # the failure names the coefficient, the grid point and w
+            assert failure and re.fullmatch(
+                rf"rule {name}: [AB] = -?\d+(/\d+)? at \(a, b, c\) = \([-\d/, ]+\), w = \d+", failure
+            ), (what, failure)
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_a_base_not_one_at_zero_is_rejected(self, name):
+        # a constant factor leaves B'/B, so A and B, as they are
+        rule = RULES[name]
+        (base, e_row), *rest = rule.prefactor_map
+        wrong = dataclasses.replace(rule, prefactor_map=((base.scale(F(49, 48)), e_row), *rest))
+        assert prove_rule(wrong) == f"rule {name}: phi(0) = 0, every B_i(0) = 1 and lo < 0 < hi do not all hold"
+
+    def test_phi_not_zero_at_zero_is_rejected(self):
+        # phi = w + 1/48: the values at 0, not the residual, reject it
+        wrong = dataclasses.replace(EULER, arg_map=RatFunc(Poly((F(1, 48), 1))))
+        assert prove_rule(wrong) == "rule euler: phi(0) = 0, every B_i(0) = 1 and lo < 0 < hi do not all hold"
+
+    def test_a_region_past_one_is_rejected(self):
+        # the identity, F = F, has no base; its left side ends at w = 1
+        identity = dataclasses.replace(EULER, param_map=(_row(1), _row(0, 1), _row(0, 0, 1)), prefactor_map=())
+        assert prove_rule(identity) is None
+        wrong = dataclasses.replace(identity, region=(F(-1, 2), F(1)))
+        assert prove_rule(wrong) == "rule euler: 1 - w is not certainly positive on [-1/2, 1]"
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_a_region_reaching_a_singularity_is_rejected(self, name):
+        region, what = BROKEN_REGIONS[name]
+        failure = prove_rule(dataclasses.replace(RULES[name], region=region))
+        lo, hi = region
+        assert failure == f"rule {name}: {what} is not certainly positive on [{lo}, {hi}]"
+
+    def test_a_region_without_zero_is_rejected(self):
+        wrong = dataclasses.replace(EULER, region=(F(1, 10), F(1, 2)))
+        assert prove_rule(wrong) == "rule euler: phi(0) = 0, every B_i(0) = 1 and lo < 0 < hi do not all hold"
+
+    @pytest.mark.parametrize("name", sorted(RULES))
+    def test_the_degree_bound_covers_the_numerators(self, name):
+        # A D and B D by Poly arithmetic, at the grid point where the proof
+        # rejects a wrong rule, have degree at most the proof's N, and over D
+        # they give the value it reports
+        rule = _wrong_rules(RULES[name])["exponent row"]
+        coefficient, value, *abc, at = re.fullmatch(
+            r"rule \S+: ([AB]) = (\S+) at \(a, b, c\) = \((\S+), (\S+), (\S+)\), w = (\d+)",
+            prove_rule(rule),
+        ).groups()
+        p = HypParams(*map(F, abc))
+        q, w = rule.new_params(p), Poly.x()
+        bases = [b for b, _ in rule.prefactor_map]
+        Q = Poly.one()
+        for b in bases:
+            Q = Q * b
+        L = Poly.zero()
+        for b, row in rule.prefactor_map:
+            e = transforms._affine(row, p)
+            L = L + (b.derivative() * Q.divmod(b)[0]).scale(e)
+        n, d = rule.arg_map.num, rule.arg_map.den
+        W = n.derivative() * d - n * d.derivative()
+        ww, lin = w - w * w, Poly((p.c, -(p.a + p.b + 1)))
+        num_d = d * d * d * n * (d - n)
+        num_a = (
+            ww * (L.derivative() * Q - L * Q.derivative() + L * L) * num_d
+            + (ww * W * W * Q * Q * d).scale(q.a * q.b)
+            + lin * L * Q * num_d
+            - (Q * Q * num_d).scale(p.a * p.b)
+        )
+        num_b = (
+            ww * (L * W * Q * d * n * (d - n)).scale(2)
+            + ww * (W.derivative() * d - (W * d.derivative()).scale(2)) * Q * Q * n * (d - n)
+            - ww * W * W * (d.scale(q.c) - n.scale(q.a + q.b + 1)) * Q * Q
+            + lin * W * Q * Q * d * n * (d - n)
+        )
+        N = transforms._degree_bound(rule)
+        assert num_a.degree <= N and num_b.degree <= N, (num_a.degree, num_b.degree, N)
+        at, D = int(at), Q * Q * num_d
+        assert F(value) == {"A": num_a, "B": num_b}[coefficient](at) / D(at) != 0
+
+    def test_each_region_holds_the_chain_on_a_quarter(self):
+        # the chain applies each rule at an argument of z; on [0, 1/4] that
+        # argument stays inside the rule's region, exactly: lo d < n < hi d
+        # with d > 0, by Bernstein coefficients on [0, 1/4]
+        quarter = RatFunc(Poly((0, F(1, 4))))
+        term = SEED_TERM
+        for rule in (QUADRATIC_C_2B, QUADRATIC_MEAN, CUBIC):
+            if rule is QUADRATIC_MEAN:
+                term = HypTerm(term.prefactor, term.params.swapped(), term.argument)
+            arg = term.argument.compose(quarter)  # z = u/4, u in [0, 1]
+            lo, hi = rule.region
+            for f in (arg.den, arg.num - arg.den.scale(lo), arg.den.scale(hi) - arg.num):
+                assert _bernstein_positive(f.coeffs), (rule.name, f)
+            term = apply_rule(rule, term)
+
+    def test_a_wrong_cubic_exponent_fails_the_chains_final_check(self, monkeypatch):
+        (base, e_row), = CUBIC.prefactor_map
+        wrong = dataclasses.replace(CUBIC, prefactor_map=((base, _shifted(e_row)),))
+        monkeypatch.setattr(transforms, "CUBIC", wrong)
+        with pytest.raises(DerivationError, match="derived constant distinct"):
+            derive_main(P40)
 
 
 class TestChain:
