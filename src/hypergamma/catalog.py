@@ -782,8 +782,8 @@ def _verify_once(record: IdentityRecord, prec: Precision) -> ReportEntry:
             record.id, "fail", None, time.perf_counter() - start,
             prec.target_digits, detail=f"{type(e).__name__}: {e}",
         )
-    if record.exact:
-        digits = "exact"
+    if record.exact:  # a failed exact check certifies no digits
+        digits = "exact" if verdict == Verdict.EQUAL else None
     return ReportEntry(
         record.id,
         _ENTRY_VERDICT[verdict],

@@ -16,8 +16,11 @@ plain values, and everything is safe to use concurrently.
 `fixed_point_sum` is the one series kernel of the package: it sums a pFq
 series with rational parameters in Python integers, with an integer ulp
 bound and a geometric tail bound, and returns the enclosure as a BigReal;
-`hyper.f21_series`, `gamma` and `beta` call it once per series.  A series
-of positive terms keeps only wb bits below its largest term, as it cannot
+`hyper.f21_series`, `gamma` and `beta` call it once per series.  Its term
+ratio is built once per series, z folded in and equal parameters
+cancelled, and stepped in C by `itertools`; the terms run in chunks of up
+to 32, with the rescale and the tail test between chunks.  A series of
+positive terms keeps only wb bits below its largest term, as it cannot
 cancel.  Gamma is computed by an exact-rational Pochhammer reduction of
 the argument to (0, 1] (so pole detection is exact) followed by the
 incomplete-gamma series 1F1(1; y+1; M) plus the asymptotic sum of the
@@ -52,6 +55,7 @@ precision.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -704,17 +708,24 @@ def cos_pi_times(x: Real, prec: Precision) -> BigReal:
 # fixed-point hypergeometric series
 
 
-def _differences(pairs, const: int) -> tuple[int, int, int, int]:
-    """Forward differences at n = 0 of const * prod(num + den n) over the
-    (num, den) pairs, a polynomial of degree at most 3 in n: adding each
-    difference to the one before it steps the polynomial to n + 1."""
+def _values(pairs, const: int):
+    """const * prod(num + den n) over the (num, den) pairs at n = 0, 1, ...,
+    stepped in C from its forward differences at 0: for degree d, `count`
+    runs the (d-1)-th and each `accumulate` adds one into the one below."""
+    d = len(pairs) if const else 0
     f = []
-    for n in range(4):
+    for n in range(d + 1):
         value = const
         for num, den in pairs:
             value *= num + den * n
         f.append(value)
-    return f[0], f[1] - f[0], f[2] - 2 * f[1] + f[0], f[3] - 3 * f[2] + 3 * f[1] - f[0]
+    for k in range(1, d + 1):  # f[i] becomes the i-th difference at 0
+        for i in range(d, k - 1, -1):
+            f[i] -= f[i - 1]
+    values = itertools.count(*f[d - 1 :]) if d else itertools.repeat(const)
+    for start in reversed(f[: d - 1]):
+        values = itertools.accumulate(values, initial=start)
+    return values
 
 
 def _center_radius(z: Real) -> tuple[int, int, int]:
@@ -801,87 +812,99 @@ def _scaled_sum(
     companion also (G, err_G), the same for its sum; None if term_cap terms
     pass before the tail bound is met.
 
-    The terms are T <- floor(T P u / (Q v)), with P/Q the parameter part of
-    the term ratio in integers and Q > 0, and S <- S + T.  Each floor
-    division costs at most 1 ulp, so an integer bound E on the error of T,
-    in ulps, propagates as E <- ceil(E |P| / Q) + 1; a nonzero radius D
-    adds the term ceil(((|T| + E) D + |u| E) |P| / (Q v)).  The error is the
-    sum of the E plus 1 ulp, plus a geometric tail bound on the true terms
-    from (|T| + E).  The companion term g_n t_n steps the same way, before
-    T does, as floor(X P u / (Q v Dd)) with X = g_n t_n Dd + Nd t_n and
-    delta_n = Nd/Dd, Dd > 0; its own ulp bound propagates like E, with
-    Dd EG + |Nd| E as the error of X.
+    The terms are T <- floor(T P / Q) and S <- S + T, with P/Q the term
+    ratio in integers, u folded into P and v into Q, stepped in C by
+    `_values`; an upper parameter equal to a lower one or to n!'s 1, and
+    the gcd of their constants, cancel from both (no bit moves).  Each
+    floor division costs at most 1 ulp, so an integer bound E on the error
+    of T, in ulps, propagates as E <- ceil(E |P / Q|) + 1, or with a radius
+    D > 0 as E <- ceil((|T| D + E (|u| + D)) |P / Q| / |u|) + 1 (a z
+    centred on 0 folds 1 for u and starts from T = 0, E = 2^wb).  Each
+    ceiling is -(m x P // Q), m = -sign(P/Q).  The error is the sum of the
+    E plus 1 ulp, plus a geometric tail bound on the true terms from
+    (|T| + E).  The companion term g_n t_n steps the same way, before T
+    does, as floor(X P / (Q Dd)) with X = g_n t_n Dd + Nd t_n and delta_n =
+    Nd/Dd, Dd > 0; its own ulp bound propagates like E, with Dd EG + |Nd| E
+    as the error of X.
 
-    A series of positive terms (u > 0, every parameter > 0, no companion)
-    cannot cancel, so it needs no bits below 2^-wb of its largest term.
-    Every 32 terms, a T above 2^(wb+64) is cut to wb + 1 bits: T and S
+    The terms run in chunks that end at each multiple of 32, at each n
+    where P/Q changes sign, at term_cap and where the series ends.  A
+    series of positive terms (u > 0, every parameter > 0, no companion)
+    cannot cancel, so it needs no bits below 2^-wb of its largest term: at
+    a multiple of 32, a T above 2^(wb+64) is cut to wb + 1 bits: T and S
     shift right by sh, each E and E_sum becomes (E >> sh) + 2 (1 ulp for
     the ceiling, 1 for the floor of the shift), and all later integers are
     in units of 2^scale, scale the sum of the shifts; S and its error
     shift back left by scale on return.
 
-    The tail is tested every 32 terms once the ratio bound
+    The tail is tested there too once the ratio bound
     rho = ((|u| + D)/v) prod(n + |a|) / (n prod(n - |b|)), which decreases
     in n past max|param|, is below 1; the sum stops when the tail bound is
     below 2^(-pwb) of the partial sum (or below the rounding bound already
-    accrued), or when an upper parameter makes the series terminate.  Past
-    n, |delta_k| <= Dn = sum 1/(n - |alpha|), so |g_{n+j}| <= |g_n| + j Dn
-    and the companion's tail is at most
-    rho/(1 - rho) |g_n t_n| + rho/(1 - rho)^2 Dn |t_n|.
+    accrued), or when the series ends.  Past n, |delta_k| <= Dn =
+    sum 1/(n - |alpha|), so |g_{n+j}| <= |g_n| + j Dn and the companion's
+    tail is at most rho/(1 - rho) |g_n t_n| + rho/(1 - rho)^2 Dn |t_n|.
     """
     up = [(a.numerator, a.denominator) for a in upper]
     lo = [(b.numerator, b.denominator) for b in lower]
     ad = math.prod(den for _, den in up)
     bd = math.prod(den for _, den in lo)
-    # term ratio prod(a+n) z / (prod(b+n) (n+1)) = P(n) z / Q(n), stepped
-    # with n by forward differences
-    P, P1, P2, P3 = _differences(up, bd)
-    Q, Q1, Q2, Q3 = _differences(lo + [(1, 1)], ad)
-    abs_u_D = abs(u) + D
+    tops, bottoms = [], lo + [(1, 1)]
+    for a in up:  # a nonpositive integer, which ends the series, stays
+        if a[0] > 0 and a in bottoms:
+            bottoms.remove(a)
+        else:
+            tops.append(a)
+    uf = u if u or not D else 1
+    g = math.gcd(uf * bd, v * ad)  # with the dens of the cancelled pairs
+    terms = zip(_values(tops, uf * bd // g), _values(bottoms, v * ad // g))
+    aU, uD = abs(uf) or 1, abs(u) + D
+    stop = min((-num for num, den in up if den == 1 and num <= 0), default=math.inf)
+    cap = term_cap if (term_cap or 0) > 0 else math.inf
+    # where a negative factor of P or Q turns positive, P/Q changes sign
+    flips = sorted((-(num // den) for num, den in tops + bottoms if num < 0), reverse=True)
+    m = (-1) ** (1 + (uf < 0) + len(flips))  # -sign(P/Q) at n = 0
+    flips.insert(0, math.inf)
     # companion: delta_n = sum sigma q / (q n + p) over alpha = p/q, and
     # |delta_k| <= sum q / (q n - |p|) for every k >= n > max|alpha|
     shifts = [(al.numerator, al.denominator, sigma * al.denominator) for sigma, al in companion]
     bounds = [(-abs(p), q, q) for p, q, _ in shifts]
     paired = bool(shifts)
+    wide = paired or D
     n0 = 2 * max(
         [-(-abs(num) // den) for num, den in up + lo + [s[:2] for s in shifts]] + [1]
     ) + 8
-
-    # positive terms need no bits below 2^-wb of the largest one
     rescales = u > 0 and not paired and all(num > 0 for num, _ in up + lo)
     T = S = 1 << wb
     E = E_sum = 0
+    if uf != u:  # every term past the first is 0: (|T| + E) D |P / Q| either way
+        T, E = 0, S
     G = EG = EG_sum = G_sum = 0
-    n = scale = 0
-    while True:
-        if P == 0:  # terminating series: sum is complete
-            return [(S, E_sum + 1), (G_sum, EG_sum + 1)] if paired else [(S, E_sum + 1)]
-        if Q > 0:
-            Pr, Qr = P, Q * v
-        else:
-            Pr, Qr = -P, -Q * v
-        aPr = abs(Pr)
-        PD = aPr * D
-        if paired:
-            Nd, Dd = _harmonic(shifts, n)
-            X = G * Dd + Nd * T
-            EX = EG * Dd + abs(Nd) * E
-            QX = Qr * Dd
-            EG = -(-(abs(X) * PD + EX * (aPr * abs_u_D)) // QX) + 1
-            G = X * (Pr * u) // QX
-            G_sum += G
-            EG_sum += EG
-        E = -(-(abs(T) * PD + E * (aPr * abs_u_D)) // Qr) + 1
-        T = T * (Pr * u) // Qr
-        S += T
-        E_sum += E
-        n += 1
-        P += P1
-        P1 += P2
-        P2 += P3
-        Q += Q1
-        Q1 += Q2
-        Q2 += Q3
+    n = j = scale = 0
+    while n != stop:
+        while n == flips[-1]:
+            flips.pop()
+            m = -m
+        end = min((n | 31) + 1, stop, cap, flips[-1])
+        for P, Q in itertools.islice(terms, end - n):
+            if wide:
+                if paired:
+                    Nd, Dd = _harmonic(shifts, j)
+                    j += 1
+                    X = G * Dd + Nd * T
+                    EX = EG * Dd + abs(Nd) * E
+                    QX = Q * Dd
+                    EG = -(m * (abs(X) * D + EX * uD) * P // (aU * QX)) + 1
+                    G = X * P // QX
+                    G_sum += G
+                    EG_sum += EG
+                E = -(m * (abs(T) * D + E * uD) * P // (aU * Q)) + 1
+            else:
+                E = -(m * E * P // Q) + 1
+            T = T * P // Q
+            S += T
+            E_sum += E
+        n = end
         if n % 32 == 0:
             if rescales and T >> (wb + 64):
                 # floor both shifts: 1 ulp each, and 1 more for E's ceiling
@@ -892,7 +915,7 @@ def _scaled_sum(
                 E_sum = (E_sum >> sh) + 2
                 scale += sh
             if n >= n0:
-                rn = abs_u_D * bd * math.prod(n * den + abs(num) for num, den in up)
+                rn = uD * bd * math.prod(n * den + abs(num) for num, den in up)
                 rd = v * n * ad * math.prod(n * den - abs(num) for num, den in lo)
                 if rd > rn:
                     tail = -(-(abs(T) + E) * rn // (rd - rn))
@@ -908,8 +931,10 @@ def _scaled_sum(
                         )
                         if g_tail << pwb <= abs(G_sum) or g_tail <= EG_sum:
                             return [(S, E_sum + 1 + tail), (G_sum, EG_sum + 1 + g_tail)]
-        if n == term_cap:
+        if n == cap:
             return None
+    # an upper parameter -n ends the series: the sum is complete
+    return [(S, E_sum + 1), (G_sum, EG_sum + 1)] if paired else [(S, E_sum + 1)]
 
 
 # ---------------------------------------------------------------------------

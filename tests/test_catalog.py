@@ -661,6 +661,19 @@ def test_point_record_with_exact_product_is_verified_exactly(tmp_path):
     assert entry.detail == "exact mismatch: 16/35 != 32/35"
 
 
+def test_a_failed_exact_point_record_certifies_no_digits(tmp_path, capsys):
+    # (1)_3 / (3/2)_3 times 2 is 32/35, not the sum 16/35
+    from hypergamma.cli import main
+
+    doubled = dict(EXACT_POINT_RECORD["rhs"]["exact_product"], pow_base="2", pow_exp="1")
+    path = write_catalog(tmp_path, [dict(EXACT_POINT_RECORD, rhs={"exact_product": doubled})])
+    entry = verify_identity(catalog_load(path)[0], Precision.of(30))
+    assert (entry.verdict, entry.digits) == ("fail", None)
+    assert main(["verify", "--catalog", str(path), "--report", "json"]) == 1
+    (reported,) = json.loads(capsys.readouterr().out)["entries"]
+    assert (reported["verdict"], reported["digits"]) == ("fail", None)
+
+
 def test_family_and_split_records_compile_at_load(tmp_path):
     family, split = catalog_load(write_catalog(tmp_path, [FAMILY_RECORD, SPLIT_RECORD]))
     assert [(at, p.a, z, rhs) for at, p, z, rhs in points(family)] == [
@@ -711,6 +724,6 @@ def test_a_wrong_rule_fails_naming_the_coefficient_and_the_point(monkeypatch):
     monkeypatch.setitem(RULES, "cubic", wrong)
     record = IdentityRecord.from_json({"id": "c", "kind": "transform-rule", "rule": "cubic"})
     entry = verify_identity(record, Precision.of(30))
-    assert (entry.verdict, entry.digits, entry.precision_digits) == ("fail", "exact", 30)
+    assert (entry.verdict, entry.digits, entry.precision_digits) == ("fail", None, 30)
     assert entry.detail.startswith("rule cubic: A = ")
     assert " at (a, b, c) = (" in entry.detail and ", w = " in entry.detail

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import hypergamma
 from hypergamma.catalog import CANARY_CATALOG
 from hypergamma.cli import main
 
@@ -14,6 +19,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_runs_as_a_module(capsys):
+    """`python -m hypergamma` from a checkout (the package on PYTHONPATH, not
+    installed) exits as `cli.main` returns and prints what it prints."""
+    argv = ["eval", "--a", "1/2", "--b", "1/3", "--c", "5/4", "--z", "1/2", "--digits", "30"]
+    src = str(Path(hypergamma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-m", "hypergamma", *argv], env=env, capture_output=True, text=True
+    )
+    code, out, err = run(capsys, *argv)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out, err) == (0, out, "")
+    assert out.startswith("1.0883748443235895093662642772")
 
 
 class TestEval:

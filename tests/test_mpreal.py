@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from mpmath import iv, mp
 from mpmath.libmp import fone, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_shift
 
-from helpers import as_mpf, assert_encloses, mpf_of_fraction
+from helpers import as_mpf, assert_encloses, mpf_of_fraction, reference_scaled_sum
 
 from hypergamma import mpreal
-from hypergamma.hyper import HypParams, euler_integrand, f21_series
+from hypergamma.hyper import HypParams, euler_integrand, f21_log_connection, f21_series
 from hypergamma.mpreal import (
     BITS_PER_DIGIT,
     BigReal,
@@ -477,6 +477,30 @@ def _digest(values) -> str:
     return digest.hexdigest()
 
 
+_KERNEL_PARAMS = st.one_of(
+    st.sampled_from([F(1), F(2), F(1, 2), F(-1, 2), F(5, 3), F(-7, 3), F(0), F(-3)]),
+    st.builds(F, st.integers(-40, 40), st.integers(1, 8)),
+)
+
+
+def _off_the_poles(a: F) -> bool:
+    return not (a.denominator == 1 and a <= 0)
+
+
+def _assert_kernel_agrees(upper, lower, u, v, D, wb, pwb, term_cap, companion):
+    """`mpreal._scaled_sum` and `reference_scaled_sum` give the same result,
+    or both reach a lower parameter's pole."""
+
+    def run(kernel):
+        try:
+            return kernel(upper, lower, u, v, D, wb, pwb, term_cap, companion)
+        except ZeroDivisionError as e:
+            return type(e)
+
+    want = run(reference_scaled_sum)
+    assert run(mpreal._scaled_sum) == want, (upper, lower, u, v, D, wb, pwb, term_cap, companion)
+
+
 class TestFixedPointSum:
     # 2F1(40, 40; 1/8; -9/10): terms near 2^350 cancel to about 4e-12
     UPPER, LOWER = (F(40), F(40)), (F(1, 8),)
@@ -546,6 +570,82 @@ class TestFixedPointSum:
         assert _digest(beta(x, y, prec) for x, y, prec in betas) == (
             "2e40e82c4e97e968925d2e446b92c47f254876bc37a4f108ae35db726dd65933"
         )
+
+    def test_log_connection_is_bit_identical(self):
+        """f21_log_connection's (value, radius) on 36 seeded inputs near
+        z = 1 with c - a - b in -3..3, every one through the companion sum;
+        its digest is that of the term-by-term kernel."""
+        rng = random.Random(2201)
+        values = []
+        for _ in range(60):
+            a = F(rng.randint(-30, 30), rng.randint(2, 9))
+            b = F(rng.randint(-30, 30), rng.randint(2, 9))
+            c = a + b + rng.randint(-3, 3)
+            z = 1 - F(rng.randint(1, 60), rng.choice((100, 97, 128)))
+            prec = Precision.of(rng.randint(10, 60))
+            if a.denominator > 1 and b.denominator > 1 and not (c.denominator == 1 and c <= 0):
+                values.append(f21_log_connection(HypParams(a, b, c), z, prec))
+        assert len(values) == 36
+        assert _digest(values) == (
+            "7e3031d28374fa88b406b1226bf81f977c248bffc2b149bbe4650241fc887b4c"
+        )
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_kernel_equals_the_term_by_term_reference(self, data):
+        """The chunked kernel returns what the term-by-term kernel of
+        `reference_scaled_sum` returns, bit for bit, over p <= q + 1 <= 3,
+        parameters of either sign with upper ones that end the series or
+        equal a lower one or 1, rational and interval z (some centred on 0),
+        the companion sum, and term caps of any residue mod 32."""
+        p, q = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]))
+        upper = data.draw(st.lists(_KERNEL_PARAMS, min_size=p, max_size=p))
+        lower = data.draw(st.lists(_KERNEL_PARAMS.filter(_off_the_poles), min_size=q, max_size=q))
+        if upper and lower and data.draw(st.booleans()):
+            upper[0] = lower[-1]
+        u = data.draw(st.integers(-300, 300)) if data.draw(st.integers(0, 7)) else 0
+        D = data.draw(st.sampled_from([0, 0, 0, 1, 7, 40]))
+        if p == q + 1 and not any(a.denominator == 1 and a <= 0 for a in upper):
+            v = abs(u) + D + data.draw(st.integers(max(1, abs(u) // 16), 400))
+        else:
+            v = data.draw(st.integers(1, 400))
+        wb = data.draw(st.integers(8, 160))
+        pwb = data.draw(st.integers(1, wb))
+        term_cap = data.draw(st.one_of(st.none(), st.integers(1, 300)))
+        companion = ()
+        if data.draw(st.integers(0, 3)) == 0:
+            shift = st.tuples(st.sampled_from((1, -1)), _KERNEL_PARAMS.filter(_off_the_poles))
+            companion = tuple(data.draw(st.lists(shift, min_size=1, max_size=4)))
+        _assert_kernel_agrees(upper, lower, u, v, D, wb, pwb, term_cap, companion)
+
+    @pytest.mark.parametrize(
+        "upper, lower, u, v, D, wb, pwb, term_cap, companion",
+        [
+            # positive terms past 2^(wb+64): rescaled every 32 terms
+            ((F(1),), (F(1, 3),), 200, 1, 0, 64, 50, None, ()),
+            ((F(7, 2),), (F(1, 3),), 9, 1, 0, 40, 40, None, ()),
+            # z's interval centred on 0, with and without a companion
+            ((F(1, 2), F(1, 3)), (F(5, 4),), 0, 64, 3, 100, 90, None, ()),
+            ((F(1, 2), F(1, 3)), (F(5, 4),), 0, 64, 3, 100, 90, None, ((1, F(1)), (-1, F(1, 2)))),
+            # stopped by a cap of 200, which is not a multiple of 32
+            ((F(1, 2), F(1, 3)), (F(5, 4),), 99, 100, 0, 200, 190, 200, ()),
+            # upper parameters equal to the lower one and to n!'s 1
+            ((F(5, 4), F(1)), (F(5, 4),), 1, 2, 0, 120, 110, None, ()),
+            ((F(1), F(1, 3)), (F(1),), -5, 7, 1, 120, 110, None, ()),
+            # ends at n = 5 with |z| > 1; ends at 3, where the lower pole is
+            ((F(-5), F(1, 3)), (F(-7, 2),), -7, 3, 0, 100, 90, None, ()),
+            ((F(-3), F(1, 2)), (F(-3),), 1, 2, 0, 100, 90, None, ()),
+            # reaches its lower pole: ZeroDivisionError in both
+            ((F(1, 2), F(1, 3)), (F(-2),), 1, 2, 0, 100, 90, None, ()),
+            # Q < 0 for the first terms, and P/Q changing sign twice
+            ((F(1, 2), F(-7, 3)), (F(-13, 4),), -3, 4, 0, 150, 140, None, ()),
+            ((F(-1, 2), F(-9, 4)), (F(-11, 3), F(-1, 5)), 13, 5, 2, 150, 140, 77, ()),
+        ],
+    )
+    def test_kernel_equals_the_reference_on_edges(
+        self, upper, lower, u, v, D, wb, pwb, term_cap, companion
+    ):
+        _assert_kernel_agrees(upper, lower, u, v, D, wb, pwb, term_cap, companion)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -11,6 +11,10 @@ touched), runs the tests with pytest and prints one line:
   expected (``why``), and the line then shows it;
 * ``error``    - pytest could not run the tests (exit code 2 or more).
 
+Tests still running after TIMEOUT_S count as ``caught``: a fault that
+makes a loop run on fails the suite as surely as one that fails an
+assertion, and the line says that they timed out.
+
 Run it from anywhere, on every row or on those whose name contains a text:
 
     python3 tools/mutants.py
@@ -34,6 +38,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 120
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,7 @@ class Row:
 
 RULE_PROOF = ("tests/test_transforms.py::TestRuleProof",)
 GAMMA = ("tests/test_mpreal.py",)
+KERNEL = ("tests/test_mpreal.py::TestFixedPointSum",)
 TRANSFORMS, MPREAL = "src/hypergamma/transforms.py", "src/hypergamma/mpreal.py"
 
 ROWS = (
@@ -95,11 +101,22 @@ ROWS = (
         "s = BigReal(s.val, s.err, wb)", "s = BigReal(s.val, fzero, wb)", GAMMA),
     Row("_gamma_unit: sine without its extra bits", MPREAL,
         "sin_pi_times(y, Precision(0, wb + extra))", "sin_pi_times(y, Precision(0, wb))", GAMMA),
+    # the series kernel, _scaled_sum
+    Row("_scaled_sum: +1 of the E step dropped", MPREAL,
+        "E = -(m * E * P // Q) + 1", "E = -(m * E * P // Q)", KERNEL),
+    Row("_scaled_sum: E step's ceiling a floor", MPREAL,
+        "E = -(m * E * P // Q) + 1", "E = (-m * E * P // Q) + 1", KERNEL),
+    Row("_scaled_sum: cancellation on numerators only", MPREAL,
+        "if a[0] > 0 and a in bottoms:\n            bottoms.remove(a)",
+        "if a[0] > 0 and a[0] in dict(bottoms):\n            bottoms.remove((a[0], dict(bottoms)[a[0]]))",
+        KERNEL),
+    Row("_scaled_sum: |u| dropped from the D > 0 step", MPREAL,
+        "E * uD) * P // (aU * Q)) + 1", "E * uD) * P // Q) + 1", KERNEL),
 )
 
 
-def run(row: Row) -> tuple[str, float]:
-    """The row's verdict and the seconds its tests took."""
+def run(row: Row) -> tuple[str, float | None]:
+    """The row's verdict and the seconds its tests took, None if they timed out."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp)
         for part in ("src", "tests"):
@@ -109,7 +126,12 @@ def run(row: Row) -> tuple[str, float]:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *row.tests]
         start = time.perf_counter()
-        done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+        try:
+            done = subprocess.run(
+                command, cwd=root, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return "caught", None
         seconds = time.perf_counter() - start
     return {0: "uncaught", 1: "caught"}.get(done.returncode, "error"), seconds
 
@@ -124,7 +146,8 @@ def main(argv: list[str]) -> int:
     worst = 0
     for row in rows:
         verdict, seconds = run(row)
-        line = f"{verdict:9s} {row.name:48s} {seconds:6.1f} s  {' '.join(row.tests)}"
+        took = f"{seconds:6.1f} s" if seconds is not None else f">{TIMEOUT_S} s (timed out)"
+        line = f"{verdict:9s} {row.name:48s} {took}  {' '.join(row.tests)}"
         if verdict == "uncaught" and row.why:
             line += f"\n          expected: {row.why}"
         print(line, flush=True)
