@@ -1,7 +1,7 @@
 """Running the bundled identity catalog, and proving the harness can say no.
 
-The default catalog covers the classical summation theorems (sampled over
-random rational parameters), the exact terminating family, the strange
+The default catalog covers the classical summation theorems (at the
+rational parameter points it lists), the exact terminating family, the strange
 series grid, the algebraic evaluations, the transform rules, and both
 proof chains.  The canary catalog perturbs a closed form by one part in
 10^20: it must FAIL, or the harness would only ever confirm.

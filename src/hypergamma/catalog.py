@@ -8,7 +8,7 @@ record's `kind` selects exactly one verification strategy:
   them, or an exact rational).
 * ``parametric-family``: the lhs parameters, argument, and rhs expression
   are templates over named variables; samples come from an explicit grid or
-  a named deterministic sampler.  Exact rhs kinds compare as rationals.
+  an explicit list of points.  Exact rhs kinds compare as rationals.
 * ``transform-rule``: the exact proof of a named rewrite rule, or the
   fixed-point checks of the series splitting transform.
 * ``proof-chain``: the derivation chain of the headline evaluation, or the
@@ -18,12 +18,12 @@ Template expressions ("5/2-2*b", "b/(a+b)", ...) are exact rational
 expressions; only +, -, *, / and named variables are allowed.  A record
 is compiled when `IdentityRecord.from_json` makes it, for `catalog_load`
 or for other code, into its `run`, and that is its validation: the rule or
-chain it names, or every template evaluated once at every sample, drawn
-then, once, into the concrete points the run checks.  At each sample the
-lhs must have a value (and terminate if the rhs is exact), any exact
-product must be defined, and the Gamma arguments, bases and surds of any
-Gamma expression must be positive.  A fault raises the same CatalogError
-either way; verifying evaluates no template.
+chain it names, or every template evaluated once at every sample into
+the concrete points the run checks.  At each sample the lhs must have a
+value (and terminate if the rhs is exact), any exact product must be
+defined, and the Gamma arguments, bases and surds of any Gamma expression
+must be positive.  A fault raises the same CatalogError either way;
+verifying evaluates no template.
 
 Verdicts per record are pass / fail / inconclusive; an inconclusive
 comparison is retried once at doubled precision.  A fail entry
@@ -37,7 +37,6 @@ from __future__ import annotations
 import ast
 import json
 import operator
-import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -473,62 +472,7 @@ def catalog_load(path: str | Path) -> list[IdentityRecord]:
 
 
 # ---------------------------------------------------------------------------
-# deterministic samplers for the random parametric families
-
-
-def _trunc(n: int, d: int) -> int:
-    """int(Fraction(n, d)) for d > 0, without making the Fraction."""
-    return n // d if n >= 0 else -(-n // d)
-
-
-def _rand_fraction(rng: random.Random, lo: Fraction, hi: Fraction, den_max: int = 24) -> Fraction:
-    den = rng.randint(2, den_max)
-    lo_n = _trunc(lo.numerator * den, lo.denominator) + 1
-    hi_n = _trunc(hi.numerator * den, hi.denominator) - 1
-    if hi_n < lo_n:
-        lo_n = hi_n = int((lo + hi) / 2 * den)
-    return Fraction(rng.randint(lo_n, hi_n), den)
-
-
-def _sample_gauss(rng: random.Random) -> dict[str, Fraction]:
-    a = _rand_fraction(rng, Fraction(-3, 2), Fraction(3, 2))
-    b = _rand_fraction(rng, Fraction(1, 8), Fraction(3, 2))
-    gap = _rand_fraction(rng, Fraction(1, 5), Fraction(2))
-    c = b + max(a, Fraction(0)) + gap  # c > b > 0 and c - a - b >= gap > 1/10
-    return {"a": a, "b": b, "c": c}
-
-
-def _sample_gauss_second(rng: random.Random) -> dict[str, Fraction]:
-    a = _rand_fraction(rng, Fraction(-1, 2), Fraction(2))
-    b = _rand_fraction(rng, Fraction(-1, 2), Fraction(2))
-    return {"a": a, "b": b}
-
-
-def _sample_bailey(rng: random.Random) -> dict[str, Fraction]:
-    while True:
-        a = _rand_fraction(rng, Fraction(-3, 4), Fraction(3, 4))
-        c = _rand_fraction(rng, Fraction(1, 2), Fraction(3))
-        if c + a != 0:  # (c+a)/2 would sit exactly on a Gamma pole
-            return {"a": a, "c": c}
-
-
-def _sample_kummer(rng: random.Random) -> dict[str, Fraction]:
-    a = _rand_fraction(rng, Fraction(1, 20), Fraction(19, 20), 20)
-    b = _rand_fraction(rng, Fraction(1, 20), Fraction(19, 20), 20)
-    return {"a": a, "b": b}
-
-
-def _sample_gosper_quarter(rng: random.Random) -> dict[str, Fraction]:
-    return {"b": _rand_fraction(rng, Fraction(-2), Fraction(5, 6), 24)}
-
-
-SAMPLERS: dict[str, Callable[[random.Random], dict[str, Fraction]]] = {
-    "gauss": _sample_gauss,
-    "gauss-second": _sample_gauss_second,
-    "bailey": _sample_bailey,
-    "kummer": _sample_kummer,
-    "gosper-quarter": _sample_gosper_quarter,
-}
+# samples
 
 
 def _grid_values(spec, where: str) -> list[Fraction]:
@@ -544,44 +488,47 @@ def _grid_values(spec, where: str) -> list[Fraction]:
     return [_rational(v, where) for v in spec]
 
 
+def _points(value, names: Sequence[str], where: str, owner: str) -> list[Env]:
+    """The listed points of a family or of zj-split: a nonempty list of
+    objects whose keys are exactly `names`, each read, in that order, into
+    exact rationals."""
+    if not isinstance(value, list) or not value:
+        raise CatalogError(f"{where}: {owner} needs a nonempty list of points")
+    envs = []
+    for i, point in enumerate(value):
+        if not isinstance(point, dict) or set(point) != set(names):
+            raise CatalogError(f"{where}: {owner} point {i} needs exactly {', '.join(names)}")
+        envs.append({k: _rational(point[k], f"{where} point {i}") for k in names})
+    return envs
+
+
 def _compile_samples(data: dict, where: str) -> tuple[set[str], tuple[Env, ...]]:
     """The variables of a point or family record and its samples, all made
-    here: one empty sample for a point record, the grid's cross product, or
-    the named sampler's `count` draws from its `seed`."""
+    here: one empty sample for a point record, else the grid's cross
+    product or the listed points, each with its variables in `vars` order."""
     if data["kind"] != "parametric-family":
         return set(), ({},)
     params = data.get("parameters")
     if not isinstance(params, dict):
         raise CatalogError(f"{where}: parametric-family needs parameters")
-    unknown = set(params) - {"vars", "sampler", "count", "seed", "grid"}
+    unknown = set(params) - {"vars", "grid", "points"}
     if unknown:
         raise CatalogError(f"{where}: unknown parameters fields {sorted(unknown)}")
     names = params.get("vars")
     if not (isinstance(names, list) and names and all(isinstance(v, str) for v in names)):
         raise CatalogError(f"{where}: parameters.vars must be a nonempty list of names")
     variables = set(names)
-    if ("grid" in params) == ("sampler" in params):
-        raise CatalogError(f"{where}: need exactly one of grid or sampler")
-    if "grid" in params:
-        grid = params["grid"]
-        if not isinstance(grid, dict) or set(grid) != variables:
-            raise CatalogError(f"{where}: grid keys must match vars")
-        envs: list[Env] = [{}]
-        for var in names:
-            values = _grid_values(grid[var], f"{where} grid.{var}")
-            envs = [dict(e, **{var: v}) for e in envs for v in values]
-        return variables, tuple(envs)
-    name = params["sampler"]
-    if not (isinstance(name, str) and name in SAMPLERS):
-        raise CatalogError(f"{where}: unknown sampler {name!r}")
-    seed = _integer(params.get("seed", 0), f"{where} seed")
-    count = _integer(params.get("count", 20), f"{where} count")
-    if count < 1:
-        raise CatalogError(f"{where}: count must be positive")
-    rng = random.Random(seed)
-    envs = [SAMPLERS[name](rng) for _ in range(count)]
-    if set(envs[0]) != variables:
-        raise CatalogError(f"{where}: sampler {name!r} does not draw vars {sorted(variables)}")
+    if ("grid" in params) == ("points" in params):
+        raise CatalogError(f"{where}: need exactly one of grid or points")
+    if "points" in params:
+        return variables, tuple(_points(params["points"], names, where, "parametric-family"))
+    grid = params["grid"]
+    if not isinstance(grid, dict) or set(grid) != variables:
+        raise CatalogError(f"{where}: grid keys must match vars")
+    envs: list[Env] = [{}]
+    for var in names:
+        values = _grid_values(grid[var], f"{where} grid.{var}")
+        envs = [dict(e, **{var: v}) for e in envs for v in values]
     return variables, tuple(envs)
 
 
@@ -723,15 +670,8 @@ def _rule_proof(rule: TransformRule, prec: Precision) -> Iterator[Check]:
 def _compile_rule(data: dict, where: str) -> Checks:
     name, points = data.get("rule"), data.get("points")
     if name == "zj-split":
-        if not points:
-            raise CatalogError(f"{where}: zj-split needs a nonempty list of points")
-        if not isinstance(points, list) or not all(
-            isinstance(pt, dict) and set(pt) == {"a", "b", "z"} for pt in points
-        ):
-            raise CatalogError(f"{where}: split points need a, b, z")
-        return partial(_split_checks, tuple(
-            tuple(_rational(pt[k], f"{where} point") for k in "abz") for pt in points
-        ))
+        envs = _points(points, ("a", "b", "z"), where, "zj-split")
+        return partial(_split_checks, tuple(tuple(env.values()) for env in envs))
     if not isinstance(name, str) or name not in RULES:
         raise CatalogError(f"{where}: unknown transform rule {name!r}")
     if points is not None:

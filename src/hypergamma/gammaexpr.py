@@ -14,13 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from mpmath.libmp import fone, fzero, mpf_abs, mpf_add, mpf_cmp, mpf_div, mpf_sub
-
 from .exact import rational_str
 from .mpreal import (
-    ERR_BITS,
-    RU,
     BigReal,
+    IntervalGap,
     Precision,
     _log_int,
     gamma,
@@ -240,37 +237,15 @@ def num_equal(x: BigReal, y: BigReal, prec: Precision) -> Verdict:
     bounds are at most 10^(10 - target_digits) * max(1, |x|); distinct:
     the intervals are disjoint; otherwise inconclusive (raise precision).
     """
-    d = mpf_abs(mpf_sub(x.val, y.val, ERR_BITS, RU))
-    tot = mpf_add(x.err, y.err, ERR_BITS, RU)
-    if mpf_cmp(d, tot) > 0:
+    gap = IntervalGap.of(x, y)
+    if gap.disjoint():
         return Verdict.DISTINCT
-    scale = mpf_abs(x.val) if mpf_cmp(mpf_abs(x.val), fone) > 0 else fone
-    k = prec.target_digits - 10
-    cap = mpf_div(
-        scale,
-        BigReal.from_fraction(Fraction(10) ** max(1, k), ERR_BITS).val,
-        ERR_BITS,
-        RU,
-    )
-    if mpf_cmp(tot, cap) <= 0:
+    if gap.radius_within(max(1, prec.target_digits - 10)):
         return Verdict.EQUAL
     return Verdict.INCONCLUSIVE
 
 
 def achieved_digits(x: BigReal, y: BigReal) -> int | None:
     """Decimal digits to which two enclosures provably agree (None: exact)."""
-    d = mpf_add(
-        mpf_abs(mpf_sub(x.val, y.val, ERR_BITS, RU)),
-        mpf_add(x.err, y.err, ERR_BITS, RU),
-        ERR_BITS,
-        RU,
-    )
-    if d == fzero:
-        return None
-    scale = mpf_abs(x.val) if mpf_cmp(mpf_abs(x.val), fone) > 0 else fone
-    r = mpf_div(d, scale, ERR_BITS, RU)
-    sign, man, exp, bc = r
-    if man == 0:
-        return None
-    mag2 = exp + bc  # log2 upper bound
-    return max(0, int(-mag2 * 0.3010299956639812))
+    mag2 = IntervalGap.of(x, y).log2_bound()
+    return None if mag2 is None else max(0, int(-mag2 * 0.3010299956639812))

@@ -59,7 +59,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from mpmath.libmp import (
     from_int,
@@ -170,6 +170,39 @@ def _abs_lo(val, err):
 
 def _pow2(k: int):
     return from_man_exp(1, k)
+
+
+class IntervalGap(NamedTuple):
+    """Two enclosures x and y side by side: |x.val - y.val| and x.err +
+    y.err, each rounded up at ERR_BITS, and the scale max(1, |x.val|).
+    This is the only interval arithmetic of the verdicts."""
+
+    dist: tuple
+    radius: tuple
+    scale: tuple
+
+    @classmethod
+    def of(cls, x: BigReal, y: BigReal) -> IntervalGap:
+        dist = mpf_abs(mpf_sub(x.val, y.val, ERR_BITS, RU))
+        radius = mpf_add(x.err, y.err, ERR_BITS, RU)
+        scale = mpf_abs(x.val) if mpf_cmp(mpf_abs(x.val), fone) > 0 else fone
+        return cls(dist, radius, scale)
+
+    def disjoint(self) -> bool:
+        return mpf_cmp(self.dist, self.radius) > 0
+
+    def radius_within(self, digits: int) -> bool:
+        """The summed radius is at most scale / 10^digits, rounded up."""
+        power = BigReal.from_fraction(Fraction(10) ** digits, ERR_BITS).val
+        return mpf_cmp(self.radius, mpf_div(self.scale, power, ERR_BITS, RU)) <= 0
+
+    def log2_bound(self) -> int | None:
+        """An upper bound on log2((dist + radius) / scale); None if that is 0."""
+        total = mpf_add(self.dist, self.radius, ERR_BITS, RU)
+        if total == fzero:
+            return None
+        _, man, exp, bc = mpf_div(total, self.scale, ERR_BITS, RU)
+        return exp + bc if man else None
 
 
 class BigReal:

@@ -129,31 +129,15 @@ class TestFamilies:
         assert len(points(records["apagodu-zeilberger-family"])) == 31
         assert len(points(records["gosper-strange-series"])) == 25
 
-    def test_samplers_deterministic(self):
-        # gauss-summation's lhs is 2F1(a, b; c; 1) over the sampled a, b, c
-        a, b = (
-            points(next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "gauss-summation"))
-            for _ in range(2)
-        )
-        assert a == b and len(a) == 30
-        for _, p, z, _ in a:
+    def test_gauss_points_meet_the_theorem_constraints(self):
+        # gauss-summation's lhs is 2F1(a, b; c; 1) over the listed a, b, c
+        records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
+        family = points(records["gauss-summation"])
+        assert len(family) == 30
+        for _, p, z, _ in family:
             assert z == 1
             assert p.c > p.b > 0
             assert p.c - p.a - p.b > F(1, 10)
-
-    def test_every_sample_is_drawn_at_load(self, monkeypatch):
-        # the samples are drawn once, when the record is made: verifying
-        # draws nothing
-        import hypergamma.catalog as catalog
-
-        record = next(r for r in catalog_load(DEFAULT_CATALOG) if r.id == "gauss-summation")
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("a sampler ran at verify time")
-
-        monkeypatch.setattr(catalog.random, "Random", no_draw)
-        entry = verify_identity(record, Precision.of(20))
-        assert entry.verdict == "pass"
 
     @pytest.mark.parametrize(
         "rid", ["gosper-quarter-family", "apagodu-zeilberger-family", "linear"]
@@ -211,8 +195,8 @@ class TestFamilies:
         assert verify_identity(record, Precision.of(20)).verdict == "pass"
         assert len(calls) == 1 and sorted(set(calls[0])) == list(range(31))
 
-    def test_gosper_sampler_range(self):
-        # gosper-quarter-family's lhs is 2F1(1/2, b; 5/2-2b; 1/4) over the sampled b
+    def test_gosper_points_range(self):
+        # gosper-quarter-family's lhs is 2F1(1/2, b; 5/2-2b; 1/4) over the listed b
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
         family = points(records["gosper-quarter-family"])
         assert len(family) == 25
@@ -381,6 +365,8 @@ BAD_INPUTS = {
         FAMILY_RECORD,
         parameters={"vars": ["n"], "grid": {"n": {"from": 3, "to": 1}}},
     ),
+    # the family sampler and its count and seed, gone: this row and the
+    # sampler-* rows below are unknown fields now
     "zero-sample-count": dict(
         FAMILY_RECORD,
         lhs={"a": "a", "b": "b", "c": "c", "z": "1"},
@@ -524,6 +510,22 @@ BAD_INPUTS = {
         lhs={"a": "a", "b": "b", "c": "a+b+1", "z": "1/2"},
         parameters={"vars": ["a", "b"], "sampler": "gauss"},
     ),
+    # a family's listed points
+    "points-not-a-list": dict(FAMILY_RECORD, parameters={"vars": ["n"], "points": {"n": "1"}}),
+    "points-empty": dict(FAMILY_RECORD, parameters={"vars": ["n"], "points": []}),
+    "point-not-an-object": dict(FAMILY_RECORD, parameters={"vars": ["n"], "points": [["1"]]}),
+    "point-keys-differ-from-vars": dict(
+        FAMILY_RECORD, parameters={"vars": ["n"], "points": [{"n": "1"}, {"n": "2", "m": "1"}]}
+    ),
+    "point-value-float": dict(FAMILY_RECORD, parameters={"vars": ["n"], "points": [{"n": 0.5}]}),
+    "point-value-not-rational": dict(
+        FAMILY_RECORD, parameters={"vars": ["n"], "points": [{"n": "1/0"}]}
+    ),
+    "grid-and-points": dict(
+        FAMILY_RECORD,
+        parameters={"vars": ["n"], "grid": {"n": [1]}, "points": [{"n": "1"}]},
+    ),
+    "split-point-missing-key": dict(SPLIT_RECORD, points=[{"a": "1/4", "b": "1/4"}]),
 }
 
 
@@ -672,6 +674,52 @@ def test_a_failed_exact_point_record_certifies_no_digits(tmp_path, capsys):
     assert main(["verify", "--catalog", str(path), "--report", "json"]) == 1
     (reported,) = json.loads(capsys.readouterr().out)["entries"]
     assert (reported["verdict"], reported["digits"]) == ("fail", None)
+
+
+@pytest.mark.parametrize(
+    "points, message",
+    [
+        ([{"a": "1/4", "b": "1/4"}], "0 needs exactly a, b, z"),
+        ([{"a": "1/4", "b": "1/4", "z": "1/4"}, 5], "1 needs exactly a, b, z"),
+    ],
+    ids=["missing-key", "not-an-object"],
+)
+def test_split_points_are_read_by_the_shared_reader(tmp_path, capsys, points, message):
+    # zj-split's points are read as a family's are, with the same messages
+    from hypergamma.cli import main
+
+    path = write_catalog(tmp_path, [dict(SPLIT_RECORD, points=points)])
+    assert main(["verify", "--catalog", str(path)]) == 3
+    assert capsys.readouterr().err == f"catalog error: record 's': zj-split point {message}\n"
+
+
+def test_family_points_keep_the_order_of_vars(tmp_path):
+    # a point's keys may come in any order; its sample, and so its text in
+    # a report, follows vars
+    family = dict(
+        FAMILY_RECORD,
+        lhs={"a": "-n", "b": "m", "c": "m+1", "z": "1/4"},
+        rhs={"rational": "1-n*m/(4*(m+1))"},
+        parameters={"vars": ["n", "m"], "points": [{"m": "1/2", "n": "1"}, {"n": 0, "m": "3"}]},
+    )
+    record = catalog_load(write_catalog(tmp_path, [family]))[0]
+    assert [at for at, _, _, _ in points(record)] == ["n=1, m=1/2", "n=0, m=3"]
+    assert verify_identity(record, Precision.of(20)).verdict == "pass"
+
+
+@pytest.mark.parametrize(
+    "knobs", [{"sampler": "gauss"}, {"count": 30}, {"seed": 1803}],
+    ids=["sampler", "count", "seed"],
+)
+def test_family_with_the_sampler_knobs_exits_3(tmp_path, capsys, knobs):
+    # a family lists its points: sampler, count and seed are unknown fields
+    from hypergamma.cli import main
+
+    parameters = dict(FAMILY_RECORD["parameters"], **knobs)
+    path = write_catalog(tmp_path, [dict(FAMILY_RECORD, parameters=parameters)])
+    assert main(["verify", "--catalog", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert err == f"catalog error: record 'f': unknown parameters fields {sorted(knobs)}\n"
 
 
 def test_family_and_split_records_compile_at_load(tmp_path):

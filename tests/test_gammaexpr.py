@@ -185,6 +185,36 @@ class TestNumEqual:
         y = ge_eval(MAIN_RHS * GammaExpr.from_rational(F(10**20 + 1, 10**20)), P60)
         assert num_equal(x, y, P60) is Verdict.DISTINCT
 
+    # exact balls at 400 bits, whose gaps and radii sit on the 32-bit
+    # rounding of the verdicts' interval arithmetic
+    @staticmethod
+    def ball(val: F, err: F) -> BigReal:
+        return BigReal(BigReal.from_fraction(val, 400).val, BigReal.from_fraction(err, 400).val, 400)
+
+    def test_either_radius_closes_the_gap(self):
+        # [1, 1] and [1, 1 + 2^-199] touch: not distinct, in either order
+        x, y = self.ball(F(1), F(0)), self.ball(1 + F(1, 2**200), F(1, 2**200))
+        assert num_equal(x, y, P60) is Verdict.EQUAL
+        assert num_equal(y, x, P60) is Verdict.EQUAL
+
+    def test_the_gap_is_rounded_up(self):
+        # the gap 2^-100 + 2^-200 rounds at 32 bits to 2^-100 (1 + 2^-31),
+        # above the radius 2^-100; rounded down it would meet it
+        x, y = self.ball(F(1), F(0)), self.ball(1 + F(1, 2**100) + F(1, 2**200), F(1, 2**100))
+        assert num_equal(x, y, P60) is Verdict.DISTINCT
+
+    def test_the_radius_is_rounded_up(self):
+        # the radius 2^-100 + 2^-200 equals the gap: rounded down it would
+        # fall below the gap's upward rounding
+        x, y = self.ball(F(1), F(1, 2**100)), self.ball(1 + F(1, 2**100) + F(1, 2**200), F(1, 2**200))
+        assert num_equal(x, y, P60) is Verdict.INCONCLUSIVE
+
+    def test_achieved_digits_counts_the_gap_and_the_radii(self):
+        # 2^-100 < 10^-30: 29 digits, whether it is the gap or a radius
+        one = self.ball(F(1), F(0))
+        for y in (self.ball(1 + F(1, 2**100), F(0)), self.ball(F(1), F(1, 2**100))):
+            assert achieved_digits(one, y) == achieved_digits(y, one) == 29
+
 
 class TestJson:
     def test_round_trip(self):

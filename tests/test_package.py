@@ -38,6 +38,14 @@ def test_removed_shims_are_gone():
     assert not hasattr(mpreal, "asin")
     assert not hasattr(hyper, "_integral_with_swap")
     assert not hasattr(hypergamma.catalog, "_rule_sample_params")
+    # a family lists its points: nothing is drawn
+    for name in ("SAMPLERS", "_rand_fraction", "_trunc", "random", "_sample_gauss",
+                 "_sample_gauss_second", "_sample_bailey", "_sample_kummer",
+                 "_sample_gosper_quarter"):
+        assert not hasattr(hypergamma.catalog, name), name
+    # the verdicts' interval arithmetic is mpreal's IntervalGap
+    for name in ("ERR_BITS", "RU", "mpf_add", "mpf_sub", "mpf_div", "mpf_cmp"):
+        assert not hasattr(hypergamma.gammaexpr, name), name
     # the rules are proved, not sampled
     assert not hasattr(hypergamma.catalog, "_rule_checks")
     assert not hasattr(hypergamma.HypTerm, "evaluate")

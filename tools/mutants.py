@@ -54,6 +54,7 @@ class Row:
 RULE_PROOF = ("tests/test_transforms.py::TestRuleProof",)
 GAMMA = ("tests/test_mpreal.py",)
 KERNEL = ("tests/test_mpreal.py::TestFixedPointSum",)
+VERDICTS = ("tests/test_gammaexpr.py::TestNumEqual",)
 TRANSFORMS, MPREAL = "src/hypergamma/transforms.py", "src/hypergamma/mpreal.py"
 
 ROWS = (
@@ -112,6 +113,23 @@ ROWS = (
         KERNEL),
     Row("_scaled_sum: |u| dropped from the D > 0 step", MPREAL,
         "E * uD) * P // (aU * Q)) + 1", "E * uD) * P // Q) + 1", KERNEL),
+    # IntervalGap, the verdicts' interval arithmetic
+    Row("IntervalGap: y's radius dropped", MPREAL,
+        "radius = mpf_add(x.err, y.err, ERR_BITS, RU)", "radius = x.err", VERDICTS),
+    Row("IntervalGap: radius rounded down", MPREAL,
+        "radius = mpf_add(x.err, y.err, ERR_BITS, RU)", "radius = mpf_add(x.err, y.err, ERR_BITS, RD)",
+        VERDICTS),
+    Row("IntervalGap: gap rounded down", MPREAL,
+        "mpf_sub(x.val, y.val, ERR_BITS, RU)", "mpf_sub(x.val, y.val, ERR_BITS, RD)", VERDICTS),
+    Row("IntervalGap: touching intervals disjoint", MPREAL,
+        "mpf_cmp(self.dist, self.radius) > 0", "mpf_cmp(self.dist, self.radius) >= 0", VERDICTS),
+    Row("IntervalGap: radius dropped from log2_bound", MPREAL,
+        "total = mpf_add(self.dist, self.radius, ERR_BITS, RU)", "total = self.dist", VERDICTS),
+    Row("IntervalGap: tolerance rounded down", MPREAL,
+        "mpf_div(self.scale, power, ERR_BITS, RU)", "mpf_div(self.scale, power, ERR_BITS, RD)",
+        VERDICTS,
+        why="10^-digits max(1, |x|) is the precision asked of an equal verdict, not a bound: "
+        "rounded down it moves the equal/inconclusive line by 2^-31 of itself"),
 )
 
 
