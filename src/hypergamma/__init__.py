@@ -12,7 +12,6 @@ from .gammaexpr import (
 )
 from .hyper import (
     HypParams,
-    PochRatio,
     f21_eval,
     f21_integral,
     f21_series,
@@ -66,8 +65,8 @@ __all__ = [
     # gammaexpr
     "GammaExpr", "Verdict", "achieved_digits", "ge_eval", "num_equal",
     # hyper
-    "HypParams", "PochRatio", "f21_eval", "f21_integral", "f21_series",
-    "f21_terminating", "pochhammer",
+    "HypParams", "f21_eval", "f21_integral", "f21_series", "f21_terminating",
+    "pochhammer",
     # mpreal
     "BigReal", "PowerIntegrand", "Precision", "beta", "gamma", "pi_value",
     "power_product", "tanh_sinh_integrate",

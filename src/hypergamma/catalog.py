@@ -57,10 +57,11 @@ from .gammaexpr import (
 from .hyper import (
     HyperError,
     HypParams,
-    PochRatio,
     check_domain,
+    check_lower_poles,
     f21_eval,
     f21_terminating,
+    hyper_terms,
 )
 from .mpreal import BigReal, MPRealError, Precision
 from .transforms import (
@@ -296,16 +297,14 @@ def _compile_exact_product(
         raise CatalogError(f"{where}: unknown exact_product fields {sorted(unknown)}")
     base = _template(value.get("pow_base", "1"), variables, where)
     expo = _template(value.get("pow_exp", "0"), variables, where)
-    pr, ratio = value.get("poch_ratio"), None
+    pr = value.get("poch_ratio")
     if pr is not None:
         if not isinstance(pr, dict) or set(pr) != {"upper", "lower", "n"} or not all(
             isinstance(pr[k], list) for k in ("upper", "lower")
         ):
             raise CatalogError(f"{where}: poch_ratio needs upper and lower lists and n")
-        ratio = PochRatio(
-            upper=tuple(_rational(u, where) for u in pr["upper"]),
-            lower=tuple(_rational(l, where) for l in pr["lower"]),
-        )
+        upper = [_rational(u, where) for u in pr["upper"]]
+        lower = [_rational(l, where) for l in pr["lower"]]
         index = _template(pr["n"], variables, where)
 
     def factors(env: Env) -> tuple[Fraction, int, int]:
@@ -314,23 +313,25 @@ def _compile_exact_product(
             raise CatalogError("exact_product exponent must be an integer")
         if b == 0 and e < 0:
             raise CatalogError("exact_product divides by zero")
-        if ratio is None:
+        if pr is None:
             return b, int(e), 0
         n = index(env)
         if n.denominator != 1 or n < 0:
             raise CatalogError("poch_ratio index must be a nonnegative integer")
-        ratio.check(int(n))
+        check_lower_poles(lower, int(n))
         return b, int(e), int(n)
 
     points = _check_samples(factors, samples, where)
 
     @cache
-    def ratios() -> dict[int, Fraction]:  # at every point, at first use
-        return ratio.values(n for _, _, n in points)
+    def ratios() -> dict[int, Fraction]:  # one walk to the largest index, at first use
+        wanted = {n for _, _, n in points}
+        walk = enumerate(hyper_terms(upper, lower, 1, max(wanted)))
+        return {n: Fraction(*t) for n, t in walk if n in wanted}
 
     def product(at: tuple[Fraction, int, int], prec: Precision) -> Fraction:
         b, e, n = at
-        return b**e if ratio is None else b**e * ratios()[n]
+        return b**e if pr is None else b**e * ratios()[n]
 
     return points, product
 

@@ -3,7 +3,7 @@
 Four evaluation routes; `f21_eval` takes exactly one of them per input:
 
 * `f21_terminating` - exact rational finite sum when an upper parameter is a
-  nonpositive integer;
+  nonpositive integer, the sum of `hyper_terms`;
 * `f21_series` - direct summation for |z| < 1 by `mpreal.fixed_point_sum`,
   the series kernel that Gamma and Beta also use, which returns the
   enclosure: a rigorous rounding and tail bound, and the radius of a
@@ -31,6 +31,13 @@ which `f21_eval` calls first, is the one test of whether an input has a
 value; ``hypergamma eval --strategy series|integral`` calls it and then
 `f21_series` or `f21_integral` alone.
 
+`hyper_terms` is the one exact term walk: the terms
+prod (u)_k / prod (l)_k z^k up to an index, as one running product in
+integers, after one pole check (`check_lower_poles`) that the catalog
+shares.  `f21_terminating`, the finite part of `f21_log_connection` and
+the catalog's exact Pochhammer products all take it; `pochhammer` is
+`mpreal._pochhammer`'s balanced product.
+
 The series and the integral are compared with each other by
 ``hypergamma quadcheck --expr euler`` and by the test suite, not at run
 time.
@@ -42,13 +49,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from typing import Iterable, Iterator, Union
 
 from .exact import is_nonpositive_integer, rational_str
 from .mpreal import (
     BigReal,
     PowerIntegrand,
     Precision,
+    _pochhammer,
     beta,
     cos_pi_times,
     fixed_point_sum,
@@ -140,53 +148,54 @@ def check_domain(p: HypParams, z: Fraction) -> None:
         raise ParamsError(f"z = 1 and c - a - b = {rational_str(p.c - p.a - p.b)} <= 0")
 
 
-@dataclass(frozen=True)
-class PochRatio:
-    """Finite product of Pochhammer symbols, upper over lower."""
+def check_lower_poles(lower: Iterable[Fraction], n: int) -> None:
+    """Raise ParamsError if a lower entry l hits a pole within (l)_n, that
+    is, if l is an integer with -n < l <= 0."""
+    for l in lower:
+        if l.denominator == 1 and -n < l <= 0:
+            raise ParamsError(f"lower entry {rational_str(l)} hits a pole within (x)_{n}")
 
-    upper: tuple[Fraction, ...]
-    lower: tuple[Fraction, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "upper", tuple(Fraction(u) for u in self.upper))
-        object.__setattr__(self, "lower", tuple(Fraction(l) for l in self.lower))
+def hyper_terms(
+    upper: Iterable[Fraction], lower: Iterable[Fraction], z: Fraction, n: int
+) -> Iterator[tuple[int, int]]:
+    """The terms t_0 ... t_n, t_k = prod (u)_k / prod (l)_k z^k, as integer
+    pairs (num, den) with t_k = num/den, by one running product in
+    integers: u + k = (p + qk)/q for u = p/q.  The pairs are not reduced,
+    and each den divides the next.  `check_lower_poles` runs before the
+    first term."""
+    upper, lower, z = [Fraction(u) for u in upper], [Fraction(l) for l in lower], Fraction(z)
+    check_lower_poles(lower, n)
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower]
+    top = z.numerator * math.prod(q for _, q in lows)
+    bottom = z.denominator * math.prod(q for _, q in ups)
+    num = den = 1
+    yield num, den
+    for k in range(n):
+        num *= top
+        den *= bottom
+        for p, q in ups:
+            num *= p + q * k
+        for p, q in lows:
+            den *= p + q * k
+        yield num, den
 
-    def check(self, n: int) -> None:
-        """Raise ParamsError if a lower entry hits a pole within (x)_n."""
-        for l in self.lower:
-            if l.denominator == 1 and -n < l <= 0:
-                raise ParamsError(
-                    f"lower entry {rational_str(l)} hits a pole within (x)_{n}"
-                )
 
-    def value(self, n: int) -> Fraction:
-        return self.values((n,))[n]
-
-    def values(self, indices: Iterable[int]) -> dict[int, Fraction]:
-        """The ratio at each index, by one running product over the sorted
-        indices: max(indices) steps in all, not one product per index."""
-        out: dict[int, Fraction] = {}
-        num = den = Fraction(1)
-        k = 0
-        for n in sorted(set(indices)):
-            self.check(n)
-            for j in range(k, n):
-                num *= math.prod(u + j for u in self.upper)
-                den *= math.prod(l + j for l in self.lower)
-            k = n
-            out[n] = num / den
-        return out
+def _walk_sum(terms: Iterable[tuple[int, int]]) -> Fraction:
+    """The sum of `hyper_terms`' terms, in integers over the last den."""
+    total, d = 0, 1
+    for num, den in terms:
+        total, d = total * (den // d) + num, den
+    return Fraction(total, d)
 
 
 def pochhammer(x: Fraction, n: int) -> Fraction:
-    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1."""
+    """Rising factorial (x)_n = x (x+1) ... (x+n-1); (x)_0 = 1, as the
+    balanced integer product of `mpreal._pochhammer`."""
     if n < 0:
         raise ValueError("pochhammer index must be nonnegative")
-    x = Fraction(x)
-    acc = Fraction(1)
-    for k in range(n):
-        acc *= x + k
-    return acc
+    return Fraction(*_pochhammer(Fraction(x), n))
 
 
 def f21_series(
@@ -212,26 +221,11 @@ def f21_series(
 
 def f21_terminating(p: HypParams, z: Fraction) -> Fraction:
     """Exact rational value of a terminating 2F1 (nonpositive-integer upper
-    parameter)."""
+    parameter): the sum of `hyper_terms` up to the degree."""
     n_term = p.terminating_degree
     if n_term is None:
         raise HyperError("f21_terminating requires a nonpositive-integer upper parameter")
-    z = Fraction(z)
-    a, b, c = p.a, p.b, p.c
-    total = Fraction(1)
-    term = Fraction(1)
-    for k in range(n_term):
-        fnum = (a + k) * (b + k)
-        if fnum == 0:
-            break
-        fden = (c + k) * (1 + k)
-        if fden == 0:
-            raise ParamsError(
-                f"lower parameter pole at index {k} inside the terminating sum"
-            )
-        term = term * fnum / fden * z
-        total += term
-    return total
+    return _walk_sum(hyper_terms((p.a, p.b), (p.c, 1), z, n_term))
 
 
 def euler_integrand(p: HypParams, z: Fraction) -> PowerIntegrand:
@@ -339,16 +333,10 @@ def f21_log_connection(p: HypParams, z: Fraction, prec: Precision) -> BigReal:
     harmonic = sum((Fraction(1, j) for j in range(1, m + 1)), Fraction(0))
     h0 = harmonic - _psi_plus_euler(a + m, qprec) - _psi_plus_euler(b + m, qprec)
     logs = g_sum + (h0 - log(BigReal.from_fraction(w, bits))) * t_sum
-    finite = sum(
-        (
-            pochhammer(a, n) * pochhammer(b, n)
-            / (math.factorial(n) * pochhammer(1 - m, n)) * w**n
-            for n in range(m)
-        ),
-        Fraction(0),
-    )
+    finite = Fraction(0)
     if m:
-        finite *= math.factorial(m - 1) / (pochhammer(a, m) * pochhammer(b, m))
+        finite = _walk_sum(hyper_terms((a, b), (1 - m, 1), w, m - 1)) * math.factorial(m - 1)
+        finite /= pochhammer(a, m) * pochhammer(b, m)
     out = finite + logs * ((-w) ** m / math.factorial(m))
     out = out * (gamma(c, qprec) / (gamma(a, qprec) * gamma(b, qprec))) * scale
     return BigReal(out.val, out.err, prec.work_bits)

@@ -51,6 +51,10 @@ It is also the one fractional power: `BigReal.pow_rational` keeps
 exponent 0, the integers (`pow_int`) and 1/2 (`sqrt`), and hands every
 other exponent to it.  pi (`pi_value`) carries its log, taken once per
 precision.
+
+Every cache of the module is a `functools` cache on the function that
+fills it: Gamma on (0, 1] (`_gamma_unit`) and the integer logs, bounded,
+and pi and the quadrature nodes, one entry per precision.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, lru_cache
 from typing import Callable, NamedTuple, Union
 
 from mpmath.libmp import (
@@ -408,20 +413,18 @@ class LogReal(BigReal):
 # elementary functions
 
 
-_PI_CACHE: dict[int, LogReal] = {}
-
-
 def pi_value(prec: Precision) -> LogReal:
-    """pi at work_bits, rounded at work_bits + 8, as a `LogReal` whose log
-    is taken once per precision, at work_bits + 8, within
-    (|ln pi| + 1) 2^(-work_bits-6): the value and bound `log` would give
-    for that base in `power_product`."""
-    bits = prec.work_bits
-    out = _PI_CACHE.get(bits)
-    if out is None:
-        val = mpf_pi(bits + 8, RN)
-        out = _PI_CACHE[bits] = _carrying_log(val, _ulp(val, bits, -4), bits)
-    return out
+    """pi at work_bits (`_pi`)."""
+    return _pi(prec.work_bits)
+
+
+@cache
+def _pi(bits: int) -> LogReal:
+    """pi at bits, rounded at bits + 8, as a `LogReal` whose log is taken
+    once per precision, at bits + 8, within (|ln pi| + 1) 2^(-bits-6): the
+    value and bound `log` would give for that base in `power_product`."""
+    val = mpf_pi(bits + 8, RN)
+    return _carrying_log(val, _ulp(val, bits, -4), bits)
 
 
 def sqrt(x: BigReal) -> BigReal:
@@ -463,21 +466,12 @@ def _log_parts(x: BigReal, bits: int):
     return val, _eadd(mpf_div(x.err, _abs_lo(x.val, x.err), ERR_BITS, RU), rounding)
 
 
-_LOG_INT_CACHE: dict[tuple[int, int], LogReal] = {}
-_LOG_INT_CACHE_MAX = 4096
-
-
+@lru_cache(maxsize=4096)
 def _log_int(n: int, bits: int) -> LogReal:
     """The integer n >= 1, exact, as a `LogReal` at `bits` whose log is
     rounded at bits + 8, within (|ln n| + 1) 2^(-bits-6); cached per
     (n, bits)."""
-    key = (n, bits)
-    out = _LOG_INT_CACHE.get(key)
-    if out is None:
-        if len(_LOG_INT_CACHE) > _LOG_INT_CACHE_MAX:
-            _LOG_INT_CACHE.clear()
-        out = _LOG_INT_CACHE[key] = _carrying_log(from_int(n), fzero, bits)
-    return out
+    return _carrying_log(from_int(n), fzero, bits)
 
 
 def _carrying_log(val, err, bits: int) -> LogReal:
@@ -973,21 +967,6 @@ def _scaled_sum(
 # ---------------------------------------------------------------------------
 # Gamma and Beta
 
-_GAMMA_CACHE: dict[tuple, BigReal] = {}
-_GAMMA_CACHE_MAX = 20000
-
-
-def _gamma_cached(y: Fraction, wb: int) -> BigReal:
-    """Gamma(y) for rational 0 < y <= 1 at wb bits, cached per (y, wb)."""
-    key = (y, wb)
-    g = _GAMMA_CACHE.get(key)
-    if g is None:
-        if len(_GAMMA_CACHE) > _GAMMA_CACHE_MAX:
-            _GAMMA_CACHE.clear()
-        g = _GAMMA_CACHE[key] = _gamma_unit(y, wb)
-    return g
-
-
 def _gamma_tail(y: Fraction, M: int, fb: int) -> tuple[int, int]:
     """Integers (S, R) with |Gamma(y, M) M^-y e^M - S 2^-fb| <= R 2^-fb, for
     rational 0 < y <= 1 and an integer M >= 1.
@@ -1015,8 +994,9 @@ def _gamma_tail(y: Fraction, M: int, fb: int) -> tuple[int, int]:
     return S, M + 1 + U
 
 
+@lru_cache(maxsize=20000)
 def _gamma_unit(y: Fraction, wb: int) -> BigReal:
-    """Gamma(y) for rational 0 < y <= 1 at wb bits.
+    """Gamma(y) for rational 0 < y <= 1 at wb bits, cached per (y, wb).
 
     For 1/2 < y < 1 it is pi / (sin(pi y) Gamma(1 - y)) (DLMF 5.5.3), with
     Gamma(1 - y) from the cache at the same wb and the sine taken
@@ -1037,7 +1017,7 @@ def _gamma_unit(y: Fraction, wb: int) -> BigReal:
         extra = (r.denominator // (2 * r.numerator)).bit_length()  # 2^extra > 1/(2r)
         s = sin_pi_times(y, Precision(0, wb + extra))
         s = BigReal(s.val, s.err, wb)
-        return pi_value(Precision(0, wb)) / (s * _gamma_cached(r, wb))
+        return _pi(wb) / (s * _gamma_unit(r, wb))
     M = -(-(wb + 24) * 10000 // 28854)  # 2 log2 e = 2.8854 to five digits
     fb = wb // 2 + 40
     S, R = _gamma_tail(y, M, fb)
@@ -1076,7 +1056,7 @@ def gamma(x: Union[Fraction, int], prec: Precision) -> BigReal:
         raise GammaPoleError(f"gamma pole at {x}")
     m = math.ceil(x) - 1
     y = x - m
-    g = _gamma_cached(y, wb)
+    g = _gamma_unit(y, wb)
     if m > 0:
         g = g * BigReal.from_ratio(*_pochhammer(y, m), g.bits)
     elif m < 0:
@@ -1117,8 +1097,6 @@ def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:
 # ---------------------------------------------------------------------------
 # tanh-sinh quadrature
 
-_TS_NODE_CACHE: dict[tuple, list] = {}
-
 Integrand = Callable[[BigReal, BigReal], BigReal]
 
 
@@ -1128,6 +1106,7 @@ def _node_arg(x, wb: int) -> LogReal:
     return _carrying_log(x, _emul(x, _pow2(6 - wb)), wb)
 
 
+@cache
 def _ts_nodes(bits: int, level: int) -> list[tuple[LogReal, LogReal, tuple]]:
     """Positive-t nodes (x, 1-x, weight) for the given refinement level,
     x and 1 - x as `_node_arg` hands them to the integrand.
@@ -1138,10 +1117,6 @@ def _ts_nodes(bits: int, level: int) -> list[tuple[LogReal, LogReal, tuple]]:
     the caller).  Level 0 uses t = j; level k >= 1 the odd multiples of
     2^-k.  The nodes are rounded at wb = bits + 16 bits.
     """
-    key = (bits, level)
-    nodes = _TS_NODE_CACHE.get(key)
-    if nodes is not None:
-        return nodes
     wb = bits + 16
     pi_half = mpf_shift(mpf_pi(wb, RN), -1)
     pi_full = mpf_pi(wb, RN)
@@ -1162,7 +1137,6 @@ def _ts_nodes(bits: int, level: int) -> list[tuple[LogReal, LogReal, tuple]]:
         w = mpf_mul(mpf_mul(pi_full, ch, wb, RN), mpf_mul(x, cx, wb, RN), wb, RN)
         nodes.append((_node_arg(x, wb), _node_arg(cx, wb), w))
         j += step
-    _TS_NODE_CACHE[key] = nodes
     return nodes
 
 

@@ -123,6 +123,20 @@ class TestLoad:
             catalog_load(tmp_path / "nope.json")
 
 
+def count_walks(monkeypatch) -> list[int]:
+    """The index n of each `hyper_terms` walk the catalog takes from now on."""
+    import hypergamma.catalog as catalog
+
+    calls, walk = [], catalog.hyper_terms
+
+    def counted(upper, lower, z, n):
+        calls.append(n)
+        return walk(upper, lower, z, n)
+
+    monkeypatch.setattr(catalog, "hyper_terms", counted)
+    return calls
+
+
 class TestFamilies:
     def test_grid_expansion_counts(self):
         records = {r.id: r for r in catalog_load(DEFAULT_CATALOG)}
@@ -177,23 +191,49 @@ class TestFamilies:
 
     def test_exact_products_step_one_running_product(self, monkeypatch):
         # apagodu-zeilberger-family's Pochhammer ratios at n = 0..30 are
-        # one pass of 30 steps at verify, not a product per sample
-        import hypergamma.hyper as hyper
-
-        calls = []
-        values = hyper.PochRatio.values
-
-        def counted(self, indices):
-            indices = list(indices)
-            calls.append(indices)
-            return values(self, indices)
-
-        monkeypatch.setattr(hyper.PochRatio, "values", counted)
+        # one walk of 30 steps at verify, not a product per sample
+        calls = count_walks(monkeypatch)
         record = next(
             r for r in catalog_load(DEFAULT_CATALOG) if r.id == "apagodu-zeilberger-family"
         )
+        assert calls == []
         assert verify_identity(record, Precision.of(20)).verdict == "pass"
-        assert len(calls) == 1 and sorted(set(calls[0])) == list(range(31))
+        assert calls == [30]
+
+    def test_exact_product_points_unsorted_and_repeated(self, tmp_path, monkeypatch):
+        # the Apagodu-Zeilberger family at unsorted, repeated points: each
+        # passes, from one walk to the largest index
+        az = next(
+            r for r in json.loads(DEFAULT_CATALOG.read_text())["records"]
+            if r["id"] == "apagodu-zeilberger-family"
+        )
+        indices = [12, 0, 30, 5, 12, 1]
+        az = dict(az, parameters={"vars": ["n"], "points": [{"n": str(n)} for n in indices]})
+        calls = count_walks(monkeypatch)
+        (record,) = catalog_load(write_catalog(tmp_path, [az]))
+        assert verify_identity(record, Precision.of(20)).verdict == "pass"
+        assert calls == [30]
+
+    @pytest.mark.parametrize("n, code", [(2, 0), (3, 3)])
+    def test_exact_product_pole_boundary(self, tmp_path, capsys, n, code):
+        # 2F1(-2, 1/2; -2; 1) = (-5/2)_n / (-2)_n at n = 2, = 15/8; at n = 3
+        # (-2)_3 = 0, a load error naming the sample
+        from hypergamma.cli import main
+
+        record = {
+            "id": "boundary",
+            "kind": "parametric-family",
+            "lhs": {"a": "-2", "b": "1/2", "c": "-2", "z": "1"},
+            "rhs": {"exact_product": {"poch_ratio": {"upper": ["-5/2"], "lower": ["-2"], "n": "n"}}},
+            "parameters": {"vars": ["n"], "points": [{"n": str(n)}]},
+        }
+        path = write_catalog(tmp_path, [record])
+        assert main(["verify", "--catalog", str(path)]) == code
+        err = capsys.readouterr().err
+        if code:
+            assert err == (
+                "catalog error: record 'boundary' at n=3: lower entry -2 hits a pole within (x)_3\n"
+            )
 
     def test_gosper_points_range(self):
         # gosper-quarter-family's lhs is 2F1(1/2, b; 5/2-2b; 1/4) over the listed b

@@ -18,7 +18,6 @@ from hypergamma.hyper import (
     HypParams,
     NoFeasibleStrategyError,
     ParamsError,
-    PochRatio,
     Precision,
     SeriesTermCapError,
     check_domain,
@@ -27,21 +26,26 @@ from hypergamma.hyper import (
     f21_log_connection,
     f21_series,
     f21_terminating,
+    hyper_terms,
     pochhammer,
 )
 import hypergamma.hyper as hyper
 from hypergamma.exact import is_nonpositive_integer
 from hypergamma.gammaexpr import achieved_digits, ge_eval
-from hypergamma.mpreal import BigReal, gamma, pi_value, sqrt
+from hypergamma.mpreal import BigReal, _pochhammer, gamma, pi_value, sqrt
 from hypergamma.transforms import MAIN_ARGUMENT, MAIN_PARAMS, MAIN_RHS
 
 P30 = Precision.of(30)
 P50 = Precision.of(50)
 
-AZ_RATIO = PochRatio(
-    upper=(F(9, 8), F(11, 8), F(13, 8), F(15, 8)),
-    lower=(F(6, 5), F(9, 5), F(13, 10), F(17, 10)),
-)
+AZ_UPPER = (F(9, 8), F(11, 8), F(13, 8), F(15, 8))
+AZ_LOWER = (F(6, 5), F(9, 5), F(13, 10), F(17, 10))
+
+
+def az_ratio(n: int) -> F:
+    """The Apagodu-Zeilberger Pochhammer ratio at n, the walk's last term."""
+    *_, last = hyper_terms(AZ_UPPER, AZ_LOWER, 1, n)
+    return F(*last)
 
 
 def setup_module():
@@ -73,23 +77,56 @@ class TestPochhammer:
             for n in range(50):
                 assert pochhammer(x, n + 1) == pochhammer(x, n) * (x + n)
 
-    def test_poch_ratio_pole(self):
-        bad = PochRatio(upper=(F(1, 2),), lower=(F(-2),))
-        with pytest.raises(ParamsError):
-            bad.value(4)
-        assert bad.value(1) == F(1, 2) / F(-2)
-        with pytest.raises(ParamsError):
-            bad.values([1, 4])
 
-    def test_poch_ratio_values_are_the_products(self):
-        # unsorted, repeated indices, each the Pochhammer products' ratio
-        indices = [12, 0, 30, 5, 12, 1]
-        got = AZ_RATIO.values(indices)
-        assert sorted(got) == sorted(set(indices))
-        for n, q in got.items():
-            num = math.prod((pochhammer(u, n) for u in AZ_RATIO.upper), start=F(1))
-            den = math.prod((pochhammer(l, n) for l in AZ_RATIO.lower), start=F(1))
-            assert q == num / den, n
+
+RATIONALS = st.one_of(st.integers(-6, 3).map(F), st.fractions(-6, 6, max_denominator=12))
+
+
+def poch(x: F, k: int) -> F:
+    return F(*_pochhammer(x, k))
+
+
+class TestHyperTerms:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        upper=st.lists(RATIONALS, max_size=3),
+        lower=st.lists(RATIONALS, max_size=3),
+        z=RATIONALS,
+        n=st.integers(0, 12),
+    )
+    def test_terms_are_the_pochhammer_products(self, upper, lower, z, n):
+        """Each term is prod (u)_k / prod (l)_k z^k, each den divides the
+        next, and ParamsError comes exactly when some (l)_n is 0."""
+        if any(poch(l, n) == 0 for l in lower):
+            with pytest.raises(ParamsError):
+                next(hyper_terms(upper, lower, z, n))
+            return
+        terms = list(hyper_terms(upper, lower, z, n))
+        assert len(terms) == n + 1
+        for k, (num, den) in enumerate(terms):
+            want = math.prod((poch(u, k) for u in upper), start=F(1)) * z**k
+            assert F(num, den) == want / math.prod((poch(l, k) for l in lower), start=F(1)), k
+        assert all(den % prev == 0 for (_, prev), (_, den) in zip(terms, terms[1:]))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(j=st.integers(0, 20), upper=st.lists(RATIONALS, max_size=2), z=RATIONALS)
+    def test_pole_boundary(self, j, upper, z):
+        """A lower -j reaches its pole at the term j + 1: n = j passes and
+        n = j + 1 raises."""
+        assert len(list(hyper_terms(upper, [F(-j)], z, j))) == j + 1
+        with pytest.raises(ParamsError):
+            list(hyper_terms(upper, [F(-j)], z, j + 1))
+
+    def test_pole_within_the_walk(self):
+        with pytest.raises(ParamsError):
+            next(hyper_terms([F(1, 2)], [F(-2)], 1, 4))
+        assert [F(*t) for t in hyper_terms([F(1, 2)], [F(-2)], 1, 1)] == [1, F(1, 2) / F(-2)]
+
+    def test_az_terms_are_the_products(self):
+        for n, (num, den) in enumerate(hyper_terms(AZ_UPPER, AZ_LOWER, 1, 30)):
+            want = math.prod((pochhammer(u, n) for u in AZ_UPPER), start=F(1))
+            want /= math.prod((pochhammer(l, n) for l in AZ_LOWER), start=F(1))
+            assert F(num, den) == want, n
 
 
 class TestSeries:
@@ -297,13 +334,13 @@ class TestTerminating:
 
     def test_az_member_n2(self):
         got = f21_terminating(HypParams(F(-2), F(-5, 2), F(25, 2)), F(1, 5))
-        assert got == F(16384, 15625) ** 2 * AZ_RATIO.value(2)
+        assert got == F(16384, 15625) ** 2 * az_ratio(2)
         assert got == F(1216, 1125)
 
     def test_az_family_spot(self):
         for n in range(0, 9):
             p = HypParams(F(-n), F(-n) - F(1, 2), 4 * n + F(9, 2))
-            assert f21_terminating(p, F(1, 5)) == F(16384, 15625) ** n * AZ_RATIO.value(n)
+            assert f21_terminating(p, F(1, 5)) == F(16384, 15625) ** n * az_ratio(n)
 
     def test_pole_inside_sum(self):
         with pytest.raises(ParamsError):

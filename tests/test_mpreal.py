@@ -746,16 +746,15 @@ class TestLogInt:
         with mp.workprec(bits + 180):
             assert abs(as_mpf(out.log) - mp.log(n)) <= as_mpf(out.log_err), (n, bits)
 
-    def test_cache_clears_above_its_cap(self, monkeypatch):
-        monkeypatch.setattr(mpreal, "_LOG_INT_CACHE", {})
-        monkeypatch.setattr(mpreal, "_LOG_INT_CACHE_MAX", 3)
-        sizes = []
-        for n in range(2, 8):
-            mpreal._log_int(n, 64)
-            sizes.append(len(mpreal._LOG_INT_CACHE))
-        assert sizes == [1, 2, 3, 4, 1, 2]
-        assert mpreal._log_int(7, 64) is mpreal._log_int(7, 64)
-        assert mpreal._log_int(7, 65) is not mpreal._log_int(7, 64)
+    def test_cache_stays_bounded(self):
+        cached = mpreal._log_int
+        cap = cached.cache_info().maxsize
+        assert cap is not None
+        for n in range(2, cap + 12):
+            cached(n, 64)
+        assert cached.cache_info().currsize <= cap
+        assert cached(7, 64) is cached(7, 64)
+        assert cached(7, 65) is not cached(7, 64)
 
 
 class TestPositiveTerms:

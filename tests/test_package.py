@@ -54,6 +54,11 @@ def test_removed_shims_are_gone():
     assert not [name for name in dir(hypergamma.transforms) if name.startswith("_sample_")]
     for builder in ("from_gamma", "pi_power", "from_surd"):
         assert not hasattr(hypergamma.GammaExpr, builder), builder
+    # one exact term walk, and functools caches in mpreal
+    assert not hasattr(hypergamma, "PochRatio") and not hasattr(hyper, "PochRatio")
+    for name in ("_GAMMA_CACHE", "_GAMMA_CACHE_MAX", "_LOG_INT_CACHE", "_LOG_INT_CACHE_MAX",
+                 "_PI_CACHE", "_TS_NODE_CACHE", "_gamma_cached"):
+        assert not hasattr(mpreal, name), name
     # a record's one compiled form is its run
     record = hypergamma.IdentityRecord.from_json(
         {"id": "x", "kind": "point-evaluation",

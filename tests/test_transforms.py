@@ -317,8 +317,8 @@ class TestChain:
         Raising each rational base and pi power by its own log took 25."""
         import hypergamma.mpreal as mpreal
 
-        monkeypatch.setattr(mpreal, "_GAMMA_CACHE", {})
-        monkeypatch.setattr(mpreal, "_LOG_INT_CACHE", {})
+        mpreal._gamma_unit.cache_clear()
+        mpreal._log_int.cache_clear()
         calls = []
         mpf_log = mpreal.mpf_log
 

@@ -2,9 +2,10 @@
 
 Each row of ROWS names a source file, an exact snippet that must occur in
 it once, the replacement that makes the fault, and the tests to run.  For
-each row the runner copies ``src`` and ``tests`` into a fresh temporary
-directory, applies the replacement there (the working tree is never
-touched), runs the tests with pytest and prints one line:
+each row the runner copies ``src`` and ``tests``, and the ``demos`` and
+``benchmarks`` that some tests read, into a fresh temporary directory,
+applies the replacement there (the working tree is never touched), runs
+the tests with pytest and prints one line:
 
 * ``caught``   - the tests failed, as they should;
 * ``uncaught`` - the tests passed; a row may give the reason this is
@@ -55,7 +56,10 @@ RULE_PROOF = ("tests/test_transforms.py::TestRuleProof",)
 GAMMA = ("tests/test_mpreal.py",)
 KERNEL = ("tests/test_mpreal.py::TestFixedPointSum",)
 VERDICTS = ("tests/test_gammaexpr.py::TestNumEqual",)
+WALK = ("tests/test_hyper.py::TestHyperTerms", "tests/test_hyper.py::TestTerminating",
+        "tests/test_catalog.py::TestFamilies")
 TRANSFORMS, MPREAL = "src/hypergamma/transforms.py", "src/hypergamma/mpreal.py"
+HYPER = "src/hypergamma/hyper.py"
 
 ROWS = (
     # the rules' data, which `prove_rule` must reject
@@ -130,6 +134,18 @@ ROWS = (
         VERDICTS,
         why="10^-digits max(1, |x|) is the precision asked of an equal verdict, not a bound: "
         "rounded down it moves the equal/inconclusive line by 2^-31 of itself"),
+    # hyper_terms, the one exact term walk
+    Row("hyper_terms: pole test widened to -n <= l", HYPER,
+        "and -n < l <= 0:", "and -n <= l <= 0:", WALK),
+    Row("hyper_terms: pole test narrowed to l < 0", HYPER,
+        "and -n < l <= 0:", "and -n < l < 0:", WALK),
+    Row("hyper_terms: z dropped from the step", HYPER,
+        "top = z.numerator * math.prod(q for _, q in lows)\n    bottom = z.denominator * ",
+        "top = math.prod(q for _, q in lows)\n    bottom = ", WALK),
+    Row("hyper_terms: upper and lower denominators swapped", HYPER,
+        "math.prod(q for _, q in lows)\n    bottom = z.denominator * math.prod(q for _, q in ups)",
+        "math.prod(q for _, q in ups)\n    bottom = z.denominator * math.prod(q for _, q in lows)",
+        WALK),
 )
 
 
@@ -137,7 +153,7 @@ def run(row: Row) -> tuple[str, float | None]:
     """The row's verdict and the seconds its tests took, None if they timed out."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         root = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "demos", "benchmarks"):
             shutil.copytree(ROOT / part, root / part, ignore=shutil.ignore_patterns("__pycache__"))
         path = root / row.file
         path.write_text(path.read_text().replace(row.snippet, row.replacement))
