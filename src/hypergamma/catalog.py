@@ -78,6 +78,10 @@ from .transforms import (
 
 SCHEMA_VERSION = 1
 DEFAULT_DIGITS = 100
+# the most digits a run may ask for, by --digits or a record's pin: 100
+# times the largest documented run (derive_main at 1000 digits); far above
+# it the series kernel's fixed-point shifts overflow
+MAX_DIGITS = 100_000
 DEFAULT_CATALOG = Path(__file__).parent / "data" / "identities.json"
 CANARY_CATALOG = Path(__file__).parent / "data" / "canary.json"
 
@@ -418,8 +422,8 @@ class IdentityRecord:
         if unknown:
             raise CatalogError(f"{where}: unknown fields {sorted(unknown)}")
         digits = data.get("digits")
-        if digits is not None and (type(digits) is not int or digits < 1):
-            raise CatalogError(f"{where}: digits must be a positive integer")
+        if digits is not None and (type(digits) is not int or not 1 <= digits <= MAX_DIGITS):
+            raise CatalogError(f"{where}: digits must be an integer from 1 to {MAX_DIGITS}")
 
         record = partial(cls, rid, kind, source=data.get("source", ""), digits=digits)
         if kind == "transform-rule":

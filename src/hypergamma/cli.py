@@ -29,6 +29,7 @@ from .catalog import (
     EXIT_FAIL,
     EXIT_PASS,
     EXIT_USAGE,
+    MAX_DIGITS,
     CatalogError,
     run_all,
 )
@@ -40,10 +41,6 @@ from .hyper import (
 from .mpreal import MPRealError, PowerIntegrand, Precision, beta, tanh_sinh_integrate
 from .transforms import PROOF_METHODS, TransformError, derive_main, verify_gosper_proof
 
-
-# 100 times the largest documented run (derive_main at 1000 digits); far
-# above it the series kernel's fixed-point shifts overflow
-MAX_DIGITS = 100_000
 
 ROUTES = {"auto": f21_eval, "series": f21_series, "integral": f21_integral}
 

@@ -19,7 +19,6 @@ from .mpreal import (
     BigReal,
     IntervalGap,
     Precision,
-    _log_int,
     gamma,
     pi_value,
     power_product,
@@ -214,11 +213,12 @@ def ge_eval(e: GammaExpr, prec: Precision) -> BigReal:
 
     The rational factors, written over their primes with the exponents
     summed per prime, and the power of pi are raised together by one
-    `power_product`: one exp, with each integer's log from `_log_int`,
-    cached per precision.  Each Gamma factor is an integer power of
-    `gamma`, and each surd an integer power of p + q sqrt(d)."""
+    `power_product`: one exp, with each integer's log from `_ln`'s
+    cache, taken once per integer and precision.  Each Gamma factor is an
+    integer power of `gamma`, and each surd an integer power of
+    p + q sqrt(d)."""
     bits = prec.work_bits
-    powers = [(_log_int(n, bits), r) for n, r in _integer_powers(e.rational_factors).items()]
+    powers = [(BigReal.from_int(n, bits), r) for n, r in _integer_powers(e.rational_factors).items()]
     if e.pi_exponent:
         powers.append((pi_value(prec), e.pi_exponent))
     acc = power_product(*powers) if powers else BigReal.from_int(1, bits)

@@ -25,36 +25,36 @@ cancel.  Gamma is computed by an exact-rational Pochhammer reduction of
 the argument to (0, 1] (so pole detection is exact) followed by the
 incomplete-gamma series 1F1(1; y+1; M) plus the asymptotic sum of the
 upper incomplete gamma Gamma(y, M), whose remainder is at most its first
-neglected term, or, for 1/2 < y < 1, by reflection from Gamma(1 - y);
-ln M, like the log of any exact integer (`_log_int`), is cached per
-precision.  Beta is the sum of two incomplete-Beta series at 1/2, with
-positive terms, and no Gamma.  The quadrature is standard tanh-sinh over
-(0, 1), the one interval of every integral in the package, with
-per-level node caching; each cached node
-holds x and 1 - x as `LogReal`s that carry ln x and ln(1 - x), built by
-`_carrying_log` as pi's and the integer logs are, computed once per
-(bits, level) for every integral at those bits, and handed to the
-integrand at full relative precision, so endpoint-singular factors are
-evaluated without cancellation.  The node loop sums, bounds and tests its
-terms in Python integers.
+neglected term, or, for 1/2 < y < 1, by reflection from Gamma(1 - y).
+Beta is the sum of two incomplete-Beta series at 1/2, with positive
+terms, and no Gamma.  The quadrature is standard tanh-sinh over (0, 1),
+the one interval of every integral in the package, with per-level node
+caching; each cached node holds x and 1 - x, handed to the integrand at
+full relative precision, so endpoint-singular factors are evaluated
+without cancellation.  The node loop sums, bounds and tests its terms in
+Python integers.
 
 Every integrand of the package is a `PowerIntegrand`, the data
 u^a v^b prod P(x)^c with exact rational exponents and polynomials P
 certainly positive on [0, 1]: each P is evaluated by Horner on the
 integers of x's mantissa with a relative bound, and the sum of r ln base
 and its bound are taken in integers, so an evaluation costs one log per
-polynomial and one exp; at a quadrature node the last polynomial's log is
-kept on the node, so integrands that share a factor take it once.
-`power_product` is the same integer sum for BigReal bases, each ln from
-`_log_fixed`, and the same exp (`_exp_sum`).
+polynomial and one exp.  `power_product` is the same integer sum for
+BigReal bases, each ln from `_log_fixed`, and the same exp (`_exp_sum`).
 It is also the one fractional power: `BigReal.pow_rational` keeps
 exponent 0, the integers (`pow_int`) and 1/2 (`sqrt`), and hands every
-other exponent to it.  pi (`pi_value`) carries its log, taken once per
-precision.
+other exponent to it.
+
+Logs are cached by value: `_ln` keeps ln of val ± err per (val, err,
+bits), so pi, the integers of `ge_eval`, Gamma's ln M and the quadrature
+nodes, met again at one precision, take no second `mpf_log`, and
+`_poly_log` keeps ln P(x) per polynomial, x and bits, so integrands that
+share a factor take it once per node.  `log` itself is uncached, so that
+one-off logs leave those entries alone.
 
 Every cache of the module is a `functools` cache on the function that
-fills it: Gamma on (0, 1] (`_gamma_unit`) and the integer logs, bounded,
-and pi and the quadrature nodes, one entry per precision.
+fills it: Gamma on (0, 1] (`_gamma_unit`) and the two logs, bounded, and
+pi and the quadrature nodes, one entry per precision.
 """
 
 from __future__ import annotations
@@ -389,42 +389,20 @@ class BigReal:
         return f"BigReal({self.to_decimal(min(20, max(6, self.bits // 4)))})"
 
 
-class LogReal(BigReal):
-    """A certainly positive BigReal that carries its natural logarithm:
-    `log` is within `log_err` of ln(val).  `log` and `power_product` take
-    the logarithm from it; arithmetic on it gives plain BigReals.
-    `fixed_err` keeps the bound of `_log_fixed` at bits + 8 once an
-    integrand has asked for it, and `poly_log` the (L, B) of the last
-    polynomial factor a `PowerIntegrand` has taken at it."""
-
-    __slots__ = ("log", "log_err", "fixed_err", "poly_log")
-
-    def __init__(self, val, err, bits: int, log, log_err):
-        self.val = val
-        self.err = err
-        self.bits = bits
-        self.log = log
-        self.log_err = log_err
-        self.fixed_err = None
-        self.poly_log = None
-
-
 # ---------------------------------------------------------------------------
 # elementary functions
 
 
-def pi_value(prec: Precision) -> LogReal:
+def pi_value(prec: Precision) -> BigReal:
     """pi at work_bits (`_pi`)."""
     return _pi(prec.work_bits)
 
 
 @cache
-def _pi(bits: int) -> LogReal:
-    """pi at bits, rounded at bits + 8, as a `LogReal` whose log is taken
-    once per precision, at bits + 8, within (|ln pi| + 1) 2^(-bits-6): the
-    value and bound `log` would give for that base in `power_product`."""
+def _pi(bits: int) -> BigReal:
+    """pi at bits, rounded at bits + 8, cached per precision."""
     val = mpf_pi(bits + 8, RN)
-    return _carrying_log(val, _ulp(val, bits, -4), bits)
+    return BigReal(val, _ulp(val, bits, -4), bits)
 
 
 def sqrt(x: BigReal) -> BigReal:
@@ -450,40 +428,25 @@ def exp(x: BigReal) -> BigReal:
     return BigReal(val, err, bits)
 
 
-def _log_parts(x: BigReal, bits: int):
-    """ln x as (value, bound), the value at `bits` or, for a `LogReal`, the
-    one it carries.  The bound is err/lo, the mean value theorem on the
-    interval, plus the value's rounding."""
-    if not x.definitely_positive():
-        raise DomainError("log of a value not certainly positive")
-    if isinstance(x, LogReal):
-        val, rounding = x.log, x.log_err
-    else:
-        val = mpf_log(x.val, bits, RN)
-        rounding = _emul(_eadd(mpf_abs(val), fone), _pow2(-bits + 2))
-    if x.err == fzero:
-        return val, rounding
-    return val, _eadd(mpf_div(x.err, _abs_lo(x.val, x.err), ERR_BITS, RU), rounding)
-
-
 @lru_cache(maxsize=4096)
-def _log_int(n: int, bits: int) -> LogReal:
-    """The integer n >= 1, exact, as a `LogReal` at `bits` whose log is
-    rounded at bits + 8, within (|ln n| + 1) 2^(-bits-6); cached per
-    (n, bits)."""
-    return _carrying_log(from_int(n), fzero, bits)
-
-
-def _carrying_log(val, err, bits: int) -> LogReal:
-    """val ± err at `bits` as a `LogReal` whose log is rounded at bits + 8,
-    within (|ln| + 1) 2^(-bits-6)."""
-    ln = mpf_log(val, bits + 8, RN)
-    return LogReal(val, err, bits, ln, _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits - 6)))
+def _ln(val, err, bits: int):
+    """ln of val ± err as (value, bound), the value rounded at `bits`, for
+    mpfs with val > err; cached per (val, err, bits).  The bound is err/lo,
+    the mean value theorem on the interval, plus the value's rounding,
+    (|ln| + 1) 2^(2-bits)."""
+    if mpf_cmp(val, err) <= 0:
+        raise DomainError("log of a value not certainly positive")
+    ln = mpf_log(val, bits, RN)
+    rounding = _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits + 2))
+    if err == fzero:
+        return ln, rounding
+    return ln, _eadd(mpf_div(err, _abs_lo(val, err), ERR_BITS, RU), rounding)
 
 
 def log(x: BigReal) -> BigReal:
-    val, err = _log_parts(x, x.bits)
-    return BigReal(val, err, x.bits)
+    """ln x at x's bits, uncached: a one-off log leaves `_ln`'s cache to the
+    bases that recur."""
+    return BigReal(*_ln.__wrapped__(x.val, x.err, x.bits), x.bits)
 
 
 def _fixed(v, fb: int) -> int:
@@ -511,7 +474,7 @@ def _exp_sum(total: int, bound: int, den: int, fb: int, bits: int) -> BigReal:
 def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
     """prod base^r over the (base, r) pairs, for certainly positive BigReal
     bases and rational r, as exp(sum r ln base): one exp, and one log for
-    each base that does not carry its own (`LogReal`).
+    each base not met before at its value, radius and bits (`_ln`).
 
     Each ln base comes from `_log_fixed` at fb = bits + 8 fraction bits,
     bounded as by `log` (err/lo plus rounding).  Over the common
@@ -534,24 +497,18 @@ def power_product(*factors: tuple[BigReal, Real]) -> BigReal:
 
 def _log_fixed(x: BigReal, fb: int) -> tuple[int, int]:
     """ln x for a certainly positive x as integers (L, B): L the value of
-    `_log_parts` at fb bits cut to fb fraction bits, B its bound rounded up
-    to a whole number of 2^-fb.  A `LogReal` keeps B for the next call at
-    fb = bits + 8, the fb of an integrand at its own nodes and of
-    `power_product` at its bases' bits."""
-    kept = isinstance(x, LogReal) and fb == x.bits + 8
-    if kept and x.fixed_err is not None:
-        return _fixed(x.log, fb), x.fixed_err
-    ln, (_, m, e, _) = _log_parts(x, fb)
+    `_ln` at fb bits cut to fb fraction bits, B its bound rounded up to a
+    whole number of 2^-fb."""
+    ln, (_, m, e, _) = _ln(x.val, x.err, fb)
     B = m << (e + fb) if e + fb >= 0 else -(-m >> -(e + fb))
-    if kept:
-        x.fixed_err = B
     return _fixed(ln, fb), B
 
 
-def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
+def _horner(coeffs: tuple[int, ...], den: int, dsum: int, val, err, p: int):
     """P(y) = sum C_k y^k / den, for the integers C_n, ..., C_0 in `coeffs`
-    (highest first) and dsum = sum k |C_k|, at every y in x's interval, as
-    integers (Y, e, E): Y 2^e is within E 2^e of each P(y).
+    (highest first) and dsum = sum k |C_k|, at every y in the interval
+    x = val ± err of mpfs, as integers (Y, e, E): Y 2^e is within E 2^e of
+    each P(y).
 
     Horner runs on x's mantissa in integers: each step Y <- Y man + C_k is
     exact, then cut to p bits, which costs at most one ulp of that step,
@@ -560,7 +517,7 @@ def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
     before the bounds are added.  x's radius r adds r sum k |C_k| h^(k-1),
     the mean value theorem with h = max(1, |x| + r).  A den other than 1
     is one floor division of Y (1 ulp) and a ceiling one of E."""
-    sign, man, exp, bc = x.val
+    sign, man, exp, bc = val
     if sign:
         man = -man
     xh = max(0, exp + bc)  # |x| < 2^xh
@@ -584,7 +541,7 @@ def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
         Y <<= short
         e -= short
     E = sum(1 << (u - e) if u > e else 1 for u in ulps)
-    _, rm, re, _ = x.err
+    _, rm, re, _ = err
     if rm:
         n = len(coeffs) - 1
         d = rm * dsum
@@ -602,11 +559,13 @@ def _horner(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, p: int):
     return Y, e, E
 
 
-def _poly_log(coeffs: tuple[int, ...], den: int, dsum: int, x: BigReal, fb: int):
-    """ln P(x) for `_horner`'s P as integers (L, B) in units of 2^-fb: L
-    cut from one `mpf_log` at fb bits, B log's rounding, (|ln| + 1)
-    2^(2-fb), plus E/(Y - E) for Horner's enclosure at fb + 8 bits."""
-    Y, e, E = _horner(coeffs, den, dsum, x, fb + 8)
+@lru_cache(maxsize=1024)
+def _poly_log(coeffs: tuple[int, ...], den: int, dsum: int, val, err, fb: int):
+    """ln P(x) at x = val ± err for `_horner`'s P as integers (L, B) in
+    units of 2^-fb: L cut from one `mpf_log` at fb bits, B log's rounding,
+    (|ln| + 1) 2^(2-fb), plus E/(Y - E) for Horner's enclosure at fb + 8
+    bits; cached per polynomial, x and fb."""
+    Y, e, E = _horner(coeffs, den, dsum, val, err, fb + 8)
     if Y <= E:
         raise DomainError("polynomial factor not certainly positive")
     L = _fixed(mpf_log(from_man_exp(Y, e), fb, RN), fb)
@@ -632,15 +591,13 @@ class PowerIntegrand:
     Bernstein coefficient of P on [0, 1] must be positive, which makes P
     certainly positive there (DomainError otherwise).
 
-    A call takes ln u and ln v as `_log_fixed` gives them (from the node
-    cache for the quadrature's `LogReal`s), each P by `_horner` at
-    fb + 8 bits and one `mpf_log`, bounded by log's rounding plus E/(Y - E)
-    for Horner's enclosure, and sums r ln and its bound in integers for
-    `_exp_sum`, as `power_product` does: one log per polynomial and one
-    exp.  The last ln P taken at a `LogReal` is kept on it, with its
-    polynomial and fb, so integrands that share a factor (the proof's i_t
-    at each b) take it once per node; one entry per node keeps the node
-    cache's size fixed however many integrands use it."""
+    A call takes ln u and ln v as `_log_fixed` gives them, each ln P from
+    `_poly_log` (`_horner` at fb + 8 bits and one `mpf_log`, bounded by
+    log's rounding plus E/(Y - E) for Horner's enclosure), and sums r ln
+    and its bound in integers for `_exp_sum`, as `power_product` does: one
+    log per polynomial and one exp.  Both logs are cached by value, so at
+    the quadrature's nodes integrands that share a factor (the proof's i_t
+    at each b) take each log once per node."""
 
     u_exp: Fraction
     v_exp: Fraction
@@ -685,13 +642,7 @@ class PowerIntegrand:
             bound += abs(p) * (B + 1)
         for is_v, coeffs, cden, dsum, p in self._polys:
             x = v if is_v else u
-            kept = x.poly_log if isinstance(x, LogReal) else None
-            if kept is not None and kept[:3] == (coeffs, cden, fb):
-                L, B = kept[3:]
-            else:
-                L, B = _poly_log(coeffs, cden, dsum, x, fb)
-                if isinstance(x, LogReal):
-                    x.poly_log = (coeffs, cden, fb, L, B)
+            L, B = _poly_log(coeffs, cden, dsum, x.val, x.err, fb)
             total += p * L
             bound += abs(p) * (B + 1)
         return _exp_sum(total, bound, self._den, fb, bits)
@@ -1010,8 +961,8 @@ def _gamma_unit(y: Fraction, wb: int) -> BigReal:
     the asymptotic sum of `_gamma_tail` with its proven remainder, which
     needs only wb/2 + 40 fraction bits beside 1F1 / y, about e^M M^-y.
     Against the incomplete-gamma series alone, at M about twice as large,
-    the 1F1 takes two thirds of the terms.  ln M comes from `_log_int`, so
-    every cold Gamma at one precision shares it."""
+    the 1F1 takes two thirds of the terms.  ln M comes from `_ln` at
+    wb + 8 bits, so every cold Gamma at one precision shares it."""
     if y < 1 < 2 * y:
         r = 1 - y
         extra = (r.denominator // (2 * r.numerator)).bit_length()  # 2^extra > 1/(2r)
@@ -1022,7 +973,7 @@ def _gamma_unit(y: Fraction, wb: int) -> BigReal:
     fb = wb // 2 + 40
     S, R = _gamma_tail(y, M, fb)
     tail = BigReal(from_man_exp(S, -fb), from_man_exp(R, -fb, ERR_BITS, RU), wb)
-    pref = exp(log(_log_int(M, wb)) * y - M)
+    pref = exp(BigReal(*_ln(from_int(M), fzero, wb + 8), wb) * y - M)
     return pref * (fixed_point_sum((1,), (y + 1,), M, wb) / y + tail)
 
 
@@ -1100,14 +1051,14 @@ def beta(x: Fraction, y: Fraction, prec: Precision) -> BigReal:
 Integrand = Callable[[BigReal, BigReal], BigReal]
 
 
-def _node_arg(x, wb: int) -> LogReal:
+def _node_arg(x, wb: int) -> BigReal:
     """The node x, rounded at wb bits, as the integrand receives it: a
-    `LogReal` of relative radius 2^(6-wb) from `_carrying_log`."""
-    return _carrying_log(x, _emul(x, _pow2(6 - wb)), wb)
+    BigReal of relative radius 2^(6-wb)."""
+    return BigReal(x, _emul(x, _pow2(6 - wb)), wb)
 
 
 @cache
-def _ts_nodes(bits: int, level: int) -> list[tuple[LogReal, LogReal, tuple]]:
+def _ts_nodes(bits: int, level: int) -> list[tuple[BigReal, BigReal, tuple]]:
     """Positive-t nodes (x, 1-x, weight) for the given refinement level,
     x and 1 - x as `_node_arg` hands them to the integrand.
 
@@ -1157,10 +1108,11 @@ def _weighted(w, a, b, fb: int, up: bool = False) -> int:
 def tanh_sinh_integrate(f: Integrand, prec: Precision, level_cap: int = 12) -> BigReal:
     """Integrate f over (0, 1) by tanh-sinh refinement.
 
-    The integrand is called as f(t, 1 - t) with both as the node cache's
-    `LogReal`s at full relative precision (endpoint-singular factors of
-    exponent > -1 are handled), so a `PowerIntegrand` takes no log for
-    them; any callable of (u, v) that returns a BigReal will do.
+    The integrand is called as f(t, 1 - t) with both from the node cache at
+    full relative precision (endpoint-singular factors of exponent > -1
+    are handled), so a `PowerIntegrand` finds their logs in `_ln`'s cache
+    after the first integral at those bits; any callable of (u, v) that
+    returns a BigReal will do.
 
     The node loop reads each value's and each bound's mantissa and sums in
     Python integers at fb = wb + 16 fraction bits: the weighted values

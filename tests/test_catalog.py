@@ -13,6 +13,7 @@ from hypergamma.catalog import (
     CANARY_CATALOG,
     DEFAULT_CATALOG,
     EXIT_CODE,
+    MAX_DIGITS,
     CatalogError,
     IdentityRecord,
     ReportEntry,
@@ -466,6 +467,7 @@ BAD_INPUTS = {
         POINT_RECORD, rhs={"gamma_expr": {"surd": [["1", "2", "2", False]]}}
     ),
     "digits-bool": dict(POINT_RECORD, digits=True),
+    "digits-above-max": dict(POINT_RECORD, digits=MAX_DIGITS + 1),
     "sum-term-sign-bool": dict(
         POINT_RECORD, rhs={"gamma_expr_sum": [{"sign": True, "expr": {"rat": [["2", "1"]]}}]}
     ),

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from mpmath import iv, mp
-from mpmath.libmp import fone, from_man_exp, from_rational, mpf_abs, mpf_add, mpf_mul, mpf_shift
+from mpmath.libmp import fone, from_int, from_man_exp, from_rational, fzero, mpf_mul
 
 from helpers import as_mpf, assert_encloses, mpf_of_fraction, reference_scaled_sum
 
@@ -22,7 +22,6 @@ from hypergamma.mpreal import (
     BigReal,
     DomainError,
     GammaPoleError,
-    LogReal,
     PossibleZeroDivisionError,
     PowerIntegrand,
     Precision,
@@ -199,6 +198,28 @@ class TestElementary:
         assert_encloses(sqrt(BigReal.from_fraction(F(1, 4), P50.work_bits)), mp.mpf(1) / 2, "sqrt")
         with pytest.raises(DomainError):
             log(BigReal.from_int(-1, P50.work_bits))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        center=st.builds(F, st.integers(1, 10**9), st.integers(1, 10**6)),
+        rel=st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 2**20), st.just(2**40))),
+        bits=st.sampled_from((40, 120, 400, 1200)),
+    )
+    @example(center=F(1), rel=F(1, 2**20), bits=40)
+    @example(center=F(1, 10**6), rel=F(1, 2**20), bits=400)
+    def test_log_encloses_the_interval_log(self, center, rel, bits):
+        """`log` of a BigReal of relative radius up to 2^-20 holds the log
+        of its interval, taken by mpmath's interval arithmetic at 100 more
+        bits."""
+        c = BigReal.from_fraction(center, bits)
+        rad = center * rel
+        x = BigReal(c.val, from_rational(rad.numerator, rad.denominator, 32, "u"), bits)
+        got = log(x)
+        saved, iv.prec = iv.prec, bits + 100
+        try:
+            assert iv.log(_iv_of(x)) in _iv_of(got), (center, rel, bits)
+        finally:
+            iv.prec = saved
 
 
 class TestGamma:
@@ -555,8 +576,9 @@ class TestFixedPointSum:
     def test_gamma_is_bit_identical(self):
         """Gamma's (value, radius) on the 107 seeded inputs that follow;
         its digest is that of the half-length 1F1 sum at M, ln M from
-        `_log_int`, the asymptotic tail of `_gamma_tail`, and reflection
-        for 1/2 < y < 1; the Pochhammer shift does not move it."""
+        `_ln` at wb + 8 bits, the asymptotic tail of `_gamma_tail`, and
+        reflection for 1/2 < y < 1; the Pochhammer shift does not move
+        it."""
         _, gammas, _ = _caller_inputs()
         assert _digest(gamma(x, prec) for x, prec in gammas) == (
             "4eaf8a6ed333f99eb3a25283a520ac6445b00fcf71aabca3c8ed8f4f82974a82"
@@ -736,25 +758,27 @@ def _peak_log2(upper, lower, z) -> float:
 
 
 class TestLogInt:
+    """The log of an exact integer, as `ge_eval` and Gamma's ln M take it,
+    from `_ln`."""
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(n=st.integers(1, 10**6), bits=st.integers(64, 4000))
     def test_encloses_ln_n(self, n, bits):
-        """The exact n, and a log within its bound of mpmath's ln n at +50
+        """ln of the exact n is within its bound of mpmath's ln n at +50
         digits."""
-        out = mpreal._log_int(n, bits)
-        assert out.is_exact and _fraction(out.val) == n and out.bits == bits
+        ln, bound = mpreal._ln(from_int(n), fzero, bits)
         with mp.workprec(bits + 180):
-            assert abs(as_mpf(out.log) - mp.log(n)) <= as_mpf(out.log_err), (n, bits)
+            assert abs(as_mpf(ln) - mp.log(n)) <= as_mpf(bound), (n, bits)
 
     def test_cache_stays_bounded(self):
-        cached = mpreal._log_int
+        cached = mpreal._ln
         cap = cached.cache_info().maxsize
         assert cap is not None
         for n in range(2, cap + 12):
-            cached(n, 64)
+            cached(from_int(n), fzero, 64)
         assert cached.cache_info().currsize <= cap
-        assert cached(7, 64) is cached(7, 64)
-        assert cached(7, 65) is not cached(7, 64)
+        assert cached(from_int(7), fzero, 64) is cached(from_int(7), fzero, 64)
+        assert cached(from_int(7), fzero, 65) is not cached(from_int(7), fzero, 64)
 
 
 class TestPositiveTerms:
@@ -896,17 +920,14 @@ class TestTanhSinh:
             assert abs(as_mpf(hi.val) - as_mpf(lo.val)) <= as_mpf(lo.err)
 
 
-def _node_base(nbits, level, k, complement, rel) -> LogReal:
-    """The k-th node from the tail of `_ts_nodes(nbits, level)`, x or 1 - x,
-    as the quadrature hands it over, with a relative radius `rel` and the
-    node cache's bound on its logarithm, (|ln| + 1) 2^(2-lb)."""
+def _node_base(nbits, level, k, complement, rel) -> BigReal:
+    """The value of the k-th node from the tail of `_ts_nodes(nbits,
+    level)`, x or 1 - x, at the quadrature's bits, with a relative radius
+    `rel`."""
     node = mpreal._ts_nodes(nbits, level)
-    node = node[-1 - k % len(node)][1 if complement else 0]
-    val, ln = node.val, node.log
-    wb = nbits + 16
+    val = node[-1 - k % len(node)][1 if complement else 0].val
     err = mpf_mul(val, from_rational(rel.numerator, rel.denominator, 32, "u"), 32, "u")
-    log_err = mpf_shift(mpf_add(mpf_abs(ln), fone, 32, "u"), 2 - (wb + 8))
-    return LogReal(val, err, wb, ln, log_err)
+    return BigReal(val, err, nbits + 16)
 
 
 def _iv_of(x: BigReal):
@@ -914,7 +935,7 @@ def _iv_of(x: BigReal):
 
 
 factor_draws = st.tuples(
-    st.booleans(),  # a node base (LogReal) or a plain rational one
+    st.booleans(),  # a node base or a plain rational one
     st.builds(F, st.integers(1, 10**6), st.integers(1, 10**4)),
     st.one_of(st.just(F(0)), st.builds(F, st.integers(0, 2**20), st.just(2**24))),
     st.integers(0, 2),  # node level
@@ -930,15 +951,15 @@ class TestPowerProduct:
         draws=st.lists(factor_draws, min_size=1, max_size=4),
         nbits=st.sampled_from((44, 120, 280, 400)),
     )
-    # a node 1 - x near 2^-7936, exact, at a large exponent: the carried
-    # log's rounding is all of its bound
+    # a node 1 - x near 2^-7936, exact, at a large exponent: the log's
+    # rounding is all of its bound
     @example(draws=[(True, F(1), F(0), 0, 0, True, F(-2001, 2))], nbits=400)
     @example(draws=[(False, F(1), F(1, 1000), 0, 0, False, F(-2001, 2))], nbits=200)
     def test_encloses_the_image_of_its_inputs(self, draws, nbits):
         """prod base^r over 1-4 factors, bases with relative radius up to
-        2^-4, node bases down to 2^-6000 and below that carry their log,
-        holds the image of the input intervals taken by mpmath's interval
-        arithmetic at 100 more bits."""
+        2^-4, and node bases down to 2^-6000 and below, holds the image of
+        the input intervals taken by mpmath's interval arithmetic at 100
+        more bits."""
         wb = nbits + 16
         factors = []
         for is_node, center, rel, level, k, complement, r in draws:
@@ -970,30 +991,66 @@ class TestPowerProduct:
             with pytest.raises(DomainError):
                 power_product((base, F(1, 3)))
 
-    def test_a_carried_log_takes_no_transcendental(self, monkeypatch):
-        x = _node_base(120, 1, 3, True, F(0))
-        y = _node_base(120, 2, 5, False, F(1, 2**30))
+    def test_a_base_met_again_takes_no_second_log(self, monkeypatch):
+        """Bases met again at one precision, as new objects of the same
+        value and radius (two node values, pi, an integer), take their log
+        from `_ln`'s cache: no second `mpf_log`."""
+        prec = Precision(0, 136)
+
+        def bases():
+            return (
+                _node_base(120, 1, 3, True, F(0)),
+                _node_base(120, 2, 5, False, F(1, 2**30)),
+                pi_value(prec),
+                BigReal.from_int(10**6 + 3, 136),
+            )
+
+        first = power_product(*zip(bases(), (F(-7, 3), F(5, 8), F(1, 2), F(-1, 5))))
 
         def no_log(*args):
-            raise AssertionError("mpf_log called for a base that carries its log")
+            raise AssertionError("mpf_log called for a base met before")
 
         monkeypatch.setattr(mpreal, "mpf_log", no_log)
+        x, y = bases()[:2]
+        again = power_product(*zip(bases(), (F(-7, 3), F(5, 8), F(1, 2), F(-1, 5))))
+        assert (again.val, again.err) == (first.val, first.err)
         with mp.workdps(80):
-            assert_encloses(log(x), mp.log(as_mpf(x.val)), "carried log")
             want = as_mpf(x.val) ** (mp.mpf(-7) / 3) * as_mpf(y.val) ** (mp.mpf(5) / 8)
-            assert_encloses(power_product((x, F(-7, 3)), (y, F(5, 8))), want, "carried")
+            want *= mp.sqrt(mp.pi) / mp.mpf(10**6 + 3) ** (mp.mpf(1) / 5)
+            assert_encloses(again, want, "bases met again")
+
+    def test_equal_values_of_different_radius_get_their_own_bounds(self):
+        """Two bases of one value, one exact and one of relative radius
+        2^-30, in both orders through a cold cache: the wide one's bound
+        holds its radius, so a cache keyed by value alone fails here."""
+        bits = 200
+        val = BigReal.from_fraction(F(22, 7), bits).val
+        exact = BigReal(val, fzero, bits)
+        wide = BigReal(val, mpf_mul(val, from_man_exp(1, -30), 32, "u"), bits)
+        for first in (exact, wide):
+            mpreal._ln.cache_clear()
+            power_product((first, F(1, 3)))
+            narrow, broad = (power_product((x, F(1, 3))) for x in (exact, wide))
+            assert as_mpf(broad.err) > as_mpf(narrow.err) * 2**100, first is wide
+            with mp.workprec(bits + 100):
+                for end in (-1, 1):
+                    want = (as_mpf(val) * (1 + end * mp.mpf(2) ** -30)) ** (mp.mpf(1) / 3)
+                    assert_encloses(broad, want, str(end))
 
     def test_node_logs_hold_their_bound(self):
-        """Every cached ln x and ln(1 - x) is within (|ln| + 1) 2^(2-lb) of
-        the log of the stored node, lb = bits + 24."""
+        """At every node x and 1 - x, ln from `_ln` at lb = bits + 24 bits,
+        the bits an integrand asks for, holds the log of both ends of the
+        node's interval (relative radius 2^(6-wb))."""
         for nbits in (44, 280):
             lb = nbits + 24
             for level in range(3):
                 for x, cx, _ in mpreal._ts_nodes(nbits, level):
-                    for val, ln in ((x.val, x.log), (cx.val, cx.log)):
+                    for node in (x, cx):
+                        ln, bound = mpreal._ln(node.val, node.err, lb)
                         with mp.workprec(lb + 100):
-                            gap = abs(as_mpf(ln) - mp.log(as_mpf(val)))
-                            assert gap <= (abs(as_mpf(ln)) + 1) * mp.mpf(2) ** (2 - lb)
+                            for end in (-1, 1):
+                                y = as_mpf(node.val) + end * as_mpf(node.err)
+                                assert abs(as_mpf(ln) - mp.log(y)) <= as_mpf(bound)
 
 
 # the polynomial factors of the package: the three proof steps', and
@@ -1079,7 +1136,7 @@ class TestPowerIntegrand:
         Fractions, at the center and both ends of x's interval."""
         x = BigReal(from_man_exp(man, exp), from_man_exp(rad, exp - 24), 64)
         dsum = sum(k * abs(c) for k, c in enumerate(reversed(coeffs)))
-        Y, e, E = mpreal._horner(tuple(coeffs), den, dsum, x, p)
+        Y, e, E = mpreal._horner(tuple(coeffs), den, dsum, x.val, x.err, p)
         got, radius = F(Y) * F(2) ** e, F(E) * F(2) ** e
         center, r = F(man) * F(2) ** exp, F(rad) * F(2) ** (exp - 24)
         for y in (center - r, center, center + r):
@@ -1098,24 +1155,23 @@ class TestPowerIntegrand:
                 got, want = f(x, cx), power_product((x, a), (cx, b))
                 assert (got.val, got.err) == (want.val, want.err), (a, b, x)
 
-    def test_a_shared_factor_is_logged_once_per_node(self, monkeypatch):
+    def test_a_shared_factor_is_logged_once_per_node(self):
         """Two integrands with the factor 3/4 + v/4 (the proof's i_t at two
-        b) take its log once per cached node, and each value is the one a
-        fresh copy of the node gives."""
+        b) miss `_poly_log`'s cache once per node, and each value is the
+        one a cold cache gives."""
         nodes = mpreal._ts_nodes(331, 1)[:8]
         poly = ("v", (F(3, 4), F(1, 4)), F(-5, 4))
         f = PowerIntegrand(F(-3, 8), F(1, 4), (poly,))
         g = PowerIntegrand(F(-1, 4), F(1, 8), (poly[:2] + (F(-3, 2),),))
-        calls = []
-        horner = mpreal._horner
-        monkeypatch.setattr(mpreal, "_horner", lambda *args: calls.append(args) or horner(*args))
+        mpreal._poly_log.cache_clear()
         got = [h(x, cx) for h in (f, g) for x, cx, _ in nodes]
-        assert len(calls) == len(nodes)
-
-        def fresh(x):
-            return LogReal(x.val, x.err, x.bits, x.log, x.log_err)
-
-        want = [h(fresh(x), fresh(cx)) for h in (f, g) for x, cx, _ in nodes]
+        assert mpreal._poly_log.cache_info().misses == len(nodes)
+        want = []
+        for h in (f, g):
+            for x, cx, _ in nodes:
+                mpreal._poly_log.cache_clear()
+                mpreal._ln.cache_clear()
+                want.append(h(x, cx))
         assert [(v.val, v.err) for v in got] == [(v.val, v.err) for v in want]
 
     def test_a_factor_not_certainly_positive_is_rejected(self):
@@ -1183,20 +1239,3 @@ class TestIntegrandShapes:
                 assert_encloses(
                     tanh_sinh_integrate(f, self.prec), want, f"{b} {z}"
                 )
-
-    def test_arguments_carry_their_log(self):
-        """Each u and v handed to the integrand is a LogReal whose log is
-        within log_err of ln(val)."""
-        seen = []
-
-        def f(u, v):
-            seen.extend((u, v))
-            return power_product((u, F(-1, 2)), (v, F(1, 3)))
-
-        tanh_sinh_integrate(f, self.prec)
-        assert len(seen) > 100
-        for x in seen:
-            assert isinstance(x, LogReal)
-            with mp.workprec(x.bits + 100):
-                gap = abs(as_mpf(x.log) - mp.log(as_mpf(x.val)))
-                assert gap <= as_mpf(x.log_err)

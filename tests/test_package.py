@@ -59,6 +59,10 @@ def test_removed_shims_are_gone():
     for name in ("_GAMMA_CACHE", "_GAMMA_CACHE_MAX", "_LOG_INT_CACHE", "_LOG_INT_CACHE_MAX",
                  "_PI_CACHE", "_TS_NODE_CACHE", "_gamma_cached"):
         assert not hasattr(mpreal, name), name
+    # logs are cached by value in `_ln`: no log-carrying subclass
+    for name in ("LogReal", "_log_int", "_carrying_log", "_log_parts"):
+        assert not hasattr(mpreal, name) and not hasattr(hypergamma, name), name
+    assert not hasattr(hypergamma.gammaexpr, "_log_int")
     # a record's one compiled form is its run
     record = hypergamma.IdentityRecord.from_json(
         {"id": "x", "kind": "point-evaluation",

@@ -311,14 +311,14 @@ class TestChain:
         assert MAIN_ARGUMENT == F(172872, 185039) ** 2
 
     def test_derive_main_at_1000_digits_takes_9_logs(self, monkeypatch):
-        """With cold Gamma and integer-log caches, the 1000-digit chain
-        takes 9 logarithms: one per integer N of the Gamma series and per
-        prime of the rational bases at a precision, and one per pi power.
+        """With cold Gamma and log caches, the 1000-digit chain takes 9
+        logarithms: one per integer N of the Gamma series and per prime of
+        the rational bases at a precision, and one per pi power.
         Raising each rational base and pi power by its own log took 25."""
         import hypergamma.mpreal as mpreal
 
         mpreal._gamma_unit.cache_clear()
-        mpreal._log_int.cache_clear()
+        mpreal._ln.cache_clear()
         calls = []
         mpf_log = mpreal.mpf_log
 

@@ -106,6 +106,27 @@ ROWS = (
         "s = BigReal(s.val, s.err, wb)", "s = BigReal(s.val, fzero, wb)", GAMMA),
     Row("_gamma_unit: sine without its extra bits", MPREAL,
         "sin_pi_times(y, Precision(0, wb + extra))", "sin_pi_times(y, Precision(0, wb))", GAMMA),
+    # the cached logs, _ln and the two callers that key it
+    Row("_ln: err/lo term dropped", MPREAL,
+        "return ln, _eadd(mpf_div(err, _abs_lo(val, err), ERR_BITS, RU), rounding)",
+        "return ln, rounding", GAMMA),
+    # caught only by the Gamma, Beta and log-connection digests: the halved
+    # term still covers an mpf_log within 1 ulp, so no enclosure test fails
+    Row("_ln: rounding term halved", MPREAL,
+        "rounding = _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits + 2))",
+        "rounding = _emul(_eadd(mpf_abs(ln), fone), _pow2(-bits + 1))", GAMMA),
+    Row("_ln: cache keyed without err", MPREAL,
+        "@lru_cache(maxsize=4096)\ndef _ln(val, err, bits: int):",
+        "def _by_value(f):\n    seen = {}\n\n    def g(val, err, bits):\n"
+        "        return seen.setdefault((val, bits), f(val, err, bits))\n\n"
+        "    g.cache_clear, g.__wrapped__ = seen.clear, f\n    return g\n\n\n"
+        "@_by_value\ndef _ln(val, err, bits: int):",
+        ("tests/test_mpreal.py::TestPowerProduct::test_equal_values_of_different_radius_get_their_own_bounds",)),
+    Row("_log_fixed: fzero passed for err", MPREAL,
+        "_ln(x.val, x.err, fb)", "_ln(x.val, fzero, fb)", GAMMA),
+    Row("PowerIntegrand: fzero passed for a factor's err", MPREAL,
+        "_poly_log(coeffs, cden, dsum, x.val, x.err, fb)",
+        "_poly_log(coeffs, cden, dsum, x.val, fzero, fb)", GAMMA),
     # the series kernel, _scaled_sum
     Row("_scaled_sum: +1 of the E step dropped", MPREAL,
         "E = -(m * E * P // Q) + 1", "E = -(m * E * P // Q)", KERNEL),
