@@ -522,6 +522,16 @@ def _assert_kernel_agrees(upper, lower, u, v, D, wb, pwb, term_cap, companion):
     assert run(mpreal._scaled_sum) == want, (upper, lower, u, v, D, wb, pwb, term_cap, companion)
 
 
+def _exact_sum(upper, lower, z: F) -> F:
+    """The sum of a pFq series that ends, in Fractions."""
+    t, total, n = F(1), F(0), 0
+    while t:
+        total += t
+        t *= math.prod(a + n for a in upper) * z / (math.prod(b + n for b in lower) * (n + 1))
+        n += 1
+    return total
+
+
 class TestFixedPointSum:
     # 2F1(40, 40; 1/8; -9/10): terms near 2^350 cancel to about 4e-12
     UPPER, LOWER = (F(40), F(40)), (F(1, 8),)
@@ -668,6 +678,117 @@ class TestFixedPointSum:
         self, upper, lower, u, v, D, wb, pwb, term_cap, companion
     ):
         _assert_kernel_agrees(upper, lower, u, v, D, wb, pwb, term_cap, companion)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_blocks_hold_the_term_by_term_bounds(self, data):
+        """From BLOCK_BITS on, a rational-z sum without a companion steps in
+        blocks: over p <= q + 1 <= 3, parameters of either sign, series that
+        end and term caps, its interval overlaps the one of the
+        term-by-term `reference_scaled_sum`, its radius is at most that
+        one's plus the tail's one ulp, and a series that ends holds its
+        exact sum."""
+        p, q = data.draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]))
+        upper = data.draw(st.lists(_KERNEL_PARAMS, min_size=p, max_size=p))
+        lower = data.draw(st.lists(_KERNEL_PARAMS.filter(_off_the_poles), min_size=q, max_size=q))
+        u = data.draw(st.integers(-300, 300).filter(bool))
+        ends = any(a.denominator == 1 and a <= 0 for a in upper)
+        if p == q + 1 and not ends:
+            v = abs(u) + data.draw(st.integers(max(1, abs(u) // 16), 400))
+        else:
+            v = data.draw(st.integers(1, 400))
+        wb = data.draw(st.integers(mpreal.BLOCK_BITS, mpreal.BLOCK_BITS + 400))
+        pwb = data.draw(st.integers(1, wb))
+        term_cap = data.draw(st.one_of(st.none(), st.integers(1, 300)))
+        case = (upper, lower, u, v, 0, wb, pwb, term_cap)
+        want, got = reference_scaled_sum(*case), mpreal._scaled_sum(*case)
+        if want is None or got is None:
+            return
+        [(S, err)], [(S0, err0)] = got, want
+        assert abs(S - S0) <= err + err0, case
+        assert err <= err0 + 1, case
+        if ends:
+            exact = _exact_sum(upper, lower, F(u, v))
+            assert abs(S - exact * 2**wb) <= err, case
+
+    @pytest.mark.parametrize(
+        "a, b, c, z",
+        [
+            (F(7, 48), F(31, 48), F(9, 8), F(-9, 10)),
+            (F(-7, 3), F(5, 2), F(-13, 4), F(-9, 10)),
+            (F(1, 3), F(-40, 7), F(3, 8), F(1, 2)),
+            (F(-60), F(1, 3), F(5, 6), F(-3, 4)),
+        ],
+    )
+    def test_blocks_at_1000_digits_hold_mpmath(self, a, b, c, z):
+        """f21_series at 1000 digits, where every series steps in blocks,
+        holds mpmath's 2F1 at +60 digits to its 2^-bits radius."""
+        prec = Precision.of(1000)
+        got = f21_series(HypParams(a, b, c), z, prec)
+        with mp.workdps(1060):
+            want = mp.hyp2f1(*(mpf_of_fraction(x) for x in (a, b, c, z)))
+            assert_encloses(got, want, f"2F1({a}, {b}; {c}; {z})")
+            assert as_mpf(got.err) <= mp.mpf(2) ** -prec.work_bits * max(1, abs(want))
+
+    @pytest.mark.parametrize("x", [F(1, 4), F(3, 4), F(9, 4), F(-7, 4), F(1, 2), F(-5, 2)])
+    def test_gamma_blocks_at_1000_digits_hold_mpmath(self, x):
+        """Gamma at 1000 digits (its 1F1 at about 3450 bits steps in blocks)
+        holds, at +60 digits, mpmath's closed forms: Gamma(1/4)^2 =
+        (2 pi)^(3/2) / agm(1, sqrt 2), Gamma(3/4) = pi sqrt(2) / Gamma(1/4),
+        Gamma(1/2) = sqrt(pi), and the recurrence; mpmath's own gamma at
+        1060 digits first builds a table that takes seconds."""
+        with mp.workdps(1060):
+            quarter = mp.sqrt((2 * mp.pi) ** 1.5 / mp.agm(1, mp.sqrt(2)))
+            base = {F(1, 4): quarter, F(3, 4): mp.pi * mp.sqrt(2) / quarter, F(1, 2): mp.sqrt(mp.pi)}
+            y = x - math.floor(x) or F(1)
+            want = base[y]
+            for k in range(math.floor(x)):  # Gamma(y + k + 1) = (y + k) Gamma(y + k)
+                want *= mpf_of_fraction(y + k)
+            for k in range(1, 1 - math.floor(x)):  # Gamma(y - k) = Gamma(y - k + 1) / (y - k)
+                want /= mpf_of_fraction(y - k)
+            got = gamma(x, Precision.of(1000))
+            assert_encloses(got, want, f"Gamma({x})")
+            assert as_mpf(got.err) <= abs(want) * mp.mpf(2) ** (-Precision.of(1000).work_bits + 8)
+
+    @pytest.mark.parametrize(
+        "upper, lower, u, v",
+        [
+            ((F(7, 48), F(31, 48)), (F(9, 8),), 29884728384, 34239431521),
+            ((F(1),), (F(9, 8),), 700, 1),
+            ((F(-1, 2), F(-9, 4)), (F(-11, 3), F(-1, 5)), 13, 5),
+        ],
+    )
+    def test_steps_term_by_term_below_block_bits(self, upper, lower, u, v):
+        """One bit below BLOCK_BITS every sum is the term-by-term one, bit
+        for bit; at BLOCK_BITS these long sums are not."""
+        wb = mpreal.BLOCK_BITS
+        _assert_kernel_agrees(upper, lower, u, v, 0, wb - 1, wb - 21, None, ())
+        args = (upper, lower, u, v, 0, wb, wb - 20, None)
+        assert mpreal._scaled_sum(*args) != reference_scaled_sum(*args)
+
+    def test_blocks_reach_a_lower_pole(self):
+        """A block that holds Q = 0, at n = 40 here, raises as the
+        term-by-term sum does."""
+        args = ((F(1, 2), F(1, 3)), (F(-40),), 1, 2, 0, mpreal.BLOCK_BITS, 1000, None)
+        for kernel in (mpreal._scaled_sum, reference_scaled_sum):
+            with pytest.raises(ZeroDivisionError):
+                kernel(*args)
+
+    def test_block_sums_are_bit_identical(self):
+        """f21_series's (value, radius) at 310 to 426 digits, every sum in
+        blocks, on the 45 rational inputs among the first 60 of the
+        digests' seeded series, and Gamma at 1000 digits; a change to it is a change of every sum from
+        BLOCK_BITS on."""
+        series, gammas, _ = _caller_inputs()
+        values = [
+            f21_series(HypParams(a, b, c), z, Precision.of(310 + 2 * i))
+            for i, (a, b, c, z, _) in enumerate(series[:60])
+            if not isinstance(z, BigReal)
+        ]
+        values += [gamma(x, Precision.of(1000)) for x, _ in gammas[:4]]
+        assert _digest(values) == (
+            "426da811d36b49a38fbc0ee5f64553994a11c62dc7682ead0a073340ede20d47"
+        )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(

@@ -138,6 +138,12 @@ ROWS = (
         KERNEL),
     Row("_scaled_sum: |u| dropped from the D > 0 step", MPREAL,
         "E * uD) * P // (aU * Q)) + 1", "E * uD) * P // Q) + 1", KERNEL),
+    # caught only by the block digest: ceil(E |N| / qq) is at least 1 and
+    # covers the block's floor of S unless E |N| / qq is an integer
+    Row("_scaled_sum: block's +1 on E_sum dropped", MPREAL,
+        "E_sum += -(-E * abs(N) // qq) + 1", "E_sum += -(-E * abs(N) // qq)", KERNEL),
+    Row("_scaled_sum: block's E_sum with |pp| for |N|", MPREAL,
+        "E_sum += -(-E * abs(N) // qq) + 1", "E_sum += -(-E * abs(pp) // qq) + 1", KERNEL),
     # IntervalGap, the verdicts' interval arithmetic
     Row("IntervalGap: y's radius dropped", MPREAL,
         "radius = mpf_add(x.err, y.err, ERR_BITS, RU)", "radius = x.err", VERDICTS),
